@@ -52,10 +52,9 @@ class ConstructionRefuted(Exception):
 
 
 class ThresholdTooLarge(Exception):
-    """Exact evaluation would exceed the digit budget. Carries a structural
-    description of the blocked subterm and a magnitude estimate."""
+    """Exact evaluation would exceed the digit budget. Carries the name of
+    the blocked subterm."""
 
-    def __init__(self, where, magnitude):
-        super().__init__(f"exact value too large at {where}; roughly {magnitude}")
+    def __init__(self, where):
+        super().__init__(f"exact value too large at {where}")
         self.where = where
-        self.magnitude = magnitude

@@ -168,8 +168,3 @@ def write_graph(g, fmt):
     if fmt == "graph6":
         return write_graph6(g) + "\n"
     raise ValueError(f"unknown format {fmt!r}")
-
-
-def read_graph6_lines(text):
-    """All graphs in a one-graph-per-line graph6 corpus."""
-    return [parse_graph6(line) for line in text.splitlines() if line.strip()]

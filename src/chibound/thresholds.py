@@ -1,11 +1,15 @@
 """Exact evaluation of the explicit threshold formulas and recursions.
 
-Everything is exact big-integer arithmetic up to a digit budget. Several
-recursions (notably T6.2 and the main constant) produce numbers far too
-large to materialize for most parameters; evaluation then stops with a
-structural report: which subterm blocked, a lazy expression tree, and an
-order-of-magnitude estimate expressed as a power tower. The estimate is
-presentational; the exact path never rounds.
+Each catalog formula is written once, against a number domain N, and runs
+in two domains: exact (ints, where every product, power of two and ramsey
+bound is checked against a digit budget before it is formed) and estimate
+(the same operations on Mag, a power-tower magnitude that never blocks).
+Evaluation is exact. When a subterm would exceed the digit budget it stops
+with a structural report: which subterm blocked, a lazy expression tree,
+and the estimate of the whole entry (not of the blocked subterm). The
+estimate is presentational; the exact path never rounds. Where the domains
+differ, the formula says so, and only the exact domain reports
+intermediates.
 
 Lemma identifiers name entries of the threshold catalog (T2.2 .. T6.2 and
 "main"). Compositions that are assembled from several catalog entries
@@ -14,12 +18,14 @@ rather than a single closed formula are flagged derived_composition.
 
 import math
 from dataclasses import dataclass, field
+from decimal import Decimal
 
 from .errors import ThresholdTooLarge
 
 DEFAULT_DIGIT_LIMIT = 100_000
 _LOG10_2 = math.log10(2.0)
 _FLOAT_CAP = 1e15
+_ESTIMATE_STEPS = 2000
 
 
 def ramsey_bound(s, t):
@@ -30,13 +36,21 @@ def ramsey_bound(s, t):
     return math.comb(s + t - 2, s - 1)
 
 
+def _log10_binom(n, k):
+    """log10 C(n, k) through lgamma; n and k may be floats."""
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(10.0)
+
+
 # ------------------------------------------------------- magnitude towers
 
 class Mag:
     """Rough magnitude as a power tower: height h over top value x stands
     for 10^(10^(...^x)) with h exponentiations. Only for display when the
     exact integer is out of reach; arithmetic here is deliberately coarse
-    at great heights."""
+    at great heights.
+
+    ``+`` is add, ``Mag * x`` is mul, ``int * Mag`` is mul_const (scaling by
+    a positive constant), and comparisons order by (h, x)."""
 
     __slots__ = ("h", "x")
 
@@ -97,6 +111,16 @@ class Mag:
             return Mag(1, self.x + math.log10(c))
         return self
 
+    __add__ = __radd__ = add
+    __mul__ = mul
+    __rmul__ = mul_const
+
+    def __lt__(self, other):
+        return self.key() < Mag.of(other).key()
+
+    def __gt__(self, other):
+        return self.key() > Mag.of(other).key()
+
     def __str__(self):
         if self.h == 0:
             return f"about {self.x:.4g}"
@@ -107,318 +131,209 @@ class Mag:
         return f"about a power tower of height {self.h} topped by {self.x:.4g}"
 
 
-def _mag_pow2(e):
-    """2^e as a magnitude."""
-    e = Mag.of(e)
-    return e.mul_const(_LOG10_2).exp10()
+# ----------------------------------------------------------- number domains
+#
+# A formula sees its domain as N: N.mul(a, b, where), N.pow2(e, where) and
+# N.ramsey(s, t, where) are the operations the exact domain budgets; where
+# names the subterm that blocks. Everything else is plain +, * and max.
 
+class _Exact:
+    """Ints under a digit budget."""
 
-def _mag_max(*vals):
-    best = Mag.of(vals[0])
-    for v in vals[1:]:
-        v = Mag.of(v)
-        if v.key() > best.key():
-            best = v
-    return best
+    exact = True
+    zero = 0
 
-
-def _mag_binom(n, k):
-    """C(n, k) as a magnitude."""
-    n, k = Mag.of(n), Mag.of(k)
-    if n.h == 0 and n.x < 1e12:
-        ni, ki = int(n.x), int(min(k.x if k.h == 0 else n.x, n.x))
-        ki = max(0, min(ki, ni))
-        if ni <= 1:
-            return Mag(0, 1.0)
-        ln10 = math.log(10.0)
-        lg = (
-            math.lgamma(ni + 1) - math.lgamma(ki + 1) - math.lgamma(ni - ki + 1)
-        ) / ln10
-        return Mag(0, 1.0) if lg < 1 else Mag(1, lg)
-    # both huge: bounded above by 2^n, which is the right scale here
-    return _mag_pow2(n)
-
-
-# ------------------------------------------------------- exact evaluation
-
-class _Budget:
     def __init__(self, digit_limit):
         self.digits = digit_limit
 
-    def check_bits(self, bits, where, mag):
+    def _check(self, bits, where):
         if bits * _LOG10_2 > self.digits:
-            raise ThresholdTooLarge(where, mag)
+            raise ThresholdTooLarge(where)
 
-    def mul(self, a, b, where="product"):
-        self.check_bits(a.bit_length() + b.bit_length(), where, Mag.of(a).mul(Mag.of(b)))
+    def mul(self, a, b, where):
+        self._check(a.bit_length() + b.bit_length(), where)
         return a * b
 
-    def pow2(self, e, where="power of two"):
-        self.check_bits(e, where, _mag_pow2(Mag.of(e)))
+    def pow2(self, e, where):
+        self._check(e, where)
         return 1 << e
 
-    def ramsey(self, s, t, where="ramsey bound"):
+    def ramsey(self, s, t, where):
         n, k = s + t - 2, s - 1
-        if n > 1e12:
-            raise ThresholdTooLarge(where, _mag_binom(Mag.of(n), Mag.of(k)))
-        if n > 1:
-            ln10 = math.log(10.0)
-            lg = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / ln10
-            if lg > self.digits:
-                raise ThresholdTooLarge(where, Mag(1, lg))
+        if n > 1e12 or (n > 1 and _log10_binom(n, k) > self.digits):
+            raise ThresholdTooLarge(where)
         return math.comb(n, k)
 
 
-def _t22(c, tau, bud):
-    return bud.mul(2 * c + 3 * tau + 3, tau, "T2.2")
+class _Estimate:
+    """Magnitudes; nothing blocks."""
+
+    exact = False
+    zero = Mag(0, 0.0)
+
+    @staticmethod
+    def mul(a, b, where):
+        return Mag.of(a).mul(b)
+
+    @staticmethod
+    def pow2(e, where):
+        return Mag.of(e).mul_const(_LOG10_2).exp10()
+
+    @staticmethod
+    def ramsey(s, t, where):
+        s, t = Mag.of(s), Mag.of(t)
+        if s.h == 0 and t.h == 0 and s.x + t.x < 1e12:
+            n = max(s.x + t.x - 2.0, 0.0)
+            k = min(max(s.x - 1.0, 0.0), n)
+            if n <= 1:
+                return Mag(0, 1.0)
+            return Mag(1, _log10_binom(n, k))
+        # a huge argument: C(n, k) is bounded above by 2^n, the right scale here
+        return _Estimate.pow2(s.add(t), where)
 
 
-def _t23(d, tau, bud):
-    return _t22(bud.mul(d, tau, "T2.3"), tau, bud)
+# Parameters the estimate domain carries as Mag. The others (k, d, n, r, s,
+# ks, kappa) stay ints in both domains: they set loop counts and constants,
+# and N.mul or a Mag operand converts them where they enter a product.
+_MAG_PARAMS = ("a", "b", "c", "tau")
 
 
-def _t25(d, tau, bud):
-    return max(bud.ramsey(tau + 1, d, "T2.5 ramsey") if d >= 1 else 0, _t23(d, tau, bud))
+# -------------------------------------------------------------- formulas
+
+def _t22(N, c, tau):
+    return N.mul(2 * c + 3 * tau + 3, tau, "T2.2")
 
 
-def _t26(a, d, tau, bud):
-    return bud.mul(a, _t25(d, tau, bud), "T2.6")
+def _t23(N, d, tau):
+    return _t22(N, N.mul(d, tau, "T2.3"), tau)
 
 
-def _t27(a, b, d, tau, bud):
+def _t25(N, d, tau):
+    # the exact ramsey bound needs d >= 1; the estimate takes any d
+    r = N.ramsey(tau + 1, d, "T2.5 ramsey") if not N.exact or d >= 1 else 0
+    return max(r, _t23(N, d, tau))
+
+
+def _t26(N, a, d, tau):
+    return N.mul(a, _t25(N, d, tau), "T2.6")
+
+
+def _t27(N, a, b, d, tau):
     dh = max(d, b + 1)
-    c1 = _t26(tau, dh, tau, bud)
-    return _t26(c1 + a + b, dh, tau, bud), {"d_hat": dh, "c1": c1}
+    c1 = _t26(N, tau, dh, tau)
+    return _t26(N, c1 + a + b, dh, tau), {"d_hat": dh, "c1": c1}
 
 
-def _t31(k, d, tau, bud):
+def _t31(N, k, d, tau):
     seq = [2 * tau]
     for _ in range(2, k + 1):
         prev = seq[-1]
-        seq.append(max(bud.mul(2 * d, prev, "T3.1"), 2 * _t26(prev, d, tau, bud)))
+        seq.append(max(N.mul(2 * d, prev, "T3.1"), 2 * _t26(N, prev, d, tau)))
     return seq[-1], {"c_sequence": seq if len(seq) <= 64 else [seq[0], seq[-1]]}
 
 
-def _t32(c, tau, d, k, bud):
-    c1, _ = _t31(k, d, tau, bud)
-    return bud.mul((2 * k + 2 * d + 3) * tau + c + c1, tau, "T3.2"), {"c1": c1}
+def _t32(N, c, tau, d, k):
+    c1, _ = _t31(N, k, d, tau)
+    return N.mul((2 * k + 2 * d + 3) * tau + c + c1, tau, "T3.2"), {"c1": c1}
 
 
-def _t33(r, s, d, ks, tau, bud):
+def _t33(N, r, s, d, ks, tau):
     if r == 1:
         return tau
-    c1 = _t33(r - 1, s, d, ks, tau, bud)
-    c2 = 0 if s == 1 else _t33(r, s - 1, d, ks[:-1], tau, bud)
-    c3, _ = _t32(c2, c1, d, ks[-1], bud)
+    c1 = _t33(N, r - 1, s, d, ks, tau)
+    c2 = 0 if s == 1 else _t33(N, r, s - 1, d, ks[:-1], tau)
+    c3, _ = _t32(N, c2, c1, d, ks[-1])
     return c1 + c3
 
 
-def _t41(k, d, tau, bud):
+def _t41(N, k, d, tau):
     m = 2 * d * d
-    n = bud.ramsey(tau + 1, m, "T4.1 ramsey")
-    c0 = _t26(tau, d, tau, bud)
+    n = N.ramsey(tau + 1, m, "T4.1 ramsey")
+    c0 = _t26(N, tau, d, tau)
+    a = (m + 1) * tau + c0
     if k >= 2:
-        c, inner = _t27((m + 1) * tau + c0, 0, d, tau, bud)
+        c, inner = _t27(N, a, 0, d, tau)
     else:
-        c, inner = _t27((m + 1) * tau + c0, bud.mul(m, n, "T4.1"), d + m * n, tau, bud)
+        mn = N.mul(m, n, "T4.1")
+        c, inner = _t27(N, a, mn, d + mn, tau)
     return c, {"m": m, "n": n, "c0": c0, **inner}
 
 
-def _t42(k, d, tau, bud):
-    c0, inter = _t41(k, d, tau, bud)
+def _t42(N, k, d, tau):
+    c0, inter = _t41(N, k, d, tau)
     n = d * inter["n"]
-    big = bud.mul(bud.pow2(bud.mul(n, n, "T4.2 exponent"), "T4.2"), c0, "T4.2")
-    c = max(big, _t26(tau, d, tau, bud))
-    return c, {"n": n, "c0": c0}
+    big = N.mul(N.pow2(N.mul(n, n, "T4.2 exponent"), "T4.2"), c0, "T4.2")
+    return max(big, _t26(N, tau, d, tau)), {"n": n, "c0": c0}
 
 
-def _t51(c, d, tau):
-    return 2 * max(c, tau) + d * tau + 1
+# d may be 0 in T5.1 and T5.2, so the products are written tau * d:
+# int * Mag only scales by a positive constant.
+
+def _t51(N, c, d, tau):
+    return 2 * max(c, tau) + tau * d + 1
 
 
-def _t52(n, c, d, tau, bud):
+def _t52(N, n, c, d, tau):
     """Iterate x -> T5.1(d*tau + x, d, tau) n times. Once d*tau + x >= tau
     the step is affine (x -> 2x + 3*d*tau + 1) and the remaining iterations
-    collapse to one closed form, which is the identical value."""
-    x = c
-    steps = 0
-    seq = [x]
-    while steps < n and d * tau + x < tau:
-        x = _t51(d * tau + x, d, tau)
-        steps += 1
+    collapse to one closed form, which is the identical value. The estimate
+    applies the closed form from the start and leaves out its "- beta"."""
+    x, seq = c, [c]
+    if N.exact:
+        while len(seq) <= n and tau * d + x < tau:
+            x = _t51(N, tau * d + x, d, tau)
+            seq.append(x)
+        n -= len(seq) - 1
+    if n:
+        beta = 3 * (tau * d) + 1
+        x = N.mul(N.pow2(n, "T5.2"), x + beta, "T5.2")
+        if N.exact:
+            x -= beta
         seq.append(x)
-    remaining = n - steps
-    if remaining:
-        beta = 3 * d * tau + 1
-        p = bud.pow2(remaining, "T5.2")
-        x = bud.mul(p, x + beta, "T5.2") - beta
-        seq.append(x)
-    return x, {"c_sequence": seq if len(seq) <= 64 else [seq[0], seq[-1]]}
+    return x, {"c_sequence": seq}
 
 
-def _t53(k, d, tau, bud):
-    c4, inter = _t42(k, d, tau, bud)
-    c, _ = _t52(inter["n"], c4, d, tau, bud)
+def _t53(N, k, d, tau):
+    c4, inter = _t42(N, k, d, tau)
+    c, _ = _t52(N, inter["n"], c4, d, tau)
     return c, {"cathedral_c": c4, "cathedral_n": inter["n"]}
 
 
-def _t61(c, d, tau, bud):
+def _t61(N, c, d, tau):
     x = c
     for _ in range(d):
-        x, _ = _t32(x, tau, d, d, bud)
+        x, _ = _t32(N, x, tau, d, d)
     return x
 
 
-def _t62(d, tau, bud):
-    cprime, inter = _t41(1, d, tau, bud)
+def _t62(N, d, tau):
+    cprime, inter = _t41(N, 1, d, tau)
     n0 = inter["n"]
     n = (2 * d + 1) * n0
-    x = max(bud.mul(cprime, bud.pow2(bud.mul(n, n, "T6.2 exponent"), "T6.2"), "T6.2"), d * tau)
+    x = max(N.mul(cprime, N.pow2(N.mul(n, n, "T6.2 exponent"), "T6.2"), "T6.2"), tau * d)
     start = x
-    for _ in range(n):
-        psi = _t61(x, d, tau, bud)
-        x, _ = _t53(1, d, psi, bud)
+    if N.exact:
+        steps = n
+    else:  # the estimate takes at most 2000 steps
+        cap = _ESTIMATE_STEPS
+        steps = min((2 * d + 1) * int(n0.x), cap) if n0.h == 0 and n0.x <= cap else cap
+    for _ in range(steps):
+        before = x
+        x, _ = _t53(N, 1, d, _t61(N, x, d, tau))
+        if not N.exact and x.h > 60 and x.key() == before.key():
+            break  # a tall estimate that stopped moving
     return x, {"n": n, "n0": n0, "free_cathedral_c": cprime, "c_n": start}
 
 
-def _main(kappa, k, d, bud):
+def _main(N, kappa, k, d):
     if kappa == 0:
-        return 0, {"tau": 0}
-    tau1, _ = _main(kappa - 1, k, d, bud)
+        return N.zero, {"tau": N.zero}
+    tau1, _ = _main(N, kappa - 1, k, d)
     leg = max(d - 1, k)
-    tau = max(tau1, _t33(k, d + 1, d, [leg] * d + [k], tau1, bud))
-    c1, _ = _t53(k, d, tau, bud)
-    c2, _ = _t62(d, tau1, bud)
+    tau = max(tau1, _t33(N, k, d + 1, d, [leg] * d + [k], tau1))
+    c1, _ = _t53(N, k, d, tau)
+    c2, _ = _t62(N, d, tau1)
     return max(c1, c2), {"tau": tau, "tau_prev": tau1, "c_starry": c1, "c_radius_one": c2}
-
-
-
-# ------------------------------------------------- magnitude twin of each
-
-def _m_ramsey(s, t):
-    s, t = Mag.of(s), Mag.of(t)
-    if s.h == 0 and t.h == 0 and s.x + t.x < 1e12:
-        n = max(s.x + t.x - 2.0, 0.0)
-        k = min(max(s.x - 1.0, 0.0), n)
-        if n <= 1:
-            return Mag(0, 1.0)
-        lg = (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(10.0)
-        return Mag(0, 10.0 ** lg) if lg < 15 else Mag(1, lg)
-    return _mag_binom(s.add(t), _mag_min(s, t))
-
-
-def _mag_min(a, b):
-    a, b = Mag.of(a), Mag.of(b)
-    return a if a.key() <= b.key() else b
-
-
-def _m_t22(c, tau):
-    tau = Mag.of(tau)
-    return Mag.of(c).mul_const(2).add(tau.mul_const(3)).add(3).mul(tau)
-
-
-def _m_t23(d, tau):
-    return _m_t22(Mag.of(d).mul(tau), tau)
-
-
-def _m_t25(d, tau):
-    return _mag_max(_m_ramsey(Mag.of(tau).add(1), d), _m_t23(d, tau))
-
-
-def _m_t26(a, d, tau):
-    return Mag.of(a).mul(_m_t25(d, tau))
-
-
-def _m_t27(a, b, d, tau):
-    dh = _mag_max(d, Mag.of(b).add(1))
-    c1 = _m_t26(tau, dh, tau)
-    return _m_t26(c1.add(a).add(b), dh, tau)
-
-
-def _m_t31(k, d, tau):
-    x = Mag.of(tau).mul_const(2)
-    for _ in range(2, k + 1):
-        x = _mag_max(Mag.of(d).mul(x).mul_const(2), _m_t26(x, d, tau).mul_const(2))
-    return x
-
-
-def _m_t32(c, tau, d, k):
-    head = Mag.of(tau).mul_const(2 * k + 2 * d + 3).add(c).add(_m_t31(k, d, tau))
-    return head.mul(tau)
-
-
-def _m_t33(r, s, d, ks, tau):
-    if r == 1:
-        return Mag.of(tau)
-    c1 = _m_t33(r - 1, s, d, ks, tau)
-    c2 = Mag.of(0) if s == 1 else _m_t33(r, s - 1, d, ks[:-1], tau)
-    return c1.add(_m_t32(c2, c1, d, ks[-1]))
-
-
-def _m_t41(k, d, tau):
-    """Returns (c, n) as magnitudes."""
-    tau = Mag.of(tau)
-    m = 2 * d * d
-    n = _m_ramsey(tau.add(1), m)
-    c0 = _m_t26(tau, d, tau)
-    a = tau.mul_const(m + 1).add(c0)
-    if k >= 2:
-        return _m_t27(a, Mag.of(0), Mag.of(d), tau), n
-    mn = n.mul_const(m)
-    return _m_t27(a, mn, mn.add(d), tau), n
-
-
-def _m_t42(k, d, tau):
-    c0, n0 = _m_t41(k, d, tau)
-    n = n0.mul_const(d)
-    return _mag_max(_mag_pow2(n.mul(n)).mul(c0), _m_t26(tau, d, tau)), n
-
-
-def _m_t51(c, d, tau):
-    return _mag_max(c, tau).mul_const(2).add(Mag.of(d).mul(tau)).add(1)
-
-
-def _m_t52(n, c, d, tau):
-    # affine growth: roughly 2^n times (c plus the additive step)
-    beta = Mag.of(d).mul(tau).mul_const(3).add(1)
-    return _mag_pow2(Mag.of(n)).mul(Mag.of(c).add(beta))
-
-
-def _m_t53(k, d, tau):
-    c4, n4 = _m_t42(k, d, tau)
-    return _m_t52(n4, c4, d, tau)
-
-
-def _m_t61(c, d, tau):
-    x = Mag.of(c)
-    for _ in range(d):
-        x = _m_t32(x, tau, d, d)
-    return x
-
-
-def _m_t62(d, tau):
-    cprime, n0 = _m_t41(1, d, tau)
-    if n0.h == 0 and n0.x <= 2000:
-        loops = (2 * d + 1) * int(n0.x)
-    else:
-        loops = 2000
-    n = n0.mul_const(2 * d + 1)
-    x = _mag_max(cprime.mul(_mag_pow2(n.mul(n))), Mag.of(d).mul(tau))
-    for _ in range(min(loops, 2000)):
-        before = x.key()
-        x = _m_t53(1, d, _m_t61(x, d, tau))
-        if x.h > 60 and x.key() == before:
-            break
-    return x
-
-
-def _m_main(kappa, k, d):
-    if kappa == 0:
-        return Mag.of(0)
-    tau1 = _m_main(kappa - 1, k, d)
-    leg = max(d - 1, k)
-    tau = _mag_max(tau1, _m_t33(k, d + 1, d, [leg] * d + [k], tau1))
-    return _mag_max(_m_t53(k, d, tau), _m_t62(d, tau1))
 
 
 # --------------------------------------------------------------- registry
@@ -435,10 +350,7 @@ class ThresholdResult:
     expr: dict | None = None
 
 
-_INT = "int"
-_LIST = "list"
-
-# id -> (ordered param names, param kinds, derived flag, formula recipe)
+# id -> (ordered param names, formula recipe, derived flag)
 LEMMAS = {
     "T2.2": (("c", "tau"), "single stable-set split bound: (2c + 3 tau + 3) tau", False),
     "T2.3": (("d", "tau"), "split with a long path: T2.2(d tau, tau)", False),
@@ -506,6 +418,28 @@ LEMMAS = {
 }
 
 
+# id -> (formula, lowest allowed value of each bounded parameter). T3.3's
+# constraints tie r and s to ks and are checked in lemma_threshold.
+_FORMULAS = {
+    "T2.2": (_t22, {}),
+    "T2.3": (_t23, {}),
+    "T2.5": (_t25, {}),
+    "T2.6": (_t26, {}),
+    "T2.7": (_t27, {}),
+    "T3.1": (_t31, {"k": 1, "d": 1}),
+    "T3.2": (_t32, {"k": 1, "d": 1}),
+    "T3.3": (_t33, {}),
+    "T4.1": (_t41, {"d": 1, "k": 1}),
+    "T4.2": (_t42, {"d": 1, "k": 1}),
+    "T5.1": (_t51, {}),
+    "T5.2": (_t52, {}),
+    "T5.3": (_t53, {"d": 1, "k": 1}),
+    "T6.1": (_t61, {"d": 1}),
+    "T6.2": (_t62, {"d": 1}),
+    "main": (_main, {"d": 1, "k": 1}),
+}
+
+
 def _as_int(name, value):
     if isinstance(value, bool) or not isinstance(value, int):
         raise ValueError(f"parameter {name} must be a non-negative integer, got {value!r}")
@@ -514,17 +448,26 @@ def _as_int(name, value):
     return value
 
 
+def _evaluate(formula, N, args):
+    """(value, intermediates); a formula without named intermediates
+    returns its value alone."""
+    out = formula(N, **args)
+    return out if isinstance(out, tuple) else (out, {})
+
+
 def lemma_threshold(lemma_id, params, digit_limit=DEFAULT_DIGIT_LIMIT):
     """Evaluate one catalog entry exactly.
 
     params maps parameter names to non-negative integers (T3.3 additionally
     takes ks, a list of k values of length s). When the exact integer would
     exceed digit_limit decimal digits the result carries value None, the
-    blocking subterm, and a tower-magnitude estimate instead.
+    blocking subterm, and a tower-magnitude estimate of the whole entry
+    instead.
     """
     if lemma_id not in LEMMAS:
         raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(sorted(LEMMAS))}")
     names, recipe, derived = LEMMAS[lemma_id]
+    formula, minimums = _FORMULAS[lemma_id]
     missing = [p for p in names if p not in params]
     if missing:
         raise ValueError(f"{lemma_id} needs parameters {', '.join(names)}; missing {missing}")
@@ -542,14 +485,10 @@ def lemma_threshold(lemma_id, params, digit_limit=DEFAULT_DIGIT_LIMIT):
             raise ValueError(f"T3.3 needs s >= 1 and len(ks) == s, got s={s}, ks={ks}")
         if r < 1 or (ks and r > min(ks)):
             raise ValueError(f"T3.3 needs 1 <= r <= min(ks), got r={r}, ks={ks}")
-    if lemma_id in ("T3.1", "T3.2") and args.get("k", 1) < 1:
-        raise ValueError("k must be at least 1")
-    if lemma_id in ("T3.1", "T3.2", "T4.1", "T4.2", "T5.3", "T6.1", "T6.2", "main") and args.get("d", 1) < 1:
-        raise ValueError("d must be at least 1")
-    if lemma_id in ("T4.1", "T4.2", "T5.3", "main") and args.get("k", 1) < 1:
-        raise ValueError("k must be at least 1")
+    for p, low in minimums.items():
+        if args[p] < low:
+            raise ValueError(f"{p} must be at least {low}")
 
-    bud = _Budget(digit_limit)
     result = ThresholdResult(
         lemma_id=lemma_id,
         params={k: v for k, v in args.items()},
@@ -558,94 +497,29 @@ def lemma_threshold(lemma_id, params, digit_limit=DEFAULT_DIGIT_LIMIT):
         expr={"lemma": lemma_id, "recipe": recipe, "params": {k: v for k, v in args.items()}},
     )
     try:
-        value, inter = _dispatch_exact(lemma_id, args, bud)
-        result.value = value
-        result.intermediates = inter
+        result.value, result.intermediates = _evaluate(formula, _Exact(digit_limit), args)
     except ThresholdTooLarge as e:
         result.blocked_at = e.where
-        result.magnitude = str(_dispatch_mag(lemma_id, args))
+        lifted = {p: Mag.of(v) if p in _MAG_PARAMS else v for p, v in args.items()}
+        result.magnitude = str(_evaluate(formula, _Estimate, lifted)[0])
         result.expr["blocked_at"] = e.where
     return result
 
 
-def _dispatch_exact(lemma_id, a, bud):
-    if lemma_id == "T2.2":
-        return _t22(a["c"], a["tau"], bud), {}
-    if lemma_id == "T2.3":
-        return _t23(a["d"], a["tau"], bud), {}
-    if lemma_id == "T2.5":
-        return _t25(a["d"], a["tau"], bud), {}
-    if lemma_id == "T2.6":
-        return _t26(a["a"], a["d"], a["tau"], bud), {}
-    if lemma_id == "T2.7":
-        return _t27(a["a"], a["b"], a["d"], a["tau"], bud)
-    if lemma_id == "T3.1":
-        return _t31(a["k"], a["d"], a["tau"], bud)
-    if lemma_id == "T3.2":
-        return _t32(a["c"], a["tau"], a["d"], a["k"], bud)
-    if lemma_id == "T3.3":
-        return _t33(a["r"], a["s"], a["d"], a["ks"], a["tau"], bud), {}
-    if lemma_id == "T4.1":
-        return _t41(a["k"], a["d"], a["tau"], bud)
-    if lemma_id == "T4.2":
-        return _t42(a["k"], a["d"], a["tau"], bud)
-    if lemma_id == "T5.1":
-        return _t51(a["c"], a["d"], a["tau"]), {}
-    if lemma_id == "T5.2":
-        return _t52(a["n"], a["c"], a["d"], a["tau"], bud)
-    if lemma_id == "T5.3":
-        return _t53(a["k"], a["d"], a["tau"], bud)
-    if lemma_id == "T6.1":
-        return _t61(a["c"], a["d"], a["tau"], bud), {}
-    if lemma_id == "T6.2":
-        return _t62(a["d"], a["tau"], bud)
-    if lemma_id == "main":
-        return _main(a["kappa"], a["k"], a["d"], bud)
-    raise AssertionError(lemma_id)
-
-
-def _dispatch_mag(lemma_id, a):
-    if lemma_id == "T2.2":
-        return _m_t22(a["c"], a["tau"])
-    if lemma_id == "T2.3":
-        return _m_t23(a["d"], a["tau"])
-    if lemma_id == "T2.5":
-        return _m_t25(a["d"], a["tau"])
-    if lemma_id == "T2.6":
-        return _m_t26(a["a"], a["d"], a["tau"])
-    if lemma_id == "T2.7":
-        return _m_t27(a["a"], a["b"], a["d"], a["tau"])
-    if lemma_id == "T3.1":
-        return _m_t31(a["k"], a["d"], a["tau"])
-    if lemma_id == "T3.2":
-        return _m_t32(a["c"], a["tau"], a["d"], a["k"])
-    if lemma_id == "T3.3":
-        return _m_t33(a["r"], a["s"], a["d"], a["ks"], a["tau"])
-    if lemma_id == "T4.1":
-        return _m_t41(a["k"], a["d"], a["tau"])[0]
-    if lemma_id == "T4.2":
-        return _m_t42(a["k"], a["d"], a["tau"])[0]
-    if lemma_id == "T5.1":
-        return _m_t51(a["c"], a["d"], a["tau"])
-    if lemma_id == "T5.2":
-        return _m_t52(a["n"], a["c"], a["d"], a["tau"])
-    if lemma_id == "T5.3":
-        return _m_t53(a["k"], a["d"], a["tau"])
-    if lemma_id == "T6.1":
-        return _m_t61(a["c"], a["d"], a["tau"])
-    if lemma_id == "T6.2":
-        return _m_t62(a["d"], a["tau"])
-    if lemma_id == "main":
-        return _m_main(a["kappa"], a["k"], a["d"])
-    raise AssertionError(lemma_id)
-
-
 def format_value(value, decimal_digit_cap=10_000, lead=40):
-    """Decimal when small enough, otherwise digit count and leading digits."""
-    s = str(value)
-    if len(s) <= decimal_digit_cap:
-        return s
-    return f"<{len(s)} digits: {s[:lead]}...>"
+    """Decimal when small enough, otherwise digit count and leading digits.
+
+    value is a non-negative int of any length. Neither form goes through
+    str(int), which CPython refuses beyond 4300 digits by default, and the
+    second form converts only the leading digits."""
+    n = int(value.bit_length() * _LOG10_2)  # the digit count, or one less
+    if n >= decimal_digit_cap:
+        shift = max(n - lead, 0)
+        head = str(value // 10 ** shift)
+        digits = shift + len(head)
+        if digits > decimal_digit_cap:
+            return f"<{digits} digits: {head[:lead]}...>"
+    return str(Decimal(value))
 
 
 def format_result(result, decimal_digit_cap=10_000):

@@ -1,9 +1,22 @@
+import hashlib
+import json
+import re
+from decimal import Decimal
+from pathlib import Path
+
 import pytest
 
 from oracles import all_graphs, has_stable_set, has_triangle
 
 from chibound.generators import cycle_graph
-from chibound.thresholds import Mag, format_result, format_value, lemma_threshold, ramsey_bound
+from chibound.thresholds import (
+    DEFAULT_DIGIT_LIMIT,
+    Mag,
+    format_result,
+    format_value,
+    lemma_threshold,
+    ramsey_bound,
+)
 
 
 def val(lemma, **params):
@@ -168,3 +181,121 @@ def test_format_helpers():
     out = format_result(lemma_threshold("T2.2", {"c": 0, "tau": 1}))
     assert "value: 6" in out
     assert str(Mag.of(10 ** 40)).startswith("about 10^40")
+
+
+def test_format_past_int_str_limit():
+    # str() refuses ints beyond 4300 digits by default; this value has 17357
+    r = lemma_threshold("T4.2", {"k": 1, "d": 2, "tau": 3})
+    m = re.search(r"value: <(\d+) digits: (\d{40})\.\.\.>", format_result(r))
+    digits, head = int(m[1]), int(m[2])
+    assert 10 ** (digits - 1) <= r.value < 10 ** digits
+    assert r.value // 10 ** (digits - 40) == head
+    # below the decimal cap, a value past the str() limit prints in full
+    v = 7 ** 6000
+    full = format_value(v)
+    assert len(full) == 5071 and Decimal(full) == v
+
+
+# ------------------------------------------------------- catalog snapshot
+
+SNAPSHOT = Path(__file__).with_name("threshold_snapshot.json")
+SNAPSHOT_LIMITS = (5, 50, DEFAULT_DIGIT_LIMIT)
+HUGE = 10 ** 400
+# Every lemma id blocks on some point at top level, except T5.1, which has
+# no budgeted operation. Small digit limits block early, large parameters
+# reach tower heights 1 to 3.
+SNAPSHOT_GRID = {
+    "T2.2": [{"c": 0, "tau": 1}, {"c": 10**6, "tau": 10**6}, {"c": HUGE, "tau": 10**20}],
+    "T2.3": [{"d": 2, "tau": 3}, {"d": 10**6, "tau": 10**6}, {"d": 10**20, "tau": HUGE}],
+    "T2.5": [{"d": 1, "tau": 1}, {"d": 40, "tau": 40}, {"d": 0, "tau": 10**20}, {"d": 10**20, "tau": 3}],
+    "T2.6": [{"a": 2, "d": 1, "tau": 1}, {"a": 10**6, "d": 50, "tau": 50}, {"a": HUGE, "d": 0, "tau": 10**20}],
+    "T2.7": [
+        {"a": 1, "b": 2, "d": 1, "tau": 1},
+        {"a": 10**6, "b": 30, "d": 30, "tau": 30},
+        {"a": 3, "b": HUGE, "d": 2, "tau": 10**20},
+    ],
+    "T3.1": [{"k": 2, "d": 1, "tau": 1}, {"k": 5, "d": 3, "tau": 3}, {"k": 70, "d": 2, "tau": 10**20}],
+    "T3.2": [
+        {"c": 0, "tau": 0, "d": 3, "k": 2},
+        {"c": 5, "tau": 4, "d": 3, "k": 4},
+        {"c": HUGE, "tau": 10**20, "d": 2, "k": 6},
+    ],
+    "T3.3": [
+        {"r": 2, "s": 2, "d": 1, "ks": [2, 3], "tau": 1},
+        {"r": 2, "s": 2, "d": 3, "ks": [3, 3], "tau": 5},
+        {"r": 3, "s": 3, "d": 0, "ks": [3, 4, 5], "tau": 10**20},
+    ],
+    "T4.1": [
+        {"k": 1, "d": 1, "tau": 1},
+        {"k": 2, "d": 3, "tau": 3},
+        {"k": 1, "d": 3, "tau": 3},
+        {"k": 1, "d": 2, "tau": 10**20},
+    ],
+    "T4.2": [
+        {"k": 1, "d": 1, "tau": 1},
+        {"k": 2, "d": 2, "tau": 2},
+        {"k": 1, "d": 2, "tau": 3},
+        {"k": 3, "d": 1, "tau": 10**20},
+    ],
+    "T5.1": [{"c": 1, "d": 1, "tau": 1}, {"c": 0, "d": 0, "tau": 5}, {"c": HUGE, "d": 10**20, "tau": HUGE}],
+    "T5.2": [
+        {"n": 3, "c": 1, "d": 1, "tau": 1},
+        {"n": 2, "c": 0, "d": 0, "tau": 4},
+        {"n": 300, "c": 5, "d": 2, "tau": 3},
+        {"n": 300, "c": 5, "d": 0, "tau": 10**20},
+        {"n": 10**6, "c": HUGE, "d": 3, "tau": 1},
+    ],
+    "T5.3": [{"k": 1, "d": 1, "tau": 1}, {"k": 2, "d": 2, "tau": 2}, {"k": 1, "d": 1, "tau": 10**20}],
+    "T6.1": [{"c": 0, "d": 1, "tau": 1}, {"c": 3, "d": 3, "tau": 3}, {"c": HUGE, "d": 2, "tau": 10**20}],
+    "T6.2": [{"d": 1, "tau": 0}, {"d": 1, "tau": 1}, {"d": 2, "tau": 2}],
+    "main": [{"kappa": 1, "k": 1, "d": 1}, {"kappa": 1, "k": 2, "d": 2}, {"kappa": 2, "k": 1, "d": 1}],
+}
+# Their estimates run the full 2000 loop steps (about 0.2 s each), so they
+# are evaluated at one digit limit only.
+SNAPSHOT_TALL = {
+    "T6.2": [{"d": 1, "tau": 10**20}],
+    "main": [{"kappa": 2, "k": 2, "d": 2}, {"kappa": 3, "k": 1, "d": 1}],
+}
+
+
+def _hex(v):
+    return [_hex(x) for x in v] if isinstance(v, list) else format(v, "x")
+
+
+def catalog_snapshot():
+    """lemma id -> sha256 over value (hex), intermediates, blocked_at,
+    magnitude and expr of every snapshot point, plus the set of lemma ids
+    that blocked at top level."""
+    digests, blocked = {}, set()
+    for lemma, points in SNAPSHOT_GRID.items():
+        runs = [(p, limit) for p in points for limit in SNAPSHOT_LIMITS]
+        runs += [(p, SNAPSHOT_LIMITS[0]) for p in SNAPSHOT_TALL.get(lemma, [])]
+        h = hashlib.sha256()
+        for params, limit in runs:
+            r = lemma_threshold(lemma, params, digit_limit=limit)
+            if r.value is None:
+                blocked.add(lemma)
+            row = [
+                params,
+                limit,
+                None if r.value is None else _hex(r.value),
+                {k: _hex(v) for k, v in r.intermediates.items()},
+                r.blocked_at,
+                r.magnitude,
+                r.expr,
+            ]
+            h.update(json.dumps(row, sort_keys=True).encode())
+        digests[lemma] = h.hexdigest()
+    return digests, blocked
+
+
+def test_catalog_snapshot():
+    digests, blocked = catalog_snapshot()
+    assert blocked == set(SNAPSHOT_GRID) - {"T5.1"}
+    golden = json.loads(SNAPSHOT.read_text())
+    assert digests == golden
+
+
+if __name__ == "__main__":
+    # Rewrites the golden file; only for an intended change of results.
+    SNAPSHOT.write_text(json.dumps(catalog_snapshot()[0], indent=1) + "\n")
