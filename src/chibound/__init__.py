@@ -21,6 +21,7 @@ from .graphio import parse_graph, write_graph
 from .coloring import (
     Coloring,
     chi_local,
+    chi_of,
     chromatic_number,
     clique_number,
     is_k_colorable,
@@ -42,6 +43,7 @@ __all__ = [
     "parse_graph",
     "write_graph",
     "chi_local",
+    "chi_of",
     "chromatic_number",
     "clique_number",
     "is_k_colorable",

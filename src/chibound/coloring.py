@@ -9,14 +9,14 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import ColoringBudgetExceeded, SearchBudgetExceeded
-from .graphs import bits, induced_subgraph, neighborhood
+from .graphs import bits, check_vertex_set, neighborhood, set_to_mask
 
 
-def _greedy_upper(g):
+def _greedy_upper(adj):
     """Sequential greedy coloring count, a cheap honest upper bound."""
     colors = {}
-    for v in range(g.n):
-        used = {colors[u] for u in bits(g.adjacency_mask(v)) if u in colors}
+    for v, m in enumerate(adj):
+        used = {colors[u] for u in bits(m) if u in colors}
         c = 1
         while c in used:
             c += 1
@@ -49,17 +49,34 @@ def is_k_colorable(g, k, node_budget=None):
     """A proper coloring with at most k colors, or None when none exists."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _k_colorable(g, k, node_budget)
+    return _k_colorable(list(g.adjacency_masks()), k, node_budget)
 
 
-def _k_colorable(g, k, node_budget=None):
-    status, colors = _kernels.k_color(g.n, list(g.adjacency_masks()), k, node_budget or 0)
+def _k_colorable(adj, k, node_budget=None):
+    status, colors = _kernels.k_color(len(adj), adj, k, node_budget or 0)
     if status == 2:
-        raise ColoringBudgetExceeded(lower=0, upper=_greedy_upper(g))
+        raise ColoringBudgetExceeded(lower=0, upper=_greedy_upper(adj))
     if status == 1:
         return None
     used = max(colors) if colors else 0
     return Coloring(colors=tuple(colors), color_count=max(used, 0))
+
+
+def _chromatic(adj, node_budget=None):
+    """The k-sweep behind chromatic_number and chi_of, over the adjacency
+    masks of vertices 0..len(adj)-1."""
+    n = len(adj)
+    if n == 0:
+        return 0, None
+    lower = len(_kernels.greedy_clique(n, adj))
+    for k in range(max(lower, 1), n + 1):
+        try:
+            witness = _k_colorable(adj, k, node_budget)
+        except ColoringBudgetExceeded as e:
+            raise ColoringBudgetExceeded(lower=k, upper=e.upper) from None
+        if witness is not None:
+            return k, witness
+    raise AssertionError("unreachable: every graph is n-colorable")
 
 
 def chromatic_number(g, node_budget=None):
@@ -69,18 +86,25 @@ def chromatic_number(g, node_budget=None):
     witness. On budget exhaustion raises ColoringBudgetExceeded with the
     best bounds proved so far.
     """
-    if g.n == 0:
-        return 0, None
-    adj = list(g.adjacency_masks())
-    lower = len(_kernels.greedy_clique(g.n, adj))
-    for k in range(max(lower, 1), g.n + 1):
-        try:
-            witness = _k_colorable(g, k, node_budget)
-        except ColoringBudgetExceeded:
-            raise ColoringBudgetExceeded(lower=k, upper=_greedy_upper(g)) from None
-        if witness is not None:
-            return k, witness
-    raise AssertionError("unreachable: every graph is n-colorable")
+    return _chromatic(list(g.adjacency_masks()), node_budget)
+
+
+def chi_of(g, s, node_budget=None):
+    """Chromatic number of the subgraph induced on the vertex set s.
+
+    The compressed masks come straight from g's, numbering s in ascending
+    order as induced_subgraph does, so answers and budget bounds match.
+    """
+    vs = sorted(check_vertex_set(g, s))
+    bit_of = {v: 1 << i for i, v in enumerate(vs)}
+    smask = set_to_mask(vs)
+    adj = []
+    for v in vs:
+        m = 0
+        for u in bits(g.adjacency_mask(v) & smask):
+            m |= bit_of[u]
+        adj.append(m)
+    return _chromatic(adj, node_budget)[0]
 
 
 def clique_number(g, node_budget=None):
@@ -98,9 +122,7 @@ def chi_local(g, k, node_budget=None):
         raise ValueError(f"radius must be positive, got {k}")
     best = 0
     for v in range(g.n):
-        ball = neighborhood(g, v, k, mode="ball")
-        sub, _ = induced_subgraph(g, ball)
-        chi, _ = chromatic_number(sub, node_budget)
+        chi = chi_of(g, neighborhood(g, v, k, mode="ball"), node_budget)
         if chi > best:
             best = chi
     return best
@@ -115,19 +137,13 @@ def minimal_subset_with_chi(g, s, t, node_budget=None):
     if t < 1:
         raise ValueError(f"threshold must be positive, got {t}")
     current = sorted(set(s))
-    if _chi_of_subset(g, current, node_budget) < t:
+    if chi_of(g, current, node_budget) < t:
         raise ValueError(f"chi of the given set is below {t}")
     for v in list(current):
         trial = [u for u in current if u != v]
-        if _chi_of_subset(g, trial, node_budget) >= t:
+        if chi_of(g, trial, node_budget) >= t:
             current = trial
     return frozenset(current)
-
-
-def _chi_of_subset(g, s, node_budget=None):
-    sub, _ = induced_subgraph(g, s)
-    chi, _ = chromatic_number(sub, node_budget)
-    return chi
 
 
 def is_vertex_critical(g, node_budget=None):
@@ -137,6 +153,6 @@ def is_vertex_critical(g, node_budget=None):
         return True
     for v in range(g.n):
         rest = [u for u in range(g.n) if u != v]
-        if _chi_of_subset(g, rest, node_budget) >= chi:
+        if chi_of(g, rest, node_budget) >= chi:
             return False
     return True

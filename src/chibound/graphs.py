@@ -225,6 +225,13 @@ def components_within(g, s):
     return out
 
 
+def components_touching(g, s, x):
+    """Components of the subgraph induced on s that contain a neighbor of
+    x, by smallest member."""
+    xmask = g.adjacency_mask(x)
+    return [c for c in components_within(g, s) if xmask & set_to_mask(c)]
+
+
 def induced_subgraph(g, s):
     """Subgraph induced on s plus the relabeling.
 

@@ -22,8 +22,8 @@ from .embed import is_kd_starry
 from .errors import BudgetExceeded, ConstructionRefuted
 from .generators import make_graph
 from .graphio import parse_graph6, write_graph6
-from .graphs import components_within, induced_subgraph, set_to_mask
-from .machinery import find_spire, find_x_split, gyarfas_path, induced_path_centered
+from .graphs import components_touching, set_to_mask
+from .machinery import best_by_chi, find_spire, find_x_split, gyarfas_path, induced_path_centered
 
 REPORT_VERSION = "chibound report v1"
 COLUMNS = (
@@ -166,25 +166,14 @@ def _check_gyarfas(g, base, params):
     chi1 = base["chi1"]
     checked = 0
     for x0 in range(min(starts, g.n)):
-        region = frozenset(range(g.n)) - {x0}
-        comps = [
-            c
-            for c in components_within(g, region)
-            if g.adjacency_mask(x0) & set_to_mask(c)
-        ]
-        if not comps:
+        best, best_chi = best_by_chi(g, components_touching(g, frozenset(range(g.n)) - {x0}, x0))
+        if best is None:
             continue
-        best, best_chi = None, -1
-        for comp in comps:
-            sub, _ = induced_subgraph(g, comp)
-            chi, _ = chromatic_number(sub)
-            if chi > best_chi:
-                best, best_chi = comp, chi
         for k in range(k_max + 1):
             if best_chi <= k * chi1:
                 break
             try:
-                gyarfas_path(g, best, x0, k, checked=True)
+                gyarfas_path(g, best, x0, k)
             except AssertionError as e:
                 return VIOLATION, f"x0={x0} k={k}: {e}", None
             checked += 1

@@ -16,12 +16,13 @@ from .certificates import (
     validate_spire,
     validate_x_split,
 )
-from .coloring import chi_local, chromatic_number
+from .coloring import chi_local, chi_of
 from .embed import find_induced_embedding
 from .errors import SearchBudgetExceeded
 from .graphs import (
     bits,
     check_vertex_set,
+    components_touching,
     components_within,
     induced_subgraph,
     is_connected_set,
@@ -31,20 +32,15 @@ from .graphs import (
 from .trees import path_tree
 
 
-def _chi_of(g, s, node_budget=None):
-    sub, _ = induced_subgraph(g, s)
-    chi, _ = chromatic_number(sub, node_budget)
-    return chi
-
-
-def _best_component(g, region, node_budget=None):
-    """Component of the region with the largest chromatic number; ties go
-    to the component with the smallest member. None when region is empty."""
+def best_by_chi(g, sets, node_budget=None):
+    """First set of largest chromatic number in the given order, with that
+    chi; (None, -1) when there are no sets. Components listed by
+    components_within thus tie-break to the smallest member."""
     best, best_chi = None, -1
-    for comp in components_within(g, region):
-        chi = _chi_of(g, comp, node_budget)
+    for s in sets:
+        chi = chi_of(g, s, node_budget)
         if chi > best_chi:
-            best, best_chi = comp, chi
+            best, best_chi = s, chi
     return best, best_chi
 
 
@@ -60,10 +56,8 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
     for x in sorted(x_ground):
         for y in sorted(bits(g.adjacency_mask(x) & ~xmask)):
             region = everything - x_ground - {y} - set(bits(g.adjacency_mask(y)))
-            for comp in components_within(g, region):
-                if not g.adjacency_mask(x) & set_to_mask(comp):
-                    continue
-                if _chi_of(g, comp, node_budget) > min_chi:
+            for comp in components_touching(g, region, x):
+                if chi_of(g, comp, node_budget) > min_chi:
                     cand = XSplit(x=x, y=y, z_set=comp)
                     ok, clause = validate_x_split(g, x_ground, cand)
                     if not ok:
@@ -84,7 +78,7 @@ def _gyarfas_core(g, c_set, x0, k):
         if not nbrs:
             return None
         rest = working - nbrs
-        comp, _ = _best_component(g, rest)
+        comp, _ = best_by_chi(g, components_within(g, rest))
         if comp is None:
             return None
         cmask = set_to_mask(comp)
@@ -96,13 +90,12 @@ def _gyarfas_core(g, c_set, x0, k):
     return tuple(path), working
 
 
-def gyarfas_path(g, c_set, x0, k, checked=True):
+def gyarfas_path(g, c_set, x0, k):
     """Induced path of length k from x0 into the set, leaving a connected
     residue adjacent only to the far end.
 
-    In checked mode the chromatic precondition is verified exactly before
-    the walk. Unchecked mode trusts the caller; the walk can then fail,
-    which raises RuntimeError.
+    The chromatic precondition chi(C) > k * chi_1 is verified exactly
+    before the walk.
     """
     c_set = check_vertex_set(g, c_set)
     g._check(x0)
@@ -116,12 +109,11 @@ def gyarfas_path(g, c_set, x0, k, checked=True):
         raise ValueError("the set must induce a connected subgraph")
     if not g.adjacency_mask(x0) & set_to_mask(c_set):
         raise ValueError("the start vertex needs a neighbor in the set")
-    if checked:
-        if _chi_of(g, c_set) <= k * chi_local(g, 1):
-            raise ValueError("chromatic precondition fails: chi(C) must exceed k * chi_1")
+    if chi_of(g, c_set) <= k * chi_local(g, 1):
+        raise ValueError("chromatic precondition fails: chi(C) must exceed k * chi_1")
     got = _gyarfas_core(g, c_set, x0, k)
     if got is None:
-        raise RuntimeError("walk ran out of room; the chromatic precondition was not met")
+        raise RuntimeError("walk ran out of room although the chromatic precondition holds")
     path, residue = got
     cert = GyarfasResult(path=path, residue=residue)
     ok, clause = validate_gyarfas(g, c_set, cert)
@@ -262,33 +254,22 @@ def find_spire(g, d, min_chi, node_budget=None):
         raise ValueError(f"height must be positive, got {d}")
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     for x0 in order:
-        region = frozenset(range(g.n)) - {x0}
-        xmask = g.adjacency_mask(x0)
-        comps = [c for c in components_within(g, region) if xmask & set_to_mask(c)]
-        if not comps:
+        best, _ = best_by_chi(g, components_touching(g, frozenset(range(g.n)) - {x0}, x0), node_budget)
+        if best is None:
             continue
-        best, best_chi = None, -1
-        for comp in comps:
-            chi = _chi_of(g, comp, node_budget)
-            if chi > best_chi:
-                best, best_chi = comp, chi
         got = _gyarfas_core(g, best, x0, d)
         if got is None:
             continue
         path, residue = got
         tip = path[-1]
         sub, old_ids = induced_subgraph(g, residue | {tip})
-        new_of = {v: i for i, v in enumerate(old_ids)}
-        levels = level_decomposition(sub, new_of[tip]).levels
+        levels = level_decomposition(sub, old_ids.index(tip)).levels
         if len(levels) < 3:
             continue
-        best_i, best_level_chi = None, -1
-        for i in range(2, len(levels)):
-            chi = _chi_of(sub, levels[i], node_budget)
-            if chi > best_level_chi:
-                best_i, best_level_chi = i, chi
+        best_level, best_level_chi = best_by_chi(sub, levels[2:], node_budget)
         if best_level_chi <= min_chi:
             continue
+        best_i = levels.index(best_level)
 
         def to_old(level):
             return frozenset(old_ids[v] for v in level)

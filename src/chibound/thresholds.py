@@ -522,8 +522,16 @@ def format_value(value, decimal_digit_cap=10_000, lead=40):
     return str(Decimal(value))
 
 
+def _format_param(v):
+    return f"[{', '.join(map(format_value, v))}]" if isinstance(v, list) else format_value(v)
+
+
 def format_result(result, decimal_digit_cap=10_000):
-    lines = [f"{result.lemma_id}({', '.join(f'{k}={v}' for k, v in result.params.items())})"]
+    try:
+        params = ", ".join(f"{k}={v}" for k, v in result.params.items())
+    except ValueError:  # str() refuses ints past CPython's 4300-digit limit
+        params = ", ".join(f"{k}={_format_param(v)}" for k, v in result.params.items())
+    lines = [f"{result.lemma_id}({params})"]
     if result.derived_composition:
         lines.append("  note: derived composition (assembled from referenced entries)")
     if result.value is not None:

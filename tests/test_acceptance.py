@@ -185,7 +185,7 @@ def test_criterion_05_gyarfas_closed_loop():
             for k in range(0, 4):
                 if best_chi <= k * chi1:
                     break
-                res = gyarfas_path(g, best, x0, k, checked=True)
+                res = gyarfas_path(g, best, x0, k)
                 ok, clause = validate_gyarfas(g, frozenset(best), res)
                 assert ok, f"gyarfas postcondition {clause} failed"
                 instances += 1

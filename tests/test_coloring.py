@@ -1,9 +1,12 @@
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from oracles import brute_chromatic, brute_clique_number, has_triangle
 
 from chibound.coloring import (
     chi_local,
+    chi_of,
     chromatic_number,
     clique_number,
     is_k_colorable,
@@ -22,7 +25,7 @@ from chibound.generators import (
     random_graph,
     star_graph,
 )
-from chibound.graphs import Graph, distance
+from chibound.graphs import Graph, distance, induced_subgraph
 
 
 def corpus(count, sizes=(5, 6, 7, 8, 9), ps=("0.2", "0.4", "0.6", "0.8")):
@@ -170,3 +173,43 @@ def test_backends_agree():
         assert pykernels.max_clique(g.n, adj) == _ckernels.max_clique(g.n, adj)
         for k in range(1, 5):
             assert pykernels.k_color(g.n, adj, k) == _ckernels.k_color(g.n, adj, k)
+
+
+# ------------------------------------------------------------ chi of a subset
+
+@st.composite
+def graphs_with_subsets(draw, max_n=14):
+    n = draw(st.integers(0, max_n))
+    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
+    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
+    subset = draw(st.lists(st.booleans(), min_size=n, max_size=n))
+    g = Graph(n, [e for e, k in zip(pairs, keep) if k])
+    return g, frozenset(v for v, k in zip(range(n), subset) if k)
+
+
+def _chi_or_bounds(f):
+    try:
+        return f()
+    except ColoringBudgetExceeded as e:
+        return ("budget", e.lower, e.upper)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(graphs_with_subsets(), st.sampled_from([None, 1, 2, 4, 16]))
+def test_chi_of_matches_induced_subgraph(case, budget):
+    g, s = case
+    via_subgraph = _chi_or_bounds(lambda: chromatic_number(induced_subgraph(g, s)[0], budget)[0])
+    assert _chi_or_bounds(lambda: chi_of(g, s, budget)) == via_subgraph
+
+
+def test_chi_of_budget_bounds():
+    g = grotzsch()
+    rest = range(1, g.n)
+    with pytest.raises(ColoringBudgetExceeded) as direct:
+        chi_of(g, rest, node_budget=1)
+    with pytest.raises(ColoringBudgetExceeded) as via_subgraph:
+        chromatic_number(induced_subgraph(g, rest)[0], node_budget=1)
+    assert (direct.value.lower, direct.value.upper) == (via_subgraph.value.lower, via_subgraph.value.upper)
+    assert chi_of(g, ()) == 0 and chi_of(g, rest) == 3
+    with pytest.raises(ValueError):
+        chi_of(g, [g.n])

@@ -1,5 +1,7 @@
+import hashlib
 import json
 import os
+from pathlib import Path
 
 import pytest
 
@@ -163,3 +165,51 @@ def test_cli_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_text("D")
     assert cli_main(["chi", "--graph", str(bad)]) == 2
+
+
+# ------------------------------------------------------- harness snapshot
+
+SNAPSHOT = Path(__file__).with_name("harness_snapshot.json")
+# Every per-graph check on graphs whose gyarfas, x_split and spire runs
+# take the best-component and subset-chi paths (chi up to 5, n up to 30).
+SNAPSHOT_CONFIG = {
+    "corpus": [
+        {"generator": "cycle", "n": 7},
+        {"generator": "petersen"},
+        {"generator": "grotzsch"},
+        {"generator": "mycielski_tower", "t": 3},
+        {"generator": "random", "n": 24, "p": "0.2", "seed": 5},
+        {"generator": "random", "n": 30, "p": "0.15", "seed": 17},
+    ],
+    "checks": [
+        {"check": "invariants"},
+        {"check": "stable_removal_degree"},
+        {"check": "gyarfas", "k_max": 2, "starts": 3},
+        {"check": "x_split", "min_chi": 1},
+        {"check": "spire", "d": 2, "min_chi": 1},
+        {"check": "starry", "k": 1, "d": 1},
+    ],
+}
+
+
+def harness_snapshot(out_dir):
+    """Output file path -> sha256 of report.csv and every certificate."""
+    run_experiment(ExperimentConfig.from_dict(SNAPSHOT_CONFIG), output_dir=str(out_dir))
+    tree = read_tree(out_dir)
+    return {
+        name: hashlib.sha256(data).hexdigest()
+        for name, data in sorted(tree.items())
+        if name == "report.csv" or name.startswith("certificates")
+    }
+
+
+def test_harness_snapshot(tmp_path):
+    assert harness_snapshot(tmp_path / "out") == json.loads(SNAPSHOT.read_text())
+
+
+if __name__ == "__main__":
+    # Rewrites the golden file; only for an intended change of results.
+    import tempfile
+
+    with tempfile.TemporaryDirectory() as tmp:
+        SNAPSHOT.write_text(json.dumps(harness_snapshot(Path(tmp) / "out"), indent=1) + "\n")

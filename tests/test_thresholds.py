@@ -196,6 +196,16 @@ def test_format_past_int_str_limit():
     assert len(full) == 5071 and Decimal(full) == v
 
 
+def test_format_parameter_past_int_str_limit():
+    # 5001-digit parameters, also inside a list, print through format_value
+    c = 10 ** 5000
+    text = format_result(lemma_threshold("T5.1", {"c": c, "d": 1, "tau": 1}))
+    assert text.splitlines()[0] == f"T5.1(c={format_value(c)}, d=1, tau=1)"
+    assert format_value(c) == "1" + "0" * 5000
+    text = format_result(lemma_threshold("T3.3", {"r": 1, "s": 1, "d": 1, "ks": [c], "tau": 1}))
+    assert text.splitlines()[0] == f"T3.3(r=1, s=1, d=1, ks=[{format_value(c)}], tau=1)"
+
+
 # ------------------------------------------------------- catalog snapshot
 
 SNAPSHOT = Path(__file__).with_name("threshold_snapshot.json")
