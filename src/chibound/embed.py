@@ -11,7 +11,7 @@ from dataclasses import dataclass
 
 from . import _kernels
 from .errors import SearchBudgetExceeded
-from .graphs import bits
+from .graphs import bits, components, layers
 from .trees import binary_star, bristled_star
 
 
@@ -58,39 +58,10 @@ def verify_embedding(host, pattern, emb):
 
 def _bfs_dist(g, start):
     dist = [-1] * g.n
-    dist[start] = 0
-    frontier = [start]
-    d = 0
-    while frontier:
-        d += 1
-        nxt = []
-        for u in frontier:
-            for w in bits(g.adjacency_mask(u)):
-                if dist[w] < 0:
-                    dist[w] = d
-                    nxt.append(w)
-        frontier = nxt
+    for d, layer in enumerate(layers(g, start)):
+        for v in bits(layer):
+            dist[v] = d
     return dist
-
-
-def _pattern_components(pattern):
-    seen = [False] * pattern.n
-    comps = []
-    for v in range(pattern.n):
-        if seen[v]:
-            continue
-        comp = []
-        stack = [v]
-        seen[v] = True
-        while stack:
-            u = stack.pop()
-            comp.append(u)
-            for w in bits(pattern.adjacency_mask(u)):
-                if not seen[w]:
-                    seen[w] = True
-                    stack.append(w)
-        comps.append(sorted(comp))
-    return comps
 
 
 def _dfs_order(pattern, root, comp_set):
@@ -130,7 +101,7 @@ def _search_plan(host, pattern, anchor):
                 m |= 1 << h
         deg_ok[p] = m
 
-    comps = _pattern_components(pattern)
+    comps = components(pattern)
     anchor_p = anchor[0] if anchor is not None else None
 
     keyed = []
@@ -144,7 +115,7 @@ def _search_plan(host, pattern, anchor):
 
     pairs = []
     for _, root, comp in keyed:
-        pairs.extend(_dfs_order(pattern, root, set(comp)))
+        pairs.extend(_dfs_order(pattern, root, comp))
 
     order = [v for v, _ in pairs]
     pos_of = {v: t for t, (v, _) in enumerate(pairs)}

@@ -3,6 +3,9 @@
 Vertices are 0..n-1. Adjacency is stored as one Python int bitmask per
 vertex, which the search kernels consume directly. Graphs are immutable:
 every operation returns new values.
+
+Every traversal is one masked BFS, `layers`: neighborhoods, distances,
+components, connectivity and level decompositions are all built on it.
 """
 
 from dataclasses import dataclass
@@ -122,6 +125,26 @@ def check_vertex_set(g, s):
     return out
 
 
+def layers(g, v, within=-1):
+    """BFS frontiers from v as bitmasks: {v} first, then the vertices at
+    distance 1, 2, ... from v in the subgraph induced on the mask within
+    (every vertex by default). The frontiers are disjoint, so their sum is
+    the mask of everything v reaches. The caller checks that v is a vertex
+    of g."""
+    adj = g.adjacency_masks()
+    seen = frontier = 1 << v
+    while frontier:
+        yield frontier
+        nxt = 0
+        rest = frontier
+        while rest:  # _bits inlined: every traversal runs this loop
+            low = rest & -rest
+            nxt |= adj[low.bit_length() - 1]
+            rest ^= low
+        frontier = nxt & within & ~seen
+        seen |= frontier
+
+
 def neighborhood(g, v, r, mode="exact"):
     """N^r(v) when mode is "exact", N^r[v] when mode is "ball"."""
     g._check(v)
@@ -129,99 +152,47 @@ def neighborhood(g, v, r, mode="exact"):
         raise ValueError(f"radius must be non-negative, got {r}")
     if mode not in ("exact", "ball"):
         raise ValueError(f"unknown mode {mode!r}")
-    seen = 1 << v
-    frontier = 1 << v
-    for _ in range(r):
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= g.adjacency_mask(u)
-        frontier = nxt & ~seen
-        seen |= frontier
-        if not frontier:
-            break
-    return mask_to_set(seen) if mode == "ball" else mask_to_set(frontier)
+    ball = 0
+    for i, layer in enumerate(layers(g, v)):
+        ball |= layer
+        if i == r:
+            return mask_to_set(ball if mode == "ball" else layer)
+    return mask_to_set(ball if mode == "ball" else 0)
 
 
 def distance(g, u, v):
     """Length of a shortest u-v path, or None when unreachable."""
     g._check(u)
     g._check(v)
-    if u == v:
-        return 0
-    seen = 1 << u
-    frontier = 1 << u
-    d = 0
-    while frontier:
-        d += 1
-        nxt = 0
-        for w in _bits(frontier):
-            nxt |= g.adjacency_mask(w)
-        frontier = nxt & ~seen
-        if (frontier >> v) & 1:
+    for d, layer in enumerate(layers(g, u)):
+        if (layer >> v) & 1:
             return d
-        seen |= frontier
     return None
 
 
 def components(g):
     """Connected components as vertex sets, ordered by smallest member."""
-    out = []
-    seen = 0
-    for v in range(g.n):
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= g.adjacency_mask(u)
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
-        out.append(mask_to_set(comp))
-    return out
+    return components_within(g, range(g.n))
 
 
 def is_connected_set(g, s):
     """True iff the subgraph induced on s is connected. The empty set
     counts as connected; callers needing nonemptiness check it first."""
-    s = frozenset(s)
-    if not s:
-        return True
     smask = set_to_mask(s)
-    start = min(s)
-    comp = 1 << start
-    frontier = 1 << start
-    while frontier:
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= g.adjacency_mask(u) & smask
-        frontier = nxt & ~comp
-        comp |= frontier
-    return comp == smask
+    if not smask:
+        return True
+    return sum(layers(g, g._check(next(_bits(smask))), smask)) == smask
 
 
 def components_within(g, s):
     """Components of the subgraph induced on s, by smallest member, as
     subsets of the original vertex ids."""
-    s = frozenset(s)
-    smask = set_to_mask(s)
+    smask = rest = set_to_mask(s)
     out = []
-    seen = 0
-    for v in sorted(s):
-        if (seen >> v) & 1:
-            continue
-        comp = 1 << v
-        frontier = 1 << v
-        while frontier:
-            nxt = 0
-            for u in _bits(frontier):
-                nxt |= g.adjacency_mask(u) & smask
-            frontier = nxt & ~comp
-            comp |= frontier
-        seen |= comp
+    while rest:
+        comp = sum(layers(g, g._check(next(_bits(rest))), smask))
         out.append(mask_to_set(comp))
+        rest &= ~comp
     return out
 
 
@@ -264,16 +235,5 @@ def level_decomposition(g, v):
     """BFS distance classes from v, up to the eccentricity of v within its
     component."""
     g._check(v)
-    levels = [frozenset({v})]
-    seen = 1 << v
-    frontier = 1 << v
-    while True:
-        nxt = 0
-        for u in _bits(frontier):
-            nxt |= g.adjacency_mask(u)
-        frontier = nxt & ~seen
-        if not frontier:
-            break
-        seen |= frontier
-        levels.append(mask_to_set(frontier))
-    return LevelDecomposition(source=v, levels=tuple(levels))
+    levels = tuple(mask_to_set(layer) for layer in layers(g, v))
+    return LevelDecomposition(source=v, levels=levels)

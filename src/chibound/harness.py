@@ -163,10 +163,12 @@ def _check_stable_removal_degree(g, base, params):
 def _check_gyarfas(g, base, params):
     k_max = params.get("k_max", 3)
     starts = params.get("starts", 3)
+    budget = params.get("node_budget")
     chi1 = base["chi1"]
     checked = 0
     for x0 in range(min(starts, g.n)):
-        best, best_chi = best_by_chi(g, components_touching(g, frozenset(range(g.n)) - {x0}, x0))
+        region = frozenset(range(g.n)) - {x0}
+        best, best_chi = best_by_chi(g, components_touching(g, region, x0), budget)
         if best is None:
             continue
         for k in range(k_max + 1):
@@ -180,6 +182,15 @@ def _check_gyarfas(g, base, params):
     return "pass", f"instances={checked}", None
 
 
+def _found(g, found, detail, **context):
+    """Row for a found certificate, re-validated through its JSON form."""
+    cert = certificate_to_json(found, **context)
+    ok, clause = verify_certificate(g, cert)
+    if not ok:
+        return VIOLATION, f"revalidation failed: {clause}", None
+    return "found", detail, cert
+
+
 def _check_x_split(g, base, params):
     min_chi = params.get("min_chi", 0)
     chi, witness = chromatic_number(g)
@@ -189,11 +200,7 @@ def _check_x_split(g, base, params):
     cand = find_x_split(g, x_set, min_chi, node_budget=params.get("node_budget"))
     if cand is None:
         return "absent", f"x_ground=color-class-1 size {len(x_set)}", None
-    cert = certificate_to_json(cand, x_ground=x_set)
-    ok, clause = verify_certificate(g, cert)
-    if not ok:
-        return VIOLATION, f"revalidation failed: {clause}", None
-    return "found", f"chi_z>{min_chi}", cert
+    return _found(g, cand, f"chi_z>{min_chi}", x_ground=x_set)
 
 
 def _check_spire(g, base, params):
@@ -203,11 +210,7 @@ def _check_spire(g, base, params):
     if got is None:
         return "absent", "", None
     spire, dominated = got
-    cert = certificate_to_json(spire, dominated=dominated)
-    ok, clause = verify_certificate(g, cert)
-    if not ok:
-        return VIOLATION, f"revalidation failed: {clause}", None
-    return "found", f"dominated_size={len(dominated)}", cert
+    return _found(g, spire, f"dominated_size={len(dominated)}", dominated=dominated)
 
 
 def _check_starry(g, base, params):
@@ -220,11 +223,7 @@ def _check_starry(g, base, params):
         return "indeterminate", "budget exhausted", None
     if got is None:
         return "absent", "", None
-    cert = certificate_to_json(got)
-    ok, clause = verify_certificate(g, cert)
-    if not ok:
-        return VIOLATION, f"revalidation failed: {clause}", None
-    return "found", "", cert
+    return _found(g, got, "")
 
 
 _CHECK_FUNCS = {

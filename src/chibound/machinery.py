@@ -24,9 +24,9 @@ from .graphs import (
     check_vertex_set,
     components_touching,
     components_within,
-    induced_subgraph,
     is_connected_set,
-    level_decomposition,
+    layers,
+    mask_to_set,
     set_to_mask,
 )
 from .trees import path_tree
@@ -170,12 +170,9 @@ def _induced_paths_from(g, start, allowed_mask, length, budget_box=None):
     yield from extend()
 
 
-def d_equipment(g, center, y_ground, d, node_budget=None):
-    """Equipment of the center within the ground set, or None.
-
-    The independent neighbor set does not depend on the path, so it is
-    found once; then paths are enumerated lexicographically until one
-    admits a witness neighbor."""
+def _equipment_ground(g, center, y_ground, d):
+    """Checked ground set, its mask and the center's neighbors in it,
+    ascending."""
     y = check_vertex_set(g, y_ground)
     g._check(center)
     if d < 1:
@@ -183,7 +180,16 @@ def d_equipment(g, center, y_ground, d, node_budget=None):
     if center in y:
         raise ValueError("center must lie outside the ground set")
     ymask = set_to_mask(y)
-    nbrs = sorted(bits(g.adjacency_mask(center) & ymask))
+    return y, ymask, sorted(bits(g.adjacency_mask(center) & ymask))
+
+
+def d_equipment(g, center, y_ground, d, node_budget=None):
+    """Equipment of the center within the ground set, or None.
+
+    The independent neighbor set does not depend on the path, so it is
+    found once; then paths are enumerated lexicographically until one
+    admits a witness neighbor."""
+    y, ymask, nbrs = _equipment_ground(g, center, y_ground, d)
     indep = _lex_independent_subset(g, nbrs, d)
     if indep is None:
         return None
@@ -212,14 +218,7 @@ def properly_d_equipped(g, center, y_ground, d, node_budget=None):
     """Strengthened equipment: the d pairwise-nonadjacent neighbors must
     avoid the path and have no neighbors on it beyond the center. The
     neighbor set now depends on the path, so both are searched together."""
-    y = check_vertex_set(g, y_ground)
-    g._check(center)
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
-    if center in y:
-        raise ValueError("center must lie outside the ground set")
-    ymask = set_to_mask(y)
-    nbrs = sorted(bits(g.adjacency_mask(center) & ymask))
+    y, ymask, nbrs = _equipment_ground(g, center, y_ground, d)
     box = [0, node_budget or 0]
     for path in _induced_paths_from(g, center, ymask, d, box):
         on_path = set(path)
@@ -262,21 +261,16 @@ def find_spire(g, d, min_chi, node_budget=None):
             continue
         path, residue = got
         tip = path[-1]
-        sub, old_ids = induced_subgraph(g, residue | {tip})
-        levels = level_decomposition(sub, old_ids.index(tip)).levels
+        levels = [mask_to_set(m) for m in layers(g, tip, set_to_mask(residue | {tip}))]
         if len(levels) < 3:
             continue
-        best_level, best_level_chi = best_by_chi(sub, levels[2:], node_budget)
+        best_level, best_level_chi = best_by_chi(g, levels[2:], node_budget)
         if best_level_chi <= min_chi:
             continue
         best_i = levels.index(best_level)
-
-        def to_old(level):
-            return frozenset(old_ids[v] for v in level)
-
-        a_set = frozenset().union(*(to_old(levels[j]) for j in range(best_i - 1)))
-        b_set = to_old(levels[best_i - 1])
-        dominated = to_old(levels[best_i])
+        a_set = frozenset().union(*levels[: best_i - 1])
+        b_set = levels[best_i - 1]
+        dominated = levels[best_i]
         spire = Spire(path=path, a_set=a_set, b_set=b_set)
         ok, clause = validate_spire(g, spire, dominated)
         if not ok:

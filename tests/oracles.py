@@ -91,3 +91,42 @@ def all_graphs(n):
     slots = list(combinations(range(n), 2))
     for mask in range(1 << len(slots)):
         yield Graph(n, [slots[i] for i in range(len(slots)) if (mask >> i) & 1])
+
+
+def brute_distances(g, within=None):
+    """All-pairs shortest path lengths in the subgraph induced on within
+    (every vertex when None), by Floyd-Warshall over g.edges(). dist[u][v]
+    is None when v is unreachable from u; vertices outside within reach
+    only themselves."""
+    n = g.n
+    keep = set(range(n)) if within is None else set(within)
+    inf = n + 1
+    dist = [[0 if u == v else inf for v in range(n)] for u in range(n)]
+    for u, v in g.edges():
+        if u in keep and v in keep:
+            dist[u][v] = dist[v][u] = 1
+    for w in range(n):
+        for u in range(n):
+            for v in range(n):
+                if dist[u][w] + dist[w][v] < dist[u][v]:
+                    dist[u][v] = dist[u][w] + dist[w][v]
+    return [[None if d == inf else d for d in row] for row in dist]
+
+
+def brute_components(g, s):
+    """Components of the subgraph induced on s by union-find over
+    g.edges(), as frozensets ordered by smallest member."""
+    parent = {v: v for v in s}
+
+    def root(v):
+        while parent[v] != v:
+            v = parent[v]
+        return v
+
+    for u, v in g.edges():
+        if u in parent and v in parent:
+            parent[root(u)] = root(v)
+    groups = {}
+    for v in s:
+        groups.setdefault(root(v), set()).add(v)
+    return sorted((frozenset(c) for c in groups.values()), key=min)

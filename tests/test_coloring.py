@@ -3,6 +3,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 from oracles import brute_chromatic, brute_clique_number, has_triangle
+from strategies import graphs_with_subsets
 
 from chibound.coloring import (
     chi_local,
@@ -176,16 +177,6 @@ def test_backends_agree():
 
 
 # ------------------------------------------------------------ chi of a subset
-
-@st.composite
-def graphs_with_subsets(draw, max_n=14):
-    n = draw(st.integers(0, max_n))
-    pairs = [(u, v) for u in range(n) for v in range(u + 1, n)]
-    keep = draw(st.lists(st.booleans(), min_size=len(pairs), max_size=len(pairs)))
-    subset = draw(st.lists(st.booleans(), min_size=n, max_size=n))
-    g = Graph(n, [e for e, k in zip(pairs, keep) if k])
-    return g, frozenset(v for v, k in zip(range(n), subset) if k)
-
 
 def _chi_or_bounds(f):
     try:

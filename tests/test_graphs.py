@@ -1,15 +1,24 @@
 import pytest
+from hypothesis import given, settings
 
+from oracles import brute_components, brute_distances
+from strategies import graphs_with_subsets
+
+from chibound.embed import _bfs_dist
 from chibound.errors import GraphParseError
 from chibound.generators import complete_graph, cycle_graph, path_graph, petersen, random_graph, star_graph
 from chibound.graphs import (
     Graph,
     components,
+    components_within,
     covers,
     distance,
     induced_subgraph,
+    is_connected_set,
+    layers,
     level_decomposition,
     neighborhood,
+    set_to_mask,
 )
 from chibound.graphio import (
     parse_edge_list,
@@ -199,3 +208,31 @@ def test_levels_match_distance_classes():
         for v in range(g.n):
             if v not in covered:
                 assert distance(g, 0, v) is None
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(graphs_with_subsets())
+def test_traversals_match_brute_force(case):
+    g, s = case
+    comps = brute_components(g, s)
+    assert components_within(g, s) == comps
+    assert is_connected_set(g, s) == (len(comps) <= 1)
+    assert components(g) == brute_components(g, range(g.n))
+    dist = brute_distances(g)
+    for v in range(g.n):
+        reach = {u: d for u, d in enumerate(dist[v]) if d is not None}
+        ecc = max(reach.values())
+        assert level_decomposition(g, v).levels == tuple(
+            frozenset(u for u in reach if reach[u] == i) for i in range(ecc + 1)
+        )
+        assert _bfs_dist(g, v) == [-1 if d is None else d for d in dist[v]]
+        for u in range(g.n):
+            assert distance(g, v, u) == dist[v][u]
+        for r in range(ecc + 2):
+            assert neighborhood(g, v, r, "exact") == {u for u in reach if reach[u] == r}
+            assert neighborhood(g, v, r, "ball") == {u for u in reach if reach[u] <= r}
+        # within s plus the source, as find_spire cuts a residue
+        local = {u: d for u, d in enumerate(brute_distances(g, s | {v})[v]) if d is not None}
+        got = list(layers(g, v, set_to_mask(s | {v})))
+        assert got == [set_to_mask(u for u in local if local[u] == i) for i in range(len(got))]
+        assert len(got) == max(local.values()) + 1

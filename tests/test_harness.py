@@ -113,6 +113,16 @@ def test_verify_lemma_type_mismatch():
         verify_lemma("spire", star_graph(3), {"type": "x_split", "x": 0, "y": 1, "z_set": [2], "x_ground": [0]})
 
 
+def test_gyarfas_honours_node_budget():
+    def gyarfas_row(generator, budget):
+        config = {"corpus": [generator], "checks": [{"check": "gyarfas", "node_budget": budget}]}
+        (row,) = run_experiment(ExperimentConfig.from_dict(config)).rows
+        return row["outcome"], row["detail"]
+
+    assert gyarfas_row({"generator": "mycielski_tower", "t": 3}, 1) == ("indeterminate", "budget exhausted")
+    assert gyarfas_row({"generator": "petersen"}, 10) == ("pass", "instances=6")
+
+
 # ----------------------------------------------------------------- CLI
 
 def test_cli_gen_chi_roundtrip(tmp_path, capsys):
