@@ -1,28 +1,26 @@
-"""Build script. The compiled kernel extension is optional: when Cython or a
-C compiler is unavailable the package installs pure-Python only and selects
-the fallback kernels at import time.
+"""Build script. The kernel extension is compiled from the tracked
+src/chibound/_kernels/_ckernels.c, which Cython generates from
+_ckernels.pyx; building needs only a C compiler. The extension is optional:
+when it cannot be compiled the package installs pure-Python only and
+selects the fallback kernels at import time.
 
 Build in place for development:
 
     python setup.py build_ext --inplace
+
+After editing _ckernels.pyx, regenerate the C file (needs Cython):
+
+    cython src/chibound/_kernels/_ckernels.pyx
 """
 
-from setuptools import setup
+from setuptools import Extension, setup
 
-ext_modules = []
-try:
-    from Cython.Build import cythonize
-
-    ext_modules = cythonize(
-        "src/chibound/_kernels/_ckernels.pyx",
-        compiler_directives={
-            "language_level": 3,
-            "boundscheck": False,
-            "wraparound": False,
-            "cdivision": True,
-        },
-    )
-except ImportError:
-    pass
-
-setup(ext_modules=ext_modules)
+setup(
+    ext_modules=[
+        Extension(
+            "chibound._kernels._ckernels",
+            ["src/chibound/_kernels/_ckernels.c"],
+            optional=True,
+        )
+    ]
+)

@@ -12,7 +12,8 @@ Context needed for standalone validation (ground sets, the dominated set)
 travels inside the object.
 """
 
-from dataclasses import dataclass
+from dataclasses import MISSING, dataclass, fields
+from functools import cache
 
 from .coloring import chi_local, chi_of
 from .embed import Embedding, StarryCertificate, verify_embedding
@@ -67,7 +68,7 @@ class Spire:
 
 @dataclass(frozen=True)
 class Cathedral:
-    spires: tuple
+    spires: tuple[Spire, ...]
 
     def __len__(self):
         return len(self.spires)
@@ -301,133 +302,125 @@ def validate_starry(g, cert):
 
 
 # ------------------------------------------------------------ wire format
+#
+# A certificate's JSON object is {"type": tag}, its dataclass fields, then
+# the context keys its validator takes. Each value is coded by its declared
+# type. Fields are always written; a context key is left out when None.
+
+
+def _json_int(value):
+    # bool is an int subclass; JSON true and false are not ints here
+    if type(value) is not int:
+        raise ValueError(f"expected an int, got {value!r}")
+    return value
+
+
+def _json_bool(value):
+    if type(value) is not bool:
+        raise ValueError(f"expected true or false, got {value!r}")
+    return value
+
+
+def _json_list(value):
+    if type(value) is not list:
+        raise ValueError(f"expected a list, got {value!r}")
+    return value
+
+
+def _json_ints(value):
+    if not set(map(type, _json_list(value))) <= {int}:
+        raise ValueError(f"expected a list of ints, got {value!r}")
+    return value
+
+
+def _read(obj, layout):
+    """The (key, declared type, default) entries of layout, read from a JSON
+    object. A missing key takes its default; MISSING marks a required key."""
+    if type(obj) is not dict:
+        raise ValueError(f"expected a JSON object, got {obj!r}")
+    out = {}
+    for key, kind, default in layout:
+        value = obj.get(key, default)
+        if value is MISSING:
+            raise ValueError(f"missing key {key!r}")
+        try:
+            out[key] = value if value is default else _CODECS[kind][1](value)
+        except ValueError as e:
+            raise ValueError(f"key {key!r}: {e}") from None
+    return out
+
+
+@cache
+def _layout(cls):
+    return [(f.name, f.type, f.default) for f in fields(cls)]
+
+
+def _to_json(obj):
+    return {key: _CODECS[kind][0](getattr(obj, key)) for key, kind, _ in _layout(type(obj))}
+
+
+def _from_json(cls, obj):
+    return cls(**_read(obj, _layout(cls)))
+
+
+# declared type -> (to JSON, from JSON)
+_CODECS = {
+    int: (lambda v: v, _json_int),
+    int | None: (lambda v: v, _json_int),
+    bool: (bool, _json_bool),
+    frozenset: (sorted, lambda v: frozenset(_json_ints(v))),
+    tuple: (list, lambda v: tuple(_json_ints(v))),
+    Embedding: (Embedding.to_json_list, Embedding.from_json_list),
+    tuple[Spire, ...]: (
+        lambda spires: [_to_json(s) for s in spires],
+        lambda v: tuple(_from_json(Spire, s) for s in _json_list(v)),
+    ),
+}
+
+# context key -> (declared type, default)
+_CONTEXT = {
+    "x_ground": (frozenset, MISSING),
+    "ground": (frozenset, MISSING),
+    "c_set": (frozenset, MISSING),
+    "dominated": (frozenset, None),
+    "free": (bool, False),
+}
+
+# tag -> (class, context keys, validator called as validate(g, cert, **context))
+_TAGS = {
+    "x_split": (XSplit, ("x_ground",), lambda g, c, x_ground: validate_x_split(g, x_ground, c)),
+    "equipment": (Equipment, ("ground",), lambda g, c, ground: validate_equipment(g, ground, c)),
+    "gyarfas": (GyarfasResult, ("c_set",), lambda g, c, c_set: validate_gyarfas(g, c_set, c)),
+    "spire": (Spire, ("dominated",), validate_spire),
+    "cathedral": (Cathedral, ("free", "dominated"), validate_cathedral),
+    "band": (Band, ("dominated",), validate_band),
+    "starry": (StarryCertificate, (), validate_starry),
+}
+_TAG_OF = {cls: tag for tag, (cls, _, _) in _TAGS.items()}
+
 
 def certificate_to_json(cert, **context):
     """Serialize a certificate plus its validation context."""
-    if isinstance(cert, XSplit):
-        return {
-            "type": "x_split",
-            "x": cert.x,
-            "y": cert.y,
-            "z_set": sorted(cert.z_set),
-            "x_ground": sorted(context["x_ground"]),
-        }
-    if isinstance(cert, Equipment):
-        return {
-            "type": "equipment",
-            "center": cert.center,
-            "independent_neighbors": sorted(cert.independent_neighbors),
-            "path": list(cert.path),
-            "witness": cert.witness,
-            "proper": cert.proper,
-            "ground": sorted(context["ground"]),
-        }
-    if isinstance(cert, GyarfasResult):
-        return {
-            "type": "gyarfas",
-            "path": list(cert.path),
-            "residue": sorted(cert.residue),
-            "c_set": sorted(context["c_set"]),
-        }
-    if isinstance(cert, Spire):
-        out = {
-            "type": "spire",
-            "path": list(cert.path),
-            "a_set": sorted(cert.a_set),
-            "b_set": sorted(cert.b_set),
-        }
-        if context.get("dominated") is not None:
-            out["dominated"] = sorted(context["dominated"])
-        return out
-    if isinstance(cert, Cathedral):
-        out = {
-            "type": "cathedral",
-            "spires": [
-                {"path": list(s.path), "a_set": sorted(s.a_set), "b_set": sorted(s.b_set)}
-                for s in cert.spires
-            ],
-            "free": bool(context.get("free", False)),
-        }
-        if context.get("dominated") is not None:
-            out["dominated"] = sorted(context["dominated"])
-        return out
-    if isinstance(cert, Band):
-        out = {
-            "type": "band",
-            "d": cert.d,
-            "embedding": cert.embedding.to_json_list(),
-            "center": cert.center,
-            "b_set": sorted(cert.b_set),
-        }
-        if context.get("dominated") is not None:
-            out["dominated"] = sorted(context["dominated"])
-        return out
-    if isinstance(cert, StarryCertificate):
-        return {
-            "type": "starry",
-            "k": cert.k,
-            "d": cert.d,
-            "binary_embedding": cert.binary_embedding.to_json_list(),
-            "bristled_embedding": cert.bristled_embedding.to_json_list(),
-        }
-    raise TypeError(f"not a certificate: {cert!r}")
+    tag = _TAG_OF.get(type(cert))
+    if tag is None:
+        raise TypeError(f"not a certificate: {cert!r}")
+    out = {"type": tag, **_to_json(cert)}
+    for key in _TAGS[tag][1]:
+        kind, default = _CONTEXT[key]
+        value = context[key] if default is MISSING else context.get(key, default)
+        if value is not None:
+            out[key] = _CODECS[kind][0](value)
+    return out
 
 
 def verify_certificate(g, obj):
     """Validate a JSON certificate object against its host graph.
-    Returns (ok, first_failed_clause)."""
-    kind = obj.get("type")
-    if kind == "x_split":
-        cert = XSplit(x=obj["x"], y=obj["y"], z_set=frozenset(obj["z_set"]))
-        return validate_x_split(g, frozenset(obj["x_ground"]), cert)
-    if kind == "equipment":
-        cert = Equipment(
-            center=obj["center"],
-            independent_neighbors=frozenset(obj["independent_neighbors"]),
-            path=tuple(obj["path"]),
-            witness=obj.get("witness"),
-            proper=bool(obj.get("proper", False)),
-        )
-        return validate_equipment(g, frozenset(obj["ground"]), cert)
-    if kind == "gyarfas":
-        cert = GyarfasResult(path=tuple(obj["path"]), residue=frozenset(obj["residue"]))
-        return validate_gyarfas(g, frozenset(obj["c_set"]), cert)
-    if kind == "spire":
-        cert = Spire(
-            path=tuple(obj["path"]),
-            a_set=frozenset(obj["a_set"]),
-            b_set=frozenset(obj["b_set"]),
-        )
-        dom = frozenset(obj["dominated"]) if obj.get("dominated") is not None else None
-        return validate_spire(g, cert, dom)
-    if kind == "cathedral":
-        cert = Cathedral(
-            spires=tuple(
-                Spire(
-                    path=tuple(s["path"]),
-                    a_set=frozenset(s["a_set"]),
-                    b_set=frozenset(s["b_set"]),
-                )
-                for s in obj["spires"]
-            )
-        )
-        dom = frozenset(obj["dominated"]) if obj.get("dominated") is not None else None
-        return validate_cathedral(g, cert, free=bool(obj.get("free", False)), dominated=dom)
-    if kind == "band":
-        cert = Band(
-            d=obj["d"],
-            embedding=Embedding.from_json_list(obj["embedding"]),
-            center=obj["center"],
-            b_set=frozenset(obj["b_set"]),
-        )
-        dom = frozenset(obj["dominated"]) if obj.get("dominated") is not None else None
-        return validate_band(g, cert, dom)
-    if kind == "starry":
-        cert = StarryCertificate(
-            k=obj["k"],
-            d=obj["d"],
-            binary_embedding=Embedding.from_json_list(obj["binary_embedding"]),
-            bristled_embedding=Embedding.from_json_list(obj["bristled_embedding"]),
-        )
-        return validate_starry(g, cert)
-    raise ValueError(f"unknown certificate type {kind!r}")
+    Returns (ok, first_failed_clause); malformed input raises ValueError."""
+    if type(obj) is not dict:
+        raise ValueError(f"a certificate is a JSON object, got {obj!r}")
+    tag = obj.get("type")
+    if not isinstance(tag, str) or tag not in _TAGS:
+        raise ValueError(f"unknown certificate type {tag!r}")
+    cls, keys, validate = _TAGS[tag]
+    cert = _from_json(cls, obj)
+    return validate(g, cert, **_read(obj, [(key, *_CONTEXT[key]) for key in keys]))

@@ -26,8 +26,20 @@ class Embedding:
 
     @staticmethod
     def from_json_list(pairs):
-        mapping = [-1] * len(pairs)
-        for p, h in pairs:
+        """Inverse of to_json_list. Raises ValueError unless pairs is a list
+        of [pattern, host] int pairs whose pattern indices are exactly
+        0..len(pairs)-1."""
+        if type(pairs) is not list:
+            raise ValueError(f"expected a list of [pattern, host] pairs, got {pairs!r}")
+        mapping = [None] * len(pairs)
+        for pair in pairs:
+            if type(pair) is not list or len(pair) != 2:
+                raise ValueError(f"expected a [pattern, host] pair, got {pair!r}")
+            p, h = pair
+            if type(p) is not int or type(h) is not int:
+                raise ValueError(f"expected a [pattern, host] int pair, got {pair!r}")
+            if not 0 <= p < len(pairs) or mapping[p] is not None:
+                raise ValueError(f"pattern indices must be exactly 0..{len(pairs) - 1}, got {pairs!r}")
             mapping[p] = h
         return Embedding(mapping=tuple(mapping))
 

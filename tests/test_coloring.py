@@ -161,21 +161,6 @@ def test_budget_raises_with_bounds():
         chromatic_number(g, node_budget=3)
 
 
-def test_backends_agree():
-    from chibound._kernels import pykernels
-
-    try:
-        from chibound._kernels import _ckernels
-    except ImportError:
-        pytest.skip("compiled kernels unavailable")
-    for i, g in enumerate(corpus(60)):
-        adj = list(g.adjacency_masks())
-        assert pykernels.greedy_clique(g.n, adj) == _ckernels.greedy_clique(g.n, adj)
-        assert pykernels.max_clique(g.n, adj) == _ckernels.max_clique(g.n, adj)
-        for k in range(1, 5):
-            assert pykernels.k_color(g.n, adj, k) == _ckernels.k_color(g.n, adj, k)
-
-
 # ------------------------------------------------------------ chi of a subset
 
 def _chi_or_bounds(f):

@@ -113,6 +113,61 @@ def test_verify_lemma_type_mismatch():
         verify_lemma("spire", star_graph(3), {"type": "x_split", "x": 0, "y": 1, "z_set": [2], "x_ground": [0]})
 
 
+def test_malformed_certificates_are_errors(tmp_path, capsys):
+    """Malformed outside input is a ValueError (CLI exit 2), never a
+    traceback and never a verdict."""
+    from chibound.certificates import verify_certificate
+    from chibound.generators import star_graph
+    from chibound.graphio import write_graph6
+
+    g = star_graph(3)
+    band = {"type": "band", "d": 1, "embedding": [[0, 0], [1, 1]], "center": 0, "b_set": [2]}
+    spire = {"type": "spire", "path": [1, 0], "a_set": [0], "b_set": [2]}
+    equipment = {"type": "equipment", "center": 0, "independent_neighbors": [1], "path": [0, 1],
+                 "witness": 2, "proper": False, "ground": [1, 2]}
+    cathedral = {"type": "cathedral", "spires": [{"path": [0, 1], "a_set": [1], "b_set": []}]}
+    malformed = [
+        {k: v for k, v in spire.items() if k != "a_set"},
+        {k: v for k, v in band.items() if k != "embedding"},
+        {"type": "x_split", "x": 0, "y": 1, "z_set": [2]},
+        [spire],
+        "spire",
+        {"type": ["spire"]},
+        {**spire, "path": "01"},
+        {**spire, "a_set": [1, "2"]},
+        {**spire, "b_set": [2.0]},
+        {**spire, "path": [True, 1]},
+        {"type": "x_split", "x": True, "y": 1, "z_set": [2], "x_ground": [0]},
+        {**equipment, "witness": "2"},
+        {**equipment, "proper": 1},
+        {**cathedral, "free": "yes"},
+        {**cathedral, "spires": {"path": [0, 1]}},
+        {**spire, "dominated": 3},
+        {**band, "embedding": [[-1, 1], [0, 0]]},
+        {**band, "embedding": [[0, 0], [0, 1]]},
+        {**band, "embedding": [[0, 0], [2, 1]]},
+        {**band, "embedding": [[0, 0], [1]]},
+        {**band, "embedding": [[0, 0], [1, True]]},
+    ]
+    graph_file = tmp_path / "star.g6"
+    graph_file.write_text(write_graph6(g) + "\n")
+    cert_file = tmp_path / "cert.json"
+    for obj in malformed:
+        with pytest.raises(ValueError):
+            verify_certificate(g, obj)
+        cert_file.write_text(json.dumps(obj))
+        assert cli_main(["verify", "--graph", str(graph_file), "--certificate", str(cert_file)]) == 2, obj
+        assert capsys.readouterr().err.startswith("error: "), obj
+    for lemma in (None, "band"):
+        with pytest.raises(ValueError):
+            verify_lemma(lemma, g, [band])
+    # the well-formed originals are verdicts, not errors
+    assert verify_certificate(g, band) == (True, None)
+    assert verify_certificate(g, spire) == (True, None)
+    assert verify_certificate(g, equipment) == (True, None)
+    assert verify_certificate(g, cathedral)[0] is True
+
+
 def test_gyarfas_honours_node_budget():
     def gyarfas_row(generator, budget):
         config = {"corpus": [generator], "checks": [{"check": "gyarfas", "node_budget": budget}]}

@@ -1,9 +1,22 @@
 import hashlib
+import importlib.util
+import shutil
+import subprocess
+import sys
+import sysconfig
 from pathlib import Path
 
+import pytest
+
 import chibound._kernels
+from chibound._kernels import pykernels
+from chibound.embed import _order_space_adj, _search_plan
+from chibound.generators import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from chibound.graphs import Graph
+from chibound.trees import binary_star, broom, superstar
 
 KERNELS = Path(chibound._kernels.__file__).parent
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_generated_c_matches_pyx():
@@ -12,7 +25,68 @@ def test_generated_c_matches_pyx():
     recorded = (KERNELS / "_ckernels.pyx.sha256").read_text().split()[0]
     actual = hashlib.sha256((KERNELS / "_ckernels.pyx").read_bytes()).hexdigest()
     assert actual == recorded, (
-        "_ckernels.pyx changed since _ckernels.c was generated: regenerate _ckernels.c "
-        "with Cython (python setup.py build_ext --inplace), then record the "
-        "new hash (cd src/chibound/_kernels && sha256sum _ckernels.pyx > _ckernels.pyx.sha256)"
+        "_ckernels.pyx changed since _ckernels.c was generated: regenerate it "
+        "(cython src/chibound/_kernels/_ckernels.pyx), then record the new hash "
+        "(cd src/chibound/_kernels && sha256sum _ckernels.pyx > _ckernels.pyx.sha256)"
     )
+
+
+def compiled_kernels(tmp_path):
+    """The compiled kernel module: the importable one, or else one that
+    setup.py builds from the tracked _ckernels.c into tmp_path."""
+    try:
+        from chibound._kernels import _ckernels
+
+        return _ckernels
+    except ImportError:
+        pass
+    cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
+    if shutil.which(cc) is None:
+        pytest.skip(f"compiled kernels unavailable and no C compiler ({cc})")
+    build = subprocess.run(
+        [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp_path),
+         "--build-temp", str(tmp_path / "temp")],
+        cwd=ROOT, capture_output=True, text=True,
+    )
+    built = tmp_path / "chibound" / "_kernels" / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX"))
+    assert built.exists(), build.stdout + build.stderr
+    spec = importlib.util.spec_from_file_location("chibound._kernels._ckernels", built)
+    module = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(module)
+    return module
+
+
+def test_backends_agree(tmp_path):
+    ckernels = compiled_kernels(tmp_path)
+    assert ckernels.BACKEND_NAME == "c"
+    for i in range(60):
+        g = random_graph(5 + i % 5, ("0.2", "0.4", "0.6", "0.8")[i // 5 % 4], 5000 + i)
+        n, adj = g.n, list(g.adjacency_masks())
+        assert pykernels.greedy_clique(n, adj) == ckernels.greedy_clique(n, adj)
+        for budget in (0, 3):
+            assert pykernels.max_clique(n, adj, budget) == ckernels.max_clique(n, adj, budget)
+            for k in range(1, 5):
+                assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
+
+    # includes patterns absent from sparse hosts and hosts past 64 vertices
+    patterns = [
+        path_graph(4),
+        star_graph(3),
+        cycle_graph(4),
+        complete_graph(4),
+        superstar(2).graph,
+        broom(2, 2).graph,
+        binary_star(1, 1),
+        Graph(4, [(0, 1), (2, 3)]),
+    ]
+    hosts = [random_graph(8 + i % 9, ("0.15", "0.3", "0.5")[i % 3], 6000 + i) for i in range(18)]
+    hosts.append(random_graph(70, "0.08", 6100))
+    for host in hosts:
+        host_adj = list(host.adjacency_masks())
+        for pattern in patterns:
+            for anchor in (None, (0, 0), (pattern.n - 1, host.n // 2)):
+                order, parents, cands = _search_plan(host, pattern, anchor)
+                plan = (host_adj, _order_space_adj(pattern, order), parents, cands)
+                for budget in (0, 5, 50):
+                    assert pykernels.find_embedding(*plan, budget) == ckernels.find_embedding(*plan, budget)
+                    assert pykernels.count_embeddings(*plan, budget) == ckernels.count_embeddings(*plan, budget)
