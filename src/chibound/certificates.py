@@ -18,7 +18,14 @@ from functools import cache
 from .coloring import chi_local, chi_of
 from .embed import Embedding, StarryCertificate, verify_embedding
 from .graphs import bits, check_vertex_set, is_connected_set, set_to_mask
-from .trees import binary_star, bristled_star, superstar
+from .trees import (
+    binary_star,
+    binary_star_order,
+    bristled_star,
+    bristled_star_order,
+    superstar,
+    superstar_order,
+)
 
 
 @dataclass(frozen=True)
@@ -265,8 +272,10 @@ def validate_band(g, band, dominated=None):
     adjacent to the center and untouched by the rest of the star."""
     b = check_vertex_set(g, band.b_set)
     g._check(band.center)
-    pattern = superstar(band.d).graph
-    if not verify_embedding(g, pattern, band.embedding):
+    # sizes first: a huge d from the certificate is rejected before any
+    # pattern of that size is built
+    emb = band.embedding
+    if len(emb.mapping) != superstar_order(band.d) or not verify_embedding(g, superstar(band.d).graph, emb):
         return False, "superstar_embedding_valid"
     if band.embedding.mapping[0] != band.center:
         return False, "root_maps_to_center"
@@ -294,9 +303,12 @@ def validate_band(g, band, dominated=None):
 
 
 def validate_starry(g, cert):
-    if not verify_embedding(g, binary_star(cert.k, cert.d), cert.binary_embedding):
+    k, d = cert.k, cert.d
+    binary, bristled = cert.binary_embedding, cert.bristled_embedding
+    if len(binary.mapping) != binary_star_order(k, d) or not verify_embedding(g, binary_star(k, d), binary):
         return False, "binary_star_embedding"
-    if not verify_embedding(g, bristled_star(cert.k, cert.d), cert.bristled_embedding):
+    if (len(bristled.mapping) != bristled_star_order(k, d)
+            or not verify_embedding(g, bristled_star(k, d), bristled)):
         return False, "bristled_star_embedding"
     return True, None
 

@@ -2,14 +2,16 @@
 
 All answers are exact; budgets are opt-in node budgets (deterministic) and
 default to unbounded. Searches break ties by lowest vertex id, so repeated
-runs and both kernel backends return identical witnesses.
+runs and both kernel backends return identical witnesses. Unbudgeted
+answers are kept in each graph's chi memo (see graphs.Graph).
 """
 
 from dataclasses import dataclass
+from itertools import islice
 
 from . import _kernels
 from .errors import ColoringBudgetExceeded, SearchBudgetExceeded
-from .graphs import bits, check_vertex_set, neighborhood, set_to_mask
+from .graphs import bits, check_vertex_set, layers, set_to_mask
 
 
 def _greedy_upper(adj):
@@ -86,25 +88,51 @@ def chromatic_number(g, node_budget=None):
     witness. On budget exhaustion raises ColoringBudgetExceeded with the
     best bounds proved so far.
     """
-    return _chromatic(list(g.adjacency_masks()), node_budget)
+    return _chi_of_mask(g, (1 << g.n) - 1, node_budget)
 
 
 def chi_of(g, s, node_budget=None):
-    """Chromatic number of the subgraph induced on the vertex set s.
+    """Chromatic number of the subgraph induced on the vertex set s."""
+    return _chi_of_mask(g, set_to_mask(check_vertex_set(g, s)), node_budget)[0]
 
-    The compressed masks come straight from g's, numbering s in ascending
-    order as induced_subgraph does, so answers and budget bounds match.
+
+def _chi_of_mask(g, smask, node_budget=None):
+    """(chi, witness) of the subgraph induced on the vertex mask smask.
+
+    The compressed masks come straight from g's, numbering smask's
+    vertices in ascending order as induced_subgraph does, so answers and
+    budget bounds match. Unbudgeted answers go in g's chi memo.
     """
-    vs = sorted(check_vertex_set(g, s))
-    bit_of = {v: 1 << i for i, v in enumerate(vs)}
-    smask = set_to_mask(vs)
-    adj = []
-    for v in vs:
-        m = 0
-        for u in bits(g.adjacency_mask(v) & smask):
-            m |= bit_of[u]
-        adj.append(m)
-    return _chromatic(adj, node_budget)[0]
+    memo = g._chi_memo
+    if node_budget is None:
+        hit = memo.get(smask)
+        if hit is not None:
+            return hit
+    host = g.adjacency_masks()
+    if smask == (1 << g.n) - 1:
+        adj = list(host)
+    else:
+        # new_bit maps each vertex's bit in g to its bit in the subgraph;
+        # the loops are _bits inlined, since every cold colouring runs them
+        new_bit = {}
+        rest = smask
+        while rest:
+            low = rest & -rest
+            new_bit[low] = 1 << len(new_bit)
+            rest ^= low
+        adj = []
+        for low in new_bit:
+            m = 0
+            rest = host[low.bit_length() - 1] & smask
+            while rest:
+                u = rest & -rest
+                m |= new_bit[u]
+                rest ^= u
+            adj.append(m)
+    result = _chromatic(adj, node_budget)
+    if node_budget is None:
+        memo[smask] = result
+    return result
 
 
 def clique_number(g, node_budget=None):
@@ -117,14 +145,20 @@ def clique_number(g, node_budget=None):
 
 def chi_local(g, k, node_budget=None):
     """Largest chromatic number of any radius-k closed ball; 0 for the
-    null graph."""
+    null graph. Unbudgeted answers go in g's chi memo."""
     if k < 1:
         raise ValueError(f"radius must be positive, got {k}")
+    memo, key = g._chi_memo, ("local", k)
+    if node_budget is None and key in memo:
+        return memo[key]
     best = 0
     for v in range(g.n):
-        chi = chi_of(g, neighborhood(g, v, k, mode="ball"), node_budget)
+        ball = sum(islice(layers(g, v), k + 1))  # the frontiers are disjoint
+        chi = _chi_of_mask(g, ball, node_budget)[0]
         if chi > best:
             best = chi
+    if node_budget is None:
+        memo[key] = best
     return best
 
 

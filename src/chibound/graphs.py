@@ -12,9 +12,17 @@ from dataclasses import dataclass
 
 
 class Graph:
-    """Finite simple graph. No loops, no multi-edges, symmetric adjacency."""
+    """Finite simple graph. No loops, no multi-edges, symmetric adjacency.
 
-    __slots__ = ("_n", "_adj")
+    Each graph carries a chi memo, filled and read only by coloring.py: the
+    chromatic number and witness of every vertex set coloured by an
+    unbudgeted call, and chi_local per radius. Since a graph never changes,
+    the memo lives exactly as long as the graph and never goes stale.
+    Calls with a node budget neither read nor write it, so budget outcomes
+    are those of a cold graph.
+    """
+
+    __slots__ = ("_n", "_adj", "_chi_memo")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -30,6 +38,7 @@ class Graph:
             adj[v] |= 1 << u
         self._n = n
         self._adj = tuple(adj)
+        self._chi_memo = {}
 
     @property
     def n(self):

@@ -26,18 +26,24 @@ def _path_edges(ids):
     return list(zip(ids, ids[1:]))
 
 
+def superstar_order(d):
+    """Vertex count of superstar(d): 1 + d*d."""
+    if d < 1:
+        raise ValueError(f"d must be positive, got {d}")
+    return 1 + d * d
+
+
 def superstar(d):
     """Star with d legs, every leg a path of length d. Rooted at the center.
     1 + d*d vertices."""
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+    n = superstar_order(d)
     edges = []
     nxt = 1
     for _ in range(d):
         leg = [0] + list(range(nxt, nxt + d))
         edges.extend(_path_edges(leg))
         nxt += d
-    return RootedTree(Graph(1 + d * d, edges), root=0)
+    return RootedTree(Graph(n, edges), root=0)
 
 
 def broom(k, d):
@@ -60,6 +66,23 @@ def bristle(k, d):
     return RootedTree(Graph(k + d + 2, edges), root=0)
 
 
+def _check_kd(k, d):
+    if k < 1 or d < 1:
+        raise ValueError(f"k and d must be positive, got k={k}, d={d}")
+
+
+def binary_star_order(k, d):
+    """Vertex count of binary_star(k, d): d*d + d + k + 1."""
+    _check_kd(k, d)
+    return d * d + d + k + 1
+
+
+def bristled_star_order(k, d):
+    """Vertex count of bristled_star(k, d): d*d + d + k + 2."""
+    _check_kd(k, d)
+    return d * d + d + k + 2
+
+
 def binary_star(k, d):
     """A d-superstar and a d-star with their centers joined by a path of
     length k. Unrooted; d*d + d + k + 1 vertices.
@@ -67,8 +90,7 @@ def binary_star(k, d):
     Layout: superstar occupies 0..d*d (center 0), star center is d*d+1
     with leaves d*d+2..d*d+d+1, then the k-1 interior path vertices.
     """
-    if k < 1 or d < 1:
-        raise ValueError(f"k and d must be positive, got k={k}, d={d}")
+    n = binary_star_order(k, d)
     ss = superstar(d).graph
     edges = ss.edges()
     star_center = ss.n
@@ -76,7 +98,7 @@ def binary_star(k, d):
     edges.extend((star_center, leaf) for leaf in leaves)
     interior = list(range(star_center + 1 + d, star_center + 1 + d + (k - 1)))
     edges.extend(_path_edges([0] + interior + [star_center]))
-    return Graph(d * d + d + k + 1, edges)
+    return Graph(n, edges)
 
 
 def bristled_star(k, d):
@@ -87,8 +109,7 @@ def bristled_star(k, d):
     Layout: superstar occupies 0..d*d (center 0), the long path is
     d*d+1..d*d+d+2 in order, then the k-1 interior join vertices.
     """
-    if k < 1 or d < 1:
-        raise ValueError(f"k and d must be positive, got k={k}, d={d}")
+    n = bristled_star_order(k, d)
     ss = superstar(d).graph
     edges = ss.edges()
     tail = list(range(ss.n, ss.n + d + 2))
@@ -96,7 +117,7 @@ def bristled_star(k, d):
     second = tail[1]
     interior = list(range(ss.n + d + 2, ss.n + d + 2 + (k - 1)))
     edges.extend(_path_edges([0] + interior + [second]))
-    return Graph(d * d + d + k + 2, edges)
+    return Graph(n, edges)
 
 
 def two_legged_caterpillar(path_len, p1, p2):

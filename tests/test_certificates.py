@@ -1,6 +1,9 @@
 import hashlib
 import json
+import time
 from pathlib import Path
+
+import pytest
 
 from chibound.certificates import (
     Band,
@@ -138,6 +141,26 @@ def test_verify_matches_direct_validation():
         assert got == validate(g, cert), name
         results.add(got)
     assert (True, None) in results and len(results) > 2
+
+
+def test_huge_d_is_rejected_by_size():
+    """A certificate's own d never makes a validator build a pattern of
+    that size: the embedding's length is compared with the pattern's
+    vertex count first."""
+    big = 10**4
+    band = {**certificate_to_json(BAND), "d": big}
+    starry = {**certificate_to_json(fixtures()["starry"][1]), "d": big}
+    start = time.perf_counter()
+    assert verify_certificate(star_graph(3), band) == (False, "superstar_embedding_valid")
+    assert verify_certificate(petersen(), starry) == (False, "binary_star_embedding")
+    assert time.perf_counter() - start < 0.2
+    # a right-sized binary embedding gets as far as the bristled one
+    small = StarryCertificate(k=1, d=1, binary_embedding=Embedding(mapping=(0, 7, 8, 2)),
+                              bristled_embedding=Embedding(mapping=(7, 3)))
+    assert validate_starry(petersen(), small) == (False, "bristled_star_embedding")
+    for bad in ({**band, "d": 0}, {**starry, "d": 0}, {**starry, "k": 0}):
+        with pytest.raises(ValueError):
+            verify_certificate(petersen(), bad)
 
 
 if __name__ == "__main__":

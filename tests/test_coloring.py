@@ -189,3 +189,49 @@ def test_chi_of_budget_bounds():
     assert chi_of(g, ()) == 0 and chi_of(g, rest) == 3
     with pytest.raises(ValueError):
         chi_of(g, [g.n])
+
+
+# ------------------------------------------------------------- the chi memo
+
+@st.composite
+def memo_calls(draw, max_n=14):
+    """A graph and a sequence of chromatic calls on it: ("set", s, budget),
+    ("whole", budget) or ("local", k, budget). Vertex sets repeat, so the
+    sequence mixes memo hits with misses."""
+    g, _ = draw(graphs_with_subsets(max_n))
+    vertex_sets = st.frozensets(st.sampled_from(range(g.n))) if g.n else st.just(frozenset())
+    pool = draw(st.lists(vertex_sets, min_size=1, max_size=4))
+    budgets = st.sampled_from([None, None, 1, 2, 4, 16])
+    call = st.one_of(
+        st.tuples(st.just("set"), st.sampled_from(pool), budgets),
+        st.tuples(st.just("whole"), budgets),
+        st.tuples(st.just("local"), st.integers(1, 3), budgets),
+    )
+    return g, draw(st.lists(call, min_size=1, max_size=12))
+
+
+def _answer(g, call):
+    kind, *args, budget = call
+
+    def run():
+        if kind == "set":
+            return chi_of(g, args[0], budget)
+        if kind == "whole":
+            chi, witness = chromatic_number(g, budget)
+            return chi, witness and witness.colors
+        return chi_local(g, args[0], budget)
+
+    return _chi_or_bounds(run)
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(memo_calls())
+def test_memo_answers_match_a_cold_graph(case):
+    g, calls = case
+    for call in calls:
+        assert _answer(g, call) == _answer(Graph(g.n, g.edges()), call), call
+    for kind, *args, _ in calls:
+        if kind == "set":
+            for bad in (g.n, -1):
+                with pytest.raises(ValueError):
+                    chi_of(g, args[0] | {bad})

@@ -272,6 +272,37 @@ def test_harness_snapshot(tmp_path):
     assert harness_snapshot(tmp_path / "out") == json.loads(SNAPSHOT.read_text())
 
 
+def test_each_instance_colours_each_vertex_set_once(monkeypatch):
+    """The chi memo is alive: coloring._chromatic calls greedy_clique once
+    per colouring (k_color's own call does not go through the _kernels
+    attribute), so an instance makes no more calls than it has distinct
+    vertex sets coloured, although its checks ask for many sets again."""
+    from chibound import _kernels, coloring
+
+    greedy, colour = _kernels.greedy_clique, coloring._chi_of_mask
+    calls, asked, graphs = [], [], []
+
+    def counted_greedy(n, adj):
+        calls.append(n)
+        return greedy(n, adj)
+
+    def spy(g, smask, node_budget=None):
+        assert node_budget is None  # the config sets no budget
+        graphs.append(g)  # keeps every id below unique
+        asked.append((id(g), smask))
+        return colour(g, smask, node_budget)
+
+    monkeypatch.setattr(_kernels, "greedy_clique", counted_greedy)
+    monkeypatch.setattr(coloring, "_chi_of_mask", spy)
+    for entry in SNAPSHOT_CONFIG["corpus"]:
+        del calls[:], asked[:], graphs[:]
+        config = {"corpus": [entry], "checks": SNAPSHOT_CONFIG["checks"]}
+        assert run_experiment(ExperimentConfig.from_dict(config)).summary["violations"] == 0
+        distinct = len(set(asked))
+        assert len(asked) > distinct, entry  # repeats exist, so a dead memo shows
+        assert len(calls) <= distinct, entry
+
+
 if __name__ == "__main__":
     # Rewrites the golden file; only for an intended change of results.
     import tempfile
