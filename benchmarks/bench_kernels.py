@@ -3,15 +3,23 @@
 
 Runs identical workloads through both backends and prints a small table
 with the speedup. Results are asserted equal along the way, so this also
-doubles as an equivalence spot check.
+doubles as an equivalence spot check. When the compiled module is not
+importable, the tracked C is built with setup.py into a temporary
+directory, as benchmarks/bench_survey.py does; without a C compiler only
+the fallback is timed.
 
-Usage: python benchmarks/bench_kernels.py [--repeat N]
+Usage: PYTHONPATH=src python benchmarks/bench_kernels.py [--repeat N]
 """
 
 import argparse
+import subprocess
+import tempfile
 import time
+from pathlib import Path
 
+from bench_survey import load_built_c_kernels
 from chibound._kernels import pykernels
+from chibound.coloring import chromatic_number
 from chibound.embed import _order_space_adj, _search_plan
 from chibound.generators import kneser, mycielski_tower, random_graph
 from chibound.trees import bristled_star
@@ -25,6 +33,8 @@ def embedding_args(host, pattern):
 def workloads():
     tower = mycielski_tower(3)
     dense = random_graph(42, "0.5", 99)
+    dense40 = random_graph(40, "0.5", 7919 * 40 + 22)  # a chi_hard pool graph
+    chi40 = chromatic_number(dense40)[0]
     sparse = random_graph(70, "0.12", 7)
     host = kneser(6, 2)
     pat = bristled_star(1, 2)
@@ -37,7 +47,15 @@ def workloads():
         lambda m: m.k_color(tower.n, list(tower.adjacency_masks()), 4),
     )
     yield (
-        "3-color random(70, .12)",
+        f"chi(random(40, .5)) = {chi40}",
+        lambda m: m.k_color(dense40.n, list(dense40.adjacency_masks()), chi40),
+    )
+    yield (
+        f"refute {chi40 - 1}-coloring random(40, .5)",
+        lambda m: m.k_color(dense40.n, list(dense40.adjacency_masks()), chi40 - 1),
+    )
+    yield (
+        "refute 3-coloring random(70, .12)",
         lambda m: m.k_color(sparse.n, list(sparse.adjacency_masks()), 3),
     )
     yield (
@@ -48,32 +66,45 @@ def workloads():
     yield ("count star in kneser(6,2)", lambda m: m.count_embeddings(*args))
 
 
+def compiled_module(build_dir):
+    """The compiled kernels: the importable module, else one built from the
+    tracked C into build_dir, else None."""
+    try:
+        from chibound._kernels import _ckernels
+
+        return _ckernels
+    except ImportError:
+        pass
+    try:
+        return load_built_c_kernels(build_dir)
+    except (OSError, subprocess.CalledProcessError):
+        return None
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--repeat", type=int, default=3)
     args = parser.parse_args()
 
-    try:
-        from chibound._kernels import _ckernels
-    except ImportError:
-        _ckernels = None
-        print("compiled kernels not built; timing the fallback only\n")
-
-    rows = []
-    for name, call in workloads():
-        t0 = time.perf_counter()
-        for _ in range(args.repeat):
-            expected = call(pykernels)
-        py_time = (time.perf_counter() - t0) / args.repeat
-        if _ckernels is not None:
+    with tempfile.TemporaryDirectory() as tmp:
+        ckernels = compiled_module(Path(tmp))
+        if ckernels is None:
+            print("compiled kernels unavailable; timing the fallback only\n")
+        rows = []
+        for name, call in workloads():
             t0 = time.perf_counter()
             for _ in range(args.repeat):
-                got = call(_ckernels)
-            c_time = (time.perf_counter() - t0) / args.repeat
-            assert got == expected, f"backend mismatch on {name}"
-            rows.append((name, py_time, c_time))
-        else:
-            rows.append((name, py_time, None))
+                expected = call(pykernels)
+            py_time = (time.perf_counter() - t0) / args.repeat
+            if ckernels is not None:
+                t0 = time.perf_counter()
+                for _ in range(args.repeat):
+                    got = call(ckernels)
+                c_time = (time.perf_counter() - t0) / args.repeat
+                assert got == expected, f"backend mismatch on {name}"
+                rows.append((name, py_time, c_time))
+            else:
+                rows.append((name, py_time, None))
 
     width = max(len(r[0]) for r in rows)
     print(f"{'workload':<{width}}  {'python':>10}  {'compiled':>10}  {'speedup':>8}")

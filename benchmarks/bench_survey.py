@@ -35,7 +35,8 @@ ROOT = Path(__file__).resolve().parent.parent
 
 def load_built_c_kernels(build_dir):
     """Build the C kernels into build_dir and register them as
-    chibound._kernels._ckernels, so importing chibound selects them."""
+    chibound._kernels._ckernels, so importing chibound selects them.
+    Returns the module."""
     subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(build_dir),
          "--build-temp", str(build_dir / "temp")],
@@ -46,6 +47,7 @@ def load_built_c_kernels(build_dir):
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
     sys.modules[spec.name] = module
+    return module
 
 
 def main():

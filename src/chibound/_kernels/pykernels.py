@@ -52,6 +52,20 @@ def k_color(n, adj, k, node_budget=0):
     lower id), trying colors in ascending order and allowing at most one
     color beyond the current maximum. A greedy clique is precolored first.
     The first witness found is canonical given these rules.
+
+    The pick is one max() over an int key per vertex,
+
+        key[u] = (saturation << 2b) | (degree << b) | (n - 1 - u),
+
+    with b = n.bit_length(). Saturation, degree and n - 1 - u all lie in
+    [0, n), so each fits its own b-bit field and comparing two keys
+    compares saturation first, then degree, then the id reversed: exactly
+    the order of the tuple (saturation, degree, -u). The low field differs
+    between any two vertices, so the maximum is unique and names its
+    vertex. paint adds one saturation unit to a neighbor whose count of
+    color c goes 0 -> 1 and unpaint takes it back on 1 -> 0. A colored
+    vertex's key is lowered by 1 << 3b, more than any key, so the maximum
+    is always an uncolored vertex.
     """
     if n == 0:
         return (0, [])
@@ -61,33 +75,48 @@ def k_color(n, adj, k, node_budget=0):
     if len(clique) > k:
         return (1, None)
 
+    b = n.bit_length()
+    low = (1 << b) - 1
+    sat = 1 << (2 * b)
+    sink = 1 << (3 * b)
+    keys = [(adj[v].bit_count() << b) | (n - 1 - v) for v in range(n)]
+    # neighbor lists, each built on the vertex's first paint: a search that
+    # ends after a few nodes never pays for the rest
+    nbrs = [None] * n
     colors = [0] * n
-    degs = [adj[v].bit_count() for v in range(n)]
-    # per-vertex count of colored neighbors holding each color (1-based)
-    ncount = [[0] * (k + 1) for _ in range(n)]
-    nmask = [0] * n  # bit c-1 set iff some neighbor has color c
+    # count[c][u]: colored neighbors of u holding color c (1-based); no
+    # search of n vertices uses more than n colors
+    count = [[0] * n for _ in range(min(k, n) + 1)]
 
     def paint(v, c):
         colors[v] = c
-        m = adj[v]
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            m ^= b
-            ncount[u][c] += 1
-            if ncount[u][c] == 1:
-                nmask[u] |= 1 << (c - 1)
+        keys[v] -= sink
+        row = nbrs[v]
+        if row is None:
+            row = nbrs[v] = []
+            m = adj[v]
+            while m:
+                bit = m & -m
+                row.append(bit.bit_length() - 1)
+                m ^= bit
+        cnt = count[c]
+        for u in row:
+            if cnt[u]:
+                cnt[u] += 1
+            else:
+                cnt[u] = 1
+                keys[u] += sat
 
     def unpaint(v, c):
         colors[v] = 0
-        m = adj[v]
-        while m:
-            b = m & -m
-            u = b.bit_length() - 1
-            m ^= b
-            ncount[u][c] -= 1
-            if ncount[u][c] == 0:
-                nmask[u] &= ~(1 << (c - 1))
+        keys[v] += sink
+        cnt = count[c]
+        for u in nbrs[v]:
+            if cnt[u] == 1:
+                cnt[u] = 0
+                keys[u] -= sat
+            else:
+                cnt[u] -= 1
 
     for i, v in enumerate(clique):
         paint(v, i + 1)
@@ -98,18 +127,11 @@ def k_color(n, adj, k, node_budget=0):
         nonlocal nodes
         if colored == n:
             return 0
-        v, vkey = -1, None
-        for u in range(n):
-            if colors[u] == 0:
-                key = (nmask[u].bit_count(), degs[u], -u)
-                if vkey is None or key > vkey:
-                    vkey, v = key, u
+        v = n - 1 - (max(keys) & low)
         limit = max_used + 1 if max_used < k else k
-        avail = ~nmask[v] & ((1 << limit) - 1)
-        while avail:
-            b = avail & -avail
-            c = b.bit_length()
-            avail ^= b
+        for c in range(1, limit + 1):
+            if count[c][v]:
+                continue
             nodes += 1
             if node_budget and nodes > node_budget:
                 return 2

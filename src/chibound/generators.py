@@ -102,11 +102,6 @@ def shift_graph(n):
     return Graph(len(pairs), edges)
 
 
-def _edge_hash(seed, u, v):
-    digest = hashlib.sha256(f"{seed}:{u}:{v}".encode()).digest()
-    return int.from_bytes(digest, "big")
-
-
 def random_graph(n, p, seed):
     """Seeded Erdos-Renyi graph.
 
@@ -114,6 +109,12 @@ def random_graph(n, p, seed):
     handled exactly. A float is accepted and used at its exact binary
     value. Each potential edge draws 256 hash bits, so the construction is
     reproducible across platforms and processes.
+
+    Edge (u, v) is kept when h * den < num * 2**256, where h is the
+    SHA-256 digest of f"{seed}:{u}:{v}" read as a big-endian integer and
+    p = num / den. For an integer h that is h < ceil(num * 2**256 / den),
+    and two 32-byte big-endian strings compare as the integers they
+    encode, so each digest is compared with that bound's bytes directly.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -122,11 +123,16 @@ def random_graph(n, p, seed):
     frac = Fraction(p)
     if not (0 <= frac <= 1):
         raise ValueError(f"p must lie in [0, 1], got {p}")
-    threshold_num = frac.numerator * (1 << 256)
+    bound = -(-frac.numerator * (1 << 256) // frac.denominator)
+    if bound == 1 << 256:  # p = 1: every digest is below 2**256
+        return complete_graph(n)
+    limit = bound.to_bytes(32, "big")
+    sha256 = hashlib.sha256
     edges = []
     for u in range(n):
+        prefix = f"{seed}:{u}:"
         for v in range(u + 1, n):
-            if _edge_hash(seed, u, v) * frac.denominator < threshold_num:
+            if sha256(f"{prefix}{v}".encode()).digest() < limit:
                 edges.append((u, v))
     return Graph(n, edges)
 

@@ -193,23 +193,27 @@ def is_connected_set(g, s):
     return sum(layers(g, g._check(next(_bits(smask))), smask)) == smask
 
 
+def _component_masks(g, smask):
+    """Masks of the components of the subgraph induced on smask, by
+    smallest member."""
+    rest = smask
+    while rest:
+        comp = sum(layers(g, g._check(next(_bits(rest))), smask))
+        yield comp
+        rest &= ~comp
+
+
 def components_within(g, s):
     """Components of the subgraph induced on s, by smallest member, as
     subsets of the original vertex ids."""
-    smask = rest = set_to_mask(s)
-    out = []
-    while rest:
-        comp = sum(layers(g, g._check(next(_bits(rest))), smask))
-        out.append(mask_to_set(comp))
-        rest &= ~comp
-    return out
+    return [mask_to_set(comp) for comp in _component_masks(g, set_to_mask(s))]
 
 
 def components_touching(g, s, x):
     """Components of the subgraph induced on s that contain a neighbor of
     x, by smallest member."""
     xmask = g.adjacency_mask(x)
-    return [c for c in components_within(g, s) if xmask & set_to_mask(c)]
+    return [mask_to_set(comp) for comp in _component_masks(g, set_to_mask(s)) if xmask & comp]
 
 
 def induced_subgraph(g, s):

@@ -1,4 +1,5 @@
 import hashlib
+from fractions import Fraction
 from itertools import product
 
 import pytest
@@ -97,6 +98,30 @@ def test_random_graph_determinism():
     assert random_graph(5, 1, 7) == complete_graph(5)
     # frozen fingerprint guards cross-platform reproducibility
     assert hashlib.sha256(write_graph6(a).encode()).hexdigest().startswith("18074173")
+
+
+# (n, p, seed, edge count, sha256 of repr(edges()))
+PINNED_RANDOM_GRAPHS = [
+    (12, "0", 1, 0, "4f53cda18c2baa0c0354bb5f9a3ecbe5ed12ab4d8e11ba873c2f11161202b945"),
+    (12, "1", 2, 66, "af6e1a7421507c86a19234b9173bd6c910161954806b74de96d26f5cd6b3841a"),
+    (30, "1/3", 3, 143, "c74e8257f37587d179ad2f0ece7c4899f6edbe9b08780756c5b02c06fcd0a0fd"),
+    (25, 0.3, 4, 99, "f2f5d8526af88aeafa2ca2eaa4ea9c191c9172b7d07a143ee835f4227849d51e"),
+    (17, Fraction(2, 7), 5, 40, "32d6a2f0c67528d7ce16c0f66b9b13676c0f10dbb8f6d32b1c43bdd201e54502"),
+    # the shapes e2ebench draws: a chi_hard graph and a survey graph
+    (40, "0.5", 7919 * 40 + 3, 373, "609719d15f65ea225ba341bed846cfcd85fb8cd20dcb0458ad006412667f2637"),
+    (32, "0.15", 1000 * 32 + 5, 72, "9c267c5b0e920451a3c00104d855d92108da334e4cdfe98157c3e7923c9cc8d0"),
+    (70, "0.08", 6100, 174, "7f6b14eee7f5b3b0e0d924cb4e2697d8102d0a3af4067fb0ce46e0e3b658bc10"),
+    (9, 1, 2 ** 64 - 1, 36, "0f1330faca56862fb012ebbae6890b45206b45d288facd46cd4e1add6a80e5ae"),
+]
+
+
+def test_random_graph_is_pinned():
+    """Every recorded report and e2ebench answer depends on these graphs
+    bit for bit, so a change to how random_graph draws must keep them."""
+    for n, p, seed, edge_count, digest in PINNED_RANDOM_GRAPHS:
+        edges = random_graph(n, p, seed).edges()
+        assert len(edges) == edge_count, (n, p, seed)
+        assert hashlib.sha256(repr(edges).encode()).hexdigest() == digest, (n, p, seed)
 
 
 def test_critical_base_k2():

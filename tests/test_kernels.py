@@ -1,5 +1,6 @@
 import hashlib
 import importlib.util
+import random
 import shutil
 import subprocess
 import sys
@@ -7,11 +8,14 @@ import sysconfig
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import chibound._kernels
 from chibound._kernels import pykernels
+from chibound.coloring import chromatic_number
 from chibound.embed import _order_space_adj, _search_plan
-from chibound.generators import complete_graph, cycle_graph, path_graph, random_graph, star_graph
+from chibound.generators import complete_graph, cycle_graph, mycielski_tower, path_graph, random_graph, star_graph
 from chibound.graphs import Graph
 from chibound.trees import binary_star, broom, superstar
 
@@ -56,8 +60,12 @@ def compiled_kernels(tmp_path):
     return module
 
 
-def test_backends_agree(tmp_path):
-    ckernels = compiled_kernels(tmp_path)
+@pytest.fixture(scope="module")
+def ckernels(tmp_path_factory):
+    return compiled_kernels(tmp_path_factory.mktemp("ckernels"))
+
+
+def test_backends_agree(ckernels):
     assert ckernels.BACKEND_NAME == "c"
     for i in range(60):
         g = random_graph(5 + i % 5, ("0.2", "0.4", "0.6", "0.8")[i // 5 % 4], 5000 + i)
@@ -66,6 +74,14 @@ def test_backends_agree(tmp_path):
         for budget in (0, 3):
             assert pykernels.max_clique(n, adj, budget) == ckernels.max_clique(n, adj, budget)
             for k in range(1, 5):
+                assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
+
+    # dense hosts, a tower and a host past 64 vertices, at every k up to chi;
+    # the small budgets stop some searches mid-way
+    for g in [random_graph(40, "0.5", 7000 + i) for i in range(3)] + [mycielski_tower(3), random_graph(70, "0.1", 7100)]:
+        n, adj = g.n, list(g.adjacency_masks())
+        for k in range(1, chromatic_number(g)[0] + 1):
+            for budget in (0, 1, 10, 100, 1000):
                 assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
 
     # includes patterns absent from sparse hosts and hosts past 64 vertices
@@ -90,3 +106,31 @@ def test_backends_agree(tmp_path):
                 for budget in (0, 5, 50):
                     assert pykernels.find_embedding(*plan, budget) == ckernels.find_embedding(*plan, budget)
                     assert pykernels.count_embeddings(*plan, budget) == ckernels.count_embeddings(*plan, budget)
+
+
+@st.composite
+def kernel_cases(draw):
+    """A seeded random adjacency list on up to 70 vertices (past one 64-bit
+    word), a k and a node budget; hosts past 24 vertices get a nonzero
+    budget, so no case runs an unbounded search on a large host."""
+    n = draw(st.integers(0, 70))
+    density = draw(st.integers(0, 100)) / 100
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    adj = [0] * n
+    for u in range(n):
+        for v in range(u + 1, n):
+            if rng.random() < density:
+                adj[u] |= 1 << v
+                adj[v] |= 1 << u
+    k = draw(st.integers(0, 9))
+    budget = draw(st.sampled_from((0, 1, 3, 10, 50, 500) if n <= 24 else (1, 3, 10, 50, 500)))
+    return n, adj, k, budget
+
+
+@settings(max_examples=400, derandomize=True, database=None, deadline=None)
+@given(case=kernel_cases())
+def test_backends_agree_on_random_adjacency(ckernels, case):
+    n, adj, k, budget = case
+    assert pykernels.greedy_clique(n, adj) == ckernels.greedy_clique(n, adj)
+    assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
+    assert pykernels.max_clique(n, adj, budget) == ckernels.max_clique(n, adj, budget)
