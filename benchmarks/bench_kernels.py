@@ -21,7 +21,7 @@ from bench_survey import load_built_c_kernels
 from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
 from chibound.embed import _order_space_adj, _search_plan
-from chibound.generators import kneser, mycielski_tower, random_graph
+from chibound.generators import complete_graph, kneser, mycielski_tower, random_graph
 from chibound.trees import bristled_star
 
 
@@ -38,6 +38,8 @@ def workloads():
     sparse = random_graph(70, "0.12", 7)
     host = kneser(6, 2)
     pat = bristled_star(1, 2)
+    wide = random_graph(80, "0.3", 11)  # past one 64-bit word, and no K7 in it
+    cliques = [random_graph(70, "0.5", seed) for seed in range(100)]
     yield (
         "chi(tower23) = 5",
         lambda m: m.k_color(tower.n, list(tower.adjacency_masks()), 5),
@@ -62,8 +64,14 @@ def workloads():
         "max clique random(42, .5)",
         lambda m: m.max_clique(dense.n, list(dense.adjacency_masks())),
     )
+    yield (
+        "greedy clique x100 random(70, .5)",
+        lambda m: [m.greedy_clique(g.n, list(g.adjacency_masks())) for g in cliques],
+    )
     args = embedding_args(host, pat)
     yield ("count star in kneser(6,2)", lambda m: m.count_embeddings(*args))
+    wide_args = embedding_args(wide, complete_graph(7))
+    yield ("refute K7 in random(80, .3)", lambda m: m.find_embedding(*wide_args))
 
 
 def compiled_module(build_dir):
@@ -107,13 +115,13 @@ def main():
                 rows.append((name, py_time, None))
 
     width = max(len(r[0]) for r in rows)
-    print(f"{'workload':<{width}}  {'python':>10}  {'compiled':>10}  {'speedup':>8}")
+    print(f"{'workload':<{width}}  {'python':>11}  {'compiled':>11}  {'speedup':>8}")
     for name, py_time, c_time in rows:
         if c_time is None:
-            print(f"{name:<{width}}  {py_time * 1e3:>8.2f}ms  {'n/a':>10}  {'':>8}")
+            print(f"{name:<{width}}  {py_time * 1e3:>9.4f}ms  {'n/a':>11}  {'':>8}")
         else:
             print(
-                f"{name:<{width}}  {py_time * 1e3:>8.2f}ms  {c_time * 1e3:>8.2f}ms  {py_time / c_time:>7.1f}x"
+                f"{name:<{width}}  {py_time * 1e3:>9.4f}ms  {c_time * 1e3:>9.4f}ms  {py_time / c_time:>7.1f}x"
             )
 
 

@@ -1,9 +1,10 @@
 """Pure-Python search kernels over bitmask adjacency.
 
 These are the hot inner loops: k-colorability, maximum clique, and induced
-embedding backtracking. The compiled module _ckernels implements the exact
-same algorithms with the same tie-breaking, so either backend yields
-identical results; keep the two in sync.
+embedding backtracking. The compiled module _ckernels, written by hand in
+_ckernels.c, implements the exact same algorithms with the same
+tie-breaking and node accounting, so either backend yields identical
+results; a change to one is made to both in the same commit.
 
 Common conventions:
   * adjacency is a list of Python ints, bit u of adj[v] set iff u ~ v;

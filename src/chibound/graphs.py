@@ -193,13 +193,14 @@ def is_connected_set(g, s):
     return sum(layers(g, g._check(next(_bits(smask))), smask)) == smask
 
 
-def _component_masks(g, smask):
-    """Masks of the components of the subgraph induced on smask, by
-    smallest member."""
+def _component_masks(g, smask, meeting=-1):
+    """Masks of the components of the subgraph induced on smask that meet
+    the mask meeting (every component by default), by smallest member."""
     rest = smask
     while rest:
         comp = sum(layers(g, g._check(next(_bits(rest))), smask))
-        yield comp
+        if comp & meeting:
+            yield comp
         rest &= ~comp
 
 
@@ -207,13 +208,6 @@ def components_within(g, s):
     """Components of the subgraph induced on s, by smallest member, as
     subsets of the original vertex ids."""
     return [mask_to_set(comp) for comp in _component_masks(g, set_to_mask(s))]
-
-
-def components_touching(g, s, x):
-    """Components of the subgraph induced on s that contain a neighbor of
-    x, by smallest member."""
-    xmask = g.adjacency_mask(x)
-    return [mask_to_set(comp) for comp in _component_masks(g, set_to_mask(s)) if xmask & comp]
 
 
 def induced_subgraph(g, s):

@@ -22,7 +22,7 @@ from .embed import is_kd_starry
 from .errors import BudgetExceeded, ConstructionRefuted
 from .generators import make_graph
 from .graphio import parse_graph6, write_graph6
-from .graphs import components_touching, set_to_mask
+from .graphs import _component_masks, mask_to_set, set_to_mask
 from .machinery import best_by_chi, find_spire, find_x_split, gyarfas_path, induced_path_centered
 
 REPORT_VERSION = "chibound report v1"
@@ -159,15 +159,16 @@ def _check_gyarfas(g, base, params):
     chi1 = base["chi1"]
     checked = 0
     for x0 in range(min(starts, g.n)):
-        region = frozenset(range(g.n)) - {x0}
-        best, best_chi = best_by_chi(g, components_touching(g, region, x0), budget)
+        region = ((1 << g.n) - 1) & ~(1 << x0)
+        best, best_chi = best_by_chi(g, _component_masks(g, region, g.adjacency_mask(x0)), budget)
         if best is None:
             continue
+        best_set = mask_to_set(best)
         for k in range(k_max + 1):
             if best_chi <= k * chi1:
                 break
             try:
-                gyarfas_path(g, best, x0, k)
+                gyarfas_path(g, best_set, x0, k)
             except AssertionError as e:
                 return VIOLATION, f"x0={x0} k={k}: {e}", None
             checked += 1

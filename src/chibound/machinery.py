@@ -16,14 +16,13 @@ from .certificates import (
     validate_spire,
     validate_x_split,
 )
-from .coloring import chi_local, chi_of
+from .coloring import _chi_of_mask, chi_local
 from .embed import find_induced_embedding
 from .errors import SearchBudgetExceeded
 from .graphs import (
+    _component_masks,
     bits,
     check_vertex_set,
-    components_touching,
-    components_within,
     is_connected_set,
     layers,
     mask_to_set,
@@ -32,15 +31,15 @@ from .graphs import (
 from .trees import path_tree
 
 
-def best_by_chi(g, sets, node_budget=None):
-    """First set of largest chromatic number in the given order, with that
-    chi; (None, -1) when there are no sets. Components listed by
-    components_within thus tie-break to the smallest member."""
+def best_by_chi(g, masks, node_budget=None):
+    """First vertex mask of largest chromatic number in the given order,
+    with that chi; (None, -1) when there are no masks. Components listed by
+    _component_masks thus tie-break to the smallest member."""
     best, best_chi = None, -1
-    for s in sets:
-        chi = chi_of(g, s, node_budget)
+    for m in masks:
+        chi = _chi_of_mask(g, m, node_budget)[0]
         if chi > best_chi:
-            best, best_chi = s, chi
+            best, best_chi = m, chi
     return best, best_chi
 
 
@@ -52,13 +51,14 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
     inside the chromatic subcalls propagates as indeterminate."""
     x_ground = check_vertex_set(g, x_ground)
     xmask = set_to_mask(x_ground)
-    everything = frozenset(range(g.n))
+    outside_x = ((1 << g.n) - 1) & ~xmask
     for x in sorted(x_ground):
-        for y in sorted(bits(g.adjacency_mask(x) & ~xmask)):
-            region = everything - x_ground - {y} - set(bits(g.adjacency_mask(y)))
-            for comp in components_touching(g, region, x):
-                if chi_of(g, comp, node_budget) > min_chi:
-                    cand = XSplit(x=x, y=y, z_set=comp)
+        x_nbrs = g.adjacency_mask(x)
+        for y in bits(x_nbrs & ~xmask):
+            region = outside_x & ~(1 << y) & ~g.adjacency_mask(y)
+            for comp in _component_masks(g, region, x_nbrs):
+                if _chi_of_mask(g, comp, node_budget)[0] > min_chi:
+                    cand = XSplit(x=x, y=y, z_set=mask_to_set(comp))
                     ok, clause = validate_x_split(g, x_ground, cand)
                     if not ok:
                         raise AssertionError(f"searcher produced invalid split: {clause}")
@@ -66,23 +66,21 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
     return None
 
 
-def _gyarfas_core(g, c_set, x0, k):
-    """Walk k steps: drop the endpoint's neighborhood, descend into the
-    best component, step to the lowest neighbor touching it. Returns
-    (path, residue) or None when some step has nowhere to go."""
-    working = frozenset(c_set)
+def _gyarfas_core(g, cmask, x0, k):
+    """Walk k steps from x0 into the vertex mask cmask: drop the endpoint's
+    neighborhood, descend into the best component, step to the lowest
+    neighbor touching it. Returns (path, residue mask) or None when some
+    step has nowhere to go."""
+    working = cmask
     path = [x0]
     for _ in range(k):
-        last = path[-1]
-        nbrs = working & set(bits(g.adjacency_mask(last)))
+        nbrs = working & g.adjacency_mask(path[-1])
         if not nbrs:
             return None
-        rest = working - nbrs
-        comp, _ = best_by_chi(g, components_within(g, rest))
+        comp, _ = best_by_chi(g, _component_masks(g, working & ~nbrs))
         if comp is None:
             return None
-        cmask = set_to_mask(comp)
-        steps = [v for v in sorted(nbrs) if g.adjacency_mask(v) & cmask]
+        steps = [v for v in bits(nbrs) if g.adjacency_mask(v) & comp]
         if not steps:
             return None
         path.append(steps[0])
@@ -107,15 +105,16 @@ def gyarfas_path(g, c_set, x0, k):
         raise ValueError("the set must be nonempty")
     if not is_connected_set(g, c_set):
         raise ValueError("the set must induce a connected subgraph")
-    if not g.adjacency_mask(x0) & set_to_mask(c_set):
+    cmask = set_to_mask(c_set)
+    if not g.adjacency_mask(x0) & cmask:
         raise ValueError("the start vertex needs a neighbor in the set")
-    if chi_of(g, c_set) <= k * chi_local(g, 1):
+    if _chi_of_mask(g, cmask)[0] <= k * chi_local(g, 1):
         raise ValueError("chromatic precondition fails: chi(C) must exceed k * chi_1")
-    got = _gyarfas_core(g, c_set, x0, k)
+    got = _gyarfas_core(g, cmask, x0, k)
     if got is None:
         raise RuntimeError("walk ran out of room although the chromatic precondition holds")
     path, residue = got
-    cert = GyarfasResult(path=path, residue=residue)
+    cert = GyarfasResult(path=path, residue=mask_to_set(residue))
     ok, clause = validate_gyarfas(g, c_set, cert)
     if not ok:
         raise AssertionError(f"walk produced an invalid result: {clause}")
@@ -252,8 +251,10 @@ def find_spire(g, d, min_chi, node_budget=None):
     if d < 1:
         raise ValueError(f"height must be positive, got {d}")
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
+    everything = (1 << g.n) - 1
     for x0 in order:
-        best, _ = best_by_chi(g, components_touching(g, frozenset(range(g.n)) - {x0}, x0), node_budget)
+        touching = _component_masks(g, everything & ~(1 << x0), g.adjacency_mask(x0))
+        best, _ = best_by_chi(g, touching, node_budget)
         if best is None:
             continue
         got = _gyarfas_core(g, best, x0, d)
@@ -261,16 +262,16 @@ def find_spire(g, d, min_chi, node_budget=None):
             continue
         path, residue = got
         tip = path[-1]
-        levels = [mask_to_set(m) for m in layers(g, tip, set_to_mask(residue | {tip}))]
+        levels = list(layers(g, tip, residue | 1 << tip))
         if len(levels) < 3:
             continue
         best_level, best_level_chi = best_by_chi(g, levels[2:], node_budget)
         if best_level_chi <= min_chi:
             continue
         best_i = levels.index(best_level)
-        a_set = frozenset().union(*levels[: best_i - 1])
-        b_set = levels[best_i - 1]
-        dominated = levels[best_i]
+        a_set = mask_to_set(sum(levels[: best_i - 1]))
+        b_set = mask_to_set(levels[best_i - 1])
+        dominated = mask_to_set(levels[best_i])
         spire = Spire(path=path, a_set=a_set, b_set=b_set)
         ok, clause = validate_spire(g, spire, dominated)
         if not ok:

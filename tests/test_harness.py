@@ -277,7 +277,7 @@ def test_each_instance_colours_each_vertex_set_once(monkeypatch):
     per colouring (k_color's own call does not go through the _kernels
     attribute), so an instance makes no more calls than it has distinct
     vertex sets coloured, although its checks ask for many sets again."""
-    from chibound import _kernels, coloring
+    from chibound import _kernels, coloring, machinery
 
     greedy, colour = _kernels.greedy_clique, coloring._chi_of_mask
     calls, asked, graphs = [], [], []
@@ -294,6 +294,7 @@ def test_each_instance_colours_each_vertex_set_once(monkeypatch):
 
     monkeypatch.setattr(_kernels, "greedy_clique", counted_greedy)
     monkeypatch.setattr(coloring, "_chi_of_mask", spy)
+    monkeypatch.setattr(machinery, "_chi_of_mask", spy)  # it colours component masks directly
     for entry in SNAPSHOT_CONFIG["corpus"]:
         del calls[:], asked[:], graphs[:]
         config = {"corpus": [entry], "checks": SNAPSHOT_CONFIG["checks"]}

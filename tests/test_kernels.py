@@ -1,4 +1,3 @@
-import hashlib
 import importlib.util
 import random
 import shutil
@@ -11,33 +10,20 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-import chibound._kernels
 from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
 from chibound.embed import _order_space_adj, _search_plan
 from chibound.generators import complete_graph, cycle_graph, mycielski_tower, path_graph, random_graph, star_graph
-from chibound.graphs import Graph
+from chibound.graphs import Graph, bits
 from chibound.trees import binary_star, broom, superstar
 
-KERNELS = Path(chibound._kernels.__file__).parent
 ROOT = Path(__file__).resolve().parents[1]
-
-
-def test_generated_c_matches_pyx():
-    """_ckernels.c is generated from _ckernels.pyx by Cython and tracked;
-    _ckernels.pyx.sha256 records the pyx it was generated from."""
-    recorded = (KERNELS / "_ckernels.pyx.sha256").read_text().split()[0]
-    actual = hashlib.sha256((KERNELS / "_ckernels.pyx").read_bytes()).hexdigest()
-    assert actual == recorded, (
-        "_ckernels.pyx changed since _ckernels.c was generated: regenerate it "
-        "(cython src/chibound/_kernels/_ckernels.pyx), then record the new hash "
-        "(cd src/chibound/_kernels && sha256sum _ckernels.pyx > _ckernels.pyx.sha256)"
-    )
 
 
 def compiled_kernels(tmp_path):
     """The compiled kernel module: the importable one, or else one that
-    setup.py builds from the tracked _ckernels.c into tmp_path."""
+    setup.py builds from the tracked _ckernels.c into tmp_path. That build
+    fails if the compiler prints any diagnostic for _ckernels.c."""
     try:
         from chibound._kernels import _ckernels
 
@@ -54,6 +40,8 @@ def compiled_kernels(tmp_path):
     )
     built = tmp_path / "chibound" / "_kernels" / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX"))
     assert built.exists(), build.stdout + build.stderr
+    diagnostics = [line for line in build.stderr.splitlines() if "_ckernels.c:" in line]
+    assert not diagnostics, "\n".join(diagnostics)
     spec = importlib.util.spec_from_file_location("chibound._kernels._ckernels", built)
     module = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(module)
@@ -108,12 +96,9 @@ def test_backends_agree(ckernels):
                     assert pykernels.count_embeddings(*plan, budget) == ckernels.count_embeddings(*plan, budget)
 
 
-@st.composite
-def kernel_cases(draw):
-    """A seeded random adjacency list on up to 70 vertices (past one 64-bit
-    word), a k and a node budget; hosts past 24 vertices get a nonzero
-    budget, so no case runs an unbounded search on a large host."""
-    n = draw(st.integers(0, 70))
+def draw_adjacency(draw, min_n, max_n):
+    """Adjacency masks of a seeded random graph on min_n to max_n vertices."""
+    n = draw(st.integers(min_n, max_n))
     density = draw(st.integers(0, 100)) / 100
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     adj = [0] * n
@@ -122,6 +107,19 @@ def kernel_cases(draw):
             if rng.random() < density:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
+    return n, adj
+
+
+def as_graph(n, adj):
+    return Graph(n, [(u, v) for u in range(n) for v in bits(adj[u]) if u < v])
+
+
+@st.composite
+def kernel_cases(draw):
+    """A seeded random adjacency list on up to 70 vertices (past one 64-bit
+    word), a k and a node budget; hosts past 24 vertices get a nonzero
+    budget, so no case runs an unbounded search on a large host."""
+    n, adj = draw_adjacency(draw, 0, 70)
     k = draw(st.integers(0, 9))
     budget = draw(st.sampled_from((0, 1, 3, 10, 50, 500) if n <= 24 else (1, 3, 10, 50, 500)))
     return n, adj, k, budget
@@ -134,3 +132,64 @@ def test_backends_agree_on_random_adjacency(ckernels, case):
     assert pykernels.greedy_clique(n, adj) == ckernels.greedy_clique(n, adj)
     assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
     assert pykernels.max_clique(n, adj, budget) == ckernels.max_clique(n, adj, budget)
+
+
+@st.composite
+def embedding_cases(draw):
+    """A search plan for a seeded random pattern on up to 8 vertices in a
+    seeded random host on up to 70 vertices, anchored or not, and a node
+    budget; only hosts up to 10 vertices with patterns up to 5 vertices
+    may run unbounded, as a count on a larger pair can take minutes."""
+    hn, host_adj = draw_adjacency(draw, 0, 70)
+    pn, pat_adj = draw_adjacency(draw, 1, 8)
+    pattern = as_graph(pn, pat_adj)
+    anchor = None
+    if hn and draw(st.booleans()):
+        anchor = (draw(st.integers(0, pn - 1)), draw(st.integers(0, hn - 1)))
+    order, parents, cands = _search_plan(as_graph(hn, host_adj), pattern, anchor)
+    small = hn <= 10 and pn <= 5
+    budget = draw(st.sampled_from((0, 1, 5, 50, 500, 5000) if small else (1, 5, 50, 500, 5000)))
+    return (host_adj, _order_space_adj(pattern, order), parents, cands), budget
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=embedding_cases())
+def test_backends_agree_on_random_embeddings(ckernels, case):
+    plan, budget = case
+    assert pykernels.find_embedding(*plan, budget) == ckernels.find_embedding(*plan, budget)
+    assert pykernels.count_embeddings(*plan, budget) == ckernels.count_embeddings(*plan, budget)
+
+
+WIDE = 1 << 5000
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda m: m.greedy_clique(2, [2 | WIDE, 1 | WIDE]),
+        lambda m: m.greedy_clique(1, [-1]),
+        lambda m: m.greedy_clique(1, [1]),
+        lambda m: m.k_color(3, [2, 1], 2),
+        lambda m: m.max_clique(70, [0] * 69 + [1 << 70]),
+        lambda m: m.find_embedding([2, -1], [2, 1], [-1, 0], [3, 3]),
+        lambda m: m.find_embedding([2, 1], [2, 1], [-1, 0], [3, 4]),
+        lambda m: m.count_embeddings([2, 1], [2, 1], [-1, 1], [3, 3]),
+        lambda m: m.count_embeddings([2, 1], [2, 1], [-2, 0], [3, 3]),
+    ],
+    ids=[
+        "adjacency-bit-past-n",
+        "negative-adjacency-mask",
+        "adjacency-loop",
+        "short-adjacency-list",
+        "adjacency-bit-past-one-word",
+        "negative-host-mask",
+        "candidate-bit-past-host",
+        "parent-not-earlier",
+        "parent-below-minus-one",
+    ],
+)
+def test_compiled_kernels_reject_bad_masks(ckernels, call):
+    """Masks that would make a search read outside its arrays raise
+    ValueError before the search starts."""
+    with pytest.raises(ValueError):
+        call(ckernels)
