@@ -20,14 +20,14 @@ from pathlib import Path
 from bench_survey import load_built_c_kernels
 from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
-from chibound.embed import _order_space_adj, _search_plan
+from chibound.embed import _search_plan
 from chibound.generators import complete_graph, kneser, mycielski_tower, random_graph
 from chibound.trees import bristled_star
 
 
 def embedding_args(host, pattern):
-    order, parents, cands = _search_plan(host, pattern, None)
-    return list(host.adjacency_masks()), _order_space_adj(pattern, order), parents, cands
+    _, *plan = _search_plan(host, pattern, None)
+    return (list(host.adjacency_masks()), *plan)
 
 
 def workloads():

@@ -401,9 +401,9 @@ mc_expand(MCtx *cx, int level, int cur_len)
     while (!bs_empty(cand, cx->nw)) {
         if (cur_len + bs_popcount(cand, cx->nw) <= cx->best_len)
             return 0;
-        if (cx->budget && cx->nodes >= cx->budget)
-            return 2;
         cx->nodes++;
+        if (cx->budget && cx->nodes > cx->budget)
+            return 2;
         int v = bs_lowest(cand, cx->nw);
         FLIP(cand, v);
         cx->cur[cur_len] = v;
@@ -466,20 +466,23 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
 
 /* ------------------------------------------------------------- embeddings */
 
-/* Search-order space: position t is assigned t-th, parents[t] is an
-   earlier position adjacent to t (or -1), cands[t] the host candidates of
-   position t, and check_s/check_w[check_off[t]..check_off[t + 1]) list,
-   for each s < t, s and whether t and s must be adjacent. */
+/* Search-order space: position t is assigned t-th, pat row t has bit s
+   set iff positions t and s are adjacent, parents[t] is an earlier
+   position adjacent to t (or -1) and cands[t] the host candidates of
+   position t. Candidates are the unused hosts of cands[t] adjacent to the
+   parent's host, taken ascending, and each one taken is a node charged
+   before it is tested. A candidate h for position t passes iff
+   (host[h] & used) == want, where used holds the hosts assigned so far
+   and want, built once per level from pat row t, those of the earlier
+   positions adjacent to t: one mask comparison per candidate. */
 typedef struct {
-    int m, nw, count_all;
-    uint64_t *host, *cands, *pool_stack, *used;
-    int *parents, *assign, *check_s, *check_w;
-    Py_ssize_t *check_off;
+    int m, nw, pw, count_all;
+    uint64_t *host, *pat, *cands, *stack, *used; /* stack: pool and want rows per level */
+    int *parents, *assign;
     long long nodes, budget, total;
 } ECtx;
 
-/* 0 = continue counting, 1 = exhausted, 2 = budget exceeded,
-   3 = witness complete. */
+/* 0 = search on, 2 = budget exceeded, 3 = embedding complete. */
 static int
 emb_rec(ECtx *cx, int t)
 {
@@ -487,49 +490,48 @@ emb_rec(ECtx *cx, int t)
         cx->total++;
         return cx->count_all ? 0 : 3;
     }
-    int nw = cx->nw, p = cx->parents[t], h;
-    uint64_t *pool = cx->pool_stack + (size_t)t * nw;
+    int nw = cx->nw, p = cx->parents[t], h, s;
+    uint64_t *pool = cx->stack + (size_t)2 * t * nw, *want = pool + nw;
     for (int i = 0; i < nw; i++) {
         pool[i] = cx->cands[(size_t)t * nw + i] & ~cx->used[i];
         if (p >= 0)
             pool[i] &= cx->host[(size_t)cx->assign[p] * nw + i];
+        want[i] = 0;
+    }
+    FOR_BITS(s, cx->pat + (size_t)t * cx->pw, cx->pw) {
+        if (s < t)
+            FLIP(want, cx->assign[s]);
     }
     FOR_BITS(h, pool, nw) {
         cx->nodes++;
         if (cx->budget && cx->nodes > cx->budget)
             return 2;
         const uint64_t *ham = cx->host + (size_t)h * nw;
-        int ok = 1;
-        for (Py_ssize_t i = cx->check_off[t]; i < cx->check_off[t + 1]; i++) {
-            if ((int)TEST(ham, cx->assign[cx->check_s[i]]) != cx->check_w[i]) {
-                ok = 0;
-                break;
-            }
-        }
-        if (!ok)
+        int i = 0;
+        while (i < nw && (ham[i] & cx->used[i]) == want[i])
+            i++;
+        if (i < nw)
             continue;
         cx->assign[t] = h;
         FLIP(cx->used, h);
         int r = emb_rec(cx, t + 1);
         FLIP(cx->used, h);
-        if (r == 2 || r == 3)
+        if (r)
             return r;
     }
-    return cx->count_all ? 0 : 1;
+    return 0;
 }
 
 static void
 emb_free(ECtx *cx)
 {
     free(cx->host);
+    free(cx->pat);
     free(cx->cands);
-    free(cx->pool_stack);
+    free(cx->stack);
     free(cx->used);
     free(cx->parents);
     free(cx->assign);
-    free(cx->check_off);
-    free(cx->check_s);
-    free(cx->check_w);
 }
 
 /* Fill cx from the Python arguments; 0, or -1 with an exception set. */
@@ -556,30 +558,21 @@ emb_setup(ECtx *cx, PyObject *args, PyObject *kwargs, const char *fmt)
     cx->cands = load_masks(cands_o, m, nw, hn, 0, "cands");
     if (cx->cands == NULL)
         return -1;
-    int pw = words_for(m > 0 ? m : 1);
-    uint64_t *pat = load_masks(pat_o, m, pw, m, 1, "pat_adj_o");
-    if (pat == NULL)
+    cx->pw = words_for(m > 0 ? m : 1);
+    cx->pat = load_masks(pat_o, m, cx->pw, m, 1, "pat_adj_o");
+    if (cx->pat == NULL)
         return -1;
-    size_t checks = (size_t)m * (m > 0 ? m - 1 : 0) / 2 + 1;
-    cx->pool_stack = calloc(((size_t)m + 1) * nw, sizeof(uint64_t));
+    cx->stack = calloc(((size_t)m + 1) * 2 * nw, sizeof(uint64_t));
     cx->used = calloc(nw, sizeof(uint64_t));
     cx->parents = calloc(m + 1, sizeof(int));
     cx->assign = calloc(m + 1, sizeof(int));
-    cx->check_off = calloc(m + 1, sizeof(Py_ssize_t));
-    cx->check_s = calloc(checks, sizeof(int));
-    cx->check_w = calloc(checks, sizeof(int));
-    if (cx->pool_stack == NULL || cx->used == NULL || cx->parents == NULL || cx->assign == NULL ||
-        cx->check_off == NULL || cx->check_s == NULL || cx->check_w == NULL) {
-        free(pat);
+    if (cx->stack == NULL || cx->used == NULL || cx->parents == NULL || cx->assign == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     PyObject *seq = PySequence_Fast(parents_o, "parents must be a sequence of ints");
-    if (seq == NULL) {
-        free(pat);
+    if (seq == NULL)
         return -1;
-    }
-    Py_ssize_t pos = 0;
     for (int t = 0; t < m; t++) {
         long p = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, t));
         if (p == -1 && PyErr_Occurred())
@@ -589,15 +582,8 @@ emb_setup(ECtx *cx, PyObject *args, PyObject *kwargs, const char *fmt)
             break;
         }
         cx->parents[t] = (int)p;
-        cx->check_off[t] = pos;
-        for (int s = 0; s < t; s++) {
-            cx->check_s[pos] = s;
-            cx->check_w[pos++] = (int)TEST(pat + (size_t)t * pw, s);
-        }
     }
-    cx->check_off[m] = pos;
     Py_DECREF(seq);
-    free(pat);
     return PyErr_Occurred() ? -1 : 0;
 }
 

@@ -8,7 +8,13 @@ results; a change to one is made to both in the same commit.
 
 Common conventions:
   * adjacency is a list of Python ints, bit u of adj[v] set iff u ~ v;
-  * a node budget of 0 means unbounded;
+  * a node budget of 0 means unbounded; a budgeted kernel counts a node and
+    then stops once the count exceeds a nonzero budget, so it never
+    expands node budget + 1 nodes;
+  * the induced-embedding search tests a candidate host h for position t
+    with one mask comparison, host_adj[h] & used == want, where used holds
+    the hosts assigned so far and want those of the earlier positions
+    adjacent to t;
   * every entry point returns (status, payload) with status
     0 = result found, 1 = exhausted without result, 2 = budget exceeded.
 """
@@ -168,9 +174,9 @@ def max_clique(n, adj, node_budget=0):
         while cand:
             if len(cur) + cand.bit_count() <= len(best):
                 return 0
-            if node_budget and nodes >= node_budget:
-                return 2
             nodes += 1
+            if node_budget and nodes > node_budget:
+                return 2
             b = cand & -cand
             v = b.bit_length() - 1
             cand ^= b
@@ -193,86 +199,59 @@ def find_embedding(host_adj, pat_adj_o, parents, cands, node_budget=0):
     parents[t] is an earlier position adjacent to t (or -1), and cands[t]
     is the statically filtered host candidate mask for position t.
     """
-    m = len(parents)
-    assign = [0] * m
-    used = 0
-    nodes = 0
-    checks = [[(s, (pat_adj_o[t] >> s) & 1) for s in range(t)] for t in range(m)]
-
-    def rec(t):
-        nonlocal used, nodes
-        if t == m:
-            return 0
-        pool = cands[t] & ~used
-        if parents[t] >= 0:
-            pool &= host_adj[assign[parents[t]]]
-        while pool:
-            b = pool & -pool
-            h = b.bit_length() - 1
-            pool ^= b
-            nodes += 1
-            if node_budget and nodes > node_budget:
-                return 2
-            ham = host_adj[h]
-            ok = True
-            for s, want in checks[t]:
-                if (ham >> assign[s]) & 1 != want:
-                    ok = False
-                    break
-            if not ok:
-                continue
-            assign[t] = h
-            used |= b
-            r = rec(t + 1)
-            used ^= b
-            if r != 1:
-                return r
-        return 1
-
-    status = rec(0)
-    return (status, assign.copy() if status == 0 else None)
+    return _embed(host_adj, pat_adj_o, parents, cands, node_budget, False)
 
 
 def count_embeddings(host_adj, pat_adj_o, parents, cands, node_budget=0):
     """Count all induced embeddings (labeled maps). Same search as
     find_embedding without early exit."""
+    return _embed(host_adj, pat_adj_o, parents, cands, node_budget, True)
+
+
+def _embed(host_adj, pat_adj_o, parents, cands, node_budget, count):
+    """The search behind both entry points: the first embedding, or with
+    count the number of embeddings. Candidates for position t are the
+    unused hosts of cands[t] adjacent to the parent's host, taken ascending
+    at one node each, and the module docstring's mask test decides each."""
     m = len(parents)
     assign = [0] * m
+    earlier = [[s for s in range(t) if (pat_adj_o[t] >> s) & 1] for t in range(m)]
     used = 0
     nodes = 0
     total = 0
-    checks = [[(s, (pat_adj_o[t] >> s) & 1) for s in range(t)] for t in range(m)]
 
     def rec(t):
+        """0 = search on, 2 = budget exceeded, 3 = embedding complete."""
         nonlocal used, nodes, total
         if t == m:
             total += 1
-            return 0
+            return 0 if count else 3
+        want = 0
+        for s in earlier[t]:
+            want |= 1 << assign[s]
         pool = cands[t] & ~used
         if parents[t] >= 0:
             pool &= host_adj[assign[parents[t]]]
         while pool:
             b = pool & -pool
-            h = b.bit_length() - 1
             pool ^= b
             nodes += 1
             if node_budget and nodes > node_budget:
                 return 2
-            ham = host_adj[h]
-            ok = True
-            for s, want in checks[t]:
-                if (ham >> assign[s]) & 1 != want:
-                    ok = False
-                    break
-            if not ok:
+            h = b.bit_length() - 1
+            if host_adj[h] & used != want:
                 continue
             assign[t] = h
             used |= b
             r = rec(t + 1)
             used ^= b
-            if r == 2:
-                return 2
+            if r:
+                return r
         return 0
 
     status = rec(0)
-    return (status, total if status == 0 else None)
+    if status == 2:
+        return (2, None)
+    if count:
+        return (0, total)
+    return (0, assign.copy()) if status == 3 else (1, None)

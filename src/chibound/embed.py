@@ -95,7 +95,9 @@ def _dfs_order(pattern, root, comp_set):
 def _search_plan(host, pattern, anchor):
     """Order pattern vertices and build static candidate masks.
 
-    Returns (order, parents, cands) in search-order space. Static filters:
+    Returns (order, pat_adj_o, parents, cands) in search-order space:
+    pat_adj_o[t] has bit s set iff the pattern vertices at positions t and
+    s are adjacent. Static filters:
     host degree at least pattern degree everywhere, the anchor pinned to a
     single host vertex, and, within the anchor's pattern component, host
     distance from the anchor host no larger than pattern distance from the
@@ -132,6 +134,7 @@ def _search_plan(host, pattern, anchor):
     order = [v for v, _ in pairs]
     pos_of = {v: t for t, (v, _) in enumerate(pairs)}
     parents = [-1 if par < 0 else pos_of[par] for _, par in pairs]
+    pat_adj_o = [sum(1 << pos_of[w] for w in bits(pattern.adjacency_mask(v))) for v in order]
 
     cands = [deg_ok[v] for v in order]
     if anchor is not None:
@@ -151,7 +154,7 @@ def _search_plan(host, pattern, anchor):
                 if 0 <= hdist[h] <= pdist[v]:
                     allowed |= 1 << h
             cands[t] = allowed
-    return order, parents, cands
+    return order, pat_adj_o, parents, cands
 
 
 def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
@@ -170,11 +173,8 @@ def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
         return None
     if pattern.n == 0:
         return Embedding(mapping=())
-    order, parents, cands = _search_plan(host, pattern, anchor)
-    pat_adj_o = _order_space_adj(pattern, order)
-    status, assign = _kernels.find_embedding(
-        list(host.adjacency_masks()), pat_adj_o, parents, cands, node_budget or 0
-    )
+    order, *plan = _search_plan(host, pattern, anchor)
+    status, assign = _kernels.find_embedding(list(host.adjacency_masks()), *plan, node_budget or 0)
     if status == 2:
         raise SearchBudgetExceeded("induced embedding")
     if status == 1:
@@ -185,17 +185,6 @@ def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
     return Embedding(mapping=tuple(mapping))
 
 
-def _order_space_adj(pattern, order):
-    pos_of = {v: t for t, v in enumerate(order)}
-    out = []
-    for v in order:
-        m = 0
-        for w in bits(pattern.adjacency_mask(v)):
-            m |= 1 << pos_of[w]
-        out.append(m)
-    return out
-
-
 def count_induced_embeddings(host, pattern, node_budget=None):
     """Exact number of labeled induced embeddings. Automorphic images
     count separately."""
@@ -203,11 +192,8 @@ def count_induced_embeddings(host, pattern, node_budget=None):
         return 0
     if pattern.n == 0:
         return 1
-    order, parents, cands = _search_plan(host, pattern, None)
-    pat_adj_o = _order_space_adj(pattern, order)
-    status, total = _kernels.count_embeddings(
-        list(host.adjacency_masks()), pat_adj_o, parents, cands, node_budget or 0
-    )
+    _, *plan = _search_plan(host, pattern, None)
+    status, total = _kernels.count_embeddings(list(host.adjacency_masks()), *plan, node_budget or 0)
     if status == 2:
         raise SearchBudgetExceeded("embedding count")
     return total

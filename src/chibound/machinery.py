@@ -142,31 +142,34 @@ def _lex_independent_subset(g, candidates, d):
     return tuple(chosen) if rec(0) else None
 
 
-def _induced_paths_from(g, start, allowed_mask, length, budget_box=None):
+def _induced_paths_from(g, start, allowed_mask, length, node_budget=0):
     """Yield induced paths (as tuples) of exactly the given length starting
     at start, every later vertex drawn from allowed_mask, in lexicographic
-    order."""
-    path = [start]
+    order. Each vertex added to a path is one node; a nonzero node_budget
+    raises SearchBudgetExceeded on the node past it.
 
-    def extend():
+    A vertex w extends the path iff it is a neighbour of the last vertex in
+    allowed_mask, off the path and adjacent to no earlier path vertex: one
+    mask per step holds exactly those."""
+    adj = g.adjacency_masks()
+    path = [start]
+    nodes = 0
+
+    def extend(path_mask, earlier_nbrs):
+        nonlocal nodes
         if len(path) == length + 1:
             yield tuple(path)
             return
         last = path[-1]
-        for w in sorted(bits(g.adjacency_mask(last) & allowed_mask)):
-            if w in path:
-                continue
-            if any(g.has_edge(w, p) for p in path[:-1]):
-                continue
-            if budget_box is not None:
-                budget_box[0] += 1
-                if budget_box[1] and budget_box[0] > budget_box[1]:
-                    raise SearchBudgetExceeded("equipment path enumeration")
+        for w in bits(adj[last] & allowed_mask & ~path_mask & ~earlier_nbrs):
+            nodes += 1
+            if node_budget and nodes > node_budget:
+                raise SearchBudgetExceeded("equipment path enumeration")
             path.append(w)
-            yield from extend()
+            yield from extend(path_mask | 1 << w, earlier_nbrs | adj[last])
             path.pop()
 
-    yield from extend()
+    yield from extend(1 << start, 0)
 
 
 def _equipment_ground(g, center, y_ground, d):
@@ -192,8 +195,7 @@ def d_equipment(g, center, y_ground, d, node_budget=None):
     indep = _lex_independent_subset(g, nbrs, d)
     if indep is None:
         return None
-    box = [0, node_budget or 0]
-    for path in _induced_paths_from(g, center, ymask, d, box):
+    for path in _induced_paths_from(g, center, ymask, d, node_budget or 0):
         interior_mask = set_to_mask(set(path) - {center})
         for w in nbrs:
             if w in path:
@@ -218,8 +220,7 @@ def properly_d_equipped(g, center, y_ground, d, node_budget=None):
     avoid the path and have no neighbors on it beyond the center. The
     neighbor set now depends on the path, so both are searched together."""
     y, ymask, nbrs = _equipment_ground(g, center, y_ground, d)
-    box = [0, node_budget or 0]
-    for path in _induced_paths_from(g, center, ymask, d, box):
+    for path in _induced_paths_from(g, center, ymask, d, node_budget or 0):
         on_path = set(path)
         interior_mask = set_to_mask(on_path - {center})
         allowed = [v for v in nbrs if v not in on_path and not g.adjacency_mask(v) & interior_mask]

@@ -70,6 +70,22 @@ def brute_count_induced(host, pattern):
     return count
 
 
+def brute_induced_paths(g, start, allowed, length):
+    """Induced paths with length edges from start, later vertices drawn from
+    allowed, sorted: every sequence of distinct vertices is checked pair by
+    pair, adjacent exactly when consecutive."""
+    out = []
+    for tail in permutations(sorted(set(allowed) - {start}), length):
+        path = (start, *tail)
+        if all(
+            g.has_edge(path[i], path[j]) == (j == i + 1)
+            for i in range(len(path))
+            for j in range(i + 1, len(path))
+        ):
+            out.append(path)
+    return sorted(out)
+
+
 def has_triangle(g):
     return any(
         g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)

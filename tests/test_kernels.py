@@ -1,4 +1,6 @@
+import hashlib
 import importlib.util
+import json
 import random
 import shutil
 import subprocess
@@ -12,7 +14,7 @@ from hypothesis import strategies as st
 
 from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
-from chibound.embed import _order_space_adj, _search_plan
+from chibound.embed import _search_plan
 from chibound.generators import complete_graph, cycle_graph, mycielski_tower, path_graph, random_graph, star_graph
 from chibound.graphs import Graph, bits
 from chibound.trees import binary_star, broom, superstar
@@ -53,26 +55,18 @@ def ckernels(tmp_path_factory):
     return compiled_kernels(tmp_path_factory.mktemp("ckernels"))
 
 
-def test_backends_agree(ckernels):
-    assert ckernels.BACKEND_NAME == "c"
+def coloring_grid():
+    """(graph, ks) pairs: small random graphs at k = 1..4, then dense hosts,
+    a tower and a host past 64 vertices at every k up to chi."""
     for i in range(60):
-        g = random_graph(5 + i % 5, ("0.2", "0.4", "0.6", "0.8")[i // 5 % 4], 5000 + i)
-        n, adj = g.n, list(g.adjacency_masks())
-        assert pykernels.greedy_clique(n, adj) == ckernels.greedy_clique(n, adj)
-        for budget in (0, 3):
-            assert pykernels.max_clique(n, adj, budget) == ckernels.max_clique(n, adj, budget)
-            for k in range(1, 5):
-                assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
-
-    # dense hosts, a tower and a host past 64 vertices, at every k up to chi;
-    # the small budgets stop some searches mid-way
+        yield random_graph(5 + i % 5, ("0.2", "0.4", "0.6", "0.8")[i // 5 % 4], 5000 + i), range(1, 5)
     for g in [random_graph(40, "0.5", 7000 + i) for i in range(3)] + [mycielski_tower(3), random_graph(70, "0.1", 7100)]:
-        n, adj = g.n, list(g.adjacency_masks())
-        for k in range(1, chromatic_number(g)[0] + 1):
-            for budget in (0, 1, 10, 100, 1000):
-                assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
+        yield g, range(1, chromatic_number(g)[0] + 1)
 
-    # includes patterns absent from sparse hosts and hosts past 64 vertices
+
+def embedding_grid():
+    """Embedding kernel arguments for each (host, pattern, anchor) triple,
+    including patterns absent from sparse hosts and hosts past 64 vertices."""
     patterns = [
         path_graph(4),
         star_graph(3),
@@ -89,11 +83,63 @@ def test_backends_agree(ckernels):
         host_adj = list(host.adjacency_masks())
         for pattern in patterns:
             for anchor in (None, (0, 0), (pattern.n - 1, host.n // 2)):
-                order, parents, cands = _search_plan(host, pattern, anchor)
-                plan = (host_adj, _order_space_adj(pattern, order), parents, cands)
-                for budget in (0, 5, 50):
-                    assert pykernels.find_embedding(*plan, budget) == ckernels.find_embedding(*plan, budget)
-                    assert pykernels.count_embeddings(*plan, budget) == ckernels.count_embeddings(*plan, budget)
+                _, *plan = _search_plan(host, pattern, anchor)
+                yield (host_adj, *plan)
+
+
+def test_backends_agree(ckernels):
+    assert ckernels.BACKEND_NAME == "c"
+    # the small budgets stop some searches mid-way
+    for g, ks in coloring_grid():
+        n, adj = g.n, list(g.adjacency_masks())
+        assert pykernels.greedy_clique(n, adj) == ckernels.greedy_clique(n, adj)
+        for budget in (0, 1, 3, 10, 100, 1000) if g.n > 9 else (0, 3):
+            assert pykernels.max_clique(n, adj, budget) == ckernels.max_clique(n, adj, budget)
+            for k in ks:
+                assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
+
+    for plan in embedding_grid():
+        for budget in (0, 5, 50):
+            assert pykernels.find_embedding(*plan, budget) == ckernels.find_embedding(*plan, budget)
+            assert pykernels.count_embeddings(*plan, budget) == ckernels.count_embeddings(*plan, budget)
+
+
+BUDGET_SNAPSHOT = Path(__file__).with_name("kernel_budget_snapshot.json")
+GRID_BUDGETS = (0, 1, 5, 50, 500)
+
+
+def budget_outcomes(kernels):
+    """sha256 per kernel over the (status, payload) of every call on the
+    coloring and embedding grids at each of GRID_BUDGETS, and the number of
+    calls that ran out of budget."""
+    out = {"find_embedding": [], "count_embeddings": [], "max_clique": [], "k_color": []}
+    for g, ks in coloring_grid():
+        n, adj = g.n, list(g.adjacency_masks())
+        for budget in GRID_BUDGETS:
+            out["max_clique"].append(kernels.max_clique(n, adj, budget))
+            out["k_color"].extend(kernels.k_color(n, adj, k, budget) for k in ks)
+    for plan in embedding_grid():
+        for budget in GRID_BUDGETS:
+            out["find_embedding"].append(kernels.find_embedding(*plan, budget))
+            out["count_embeddings"].append(kernels.count_embeddings(*plan, budget))
+    return {
+        name: {
+            "sha256": hashlib.sha256(json.dumps(results).encode()).hexdigest(),
+            "budget_stops": sum(status == 2 for status, _ in results),
+        }
+        for name, results in out.items()
+    }
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_budget_outcomes_are_pinned(request, backend):
+    """Every kernel's outcome on the grids, budget stops included, matches
+    the golden file. Backend parity cannot see a change made to both
+    backends at once; this can."""
+    kernels = pykernels if backend == "python" else request.getfixturevalue("ckernels")
+    got = budget_outcomes(kernels)
+    assert all(entry["budget_stops"] for entry in got.values())
+    assert got == json.loads(BUDGET_SNAPSHOT.read_text())
 
 
 def draw_adjacency(draw, min_n, max_n):
@@ -146,10 +192,10 @@ def embedding_cases(draw):
     anchor = None
     if hn and draw(st.booleans()):
         anchor = (draw(st.integers(0, pn - 1)), draw(st.integers(0, hn - 1)))
-    order, parents, cands = _search_plan(as_graph(hn, host_adj), pattern, anchor)
+    _, *plan = _search_plan(as_graph(hn, host_adj), pattern, anchor)
     small = hn <= 10 and pn <= 5
     budget = draw(st.sampled_from((0, 1, 5, 50, 500, 5000) if small else (1, 5, 50, 500, 5000)))
-    return (host_adj, _order_space_adj(pattern, order), parents, cands), budget
+    return (host_adj, *plan), budget
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
@@ -193,3 +239,8 @@ def test_compiled_kernels_reject_bad_masks(ckernels, call):
     ValueError before the search starts."""
     with pytest.raises(ValueError):
         call(ckernels)
+
+
+if __name__ == "__main__":
+    # Rewrites the golden file; only for an intended change of kernel outcomes.
+    BUDGET_SNAPSHOT.write_text(json.dumps(budget_outcomes(pykernels), indent=1) + "\n")

@@ -1,6 +1,10 @@
 from itertools import combinations
 
 import pytest
+from hypothesis import assume, given, settings
+from hypothesis import strategies as st
+from oracles import brute_induced_paths
+from strategies import graphs_with_subsets
 
 from chibound.certificates import (
     Band,
@@ -17,6 +21,7 @@ from chibound.certificates import (
 )
 from chibound.coloring import chi_local, chromatic_number
 from chibound.embed import Embedding
+from chibound.errors import SearchBudgetExceeded
 from chibound.generators import (
     complete_graph,
     cycle_graph,
@@ -33,6 +38,7 @@ from chibound.machinery import (
     find_spire,
     find_x_split,
     gyarfas_path,
+    _induced_paths_from,
     induced_path_centered,
     properly_d_equipped,
 )
@@ -392,3 +398,22 @@ def test_induced_path_centered():
     assert induced_path_centered(cycle_graph(5), 0, 2) is None
     assert induced_path_centered(star_graph(3), 0, 1) is not None
     assert induced_path_centered(petersen(), 0, 2) is not None
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=graphs_with_subsets(max_n=9), start=st.integers(0, 8), length=st.integers(0, 4))
+def test_induced_paths_match_brute_force(case, start, length):
+    """The equipment path enumerator yields exactly the induced paths, in
+    lexicographic order, and charges one node per vertex added: a budget of
+    the number of induced path prefixes suffices and one less runs out."""
+    g, allowed = case
+    assume(start < g.n)
+    allowed_mask = set_to_mask(allowed)
+    want = brute_induced_paths(g, start, allowed, length)
+    assert list(_induced_paths_from(g, start, allowed_mask, length)) == want
+    nodes = sum(len(brute_induced_paths(g, start, allowed, k)) for k in range(1, length + 1))
+    if nodes:
+        assert list(_induced_paths_from(g, start, allowed_mask, length, nodes)) == want
+    if nodes > 1:
+        with pytest.raises(SearchBudgetExceeded):
+            list(_induced_paths_from(g, start, allowed_mask, length, nodes - 1))
