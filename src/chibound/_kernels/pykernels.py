@@ -8,9 +8,18 @@ results; a change to one is made to both in the same commit.
 
 Common conventions:
   * adjacency is a list of Python ints, bit u of adj[v] set iff u ~ v;
+  * every mask is checked as _ckernels.c checks it, in a pass the kernel
+    makes anyway: a negative mask, a bit at or past the vertex count, an
+    adjacency mask holding its own vertex's bit or too few masks raise
+    ValueError before a search starts;
   * a node budget of 0 means unbounded; a budgeted kernel counts a node and
     then stops once the count exceeds a nonzero budget, so it never
     expands node budget + 1 nodes;
+  * k_color keeps DSATUR's saturation as masks, one per color (who has a
+    neighbor of that color) and one per saturation level (who has at least
+    that many neighbor colors), so painting a vertex is a few mask
+    operations rather than a walk over its neighbors; _ckernels.c keeps
+    per-vertex counters instead and runs the same search node for node;
   * the induced-embedding search tests a candidate host h for position t
     with one mask comparison, host_adj[h] & used == want, where used holds
     the hosts assigned so far and want those of the earlier positions
@@ -22,30 +31,52 @@ Common conventions:
 BACKEND_NAME = "python"
 
 
+def _popcounts(masks, count, nbits, name, loops=False):
+    """Popcount of each of the first count masks, after the checks of
+    _ckernels.c's load_masks: each mask is a non-negative int below
+    1 << nbits and, unless loops, mask i does not hold bit i."""
+    if count < 0:
+        raise ValueError(f"vertex count {count} out of range")
+    if len(masks) < count:
+        raise ValueError(f"{name} has {len(masks)} masks, need {count}")
+    outside = ~((1 << nbits) - 1)
+    out = []
+    for i in range(count):
+        m = masks[i]
+        if m & outside:
+            raise ValueError(f"{name}[{i}] is negative or has a bit at or past {nbits}")
+        if not loops and m >> i & 1:
+            raise ValueError(f"{name}[{i}] holds its own vertex's bit")
+        out.append(m.bit_count())
+    return out
+
+
 def greedy_clique(n, adj):
     """Deterministic greedy clique, used as a chromatic lower bound and to
     precolor the coloring search. Start at the highest-degree vertex, then
     repeatedly add the candidate with the most candidate neighbors; ties go
     to the lowest id. Returns vertices in pick order."""
-    if n == 0:
+    return _greedy(adj, _popcounts(adj, n, n, "adj"))
+
+
+def _greedy(adj, degs):
+    """greedy_clique over checked adjacency with its vertex degrees."""
+    if not degs:
         return []
-    best_v, best_key = 0, (-1, 0)
-    for v in range(n):
-        key = (adj[v].bit_count(), -v)
-        if key > best_key:
-            best_key, best_v = key, v
+    best_v = degs.index(max(degs))
     clique = [best_v]
     cand = adj[best_v]
     while cand:
-        pick, pick_key = -1, (-1, 0)
+        # ascending ids and a strict test: ties go to the lowest id
+        pick, pick_count = -1, -1
         m = cand
         while m:
             b = m & -m
             v = b.bit_length() - 1
             m ^= b
-            key = ((adj[v] & cand).bit_count(), -v)
-            if key > pick_key:
-                pick_key, pick = key, v
+            count = (adj[v] & cand).bit_count()
+            if count > pick_count:
+                pick_count, pick = count, v
         clique.append(pick)
         cand &= adj[pick]
     return clique
@@ -54,104 +85,116 @@ def greedy_clique(n, adj):
 def k_color(n, adj, k, node_budget=0):
     """Decide k-colorability and return a witness.
 
-    Saturation-driven backtracking: repeatedly color the uncolored vertex
-    with the most distinctly-colored neighbors (ties: higher degree, then
-    lower id), trying colors in ascending order and allowing at most one
-    color beyond the current maximum. A greedy clique is precolored first.
-    The first witness found is canonical given these rules.
+    Saturation-driven backtracking (DSATUR): repeatedly color the uncolored
+    vertex with the most distinctly-colored neighbors (ties: higher degree,
+    then lower id), trying colors in ascending order and allowing at most
+    one color beyond the current maximum. A greedy clique is precolored
+    first. The first witness found is canonical given these rules.
 
-    The pick is one max() over an int key per vertex,
+    The saturation lives in masks over the vertices:
 
-        key[u] = (saturation << 2b) | (degree << b) | (n - 1 - u),
+      * seen[c] holds every vertex with a neighbor colored c, so c is free
+        for v iff seen[c] & (1 << v) is 0;
+      * lev[s], for s = 0..min(k, n), holds every vertex whose saturation
+        is at least s, so lev[0] holds them all; only its uncolored bits
+        are kept current;
+      * uncol holds the uncolored vertices.
 
-    with b = n.bit_length(). Saturation, degree and n - 1 - u all lie in
-    [0, n), so each fits its own b-bit field and comparing two keys
-    compares saturation first, then degree, then the id reversed: exactly
-    the order of the tuple (saturation, degree, -u). The low field differs
-    between any two vertices, so the maximum is unique and names its
-    vertex. paint adds one saturation unit to a neighbor whose count of
-    color c goes 0 -> 1 and unpaint takes it back on 1 -> 0. A colored
-    vertex's key is lowered by 1 << 3b, more than any key, so the maximum
-    is always an uncolored vertex.
+    Painting v with c raises by one the saturation of each vertex in
+    new = adj[v] & ~seen[c] & uncol: each level s from the top down takes
+    the vertices of new one level below, lev[s] |= lev[s - 1] & new. No
+    saturation exceeds the colors in use, so the top is the current
+    maximum color; the levels are nested, so once lev[s - 1] holds all of
+    new the levels below it hold new already and the walk stops.
+    Unpainting restores the saved seen[c] and levels. colors keeps the
+    stale colors of backtracked vertices: a success paints every vertex.
+
+    The pick is the highest level with an uncolored vertex. Among several,
+    the maximum of the static key (degree << b) | (n - 1 - u), with
+    b = n.bit_length(), names the vertex: degree and n - 1 - u lie in
+    [0, n), so each fits its own b-bit field and comparing keys compares
+    degree first, then the id reversed.
     """
+    degs = _popcounts(adj, n, n, "adj")
     if n == 0:
         return (0, [])
     if k <= 0:
         return (1, None)
-    clique = greedy_clique(n, adj)
+    clique = _greedy(adj, degs)
     if len(clique) > k:
         return (1, None)
 
     b = n.bit_length()
     low = (1 << b) - 1
-    sat = 1 << (2 * b)
-    sink = 1 << (3 * b)
-    keys = [(adj[v].bit_count() << b) | (n - 1 - v) for v in range(n)]
-    # neighbor lists, each built on the vertex's first paint: a search that
-    # ends after a few nodes never pays for the rest
-    nbrs = [None] * n
+    keys = [(d << b) | (n - 1 - v) for v, d in enumerate(degs)]
     colors = [0] * n
-    # count[c][u]: colored neighbors of u holding color c (1-based); no
-    # search of n vertices uses more than n colors
-    count = [[0] * n for _ in range(min(k, n) + 1)]
+    # no search of n vertices uses more than n colors
+    seen = [0] * (min(k, n) + 1)
+    lev = [0] * (min(k, n) + 1)
+    lev[0] = uncol = (1 << n) - 1
 
-    def paint(v, c):
+    for c, v in enumerate(clique, 1):
         colors[v] = c
-        keys[v] -= sink
-        row = nbrs[v]
-        if row is None:
-            row = nbrs[v] = []
-            m = adj[v]
-            while m:
-                bit = m & -m
-                row.append(bit.bit_length() - 1)
-                m ^= bit
-        cnt = count[c]
-        for u in row:
-            if cnt[u]:
-                cnt[u] += 1
-            else:
-                cnt[u] = 1
-                keys[u] += sat
-
-    def unpaint(v, c):
-        colors[v] = 0
-        keys[v] += sink
-        cnt = count[c]
-        for u in nbrs[v]:
-            if cnt[u] == 1:
-                cnt[u] = 0
-                keys[u] -= sat
-            else:
-                cnt[u] -= 1
-
-    for i, v in enumerate(clique):
-        paint(v, i + 1)
+        uncol ^= 1 << v
+        new = adj[v] & uncol
+        seen[c] = adj[v]
+        for s in range(c, 0, -1):
+            lev[s] |= lev[s - 1] & new
 
     nodes = 0
 
-    def rec(colored, max_used):
+    def rec(uncol, max_used):
         nonlocal nodes
-        if colored == n:
+        if not uncol:
             return 0
-        v = n - 1 - (max(keys) & low)
+        s = max_used
+        while not (cand := lev[s] & uncol):
+            s -= 1
+        if cand & (cand - 1):
+            best = -1
+            while cand:
+                u = cand.bit_length() - 1
+                cand ^= 1 << u
+                key = keys[u]
+                if key > best:
+                    best = key
+            v = n - 1 - (best & low)
+            bit = 1 << v
+        else:
+            bit = cand
+            v = bit.bit_length() - 1
+        row = adj[v]
+        rest = uncol ^ bit
         limit = max_used + 1 if max_used < k else k
         for c in range(1, limit + 1):
-            if count[c][v]:
+            was = seen[c]
+            if was & bit:
                 continue
             nodes += 1
             if node_budget and nodes > node_budget:
                 return 2
-            paint(v, c)
-            r = rec(colored + 1, max_used if c <= max_used else c)
-            if r == 0:
-                return 0
-            unpaint(v, c)
-            if r == 2:
-                return 2
+            top = max_used if c <= max_used else c
+            colors[v] = c
+            seen[c] = was | row
+            new = row & ~was & rest
+            if new:
+                saved = lev[1 : top + 1]
+                s = top
+                while True:
+                    below = lev[s - 1] & new
+                    lev[s] |= below
+                    if below == new:
+                        break
+                    s -= 1
+            r = rec(rest, top)
+            if r != 1:
+                return r
+            seen[c] = was
+            if new:
+                lev[1 : top + 1] = saved
         return 1
 
-    status = rec(len(clique), len(clique))
+    status = rec(uncol, len(clique))
     return (status, colors.copy() if status == 0 else None)
 
 
@@ -213,7 +256,13 @@ def _embed(host_adj, pat_adj_o, parents, cands, node_budget, count):
     count the number of embeddings. Candidates for position t are the
     unused hosts of cands[t] adjacent to the parent's host, taken ascending
     at one node each, and the module docstring's mask test decides each."""
-    m = len(parents)
+    hn, m = len(host_adj), len(parents)
+    _popcounts(host_adj, hn, hn, "host_adj")
+    _popcounts(cands, m, hn, "cands", loops=True)
+    _popcounts(pat_adj_o, m, m, "pat_adj_o")
+    for t, p in enumerate(parents):
+        if not -1 <= p < t:
+            raise ValueError(f"parents[{t}] is {p}, outside -1..{t - 1}")
     assign = [0] * m
     earlier = [[s for s in range(t) if (pat_adj_o[t] >> s) & 1] for t in range(m)]
     used = 0

@@ -59,6 +59,16 @@ def _parse_sets(pairs):
     return out
 
 
+def _node_budget(raw):
+    """argparse type of --node-budget: an int of at least 1."""
+    try:
+        if int(raw) >= 1:
+            return int(raw)
+    except ValueError:
+        pass
+    raise argparse.ArgumentTypeError(f"must be an integer of at least 1, got {raw!r}")
+
+
 def _load_graph(path, fmt):
     with open(path) as fh:
         text = fh.read()
@@ -239,14 +249,14 @@ def build_parser():
     sp.add_argument("--tree", required=True)
     sp.add_argument("--set", action="append", metavar="NAME=VALUE")
     sp.add_argument("--anchor-host", type=int, help="host vertex carrying the tree root")
-    sp.add_argument("--node-budget", type=int)
+    sp.add_argument("--node-budget", type=_node_budget)
     sp.set_defaults(func=cmd_find_tree)
 
     sp = sub.add_parser("starry", help="test for both star patterns")
     add_graph_arg(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--node-budget", type=int)
+    sp.add_argument("--node-budget", type=_node_budget)
     sp.set_defaults(func=cmd_starry)
 
     sp = sub.add_parser("spire", help="search for a dominating spire")

@@ -80,12 +80,22 @@ class ExperimentConfig:
             name = chk.get("check")
             if name not in KNOWN_CHECKS | GLOBAL_CHECKS:
                 raise ValueError(f"unknown check {name!r}")
+            _check_budget(chk.get("node_budget"), f"node_budget of check {name!r}")
+        budgets = dict(obj.get("budgets", {}))
+        _check_budget(budgets.get("search_nodes"), "budgets.search_nodes")
         return ExperimentConfig(
             corpus=list(corpus),
             checks=list(checks),
-            budgets=dict(obj.get("budgets", {})),
+            budgets=budgets,
             workers=int(obj.get("workers", 1)),
         )
+
+
+def _check_budget(value, where):
+    """A node budget is null (unbounded) or a positive int; 0, a
+    negative, a float, a bool or a string raises ValueError."""
+    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
+        raise ValueError(f"{where} must be a positive integer or null, got {value!r}")
 
 
 @dataclass

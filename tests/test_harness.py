@@ -178,6 +178,34 @@ def test_gyarfas_honours_node_budget():
     assert gyarfas_row({"generator": "petersen"}, 10) == ("pass", "instances=6")
 
 
+BAD_BUDGETS = [0, -3, 2.5, True, "50"]
+TOWER = {"generator": "mycielski_tower", "t": 3}
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS, ids=repr)
+def test_config_rejects_bad_check_budget(budget):
+    config = {"corpus": [TOWER], "checks": [{"check": "x_split", "node_budget": budget}]}
+    with pytest.raises(ValueError, match="node_budget of check 'x_split'"):
+        ExperimentConfig.from_dict(config)
+
+
+@pytest.mark.parametrize("budget", BAD_BUDGETS, ids=repr)
+def test_config_rejects_bad_search_nodes(budget):
+    config = {"corpus": [TOWER], "checks": [{"check": "x_split"}], "budgets": {"search_nodes": budget}}
+    with pytest.raises(ValueError, match="budgets.search_nodes"):
+        ExperimentConfig.from_dict(config)
+
+
+def test_config_accepts_null_and_positive_budgets():
+    for check_budget, search_nodes in ((None, None), (1, None), (None, 1), (10**6, 5)):
+        config = {
+            "corpus": [TOWER],
+            "checks": [{"check": "x_split", "node_budget": check_budget}],
+            "budgets": {"search_nodes": search_nodes},
+        }
+        assert ExperimentConfig.from_dict(config).budgets == {"search_nodes": search_nodes}
+
+
 # ----------------------------------------------------------------- CLI
 
 def test_cli_gen_chi_roundtrip(tmp_path, capsys):
@@ -224,6 +252,17 @@ def test_cli_find_tree_and_starry(tmp_path, capsys):
     assert cli_main(["starry", "--graph", str(out), "--k", "1", "--d", "1"]) == 0
     payload = json.loads(capsys.readouterr().out.strip())
     assert payload["starry"] is True
+
+
+@pytest.mark.parametrize("budget", ["0", "-3", "2.5", "fifty"])
+def test_cli_rejects_node_budget_below_one(tmp_path, capsys, budget):
+    out = tmp_path / "pg.g6"
+    cli_main(["gen", "--generator", "petersen", "--out", str(out)])
+    for argv in (["starry", "--k", "1", "--d", "1"], ["find-tree", "--tree", "broom", "--set", "k=1", "--set", "d=2"]):
+        with pytest.raises(SystemExit) as exc:
+            cli_main([*argv, "--graph", str(out), "--node-budget", budget])
+        assert exc.value.code == 2
+        assert "--node-budget: must be an integer of at least 1" in capsys.readouterr().err
 
 
 def test_cli_parse_error_exit_code(tmp_path):

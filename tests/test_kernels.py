@@ -15,7 +15,17 @@ from hypothesis import strategies as st
 from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
 from chibound.embed import _search_plan
-from chibound.generators import complete_graph, cycle_graph, mycielski_tower, path_graph, random_graph, star_graph
+from chibound.generators import (
+    complete_graph,
+    cycle_graph,
+    kneser,
+    mycielski_tower,
+    path_graph,
+    petersen,
+    random_graph,
+    shift_graph,
+    star_graph,
+)
 from chibound.graphs import Graph, bits
 from chibound.trees import binary_star, broom, superstar
 
@@ -102,6 +112,27 @@ def test_backends_agree(ckernels):
         for budget in (0, 5, 50):
             assert pykernels.find_embedding(*plan, budget) == ckernels.find_embedding(*plan, budget)
             assert pykernels.count_embeddings(*plan, budget) == ckernels.count_embeddings(*plan, budget)
+
+
+def tie_hosts():
+    """Hosts on which DSATUR's degree and id tie-breaks decide most picks:
+    the regular Petersen, kneser(7,2), cycle(9), K_{3,3,3} and the circulant
+    C_67(1, 2, 4), past one 64-bit word, and shift(8), whose 28 vertices
+    share five degrees."""
+    yield petersen()
+    yield kneser(7, 2)
+    yield shift_graph(8)
+    yield cycle_graph(9)
+    yield Graph(9, [(u, v) for u in range(9) for v in range(u + 1, 9) if u // 3 != v // 3])
+    yield Graph(67, [(i, (i + j) % 67) for i in range(67) for j in (1, 2, 4)])
+
+
+def test_backends_agree_where_ties_decide(ckernels):
+    for g in tie_hosts():
+        n, adj = g.n, list(g.adjacency_masks())
+        for k in range(1, chromatic_number(g)[0] + 1):
+            for budget in (0, 1, 10, 100):
+                assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
 
 
 BUDGET_SNAPSHOT = Path(__file__).with_name("kernel_budget_snapshot.json")
@@ -208,8 +239,9 @@ def test_backends_agree_on_random_embeddings(ckernels, case):
 
 WIDE = 1 << 5000
 
-
-@pytest.mark.parametrize(
+# Masks that would make a search read outside its arrays, or never end:
+# both backends raise ValueError on them before the search starts.
+bad_mask_calls = pytest.mark.parametrize(
     "call",
     [
         lambda m: m.greedy_clique(2, [2 | WIDE, 1 | WIDE]),
@@ -221,6 +253,14 @@ WIDE = 1 << 5000
         lambda m: m.find_embedding([2, 1], [2, 1], [-1, 0], [3, 4]),
         lambda m: m.count_embeddings([2, 1], [2, 1], [-1, 1], [3, 3]),
         lambda m: m.count_embeddings([2, 1], [2, 1], [-2, 0], [3, 3]),
+        lambda m: m.k_color(2, [3, 1], 2),
+        lambda m: m.k_color(2, [2, -2], 0),
+        lambda m: m.max_clique(2, [2]),
+        lambda m: m.max_clique(2, [2, -2]),
+        lambda m: m.find_embedding([3, 1], [2, 1], [-1, 0], [3, 3]),
+        lambda m: m.count_embeddings([2, 1], [2, 1], [-1, 0], [3]),
+        lambda m: m.find_embedding([2, 1], [2, 5], [-1, 0], [3, 3]),
+        lambda m: m.find_embedding([2, 1], [3, 1], [-1, 0], [3, 3]),
     ],
     ids=[
         "adjacency-bit-past-n",
@@ -232,13 +272,28 @@ WIDE = 1 << 5000
         "candidate-bit-past-host",
         "parent-not-earlier",
         "parent-below-minus-one",
+        "k-color-adjacency-loop",
+        "negative-mask-before-k-check",
+        "max-clique-short-adjacency-list",
+        "max-clique-negative-mask",
+        "host-adjacency-loop",
+        "short-candidate-list",
+        "pattern-bit-past-pattern",
+        "pattern-loop",
     ],
 )
+
+
+@bad_mask_calls
 def test_compiled_kernels_reject_bad_masks(ckernels, call):
-    """Masks that would make a search read outside its arrays raise
-    ValueError before the search starts."""
     with pytest.raises(ValueError):
         call(ckernels)
+
+
+@bad_mask_calls
+def test_python_kernels_reject_bad_masks(call):
+    with pytest.raises(ValueError):
+        call(pykernels)
 
 
 if __name__ == "__main__":
