@@ -59,8 +59,8 @@ def _parse_sets(pairs):
     return out
 
 
-def _node_budget(raw):
-    """argparse type of --node-budget: an int of at least 1."""
+def _positive_int(raw):
+    """argparse type of --node-budget and --workers: an int of at least 1."""
     try:
         if int(raw) >= 1:
             return int(raw)
@@ -249,14 +249,14 @@ def build_parser():
     sp.add_argument("--tree", required=True)
     sp.add_argument("--set", action="append", metavar="NAME=VALUE")
     sp.add_argument("--anchor-host", type=int, help="host vertex carrying the tree root")
-    sp.add_argument("--node-budget", type=_node_budget)
+    sp.add_argument("--node-budget", type=_positive_int)
     sp.set_defaults(func=cmd_find_tree)
 
     sp = sub.add_parser("starry", help="test for both star patterns")
     add_graph_arg(sp)
     sp.add_argument("--k", type=int, required=True)
     sp.add_argument("--d", type=int, required=True)
-    sp.add_argument("--node-budget", type=_node_budget)
+    sp.add_argument("--node-budget", type=_positive_int)
     sp.set_defaults(func=cmd_starry)
 
     sp = sub.add_parser("spire", help="search for a dominating spire")
@@ -289,7 +289,7 @@ def build_parser():
     sp = sub.add_parser("run", help="run an experiment config")
     sp.add_argument("--config", required=True)
     sp.add_argument("--out", help="output directory for report and certificates")
-    sp.add_argument("--workers", type=int)
+    sp.add_argument("--workers", type=_positive_int)
     sp.set_defaults(func=cmd_run)
 
     return p

@@ -4,13 +4,19 @@ All answers are exact; budgets are opt-in node budgets (deterministic) and
 default to unbounded. Searches break ties by lowest vertex id, so repeated
 runs and both kernel backends return identical witnesses. Unbudgeted
 answers are kept in each graph's chi memo (see graphs.Graph).
+
+Unbudgeted calls also use what the memo proves: a refuted k-colouring
+starts the next chi sweep of that graph above k, and a scan for the vertex
+set of largest chi stops at chi(g) and skips sets too small to win
+(_first_max_chi). Budgeted calls ignore the memo, so their budget outcomes
+are those of a cold graph.
 """
 
 from dataclasses import dataclass
 from itertools import islice
 
 from . import _kernels
-from .errors import ColoringBudgetExceeded, SearchBudgetExceeded
+from .errors import ColoringBudgetExceeded, SearchBudgetExceeded, _check_positive_int
 from .graphs import bits, check_vertex_set, layers, set_to_mask
 
 
@@ -48,10 +54,18 @@ class Coloring:
 
 
 def is_k_colorable(g, k, node_budget=None):
-    """A proper coloring with at most k colors, or None when none exists."""
+    """A proper coloring with at most k colors, or None when none exists.
+
+    An unbudgeted None is kept in g's chi memo as the proof chi >= k + 1,
+    where chromatic_number starts its sweep."""
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
-    return _k_colorable(list(g.adjacency_masks()), k, node_budget)
+    _check_positive_int(node_budget, "node_budget")
+    witness = _k_colorable(list(g.adjacency_masks()), k, node_budget)
+    if witness is None and node_budget is None:
+        key = ("lower", (1 << g.n) - 1)
+        g._chi_memo[key] = max(g._chi_memo.get(key, 1), k + 1)
+    return witness
 
 
 def _k_colorable(adj, k, node_budget=None):
@@ -64,14 +78,16 @@ def _k_colorable(adj, k, node_budget=None):
     return Coloring(colors=tuple(colors), color_count=max(used, 0))
 
 
-def _chromatic(adj, node_budget=None):
+def _chromatic(adj, node_budget=None, proven=1):
     """The k-sweep behind chromatic_number and chi_of, over the adjacency
-    masks of vertices 0..len(adj)-1."""
+    masks of vertices 0..len(adj)-1, from the larger of the greedy clique
+    size and the proven lower bound. Only the last k, chi itself, yields a
+    colouring, so the witness does not depend on where the sweep starts."""
     n = len(adj)
     if n == 0:
         return 0, None
-    lower = len(_kernels.greedy_clique(n, adj))
-    for k in range(max(lower, 1), n + 1):
+    lower = max(len(_kernels.greedy_clique(n, adj)), proven)
+    for k in range(lower, n + 1):
         try:
             witness = _k_colorable(adj, k, node_budget)
         except ColoringBudgetExceeded as e:
@@ -88,11 +104,13 @@ def chromatic_number(g, node_budget=None):
     witness. On budget exhaustion raises ColoringBudgetExceeded with the
     best bounds proved so far.
     """
+    _check_positive_int(node_budget, "node_budget")
     return _chi_of_mask(g, (1 << g.n) - 1, node_budget)
 
 
 def chi_of(g, s, node_budget=None):
     """Chromatic number of the subgraph induced on the vertex set s."""
+    _check_positive_int(node_budget, "node_budget")
     return _chi_of_mask(g, set_to_mask(check_vertex_set(g, s)), node_budget)[0]
 
 
@@ -101,7 +119,8 @@ def _chi_of_mask(g, smask, node_budget=None):
 
     The compressed masks come straight from g's, numbering smask's
     vertices in ascending order as induced_subgraph does, so answers and
-    budget bounds match. Unbudgeted answers go in g's chi memo.
+    budget bounds match. Unbudgeted answers go in g's chi memo, and
+    unbudgeted sweeps start at the lower bound is_k_colorable proved there.
     """
     memo = g._chi_memo
     if node_budget is None:
@@ -129,34 +148,63 @@ def _chi_of_mask(g, smask, node_budget=None):
                 m |= new_bit[u]
                 rest ^= u
             adj.append(m)
-    result = _chromatic(adj, node_budget)
-    if node_budget is None:
-        memo[smask] = result
+    if node_budget is not None:
+        return _chromatic(adj, node_budget)
+    memo[smask] = result = _chromatic(adj, None, memo.get(("lower", smask), 1))
     return result
 
 
 def clique_number(g, node_budget=None):
     """Exact clique number with a witness clique (empty for the null graph)."""
+    _check_positive_int(node_budget, "node_budget")
     status, clique = _kernels.max_clique(g.n, list(g.adjacency_masks()), node_budget or 0)
     if status == 2:
         raise SearchBudgetExceeded(f"maximum clique (best found {len(clique)})")
     return len(clique), tuple(clique)
 
 
+def _first_max_chi(g, masks, node_budget=None):
+    """First vertex mask of largest chromatic number in the given order,
+    with that chi; (None, -1) when there are no masks.
+
+    An unbudgeted scan applies two exact rules. It stops once the best chi
+    equals chi(g) from g's memo, since no subgraph has a larger chi. It
+    skips a mask with at most best-chi vertices, since such a set cannot
+    have a strictly larger chi. Neither rule changes the answer. A budgeted
+    scan colours every mask, so its budget outcome is that of a cold graph.
+    """
+    best, best_chi, cap = None, -1, None
+    if node_budget is None:
+        whole = g._chi_memo.get((1 << g.n) - 1)
+        cap = whole[0] if whole is not None else None
+    for m in masks:
+        if node_budget is None and m.bit_count() <= best_chi:
+            continue
+        chi = _chi_of_mask(g, m, node_budget)[0]
+        if chi > best_chi:
+            best, best_chi = m, chi
+            if chi == cap:
+                break
+    return best, best_chi
+
+
 def chi_local(g, k, node_budget=None):
     """Largest chromatic number of any radius-k closed ball; 0 for the
-    null graph. Unbudgeted answers go in g's chi memo."""
+    null graph. Unbudgeted answers go in g's chi memo.
+
+    Unbudgeted, the balls are scanned by _first_max_chi: the scan stops
+    once a ball reaches chi(g), when chromatic_number(g) is memoised, and
+    skips balls with no more vertices than the best chi so far. A budgeted
+    call colours every ball."""
     if k < 1:
         raise ValueError(f"radius must be positive, got {k}")
+    _check_positive_int(node_budget, "node_budget")
     memo, key = g._chi_memo, ("local", k)
     if node_budget is None and key in memo:
         return memo[key]
-    best = 0
-    for v in range(g.n):
-        ball = sum(islice(layers(g, v), k + 1))  # the frontiers are disjoint
-        chi = _chi_of_mask(g, ball, node_budget)[0]
-        if chi > best:
-            best = chi
+    # the frontiers are disjoint, so a ball is their sum
+    balls = (sum(islice(layers(g, v), k + 1)) for v in range(g.n))
+    best = max(_first_max_chi(g, balls, node_budget)[1], 0)
     if node_budget is None:
         memo[key] = best
     return best
@@ -170,6 +218,7 @@ def minimal_subset_with_chi(g, s, t, node_budget=None):
     """
     if t < 1:
         raise ValueError(f"threshold must be positive, got {t}")
+    _check_positive_int(node_budget, "node_budget")
     current = sorted(set(s))
     if chi_of(g, current, node_budget) < t:
         raise ValueError(f"chi of the given set is below {t}")

@@ -10,7 +10,7 @@ first witness is deterministic across runs and kernel backends.
 from dataclasses import dataclass
 
 from . import _kernels
-from .errors import SearchBudgetExceeded
+from .errors import SearchBudgetExceeded, _check_positive_int
 from .graphs import bits, components, layers
 from .trees import binary_star, bristled_star
 
@@ -164,6 +164,7 @@ def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
     embedding must respect. Raises SearchBudgetExceeded when a node budget
     is given and exhausted; that outcome is indeterminate, not absence.
     """
+    _check_positive_int(node_budget, "node_budget")
     if anchor is not None:
         ap, ah = anchor
         if not (0 <= ap < pattern.n):
@@ -188,6 +189,7 @@ def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
 def count_induced_embeddings(host, pattern, node_budget=None):
     """Exact number of labeled induced embeddings. Automorphic images
     count separately."""
+    _check_positive_int(node_budget, "node_budget")
     if pattern.n > host.n:
         return 0
     if pattern.n == 0:

@@ -1,4 +1,18 @@
-"""Exception types shared across the package."""
+"""Exception types, and the budget check, shared across the package."""
+
+
+def _check_positive_int(value, where, null_ok=True):
+    """Raise ValueError unless value is a positive int, or None when null_ok.
+
+    This is the rule for every node budget (None means unbounded) and for
+    worker counts: 0, a negative, a float, a bool or a string is refused
+    rather than read as unbounded or as an immediate budget stop.
+    """
+    if value is None and null_ok:
+        return
+    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        null = " or null" if null_ok else ""
+        raise ValueError(f"{where} must be a positive integer{null}, got {value!r}")
 
 
 class GraphParseError(ValueError):

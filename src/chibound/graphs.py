@@ -16,10 +16,11 @@ class Graph:
 
     Each graph carries a chi memo, filled and read only by coloring.py: the
     chromatic number and witness of every vertex set coloured by an
-    unbudgeted call, and chi_local per radius. Since a graph never changes,
-    the memo lives exactly as long as the graph and never goes stale.
-    Calls with a node budget neither read nor write it, so budget outcomes
-    are those of a cold graph.
+    unbudgeted call, chi_local per radius, and under ("lower", mask) the
+    bound chi >= k + 1 that an unbudgeted refuted k-colouring proved.
+    Since a graph never changes, the memo lives exactly as long as the
+    graph and never goes stale. Calls with a node budget neither read nor
+    write it, so budget outcomes are those of a cold graph.
     """
 
     __slots__ = ("_n", "_adj", "_chi_memo")

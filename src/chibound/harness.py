@@ -19,7 +19,7 @@ from .certificates import certificate_to_json, verify_certificate
 from .coloring import chi_local, chromatic_number, clique_number
 from .counterexamples import build_counterexample
 from .embed import is_kd_starry
-from .errors import BudgetExceeded, ConstructionRefuted
+from .errors import BudgetExceeded, ConstructionRefuted, _check_positive_int
 from .generators import make_graph
 from .graphio import parse_graph6, write_graph6
 from .graphs import _component_masks, mask_to_set, set_to_mask
@@ -80,22 +80,17 @@ class ExperimentConfig:
             name = chk.get("check")
             if name not in KNOWN_CHECKS | GLOBAL_CHECKS:
                 raise ValueError(f"unknown check {name!r}")
-            _check_budget(chk.get("node_budget"), f"node_budget of check {name!r}")
+            _check_positive_int(chk.get("node_budget"), f"node_budget of check {name!r}")
         budgets = dict(obj.get("budgets", {}))
-        _check_budget(budgets.get("search_nodes"), "budgets.search_nodes")
+        _check_positive_int(budgets.get("search_nodes"), "budgets.search_nodes")
+        workers = obj.get("workers", 1)
+        _check_positive_int(workers, "workers", null_ok=False)
         return ExperimentConfig(
             corpus=list(corpus),
             checks=list(checks),
             budgets=budgets,
-            workers=int(obj.get("workers", 1)),
+            workers=workers,
         )
-
-
-def _check_budget(value, where):
-    """A node budget is null (unbounded) or a positive int; 0, a
-    negative, a float, a bool or a string raises ValueError."""
-    if value is not None and (isinstance(value, bool) or not isinstance(value, int) or value < 1):
-        raise ValueError(f"{where} must be a positive integer or null, got {value!r}")
 
 
 @dataclass

@@ -16,9 +16,9 @@ from .certificates import (
     validate_spire,
     validate_x_split,
 )
-from .coloring import _chi_of_mask, chi_local
+from .coloring import _chi_of_mask, _first_max_chi, chi_local
 from .embed import find_induced_embedding
-from .errors import SearchBudgetExceeded
+from .errors import SearchBudgetExceeded, _check_positive_int
 from .graphs import (
     _component_masks,
     bits,
@@ -34,13 +34,14 @@ from .trees import path_tree
 def best_by_chi(g, masks, node_budget=None):
     """First vertex mask of largest chromatic number in the given order,
     with that chi; (None, -1) when there are no masks. Components listed by
-    _component_masks thus tie-break to the smallest member."""
-    best, best_chi = None, -1
-    for m in masks:
-        chi = _chi_of_mask(g, m, node_budget)[0]
-        if chi > best_chi:
-            best, best_chi = m, chi
-    return best, best_chi
+    _component_masks thus tie-break to the smallest member.
+
+    Unbudgeted, the scan stops once a mask reaches chi(g), when
+    chromatic_number(g) is memoised, and skips masks with no more vertices
+    than the best chi so far; neither rule changes the answer. A budgeted
+    call colours every mask in order."""
+    _check_positive_int(node_budget, "node_budget")
+    return _first_max_chi(g, masks, node_budget)
 
 
 def find_x_split(g, x_ground, min_chi, node_budget=None):
@@ -49,6 +50,7 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
     full component, which is maximal and loses no chromatic number.
     Absence means no split above the bound exists. A budget exhaustion
     inside the chromatic subcalls propagates as indeterminate."""
+    _check_positive_int(node_budget, "node_budget")
     x_ground = check_vertex_set(g, x_ground)
     xmask = set_to_mask(x_ground)
     outside_x = ((1 << g.n) - 1) & ~xmask
@@ -172,9 +174,10 @@ def _induced_paths_from(g, start, allowed_mask, length, node_budget=0):
     yield from extend(1 << start, 0)
 
 
-def _equipment_ground(g, center, y_ground, d):
+def _equipment_ground(g, center, y_ground, d, node_budget):
     """Checked ground set, its mask and the center's neighbors in it,
-    ascending."""
+    ascending, after checking d and the node budget."""
+    _check_positive_int(node_budget, "node_budget")
     y = check_vertex_set(g, y_ground)
     g._check(center)
     if d < 1:
@@ -191,7 +194,7 @@ def d_equipment(g, center, y_ground, d, node_budget=None):
     The independent neighbor set does not depend on the path, so it is
     found once; then paths are enumerated lexicographically until one
     admits a witness neighbor."""
-    y, ymask, nbrs = _equipment_ground(g, center, y_ground, d)
+    y, ymask, nbrs = _equipment_ground(g, center, y_ground, d, node_budget)
     indep = _lex_independent_subset(g, nbrs, d)
     if indep is None:
         return None
@@ -219,7 +222,7 @@ def properly_d_equipped(g, center, y_ground, d, node_budget=None):
     """Strengthened equipment: the d pairwise-nonadjacent neighbors must
     avoid the path and have no neighbors on it beyond the center. The
     neighbor set now depends on the path, so both are searched together."""
-    y, ymask, nbrs = _equipment_ground(g, center, y_ground, d)
+    y, ymask, nbrs = _equipment_ground(g, center, y_ground, d, node_budget)
     for path in _induced_paths_from(g, center, ymask, d, node_budget or 0):
         on_path = set(path)
         interior_mask = set_to_mask(on_path - {center})
@@ -251,6 +254,7 @@ def find_spire(g, d, min_chi, node_budget=None):
     degree, then ascending id."""
     if d < 1:
         raise ValueError(f"height must be positive, got {d}")
+    _check_positive_int(node_budget, "node_budget")
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     everything = (1 << g.n) - 1
     for x0 in order:

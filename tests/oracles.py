@@ -146,3 +146,33 @@ def brute_components(g, s):
     for v in s:
         groups.setdefault(root(v), set()).add(v)
     return sorted((frozenset(c) for c in groups.values()), key=min)
+
+
+def brute_subset_chi(g, s):
+    """Chromatic number of the subgraph induced on s, by brute_chromatic on
+    a graph built from g.edges()."""
+    from chibound.graphs import Graph
+
+    index = {v: i for i, v in enumerate(sorted(s))}
+    edges = [(index[u], index[v]) for u, v in g.edges() if u in index and v in index]
+    return brute_chromatic(Graph(len(index), edges))
+
+
+def brute_chi_local(g, k):
+    """Largest chromatic number over every closed ball of radius k, with
+    balls from brute_distances: all of them, no early stop; 0 for the null
+    graph."""
+    dist = brute_distances(g)
+    balls = ({u for u in range(g.n) if dist[v][u] is not None and dist[v][u] <= k} for v in range(g.n))
+    return max((brute_subset_chi(g, ball) for ball in balls), default=0)
+
+
+def first_argmax(items, key):
+    """First item of largest key and that key, or (None, -1) when there
+    are no items: a plain scan over every item."""
+    best, best_key = None, -1
+    for item in items:
+        value = key(item)
+        if value > best_key:
+            best, best_key = item, value
+    return best, best_key

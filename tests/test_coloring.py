@@ -2,9 +2,17 @@ import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_chromatic, brute_clique_number, has_triangle
+from oracles import (
+    brute_chi_local,
+    brute_chromatic,
+    brute_clique_number,
+    brute_subset_chi,
+    first_argmax,
+    has_triangle,
+)
 from strategies import graphs_with_subsets
 
+from chibound import _kernels
 from chibound.coloring import (
     chi_local,
     chi_of,
@@ -26,7 +34,8 @@ from chibound.generators import (
     random_graph,
     star_graph,
 )
-from chibound.graphs import Graph, distance, induced_subgraph
+from chibound.graphs import Graph, distance, induced_subgraph, mask_to_set
+from chibound.machinery import best_by_chi
 
 
 def corpus(count, sizes=(5, 6, 7, 8, 9), ps=("0.2", "0.4", "0.6", "0.8")):
@@ -235,3 +244,85 @@ def test_memo_answers_match_a_cold_graph(case):
             for bad in (g.n, -1):
                 with pytest.raises(ValueError):
                     chi_of(g, args[0] | {bad})
+
+
+# ----------------------------------------------------- the bounds-aware scans
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graphs_with_subsets(max_n=10), st.sampled_from([1, 2]), st.booleans())
+def test_chi_local_is_the_largest_ball_chi(case, k, warm):
+    """Warm, chromatic_number(g) is memoised first, so the scan may stop at
+    chi(g); cold, only the vertex-count skip applies."""
+    g, _ = case
+    if warm:
+        chromatic_number(g)
+    assert chi_local(g, k) == brute_chi_local(g, k)
+
+
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(graphs_with_subsets(max_n=10), st.data(), st.booleans(), st.sampled_from([None, 10**6]))
+def test_best_by_chi_is_the_first_argmax(case, data, warm, budget):
+    g, _ = case
+    whole = (1 << g.n) - 1
+    masks = data.draw(st.lists(st.one_of(st.integers(0, whole), st.just(whole)), max_size=8))
+    expected = first_argmax(masks, lambda m: brute_subset_chi(g, mask_to_set(m)))
+    if warm:
+        chromatic_number(g)
+    assert best_by_chi(g, iter(masks), budget) == expected
+
+
+@pytest.fixture
+def k_color_ks(monkeypatch):
+    """The k of every _kernels.k_color call the test makes, in order."""
+    k_color, ks = _kernels.k_color, []
+
+    def counted(*args):
+        ks.append(args[2])
+        return k_color(*args)
+
+    monkeypatch.setattr(_kernels, "k_color", counted)
+    return ks
+
+
+def test_chi_local_stops_at_chi_and_skips_small_balls(k_color_ks):
+    """Pins the k_color calls of chi_local once chi(g) is memoised, on a
+    survey graph, random(38, 0.1). Colouring every ball took 38 calls at
+    radius 1, where skipping balls of at most 3 vertices saves 5, and 58
+    at radius 2, where the scan stops at the second ball of chi 4."""
+    g = random_graph(38, "0.1", 38000)
+    assert chromatic_number(g)[0] == 4
+    del k_color_ks[:]
+    assert chi_local(g, 1) == 3
+    at_radius_1 = len(k_color_ks)
+    assert chi_local(g, 2) == 4
+    assert at_radius_1 <= 33 and len(k_color_ks) - at_radius_1 <= 2
+
+
+def test_refuted_colouring_starts_the_sweep_above_k(k_color_ks):
+    """Grotzsch has chi 4 and greedy clique 2. After an unbudgeted refuted
+    3-colouring the sweep tries only k = 4; a budgeted refutation is not
+    kept, so the sweep still starts at 2. The witness is the cold one."""
+    cold = chromatic_number(grotzsch())
+    for budget, sweep in ((None, [4]), (10**6, [2, 3, 4])):
+        g = grotzsch()
+        assert is_k_colorable(g, 3, budget) is None
+        del k_color_ks[:]
+        assert chromatic_number(g) == cold
+        assert k_color_ks == sweep
+
+
+@pytest.mark.parametrize("budget", [0, -3, 2.5, True], ids=repr)
+def test_entry_points_reject_bad_budgets(budget):
+    g = cycle_graph(5)
+    calls = [
+        lambda: is_k_colorable(g, 3, budget),
+        lambda: chromatic_number(g, budget),
+        lambda: chi_of(g, range(3), budget),
+        lambda: clique_number(g, budget),
+        lambda: chi_local(g, 1, budget),
+        lambda: minimal_subset_with_chi(g, range(5), 3, budget),
+        lambda: is_vertex_critical(g, budget),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="node_budget must be a positive integer or null"):
+            call()

@@ -109,6 +109,20 @@ def test_budget_is_indeterminate_not_absent():
         count_induced_embeddings(host, pattern, node_budget=1)
 
 
+@pytest.mark.parametrize("budget", [0, -3, 2.5, True], ids=repr)
+def test_entry_points_reject_bad_budgets(budget):
+    host, pattern = petersen(), path_graph(3)
+    calls = [
+        lambda: find_induced_embedding(host, pattern, node_budget=budget),
+        lambda: find_induced_embedding(host, Graph(0), node_budget=budget),
+        lambda: count_induced_embeddings(host, pattern, node_budget=budget),
+        lambda: is_kd_starry(host, 1, 1, node_budget=budget),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="node_budget must be a positive integer or null"):
+            call()
+
+
 def test_disconnected_pattern():
     two_edges = Graph(4, [(0, 1), (2, 3)])
     c6 = cycle_graph(6)

@@ -196,6 +196,12 @@ def test_config_rejects_bad_search_nodes(budget):
         ExperimentConfig.from_dict(config)
 
 
+@pytest.mark.parametrize("workers", [0, -1, "2", 2.7, True, None], ids=repr)
+def test_config_rejects_bad_workers(workers):
+    with pytest.raises(ValueError, match="workers must be a positive integer, got"):
+        ExperimentConfig.from_dict({"corpus": [TOWER], "checks": [], "workers": workers})
+
+
 def test_config_accepts_null_and_positive_budgets():
     for check_budget, search_nodes in ((None, None), (1, None), (None, 1), (10**6, 5)):
         config = {
@@ -263,6 +269,15 @@ def test_cli_rejects_node_budget_below_one(tmp_path, capsys, budget):
             cli_main([*argv, "--graph", str(out), "--node-budget", budget])
         assert exc.value.code == 2
         assert "--node-budget: must be an integer of at least 1" in capsys.readouterr().err
+
+
+def test_cli_rejects_workers_below_one(tmp_path, capsys):
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"corpus": [TOWER], "checks": [{"check": "invariants"}]}))
+    with pytest.raises(SystemExit) as exc:
+        cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out"), "--workers", "0"])
+    assert exc.value.code == 2
+    assert "--workers: must be an integer of at least 1" in capsys.readouterr().err
 
 
 def test_cli_parse_error_exit_code(tmp_path):

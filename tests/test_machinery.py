@@ -34,6 +34,7 @@ from chibound.generators import (
 )
 from chibound.graphs import Graph, components_within, induced_subgraph, is_connected_set, set_to_mask
 from chibound.machinery import (
+    best_by_chi,
     d_equipment,
     find_spire,
     find_x_split,
@@ -417,3 +418,19 @@ def test_induced_paths_match_brute_force(case, start, length):
     if nodes > 1:
         with pytest.raises(SearchBudgetExceeded):
             list(_induced_paths_from(g, start, allowed_mask, length, nodes - 1))
+
+
+@pytest.mark.parametrize("budget", [0, -3, 2.5, True], ids=repr)
+def test_entry_points_reject_bad_budgets(budget):
+    g = petersen()
+    calls = [
+        lambda: best_by_chi(g, [1, 3], budget),
+        lambda: find_x_split(g, {0}, 0, node_budget=budget),
+        lambda: find_spire(g, 1, 0, node_budget=budget),
+        lambda: d_equipment(g, 0, range(1, 10), 1, node_budget=budget),
+        lambda: properly_d_equipped(g, 0, range(1, 10), 1, node_budget=budget),
+        lambda: induced_path_centered(g, 0, 1, node_budget=budget),
+    ]
+    for call in calls:
+        with pytest.raises(ValueError, match="node_budget must be a positive integer or null"):
+            call()
