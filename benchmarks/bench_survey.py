@@ -50,6 +50,19 @@ def load_built_c_kernels(build_dir):
     return module
 
 
+def count_kernel_calls(kernels, names):
+    """Wrap the named entry points of the kernels module with call
+    counters. Returns the dict of counts, which grows as calls are made."""
+    calls = dict.fromkeys(names, 0)
+    for name in names:
+        def counted(*a, _fn=getattr(kernels, name), _name=name):
+            calls[_name] += 1
+            return _fn(*a)
+
+        setattr(kernels, name, counted)
+    return calls
+
+
 def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--backend", choices=("py", "c"), default="py")
@@ -78,13 +91,7 @@ def main():
         sweep()
         times = [sweep() for _ in range(args.repeat)]
 
-        calls = {"k_color": 0, "greedy_clique": 0}
-        for name in calls:
-            def counted(*a, _fn=getattr(_kernels, name), _name=name):
-                calls[_name] += 1
-                return _fn(*a)
-
-            setattr(_kernels, name, counted)
+        calls = count_kernel_calls(_kernels, ("k_color", "greedy_clique"))
         sweep()
 
     print(json.dumps({

@@ -8,7 +8,7 @@ which callers verify with the exhaustive searchers.
 """
 
 from dataclasses import dataclass
-from itertools import combinations, product
+from itertools import combinations
 
 from .coloring import chi_of, chromatic_number, clique_number, is_k_colorable, is_vertex_critical
 from .errors import ConstructionError, ConstructionRefuted
@@ -31,8 +31,7 @@ class GadgetSpec:
     cross_range: int | None = None
 
     def __post_init__(self):
-        if self.variant not in VARIANTS:
-            raise ValueError(f"variant must be one of {VARIANTS}, got {self.variant!r}")
+        check_counterexample_params(self.variant, self.k, self.cross_range)
         want = self.k - 1 if self.variant == "split-pairs" else self.k
         if len(self.s_list) != want:
             raise ValueError(
@@ -40,11 +39,8 @@ class GadgetSpec:
             )
         if len(set(self.s_list)) != len(self.s_list):
             raise ValueError("chosen vertices must be distinct")
-        if self.variant == "split-pairs":
-            if self.cross_range not in (self.k - 1, self.k):
-                raise ValueError(f"cross_range must be k-1 or k, got {self.cross_range}")
-        elif self.cross_range is not None:
-            raise ValueError("cross_range only applies to split-pairs")
+        if self.variant == "split-pairs" and self.cross_range is None:
+            raise ValueError("split-pairs needs a cross_range of k-1 or k")
 
     def to_json_dict(self):
         return {
@@ -86,14 +82,38 @@ def _default_base(k):
     return g
 
 
+def check_counterexample_params(variant, k, cross_range=None):
+    """Raise ValueError unless variant is one of VARIANTS, k is an int of
+    at least 2 (a bool or a float is refused) and cross_range fits the
+    variant: None for single-row, None (meaning k), k-1 or k for
+    split-pairs. Returns the cross_range to build with."""
+    if variant not in VARIANTS:
+        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
+    if isinstance(k, bool) or not isinstance(k, int) or k < 2:
+        raise ValueError(f"k must be an integer of at least 2, got {k!r}")
+    if variant == "single-row":
+        if cross_range is not None:
+            raise ValueError("cross_range only applies to split-pairs")
+        return None
+    if cross_range is None:
+        return k
+    if isinstance(cross_range, bool) or not isinstance(cross_range, int) or cross_range not in (k - 1, k):
+        raise ValueError(f"cross_range must be {k - 1} or {k}, got {cross_range!r}")
+    return cross_range
+
+
 def critical_base(k, base=None):
     """Delete a maximum-degree vertex u from a vertex-critical triangle-free
-    graph with chromatic number k+1.
+    graph g with chromatic number k+1, and return (h, i_set): h = g - u and
+    the old neighborhood of u.
 
-    Returns (h, i_set): the remaining graph and the old neighborhood of u,
-    after asserting that h is triangle-free and k-chromatic, that i_set is
-    stable, and that every proper k-coloring of h puts all k colors on
-    i_set (checked by complete enumeration).
+    Only those three properties of g are checked. They imply the facts the
+    gadgets rely on: h is triangle-free (an induced subgraph of g); i_set is
+    stable (an edge in N(u) would close a triangle with u); chi(h) = k (at
+    most k by criticality, at least k since chi(g) <= chi(h) + 1); every
+    proper k-coloring of h puts all k colors on i_set (one that missed a
+    color would extend to u and k-color g), so i_set has at least k
+    vertices.
     """
     if k < 2:
         raise ValueError(f"k must be at least 2, got {k}")
@@ -110,39 +130,7 @@ def critical_base(k, base=None):
     keep = [v for v in range(g.n) if v != u]
     h, old_ids = induced_subgraph(g, keep)
     new_of = {v: i for i, v in enumerate(old_ids)}
-    i_set = frozenset(new_of[v] for v in bits(g.adjacency_mask(u)))
-
-    chi_h, _ = chromatic_number(h)
-    if chi_h != k:
-        raise ConstructionError("chromatic-number-after-deletion", f"need {k}, got {chi_h}")
-    if any(h.has_edge(a, b) for a in i_set for b in i_set if a < b):
-        raise ConstructionError("stable-neighborhood")
-    omega_h, _ = clique_number(h)
-    if omega_h > 2:
-        raise ConstructionError("triangle-free")
-    for coloring in enumerate_proper_colorings(h, k):
-        if len({coloring[v] for v in i_set}) != k:
-            raise ConstructionError("all-colors-on-i", f"coloring {coloring} misses a color")
-    return h, i_set
-
-
-def enumerate_proper_colorings(g, k):
-    """All proper colorings with colors 1..k, by backtracking in vertex
-    order. Color classes are labeled, so permutations count separately."""
-    colors = [0] * g.n
-
-    def rec(v):
-        if v == g.n:
-            yield tuple(colors)
-            return
-        forbidden = {colors[u] for u in bits(g.adjacency_mask(v)) if u < v}
-        for c in range(1, k + 1):
-            if c not in forbidden:
-                colors[v] = c
-                yield from rec(v + 1)
-        colors[v] = 0
-
-    yield from rec(0)
+    return h, frozenset(new_of[v] for v in bits(g.adjacency_mask(u)))
 
 
 def attach_gadget(g, spec, i_set=None):
@@ -188,38 +176,6 @@ def attach_gadget(g, spec, i_set=None):
     return Graph(base + k + 1, edges), special
 
 
-def gadget_extends_all_colorings(g_before, g_after, spec, special):
-    """Exhaustively check the extension property: every assignment of at
-    most k colors to the chosen vertices extends to a proper coloring of
-    the gadget minus its special vertex."""
-    k = spec.k
-    new_vertices = [v for v in range(g_before.n, g_after.n) if v != special]
-    for assignment in product(range(1, k + 1), repeat=len(spec.s_list)):
-        fixed = dict(zip(spec.s_list, assignment))
-        if not _extends(g_after, fixed, new_vertices, k):
-            return False
-    return True
-
-
-def _extends(g, fixed, free_vertices, k):
-    colors = dict(fixed)
-
-    def rec(i):
-        if i == len(free_vertices):
-            return True
-        v = free_vertices[i]
-        taken = {colors[u] for u in bits(g.adjacency_mask(v)) if u in colors}
-        for c in range(1, k + 1):
-            if c not in taken:
-                colors[v] = c
-                if rec(i + 1):
-                    return True
-                del colors[v]
-        return False
-
-    return rec(0)
-
-
 def build_counterexample(variant, k, base=None, cross_range=None):
     """Attach gadgets over stable subsets in lexicographic order until the
     chromatic number rises, then stop and verify.
@@ -230,20 +186,9 @@ def build_counterexample(variant, k, base=None, cross_range=None):
     ConstructionRefuted when every gadget is attached and the chromatic
     number never moves.
     """
-    if variant not in VARIANTS:
-        raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if variant == "split-pairs":
-        cross_range_val = k if cross_range is None else cross_range
-        if cross_range_val not in (k - 1, k):
-            raise ValueError(f"cross_range must be {k - 1} or {k}")
-    else:
-        if cross_range is not None:
-            raise ValueError("cross_range only applies to split-pairs")
-        cross_range_val = None
+    cross_range_val = check_counterexample_params(variant, k, cross_range)
     h, i_set = critical_base(k, base)
     subset_size = k - 1 if variant == "split-pairs" else k
-    if len(i_set) < subset_size:
-        raise ConstructionError("stable-set-size", f"need {subset_size}, have {len(i_set)}")
     g = h
     log = []
     for chosen in combinations(sorted(i_set), subset_size):

@@ -48,8 +48,9 @@ class SearchBudgetExceeded(BudgetExceeded):
         super().__init__(f"{what} node budget exceeded; result indeterminate")
 
 
-class ConstructionError(Exception):
-    """A generator's input failed a required property; names the property."""
+class ConstructionError(ValueError):
+    """A generator's input failed a required property; names the property.
+    A ValueError, so the CLI reports it as bad input."""
 
     def __init__(self, prop, message=""):
         super().__init__(f"construction requirement failed: {prop}" + (f" ({message})" if message else ""))

@@ -17,7 +17,7 @@ from dataclasses import dataclass, field
 
 from .certificates import certificate_to_json, verify_certificate
 from .coloring import chi_local, chromatic_number, clique_number
-from .counterexamples import build_counterexample
+from .counterexamples import build_counterexample, check_counterexample_params
 from .embed import is_kd_starry
 from .errors import BudgetExceeded, ConstructionRefuted, _check_positive_int
 from .generators import make_graph
@@ -81,6 +81,8 @@ class ExperimentConfig:
             if name not in KNOWN_CHECKS | GLOBAL_CHECKS:
                 raise ValueError(f"unknown check {name!r}")
             _check_positive_int(chk.get("node_budget"), f"node_budget of check {name!r}")
+            if name == "counterexample":
+                check_counterexample_params(*_counterexample_args(chk))
         budgets = dict(obj.get("budgets", {}))
         _check_positive_int(budgets.get("search_nodes"), "budgets.search_nodes")
         workers = obj.get("workers", 1)
@@ -290,11 +292,14 @@ def _process_instance(task):
     return index, write_graph6(g), generator, rows, certs, elapsed
 
 
+def _counterexample_args(chk):
+    """(variant, k, cross_range) of a counterexample check, with defaults."""
+    return chk.get("variant", "split-pairs"), chk.get("k", 2), chk.get("cross_range")
+
+
 def _run_counterexample_check(chk):
     params = {k: v for k, v in chk.items() if k != "check"}
-    variant = params.get("variant", "split-pairs")
-    k = params.get("k", 2)
-    cross = params.get("cross_range")
+    variant, k, cross = _counterexample_args(chk)
     t0 = time.monotonic()
     try:
         res = build_counterexample(variant, k, cross_range=cross)

@@ -39,6 +39,29 @@ def brute_chromatic(g):
     return best
 
 
+def brute_extensions(g, fixed, free, k):
+    """Every proper coloring with colors 1..k that agrees with the partial
+    coloring fixed (a dict) and colors the vertices of free, as a dict per
+    coloring. Backtracks over free in order, testing edges with has_edge;
+    color classes are labeled, so permutations count separately."""
+    free = list(free)
+    colors = dict(fixed)
+
+    def rec(i):
+        if i == len(free):
+            yield dict(colors)
+            return
+        v = free[i]
+        taken = {c for u, c in colors.items() if g.has_edge(u, v)}
+        for c in range(1, k + 1):
+            if c not in taken:
+                colors[v] = c
+                yield from rec(i + 1)
+                del colors[v]
+
+    yield from rec(0)
+
+
 def brute_is_k_colorable(g, k):
     return brute_chromatic(g) <= k
 

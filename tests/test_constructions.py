@@ -1,10 +1,10 @@
 import hashlib
 from fractions import Fraction
-from itertools import product
+from itertools import combinations, product
 
 import pytest
 
-from oracles import brute_chromatic, has_triangle
+from oracles import all_graphs, brute_chromatic, brute_extensions, has_triangle
 
 from chibound.coloring import chromatic_number, clique_number, is_vertex_critical
 from chibound.counterexamples import (
@@ -12,8 +12,6 @@ from chibound.counterexamples import (
     attach_gadget,
     build_counterexample,
     critical_base,
-    enumerate_proper_colorings,
-    gadget_extends_all_colorings,
 )
 from chibound.errors import ConstructionError, ConstructionRefuted
 from chibound.generators import (
@@ -128,7 +126,7 @@ def test_critical_base_k2():
     h, i_set = critical_base(2)
     assert h.n == 4 and h.edge_count == 3
     assert sorted(i_set) == [0, 3]  # endpoints of the path
-    colorings = list(enumerate_proper_colorings(h, 2))
+    colorings = list(brute_extensions(h, {}, range(h.n), 2))
     assert len(colorings) == 2
     for col in colorings:
         assert {col[v] for v in i_set} == {1, 2}
@@ -137,7 +135,7 @@ def test_critical_base_k2():
 def test_critical_base_k3():
     h, i_set = critical_base(3)
     assert h.n == 10 and len(i_set) == 5
-    for col in enumerate_proper_colorings(h, 3):
+    for col in brute_extensions(h, {}, range(h.n), 3):
         assert len({col[v] for v in i_set}) == 3
 
 
@@ -151,6 +149,39 @@ def test_critical_base_rejects_bad_bases():
     with pytest.raises(ConstructionError) as e:
         critical_base(3, base=Graph(12, cycle_graph(11).edges()))
     assert e.value.prop in ("chromatic-number", "vertex-critical")
+
+
+BASE_CHECKS = {"triangle-free", "chromatic-number", "vertex-critical"}
+
+
+def _assert_base_facts(h, i_set, k):
+    """What the gadgets use of (h, i_set), checked by brute force."""
+    assert brute_chromatic(h) == k
+    assert not any(h.has_edge(a, b) for a, b in combinations(i_set, 2))
+    assert not has_triangle(h)
+    assert len(i_set) >= k
+    for col in brute_extensions(h, {}, range(h.n), k):
+        assert {col[v] for v in i_set} == set(range(1, k + 1)), col
+
+
+def test_critical_base_checks_imply_the_rest():
+    """critical_base checks only that g is triangle-free, (k+1)-chromatic
+    and vertex-critical. Whatever it accepts, among every labeled graph on
+    at most 6 vertices and the default bases, has the facts those imply;
+    whatever it refuses fails one of those three checks."""
+    accepted = 0
+    for k in (2, 3):
+        for n in range(7):
+            for g in all_graphs(n):
+                try:
+                    h, i_set = critical_base(k, g)
+                except ConstructionError as e:
+                    assert e.prop in BASE_CHECKS, (k, g.edges(), e.prop)
+                    continue
+                accepted += 1
+                _assert_base_facts(h, i_set, k)
+        _assert_base_facts(*critical_base(k), k)
+    assert accepted == 12  # the labeled five-cycles
 
 
 def test_attach_gadget_split_pairs_shape():
@@ -195,19 +226,20 @@ def test_gadget_spec_validation():
 
 
 def test_gadget_extension_property():
-    h, i_set = critical_base(2)
-    for chosen in [(0,), (3,)]:
-        spec = GadgetSpec(variant="split-pairs", k=2, s_list=chosen, cross_range=2)
-        big, special = attach_gadget(h, spec)
-        assert gadget_extends_all_colorings(h, big, spec, special)
+    """Every assignment of at most k colors to the chosen vertices extends
+    to a proper coloring of the gadget minus its special vertex."""
+    h, _ = critical_base(2)
     h3, i3 = critical_base(3)
-    chosen = tuple(sorted(i3))[:2]
-    spec = GadgetSpec(variant="split-pairs", k=3, s_list=chosen, cross_range=3)
-    big, special = attach_gadget(h3, spec)
-    assert gadget_extends_all_colorings(h3, big, spec, special)
-    row = GadgetSpec(variant="single-row", k=3, s_list=tuple(sorted(i3))[:3])
-    big, special = attach_gadget(h3, row)
-    assert gadget_extends_all_colorings(h3, big, row, special)
+    s3 = tuple(sorted(i3))
+    cases = [(h, GadgetSpec(variant="split-pairs", k=2, s_list=c, cross_range=2)) for c in [(0,), (3,)]]
+    cases.append((h3, GadgetSpec(variant="split-pairs", k=3, s_list=s3[:2], cross_range=3)))
+    cases.append((h3, GadgetSpec(variant="single-row", k=3, s_list=s3[:3])))
+    for base, spec in cases:
+        big, special = attach_gadget(base, spec)
+        free = [v for v in range(base.n, big.n) if v != special]
+        for assignment in product(range(1, spec.k + 1), repeat=len(spec.s_list)):
+            fixed = dict(zip(spec.s_list, assignment))
+            assert next(brute_extensions(big, fixed, free, spec.k), None) is not None, (spec, fixed)
 
 
 def test_single_row_rainbow_forcing():
@@ -224,30 +256,10 @@ def test_single_row_rainbow_forcing():
             if len(set(assignment)) != k:
                 continue
             fixed = dict(zip(chosen, assignment))
-            extensions = _all_extensions(big, fixed, free, k)
+            extensions = list(brute_extensions(big, fixed, free, k))
             assert extensions
             for ext in extensions:
                 assert {ext[v] for v in a} == set(range(1, k + 1))
-
-
-def _all_extensions(g, fixed, free_vertices, k):
-    out = []
-    colors = dict(fixed)
-
-    def rec(i):
-        if i == len(free_vertices):
-            out.append(dict(colors))
-            return
-        v = free_vertices[i]
-        taken = {colors[u] for u in bits(g.adjacency_mask(v)) if u in colors}
-        for c in range(1, k + 1):
-            if c not in taken:
-                colors[v] = c
-                rec(i + 1)
-                del colors[v]
-
-    rec(0)
-    return out
 
 
 def test_build_counterexample_k2():
@@ -264,7 +276,8 @@ def test_build_counterexample_refutes_each_k_once(monkeypatch):
     """The stopping rule refutes k-colouring of the final graph with
     is_k_colorable, then takes chromatic_number of the same graph. The kept
     refutation starts that sweep at k + 1. Re-refuting k (and the clique
-    bound 2 below it) took 34 k_color calls for split-pairs k = 3."""
+    bound 2 below it) took 34 k_color calls for split-pairs k = 3, and
+    colouring the base minus a vertex again in critical_base 32."""
     from chibound import _kernels
 
     k_color, calls = _kernels.k_color, []
@@ -277,7 +290,7 @@ def test_build_counterexample_refutes_each_k_once(monkeypatch):
     res = build_counterexample("split-pairs", 3)
     final = res.graph.adjacency_masks()
     assert [k for adj, k in calls if adj == final] == [3, 4]
-    assert len(calls) == 32
+    assert len(calls) == 30
 
 
 def test_build_counterexample_k2_verbatim_range_refutes():
@@ -301,3 +314,6 @@ def test_build_counterexample_validates_arguments():
         build_counterexample("single-row", 2, cross_range=1)
     with pytest.raises(ValueError):
         build_counterexample("spiral", 2)
+    for k in ("2", 2.0, 1, True):
+        with pytest.raises(ValueError, match="k must be an integer of at least 2"):
+            build_counterexample("split-pairs", k)

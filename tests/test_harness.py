@@ -202,6 +202,16 @@ def test_config_rejects_bad_workers(workers):
         ExperimentConfig.from_dict({"corpus": [TOWER], "checks": [], "workers": workers})
 
 
+@pytest.mark.parametrize(
+    "bad", [{"k": "2"}, {"k": 2.0}, {"k": 1}, {"variant": "spiral"}, {"cross_range": 7}], ids=repr
+)
+def test_config_rejects_bad_counterexample_params(bad):
+    """Refused when the config loads, before any instance runs."""
+    check = {"check": "counterexample", "variant": "split-pairs", "k": 2, **bad}
+    with pytest.raises(ValueError):
+        ExperimentConfig.from_dict({"corpus": [TOWER], "checks": [check]})
+
+
 def test_config_accepts_null_and_positive_budgets():
     for check_budget, search_nodes in ((None, None), (1, None), (None, 1), (10**6, 5)):
         config = {
@@ -245,6 +255,16 @@ def test_cli_counterexample(capsys):
     rc = cli_main(["counterexample", "--variant", "split-pairs", "--k", "2"])
     payload = json.loads(capsys.readouterr().out.strip())
     assert rc == 0 and payload["chi_after"] == 3
+
+
+def test_cli_counterexample_rejects_unusable_base(tmp_path, capsys):
+    """A base failing a construction requirement is bad input (exit 2), not
+    a refuted construction (exit 1)."""
+    tri = tmp_path / "tri.txt"
+    tri.write_text("3\n0 1\n1 2\n0 2\n")
+    rc = cli_main(["counterexample", "--variant", "split-pairs", "--k", "2", "--base", str(tri)])
+    assert rc == 2
+    assert capsys.readouterr().err.startswith("error: construction requirement failed: triangle-free")
 
 
 def test_cli_find_tree_and_starry(tmp_path, capsys):
