@@ -21,8 +21,8 @@ from bench_survey import load_built_c_kernels
 from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
 from chibound.embed import _search_plan
-from chibound.generators import complete_graph, kneser, mycielski_tower, random_graph
-from chibound.trees import bristled_star
+from chibound.generators import complete_graph, kneser, mycielski_tower, random_graph, shift_graph
+from chibound.trees import bristle, bristled_star, broom, superstar
 
 
 def embedding_args(host, pattern):
@@ -72,6 +72,18 @@ def workloads():
     yield ("count star in kneser(6,2)", lambda m: m.count_embeddings(*args))
     wide_args = embedding_args(wide, complete_graph(7))
     yield ("refute K7 in random(80, .3)", lambda m: m.find_embedding(*wide_args))
+    # the heaviest ops of the e2ebench patterns menu
+    k72, s7 = kneser(7, 2), shift_graph(7)
+    for name, pattern, host, host_name in [
+        ("bristle(1,2)", bristle(1, 2), k72, "kneser(7,2)"),
+        ("broom(2,2)", broom(2, 2), k72, "kneser(7,2)"),
+        ("superstar(2)", superstar(2), k72, "kneser(7,2)"),
+        ("superstar(3)", superstar(3), s7, "shift(7)"),
+    ]:
+        menu_args = embedding_args(host, pattern.graph)
+        yield (f"count {name} in {host_name}", lambda m, a=menu_args: m.count_embeddings(*a))
+    absent_args = embedding_args(k72, superstar(3).graph)
+    yield ("refute superstar(3) in kneser(7,2)", lambda m: m.find_embedding(*absent_args))
 
 
 def compiled_module(build_dir):

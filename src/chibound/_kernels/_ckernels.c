@@ -471,37 +471,95 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
    position adjacent to t (or -1) and cands[t] the host candidates of
    position t. Candidates are the unused hosts of cands[t] adjacent to the
    parent's host, taken ascending, and each one taken is a node charged
-   before it is tested. A candidate h for position t passes iff
-   (host[h] & used) == want, where used holds the hosts assigned so far
-   and want, built once per level from pat row t, those of the earlier
-   positions adjacent to t: one mask comparison per candidate. */
+   before it is tested. Below the last position L = m - 1, a candidate h
+   for position t passes iff (host[h] & used) == want, where used holds
+   the hosts assigned so far and want, built once per level from pat row
+   t, those of the earlier positions adjacent to t: one mask comparison
+   per candidate.
+
+   Each level also carries fit, the hosts that pass L's test against the
+   positions placed so far: level 0 starts it all ones, and placing h at
+   t < L ANDs in host row h when t ~ L in pat row L and its complement
+   otherwise. That reads host row h as a column, which is sound because
+   host adjacency is symmetric by contract (bit u of row v iff u ~ v);
+   the contract is not checked, as pykernels.find_embedding explains.
+   At L, ok = pool & fit is the passing set, found in one step:
+   count_embeddings adds popcount(ok) and charges popcount(pool) nodes;
+   find_embedding takes the lowest bit of ok and charges the pool
+   candidates up to and including it, or all of pool when ok is empty.
+   A leaf candidate recurses into nothing, so a budgeted call stops
+   exactly where a candidate-by-candidate loop would: every status,
+   witness, count and budget outcome is the same. */
 typedef struct {
     int m, nw, pw, count_all;
-    uint64_t *host, *pat, *cands, *stack, *used; /* stack: pool and want rows per level */
+    uint64_t *host, *pat, *cands, *stack, *used; /* stack: pool, want and fit rows per level */
     int *parents, *assign;
     long long nodes, budget, total;
 } ECtx;
+
+/* The last position's step, over its pool and fit rows: 0 = search on,
+   2 = budget exceeded, 3 = embedding complete. Only a nonzero budget
+   reads the node count, so an unbudgeted call skips the charge. */
+static int
+emb_leaf(ECtx *cx, const uint64_t *pool, const uint64_t *fit)
+{
+    int nw = cx->nw;
+    if (cx->budget) {
+        long long charge = 0;
+        for (int i = 0; i < nw; i++) {
+            uint64_t ok = pool[i] & fit[i];
+            if (ok && !cx->count_all) {
+                charge += __builtin_popcountll(pool[i] & ((ok & -ok) - 1)) + 1;
+                break;
+            }
+            charge += __builtin_popcountll(pool[i]);
+        }
+        cx->nodes += charge;
+        if (cx->nodes > cx->budget)
+            return 2;
+    }
+    if (cx->count_all) {
+        for (int i = 0; i < nw; i++)
+            cx->total += __builtin_popcountll(pool[i] & fit[i]);
+        return 0;
+    }
+    for (int i = 0; i < nw; i++) {
+        uint64_t ok = pool[i] & fit[i];
+        if (ok) {
+            cx->assign[cx->m - 1] = i * 64 + __builtin_ctzll(ok);
+            return 3;
+        }
+    }
+    return 0;
+}
 
 /* 0 = search on, 2 = budget exceeded, 3 = embedding complete. */
 static int
 emb_rec(ECtx *cx, int t)
 {
-    if (t == cx->m) {
+    if (t == cx->m) { /* reached only when m is 0 */
         cx->total++;
         return cx->count_all ? 0 : 3;
     }
-    int nw = cx->nw, p = cx->parents[t], h, s;
-    uint64_t *pool = cx->stack + (size_t)2 * t * nw, *want = pool + nw;
+    int nw = cx->nw, p = cx->parents[t], last = cx->m - 1, h, s;
+    uint64_t *pool = cx->stack + (size_t)3 * t * nw, *want = pool + nw, *fit = want + nw;
+    /* want is zeroed in this loop: a loop of its own compiles to a memset
+       call, which measurably slows searches that rarely reach the leaf */
     for (int i = 0; i < nw; i++) {
         pool[i] = cx->cands[(size_t)t * nw + i] & ~cx->used[i];
         if (p >= 0)
             pool[i] &= cx->host[(size_t)cx->assign[p] * nw + i];
         want[i] = 0;
     }
+    if (t == last)
+        return emb_leaf(cx, pool, fit);
     FOR_BITS(s, cx->pat + (size_t)t * cx->pw, cx->pw) {
         if (s < t)
             FLIP(want, cx->assign[s]);
     }
+    /* the next level's fit row, 3 * nw words on, keeps host row h, or its
+       complement when t is not adjacent to the last position */
+    uint64_t flip = TEST(cx->pat + (size_t)last * cx->pw, t) ? 0 : ~(uint64_t)0;
     FOR_BITS(h, pool, nw) {
         cx->nodes++;
         if (cx->budget && cx->nodes > cx->budget)
@@ -512,6 +570,8 @@ emb_rec(ECtx *cx, int t)
             i++;
         if (i < nw)
             continue;
+        for (i = 0; i < nw; i++)
+            fit[3 * nw + i] = fit[i] & (ham[i] ^ flip);
         cx->assign[t] = h;
         FLIP(cx->used, h);
         int r = emb_rec(cx, t + 1);
@@ -562,7 +622,7 @@ emb_setup(ECtx *cx, PyObject *args, PyObject *kwargs, const char *fmt)
     cx->pat = load_masks(pat_o, m, cx->pw, m, 1, "pat_adj_o");
     if (cx->pat == NULL)
         return -1;
-    cx->stack = calloc(((size_t)m + 1) * 2 * nw, sizeof(uint64_t));
+    cx->stack = calloc(((size_t)m + 1) * 3 * nw, sizeof(uint64_t));
     cx->used = calloc(nw, sizeof(uint64_t));
     cx->parents = calloc(m + 1, sizeof(int));
     cx->assign = calloc(m + 1, sizeof(int));
@@ -570,6 +630,8 @@ emb_setup(ECtx *cx, PyObject *args, PyObject *kwargs, const char *fmt)
         PyErr_NoMemory();
         return -1;
     }
+    for (int i = 0; i < nw; i++)
+        cx->stack[2 * nw + i] = ~(uint64_t)0; /* level 0's fit: every host */
     PyObject *seq = PySequence_Fast(parents_o, "parents must be a sequence of ints");
     if (seq == NULL)
         return -1;

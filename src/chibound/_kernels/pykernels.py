@@ -21,9 +21,11 @@ Common conventions:
     operations rather than a walk over its neighbors; _ckernels.c keeps
     per-vertex counters instead and runs the same search node for node;
   * the induced-embedding search tests a candidate host h for position t
-    with one mask comparison, host_adj[h] & used == want, where used holds
-    the hosts assigned so far and want those of the earlier positions
-    adjacent to t;
+    below the last with one mask comparison, host_adj[h] & used == want,
+    where used holds the hosts assigned so far and want those of the
+    earlier positions adjacent to t; the last position takes all its
+    passing hosts at once, as one AND of the candidate pool with a mask
+    that each placement narrows (see find_embedding);
   * every entry point returns (status, payload) with status
     0 = result found, 1 = exhausted without result, 2 = budget exceeded.
 """
@@ -241,6 +243,32 @@ def find_embedding(host_adj, pat_adj_o, parents, cands, node_budget=0):
     pat_adj_o[t] has bit s set iff pattern positions t and s are adjacent,
     parents[t] is an earlier position adjacent to t (or -1), and cands[t]
     is the statically filtered host candidate mask for position t.
+
+    Candidates for position t are the unused hosts of cands[t] adjacent to
+    the parent's host, in ascending order, one node each. Below the last
+    position L = m - 1 the module docstring's mask test decides each
+    candidate, and each passing one is placed and searched from. The
+    search also carries fit, the hosts that pass L's test against the
+    positions placed so far: it starts as all ones, and placing h at
+    position s < L ANDs in host_adj[h] when s ~ L and ~host_adj[h]
+    otherwise. At L the passing set is ok = pool & fit, in one step:
+
+      * count_embeddings adds popcount(ok) and charges popcount(pool)
+        nodes;
+      * find_embedding takes the lowest bit of ok and charges
+        popcount(pool & (first - 1)) + 1 nodes, first being that bit, or
+        popcount(pool) when ok is 0.
+
+    A candidate at L recurses into nothing, so a budgeted call stops, with
+    status 2, exactly when nodes + charge > node_budget: where a loop over
+    L's candidates one at a time would stop. Every status, witness, count
+    and budget outcome is that loop's.
+
+    fit reads host_adj[h] as a column (bit u set iff h ~ u), which holds
+    because host adjacency is symmetric by the module's convention. The
+    kernel does not check symmetry: that check, or transposing the host,
+    costs a pass over every mask on every call, and every caller passes a
+    Graph's adjacency, which is symmetric by construction.
     """
     return _embed(host_adj, pat_adj_o, parents, cands, node_budget, False)
 
@@ -255,7 +283,9 @@ def _embed(host_adj, pat_adj_o, parents, cands, node_budget, count):
     """The search behind both entry points: the first embedding, or with
     count the number of embeddings. Candidates for position t are the
     unused hosts of cands[t] adjacent to the parent's host, taken ascending
-    at one node each, and the module docstring's mask test decides each."""
+    at one node each; below the last position the module docstring's mask
+    test decides each, and the last position takes its passing set in one
+    step (see find_embedding)."""
     hn, m = len(host_adj), len(parents)
     _popcounts(host_adj, hn, hn, "host_adj")
     _popcounts(cands, m, hn, "cands", loops=True)
@@ -263,24 +293,49 @@ def _embed(host_adj, pat_adj_o, parents, cands, node_budget, count):
     for t, p in enumerate(parents):
         if not -1 <= p < t:
             raise ValueError(f"parents[{t}] is {p}, outside -1..{t - 1}")
+    if m == 0:
+        return (0, 1) if count else (0, [])
+    last = m - 1
+    # placing h at t < last ANDs sides[t][h] into fit: host row h when t
+    # is adjacent to the last position, else its complement
+    near_last = pat_adj_o[last]
+    off_rows = [~row for row in host_adj]
+    sides = [host_adj if near_last >> t & 1 else off_rows for t in range(last)]
     assign = [0] * m
     earlier = [[s for s in range(t) if (pat_adj_o[t] >> s) & 1] for t in range(m)]
     used = 0
     nodes = 0
     total = 0
 
-    def rec(t):
-        """0 = search on, 2 = budget exceeded, 3 = embedding complete."""
+    def rec(t, fit):
+        """0 = search on, 2 = budget exceeded, 3 = embedding complete.
+        fit holds the hosts that pass the last position's mask test
+        against positions 0..t - 1."""
         nonlocal used, nodes, total
-        if t == m:
-            total += 1
-            return 0 if count else 3
-        want = 0
-        for s in earlier[t]:
-            want |= 1 << assign[s]
         pool = cands[t] & ~used
         if parents[t] >= 0:
             pool &= host_adj[assign[parents[t]]]
+        if t == last:
+            ok = pool & fit
+            # only a nonzero budget reads the node count
+            if node_budget:
+                if ok and not count:
+                    nodes += (pool & ((ok & -ok) - 1)).bit_count() + 1
+                else:
+                    nodes += pool.bit_count()
+                if nodes > node_budget:
+                    return 2
+            if count:
+                total += ok.bit_count()
+                return 0
+            if ok:
+                assign[t] = (ok & -ok).bit_length() - 1
+                return 3
+            return 0
+        want = 0
+        for s in earlier[t]:
+            want |= 1 << assign[s]
+        side = sides[t]
         while pool:
             b = pool & -pool
             pool ^= b
@@ -292,13 +347,13 @@ def _embed(host_adj, pat_adj_o, parents, cands, node_budget, count):
                 continue
             assign[t] = h
             used |= b
-            r = rec(t + 1)
+            r = rec(t + 1, fit & side[h])
             used ^= b
             if r:
                 return r
         return 0
 
-    status = rec(0)
+    status = rec(0, -1)
     if status == 2:
         return (2, None)
     if count:

@@ -49,17 +49,27 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
     ascending and candidate components by smallest member. Z is always a
     full component, which is maximal and loses no chromatic number.
     Absence means no split above the bound exists. A budget exhaustion
-    inside the chromatic subcalls propagates as indeterminate."""
+    inside the chromatic subcalls propagates as indeterminate.
+
+    Unbudgeted, a min_chi of at most 1 is decided by vertex count: the
+    components are connected, so chi(Z) > 0 iff Z is nonempty and
+    chi(Z) > 1 iff Z has at least two vertices. A budgeted call colours every
+    candidate, so its budget outcomes stay those of the colouring."""
     _check_positive_int(node_budget, "node_budget")
     x_ground = check_vertex_set(g, x_ground)
     xmask = set_to_mask(x_ground)
     outside_x = ((1 << g.n) - 1) & ~xmask
+    by_size = node_budget is None and min_chi <= 1
     for x in sorted(x_ground):
         x_nbrs = g.adjacency_mask(x)
         for y in bits(x_nbrs & ~xmask):
             region = outside_x & ~(1 << y) & ~g.adjacency_mask(y)
             for comp in _component_masks(g, region, x_nbrs):
-                if _chi_of_mask(g, comp, node_budget)[0] > min_chi:
+                if by_size:
+                    above = comp.bit_count() > min_chi
+                else:
+                    above = _chi_of_mask(g, comp, node_budget)[0] > min_chi
+                if above:
                     cand = XSplit(x=x, y=y, z_set=mask_to_set(comp))
                     ok, clause = validate_x_split(g, x_ground, cand)
                     if not ok:

@@ -2,7 +2,9 @@
 
 Nothing here shares code with the package search kernels: chromatic
 numbers come from enumerating color assignments, embedding counts from
-enumerating injections, cliques from enumerating subsets.
+enumerating injections, cliques from enumerating subsets. The one
+exception, reference_embed, keeps a plain copy of the embedding kernels'
+candidate-by-candidate search, so tests can pin their node accounting.
 """
 
 from itertools import combinations, permutations
@@ -91,6 +93,55 @@ def brute_count_induced(host, pattern):
         if ok:
             count += 1
     return count
+
+
+def reference_embed(host_adj, pat_adj_o, parents, cands, budget, count):
+    """The induced-embedding kernels' search (see pykernels.find_embedding
+    for the arguments), one candidate and one node at a time at every
+    position, the last included. Returns (status, payload, nodes): the
+    kernels' (status, payload) for find_embedding, or with count for
+    count_embeddings, and the nodes charged before the search ended."""
+    m = len(parents)
+    assign = [0] * m
+    earlier = [[s for s in range(t) if (pat_adj_o[t] >> s) & 1] for t in range(m)]
+    used = 0
+    nodes = 0
+    total = 0
+
+    def rec(t):
+        nonlocal used, nodes, total
+        if t == m:
+            total += 1
+            return 0 if count else 3
+        want = 0
+        for s in earlier[t]:
+            want |= 1 << assign[s]
+        pool = cands[t] & ~used
+        if parents[t] >= 0:
+            pool &= host_adj[assign[parents[t]]]
+        while pool:
+            b = pool & -pool
+            pool ^= b
+            nodes += 1
+            if budget and nodes > budget:
+                return 2
+            h = b.bit_length() - 1
+            if host_adj[h] & used != want:
+                continue
+            assign[t] = h
+            used |= b
+            r = rec(t + 1)
+            used ^= b
+            if r:
+                return r
+        return 0
+
+    status = rec(0)
+    if status == 2:
+        return (2, None, nodes)
+    if count:
+        return (0, total, nodes)
+    return (0, assign.copy(), nodes) if status == 3 else (1, None, nodes)
 
 
 def brute_induced_paths(g, start, allowed, length):

@@ -11,6 +11,7 @@ from pathlib import Path
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from oracles import reference_embed
 
 from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
@@ -235,6 +236,39 @@ def test_backends_agree_on_random_embeddings(ckernels, case):
     plan, budget = case
     assert pykernels.find_embedding(*plan, budget) == ckernels.find_embedding(*plan, budget)
     assert pykernels.count_embeddings(*plan, budget) == ckernels.count_embeddings(*plan, budget)
+
+
+@st.composite
+def reference_cases(draw):
+    """Embedding kernel arguments with a symmetric host on 0 to 14
+    vertices, a pattern of 0 to 6 positions, each parent an arbitrary
+    earlier position or -1 and each candidate mask arbitrary."""
+    # sampled sizes and fill, as integers() would draw an empty host,
+    # pattern or candidate mask in about a third of the cases
+    hn = draw(st.sampled_from(range(15)))
+    m = draw(st.sampled_from(range(7)))
+    _, host_adj = draw_adjacency(draw, hn, hn)
+    _, pat_adj_o = draw_adjacency(draw, m, m)
+    fill = draw(st.sampled_from(range(101))) / 100
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    parents = [rng.randrange(-1, t) for t in range(m)]
+    cands = [sum(1 << h for h in range(hn) if rng.random() < fill) for _ in range(m)]
+    return host_adj, pat_adj_o, parents, cands
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(case=reference_cases())
+def test_embedding_kernels_match_reference_at_every_budget(ckernels, case):
+    """Both backends return the (status, payload) of the candidate-by-
+    candidate reference search at every budget up to one past the nodes an
+    unbudgeted call charges, so every stop point is hit."""
+    for count in (False, True):
+        kernel = "count_embeddings" if count else "find_embedding"
+        nodes = reference_embed(*case, 0, count)[2]
+        for budget in range(nodes + 2):
+            want = reference_embed(*case, budget, count)[:2]
+            assert getattr(pykernels, kernel)(*case, budget) == want
+            assert getattr(ckernels, kernel)(*case, budget) == want
 
 
 WIDE = 1 << 5000

@@ -26,10 +26,12 @@ from chibound.generators import (
     complete_graph,
     cycle_graph,
     grotzsch,
+    kneser,
     mycielski_tower,
     path_graph,
     petersen,
     random_graph,
+    shift_graph,
     star_graph,
 )
 from chibound.graphs import Graph, components_within, induced_subgraph, is_connected_set, set_to_mask
@@ -114,6 +116,25 @@ def test_find_x_split_matches_brute_enumeration():
             if got is not None:
                 assert validate_x_split(g, x_ground, got)[0]
                 assert chi_of(g, got.z_set) > min_chi
+
+
+def survey_graphs():
+    """The graphs of the e2ebench survey corpus: six named ones and 48
+    sparse random graphs on 20 to 50 vertices."""
+    yield from (cycle_graph(7), petersen(), grotzsch(), kneser(7, 2), mycielski_tower(3), shift_graph(8))
+    for n in (20, 26, 32, 38, 44, 50):
+        for i in range(8):
+            yield random_graph(n, ("0.1", "0.15")[i % 2], 1000 * n + i)
+
+
+def test_find_x_split_size_rule_matches_colouring():
+    """Unbudgeted, min_chi <= 1 is decided by component size; a budgeted
+    call, here with a budget no colouring reaches, colours every candidate.
+    Both give the same split, as the harness's colour class 1 x_ground."""
+    for g in survey_graphs():
+        x_ground = frozenset(v for v in range(g.n) if chromatic_number(g)[1].colors[v] == 1)
+        for min_chi in (0, 1, 2):
+            assert find_x_split(g, x_ground, min_chi) == find_x_split(g, x_ground, min_chi, node_budget=10**9)
 
 
 # ------------------------------------------------------------- gyarfas
