@@ -60,25 +60,13 @@ class Spire:
     a_set: frozenset
     b_set: frozenset
 
-    @property
-    def height(self):
-        return len(self.path) - 1
-
     def vertex_set(self):
         return self.a_set | self.b_set | set(self.path)
-
-    @property
-    def anchor(self):
-        """The path end inside A."""
-        return self.path[0] if self.path[0] in self.a_set else self.path[-1]
 
 
 @dataclass(frozen=True)
 class Cathedral:
     spires: tuple[Spire, ...]
-
-    def __len__(self):
-        return len(self.spires)
 
 
 @dataclass(frozen=True)

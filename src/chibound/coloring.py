@@ -8,7 +8,7 @@ answers are kept in each graph's chi memo (see graphs.Graph).
 Unbudgeted calls also use what the memo proves: a refuted k-colouring
 starts the next chi sweep of that graph above k, and a scan for the vertex
 set of largest chi stops at chi(g) and skips sets too small to win
-(_first_max_chi). Budgeted calls ignore the memo, so their budget outcomes
+(best_by_chi). Budgeted calls ignore the memo, so their budget outcomes
 are those of a cold graph.
 """
 
@@ -38,9 +38,6 @@ class Coloring:
 
     colors: tuple
     color_count: int
-
-    def color_of(self, v):
-        return self.colors[v]
 
     def to_json_dict(self):
         return {str(v): c for v, c in enumerate(self.colors)}
@@ -163,9 +160,10 @@ def clique_number(g, node_budget=None):
     return len(clique), tuple(clique)
 
 
-def _first_max_chi(g, masks, node_budget=None):
+def best_by_chi(g, masks, node_budget=None):
     """First vertex mask of largest chromatic number in the given order,
-    with that chi; (None, -1) when there are no masks.
+    with that chi; (None, -1) when there are no masks. Components listed by
+    graphs._component_masks thus tie-break to the smallest member.
 
     An unbudgeted scan applies two exact rules. It stops once the best chi
     equals chi(g) from g's memo, since no subgraph has a larger chi. It
@@ -173,6 +171,7 @@ def _first_max_chi(g, masks, node_budget=None):
     have a strictly larger chi. Neither rule changes the answer. A budgeted
     scan colours every mask, so its budget outcome is that of a cold graph.
     """
+    _check_positive_int(node_budget, "node_budget")
     best, best_chi, cap = None, -1, None
     if node_budget is None:
         whole = g._chi_memo.get((1 << g.n) - 1)
@@ -192,7 +191,7 @@ def chi_local(g, k, node_budget=None):
     """Largest chromatic number of any radius-k closed ball; 0 for the
     null graph. Unbudgeted answers go in g's chi memo.
 
-    Unbudgeted, the balls are scanned by _first_max_chi: the scan stops
+    Unbudgeted, the balls are scanned by best_by_chi: the scan stops
     once a ball reaches chi(g), when chromatic_number(g) is memoised, and
     skips balls with no more vertices than the best chi so far. A budgeted
     call colours every ball."""
@@ -204,7 +203,7 @@ def chi_local(g, k, node_budget=None):
         return memo[key]
     # the frontiers are disjoint, so a ball is their sum
     balls = (sum(islice(layers(g, v), k + 1)) for v in range(g.n))
-    best = max(_first_max_chi(g, balls, node_budget)[1], 0)
+    best = max(best_by_chi(g, balls, node_budget)[1], 0)
     if node_budget is None:
         memo[key] = best
     return best

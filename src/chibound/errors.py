@@ -31,8 +31,6 @@ class BudgetExceeded(Exception):
     """A bounded search ran out of budget. The outcome is indeterminate,
     never a refutation."""
 
-    indeterminate = True
-
 
 class ColoringBudgetExceeded(BudgetExceeded):
     """Carries the best chromatic bounds proved before the budget ran out."""

@@ -152,12 +152,18 @@ GENERATORS = {
 }
 
 
-def make_graph(name, params):
-    """Instantiate a named generator from a parameter mapping."""
+def generator_args(name, params):
+    """Keyword arguments of a named generator, taken from a parameter
+    mapping; ValueError for an unknown name or a missing parameter."""
     if name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}; known: {', '.join(sorted(GENERATORS))}")
-    fn, wanted = GENERATORS[name]
+    wanted = GENERATORS[name][1]
     missing = [w for w in wanted if w not in params]
     if missing:
         raise ValueError(f"generator {name} needs {wanted}, missing {missing}")
-    return fn(**{w: params[w] for w in wanted})
+    return {w: params[w] for w in wanted}
+
+
+def make_graph(name, params):
+    """Instantiate a named generator from a parameter mapping."""
+    return GENERATORS[name][0](**generator_args(name, params))

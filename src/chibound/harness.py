@@ -1,8 +1,14 @@
 """Experiment runner: seeded corpora, per-instance checks, CSV report,
 and a re-validatable certificate store.
 
+A run is a list of tasks, each indexed: one per corpus entry, which builds
+the graph and runs every per-graph check on it, then one per counterexample
+check, which builds its own construction. Every task returns its rows and
+certificates the same way, whether it runs in the calling process or in
+the worker pool.
+
 Reports are byte-identical across runs for a fixed config: every check is
-a pure function of the instance, rows are assembled in corpus order, and
+a pure function of its task, rows are assembled in task order, and
 wall-clock timings go to a separate non-normative file.
 """
 
@@ -16,34 +22,26 @@ from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field
 
 from .certificates import certificate_to_json, verify_certificate
-from .coloring import chi_local, chromatic_number, clique_number
+from .coloring import best_by_chi, chi_local, chromatic_number, clique_number
 from .counterexamples import build_counterexample, check_counterexample_params
 from .embed import is_kd_starry
 from .errors import BudgetExceeded, ConstructionRefuted, _check_positive_int
-from .generators import make_graph
+from .generators import generator_args, make_graph
 from .graphio import parse_graph6, write_graph6
 from .graphs import _component_masks, mask_to_set, set_to_mask
-from .machinery import best_by_chi, find_spire, find_x_split, gyarfas_path, induced_path_centered
-
-REPORT_VERSION = "chibound report v1"
-COLUMNS = (
-    "index",
-    "generator",
-    "graph_sha256",
-    "n",
-    "m",
-    "omega",
-    "chi",
-    "chi1",
-    "chi2",
-    "check",
-    "params",
-    "outcome",
-    "detail",
-    "certificate",
+from .machinery import (
+    d_equipment,
+    find_spire,
+    find_x_split,
+    gyarfas_path,
+    induced_path_centered,
+    properly_d_equipped,
 )
 
-GLOBAL_CHECKS = {"counterexample"}
+REPORT_VERSION = "chibound report v1"
+# the columns a counterexample row leaves empty
+GRAPH_COLUMNS = ("graph_sha256", "n", "m", "omega", "chi", "chi1", "chi2")
+COLUMNS = ("index", "generator", *GRAPH_COLUMNS, "check", "params", "outcome", "detail", "certificate")
 
 # outcomes that count against the run
 VIOLATION = "violation"
@@ -58,41 +56,44 @@ class ExperimentConfig:
 
     @staticmethod
     def from_dict(obj):
-        from .generators import GENERATORS
-
-        corpus = obj.get("corpus", [])
-        checks = obj.get("checks", [])
+        if not isinstance(obj, dict):
+            raise ValueError(f"a config must be a JSON object, got {obj!r}")
+        corpus = _objects(obj, "corpus")
+        checks = _objects(obj, "checks")
         for entry in corpus:
             if "graph6" in entry:
                 continue
             name = entry.get("generator")
             if name is None:
                 raise ValueError(f"corpus entry needs a generator or graph6: {entry}")
-            if name not in GENERATORS:
-                raise ValueError(f"unknown generator {name!r}")
-            wanted = GENERATORS[name][1]
-            missing = [w for w in wanted if w not in entry]
-            if missing:
-                raise ValueError(f"generator {name} needs {missing}: {entry}")
-            if name == "random" and "seed" not in entry:
-                raise ValueError(f"random corpus entries need an explicit seed: {entry}")
+            generator_args(name, entry)
         for chk in checks:
             name = chk.get("check")
-            if name not in KNOWN_CHECKS | GLOBAL_CHECKS:
+            if name not in _CHECK_FUNCS:
                 raise ValueError(f"unknown check {name!r}")
             _check_positive_int(chk.get("node_budget"), f"node_budget of check {name!r}")
             if name == "counterexample":
                 check_counterexample_params(*_counterexample_args(chk))
-        budgets = dict(obj.get("budgets", {}))
+        budgets = obj.get("budgets", {})
+        if not isinstance(budgets, dict):
+            raise ValueError(f"budgets must be an object, got {budgets!r}")
         _check_positive_int(budgets.get("search_nodes"), "budgets.search_nodes")
         workers = obj.get("workers", 1)
         _check_positive_int(workers, "workers", null_ok=False)
         return ExperimentConfig(
             corpus=list(corpus),
             checks=list(checks),
-            budgets=budgets,
+            budgets=dict(budgets),
             workers=workers,
         )
+
+
+def _objects(obj, key):
+    """obj[key], default empty, which must be a list of objects."""
+    items = obj.get(key, [])
+    if not isinstance(items, list) or not all(isinstance(item, dict) for item in items):
+        raise ValueError(f"{key} must be a list of objects, got {items!r}")
+    return items
 
 
 @dataclass
@@ -117,12 +118,8 @@ def _graph_of(entry):
     return make_graph(entry["generator"], params), entry["generator"]
 
 
-def _graph_id(g):
-    return hashlib.sha256(write_graph6(g).encode()).hexdigest()
-
-
-def _json_bytes(obj):
-    return json.dumps(obj, sort_keys=True, separators=(",", ":")).encode() + b"\n"
+def _compact(obj):
+    return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
 def _check_invariants(g, base, params):
@@ -226,6 +223,31 @@ def _check_starry(g, base, params):
     return _found(g, got, "")
 
 
+def _counterexample_args(params):
+    """(variant, k, cross_range) of a counterexample check, with defaults."""
+    return params.get("variant", "split-pairs"), params.get("k", 2), params.get("cross_range")
+
+
+def _check_counterexample(g, base, params):
+    """Build a gadget construction and confirm the property it limits; g
+    and base are None, since the check builds its own graph."""
+    variant, k, cross = _counterexample_args(params)
+    try:
+        res = build_counterexample(variant, k, cross_range=cross)
+    except ConstructionRefuted as e:
+        return "refuted", f"gadgets={len(e.log)}", None
+    claims = {"chi": res.verification}
+    v = res.special_vertex
+    if variant == "split-pairs":
+        claims["no_centered_five_path"] = induced_path_centered(res.graph, v, 2) is None
+    else:
+        ground = frozenset(range(res.graph.n)) - {v}
+        claims["not_properly_2_equipped"] = properly_d_equipped(res.graph, v, ground, 2) is None
+        claims["plain_2_equipped"] = d_equipment(res.graph, v, ground, 2) is not None
+    ok = all(all(c.values()) if isinstance(c, dict) else c for c in claims.values())
+    return ("pass" if ok else VIOLATION), _compact(claims), res.to_json_dict()
+
+
 _CHECK_FUNCS = {
     "invariants": _check_invariants,
     "stable_removal_degree": _check_stable_removal_degree,
@@ -233,38 +255,44 @@ _CHECK_FUNCS = {
     "x_split": _check_x_split,
     "spire": _check_spire,
     "starry": _check_starry,
+    "counterexample": _check_counterexample,
 }
-KNOWN_CHECKS = set(_CHECK_FUNCS)
 
 
-def _process_instance(task):
+def _process(task):
+    """Run one task: a corpus entry (a dict) with the per-graph checks, or,
+    with entry None, one counterexample check. A counterexample gets no
+    graph metrics, no injected node budget, no graph_sha256 in its
+    certificate and no corpus file. Returns (index, generator, graph6 or
+    None, rows, certs, elapsed)."""
     index, entry, checks, budgets = task
-    g, generator = _graph_of(entry)
-    gid = _graph_id(g)
     t0 = time.monotonic()
-    chi, coloring = chromatic_number(g)
-    omega, _ = clique_number(g)
-    metrics = {
-        "n": g.n,
-        "m": g.edge_count,
-        "omega": omega,
-        "chi": chi,
-        "chi1": chi_local(g, 1) if g.n else 0,
-        "chi2": chi_local(g, 2) if g.n else 0,
-    }
-    # keys that start with "_" feed the checks and stay out of the rows
-    base = {**metrics, "_coloring": coloring}
-    for key in ("expect_chi", "expect_omega"):
-        if key in entry:
-            base["_" + key] = entry[key]
+    g = base = g6 = None
+    generator, metrics = "(construction)", dict.fromkeys(GRAPH_COLUMNS, "")
+    if entry is not None:
+        g, generator = _graph_of(entry)
+        g6 = write_graph6(g)
+        chi, coloring = chromatic_number(g)
+        metrics = {
+            "graph_sha256": hashlib.sha256(g6.encode()).hexdigest(),
+            "n": g.n,
+            "m": g.edge_count,
+            "omega": clique_number(g)[0],
+            "chi": chi,
+            "chi1": chi_local(g, 1) if g.n else 0,
+            "chi2": chi_local(g, 2) if g.n else 0,
+        }
+        # keys that start with "_" feed the checks and stay out of the rows
+        base = {**metrics, "_coloring": coloring}
+        for key in ("expect_chi", "expect_omega"):
+            if key in entry:
+                base["_" + key] = entry[key]
     rows = []
     certs = []
     for chk in checks:
         name = chk["check"]
-        if name in GLOBAL_CHECKS:
-            continue
         params = {k: v for k, v in chk.items() if k != "check"}
-        if "node_budget" not in params and budgets.get("search_nodes"):
+        if g is not None and "node_budget" not in params and budgets.get("search_nodes"):
             params["node_budget"] = budgets["search_nodes"]
         try:
             outcome, detail, cert = _CHECK_FUNCS[name](g, base, params)
@@ -272,155 +300,65 @@ def _process_instance(task):
             outcome, detail, cert = "indeterminate", "budget exhausted", None
         cert_name = ""
         if cert is not None:
-            cert = {"graph_sha256": gid, **cert}
+            if g is not None:
+                cert = {"graph_sha256": metrics["graph_sha256"], **cert}
             cert_name = f"{index:04d}_{name}.json"
             certs.append((cert_name, cert))
         rows.append(
             {
                 "index": index,
                 "generator": generator,
-                "graph_sha256": gid,
                 **metrics,
                 "check": name,
-                "params": json.dumps(params, sort_keys=True, separators=(",", ":")),
+                "params": _compact(params),
                 "outcome": outcome,
                 "detail": detail,
                 "certificate": cert_name,
             }
         )
-    elapsed = time.monotonic() - t0
-    return index, write_graph6(g), generator, rows, certs, elapsed
-
-
-def _counterexample_args(chk):
-    """(variant, k, cross_range) of a counterexample check, with defaults."""
-    return chk.get("variant", "split-pairs"), chk.get("k", 2), chk.get("cross_range")
-
-
-def _run_counterexample_check(chk):
-    params = {k: v for k, v in chk.items() if k != "check"}
-    variant, k, cross = _counterexample_args(chk)
-    t0 = time.monotonic()
-    try:
-        res = build_counterexample(variant, k, cross_range=cross)
-    except ConstructionRefuted as e:
-        return (
-            {
-                "outcome": "refuted",
-                "detail": f"gadgets={len(e.log)}",
-                "cert": None,
-                "params": params,
-            },
-            time.monotonic() - t0,
-        )
-    claims = {"chi": res.verification}
-    v = res.special_vertex
-    if variant == "split-pairs":
-        claims["no_centered_five_path"] = induced_path_centered(res.graph, v, 2) is None
-    else:
-        from .machinery import d_equipment, properly_d_equipped
-
-        ground = frozenset(range(res.graph.n)) - {v}
-        claims["not_properly_2_equipped"] = properly_d_equipped(res.graph, v, ground, 2) is None
-        claims["plain_2_equipped"] = d_equipment(res.graph, v, ground, 2) is not None
-    flat_ok = all(
-        all(inner.values()) if isinstance(inner, dict) else inner for inner in claims.values()
-    )
-    outcome = "pass" if flat_ok else VIOLATION
-    detail = json.dumps(claims, sort_keys=True, separators=(",", ":"))
-    return (
-        {
-            "outcome": outcome,
-            "detail": detail,
-            "cert": res.to_json_dict(),
-            "params": params,
-        },
-        time.monotonic() - t0,
-    )
+    return index, generator, g6, rows, certs, time.monotonic() - t0
 
 
 def run_experiment(config, output_dir=None):
-    """Run all checks over the corpus; optionally write report.csv, the
-    corpus, certificates, and timings under output_dir."""
-    tasks = [(i, entry, config.checks, config.budgets) for i, entry in enumerate(config.corpus)]
+    """Run all checks over the corpus and the counterexample checks after
+    it; optionally write report.csv, the corpus, certificates, and timings
+    under output_dir."""
+    per_graph = [chk for chk in config.checks if chk["check"] != "counterexample"]
+    jobs = [(entry, per_graph) for entry in config.corpus]
+    jobs += [(None, [chk]) for chk in config.checks if chk["check"] == "counterexample"]
+    tasks = [(i, entry, checks, config.budgets) for i, (entry, checks) in enumerate(jobs)]
     if config.workers > 1 and len(tasks) > 1:
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
-            results = list(pool.map(_process_instance, tasks))
+            results = list(pool.map(_process, tasks))
     else:
-        results = [_process_instance(t) for t in tasks]
-    results.sort(key=lambda r: r[0])
+        results = [_process(t) for t in tasks]
 
-    rows = []
-    cert_files = {}
-    corpus_files = {}
-    timings = []
-    for index, g6, generator, inst_rows, certs, elapsed in results:
-        rows.extend(inst_rows)
-        for name, obj in certs:
-            cert_files[name] = obj
-        corpus_files[f"{index:04d}_{generator}.g6"] = g6 + "\n"
-        timings.append((index, generator, elapsed))
-
-    next_global = len(config.corpus)
-    for chk in config.checks:
-        if chk["check"] not in GLOBAL_CHECKS:
-            continue
-        outcome, elapsed = _run_counterexample_check(chk)
-        cert_name = ""
-        if outcome["cert"] is not None:
-            cert_name = f"{next_global:04d}_counterexample.json"
-            cert_files[cert_name] = outcome["cert"]
-        rows.append(
-            {
-                "index": next_global,
-                "generator": "(construction)",
-                "graph_sha256": "",
-                "n": "",
-                "m": "",
-                "omega": "",
-                "chi": "",
-                "chi1": "",
-                "chi2": "",
-                "check": chk["check"],
-                "params": json.dumps(outcome["params"], sort_keys=True, separators=(",", ":")),
-                "outcome": outcome["outcome"],
-                "detail": outcome["detail"],
-                "certificate": cert_name,
-            }
-        )
-        timings.append((next_global, "(construction)", elapsed))
-        next_global += 1
-
-    violations = sum(1 for r in rows if r["outcome"] == VIOLATION)
-    indeterminate = sum(1 for r in rows if r["outcome"] == "indeterminate")
+    rows = [row for result in results for row in result[3]]
     report = Report(
         rows=rows,
         summary={
             "instances": len(config.corpus),
             "rows": len(rows),
-            "violations": violations,
-            "indeterminate": indeterminate,
+            "violations": sum(1 for r in rows if r["outcome"] == VIOLATION),
+            "indeterminate": sum(1 for r in rows if r["outcome"] == "indeterminate"),
         },
     )
 
     if output_dir is not None:
-        os.makedirs(output_dir, exist_ok=True)
-        with open(os.path.join(output_dir, "report.csv"), "wb") as fh:
-            fh.write(report.to_csv().encode())
-        cdir = os.path.join(output_dir, "certificates")
-        os.makedirs(cdir, exist_ok=True)
-        for name, obj in sorted(cert_files.items()):
-            with open(os.path.join(cdir, name), "wb") as fh:
-                fh.write(_json_bytes(obj))
-        gdir = os.path.join(output_dir, "corpus")
-        os.makedirs(gdir, exist_ok=True)
-        for name, text in sorted(corpus_files.items()):
-            with open(os.path.join(gdir, name), "wb") as fh:
+        files = {"report.csv": report.to_csv()}
+        timings = ["# wall-clock seconds; excluded from the determinism contract\n"]
+        for index, generator, g6, _, certs, elapsed in results:
+            for name, obj in certs:
+                files[os.path.join("certificates", name)] = _compact(obj) + "\n"
+            if g6 is not None:
+                files[os.path.join("corpus", f"{index:04d}_{generator}.g6")] = g6 + "\n"
+            timings.append(f"{index},{generator},{elapsed:.3f}\n")
+        files["timings.csv"] = "".join(timings)
+        for sub in ("certificates", "corpus"):
+            os.makedirs(os.path.join(output_dir, sub), exist_ok=True)
+        for name, text in files.items():
+            with open(os.path.join(output_dir, name), "wb") as fh:
                 fh.write(text.encode())
-        with open(os.path.join(output_dir, "timings.csv"), "w") as fh:
-            fh.write("# wall-clock seconds; excluded from the determinism contract\n")
-            for index, generator, elapsed in timings:
-                fh.write(f"{index},{generator},{elapsed:.3f}\n")
     return report
 
 

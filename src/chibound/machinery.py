@@ -16,7 +16,7 @@ from .certificates import (
     validate_spire,
     validate_x_split,
 )
-from .coloring import _chi_of_mask, _first_max_chi, chi_local
+from .coloring import _chi_of_mask, best_by_chi, chi_local
 from .embed import find_induced_embedding
 from .errors import SearchBudgetExceeded, _check_positive_int
 from .graphs import (
@@ -29,19 +29,6 @@ from .graphs import (
     set_to_mask,
 )
 from .trees import path_tree
-
-
-def best_by_chi(g, masks, node_budget=None):
-    """First vertex mask of largest chromatic number in the given order,
-    with that chi; (None, -1) when there are no masks. Components listed by
-    _component_masks thus tie-break to the smallest member.
-
-    Unbudgeted, the scan stops once a mask reaches chi(g), when
-    chromatic_number(g) is memoised, and skips masks with no more vertices
-    than the best chi so far; neither rule changes the answer. A budgeted
-    call colours every mask in order."""
-    _check_positive_int(node_budget, "node_budget")
-    return _first_max_chi(g, masks, node_budget)
 
 
 def find_x_split(g, x_ground, min_chi, node_budget=None):

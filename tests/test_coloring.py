@@ -14,6 +14,7 @@ from strategies import graphs_with_subsets
 
 from chibound import _kernels
 from chibound.coloring import (
+    best_by_chi,
     chi_local,
     chi_of,
     chromatic_number,
@@ -35,7 +36,6 @@ from chibound.generators import (
     star_graph,
 )
 from chibound.graphs import Graph, distance, induced_subgraph, mask_to_set
-from chibound.machinery import best_by_chi
 
 
 def corpus(count, sizes=(5, 6, 7, 8, 9), ps=("0.2", "0.4", "0.6", "0.8")):

@@ -95,6 +95,19 @@ def test_worker_pool_matches_serial(tmp_path):
     assert ta == tb
 
 
+MALFORMED_CONFIGS = [
+    [],
+    "config",
+    {"corpus": {"generator": "petersen"}, "checks": []},
+    {"corpus": [], "checks": {"check": "invariants"}},
+    {"corpus": None, "checks": []},
+    {"corpus": ["graph6"], "checks": []},
+    {"corpus": [], "checks": ["invariants"]},
+    {"corpus": [], "checks": [], "budgets": 5},
+    {"corpus": [], "checks": [], "budgets": None},
+]
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"corpus": [{"generator": "random", "n": 5, "p": "0.5"}], "checks": []})
@@ -104,6 +117,10 @@ def test_config_validation():
         ExperimentConfig.from_dict({"corpus": [], "checks": [{"check": "wat"}]})
     with pytest.raises(ValueError):
         ExperimentConfig.from_dict({"corpus": [{"n": 5}], "checks": []})
+    # malformed shapes are ValueErrors too, before anything runs
+    for bad in MALFORMED_CONFIGS:
+        with pytest.raises(ValueError):
+            ExperimentConfig.from_dict(bad)
 
 
 def test_verify_lemma_type_mismatch():
@@ -300,6 +317,14 @@ def test_cli_rejects_workers_below_one(tmp_path, capsys):
     assert "--workers: must be an integer of at least 1" in capsys.readouterr().err
 
 
+def test_cli_run_rejects_malformed_config(tmp_path, capsys):
+    """A config of the wrong shape is bad input (exit 2), not violations (exit 1)."""
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"corpus": ["graph6"], "checks": [{"check": "invariants"}]}))
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err.startswith("error: corpus must be a list of objects")
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_text("D")
@@ -331,19 +356,52 @@ SNAPSHOT_CONFIG = {
 }
 
 
-def harness_snapshot(out_dir):
-    """Output file path -> sha256 of report.csv and every certificate."""
-    run_experiment(ExperimentConfig.from_dict(SNAPSHOT_CONFIG), output_dir=str(out_dir))
+# Per-graph checks interleaved with counterexample checks, under a search
+# budget: its rows are found, absent, indeterminate, pass and refuted.
+MIXED_CONFIG = {
+    "corpus": [
+        {"generator": "cycle", "n": 7},
+        {"generator": "petersen"},
+        {"generator": "grotzsch"},
+        {"graph6": "Ehfw"},  # the wheel: a 5-cycle and a hub
+        {"generator": "random", "n": 24, "p": "0.2", "seed": 5},
+    ],
+    "checks": [
+        {"check": "invariants"},
+        {"check": "counterexample", "variant": "split-pairs", "k": 2},
+        {"check": "stable_removal_degree"},
+        {"check": "gyarfas", "k_max": 2, "starts": 3},
+        {"check": "counterexample", "variant": "single-row", "k": 2},
+        {"check": "x_split", "min_chi": 1, "node_budget": 3},
+        {"check": "spire", "d": 2, "min_chi": 1},
+        {"check": "counterexample", "variant": "split-pairs", "k": 2, "cross_range": 1},
+        {"check": "starry", "k": 1, "d": 1},
+    ],
+    "budgets": {"search_nodes": 50},
+}
+# golden file -> (config, output files it covers, by path prefix)
+SNAPSHOTS = {
+    SNAPSHOT: (SNAPSHOT_CONFIG, ("report.csv", "certificates")),
+    SNAPSHOT.with_name("harness_mixed_snapshot.json"): (MIXED_CONFIG, ("report.csv", "certificates", "corpus")),
+}
+
+
+def harness_snapshot(golden, out_dir, workers=1):
+    """Output file path -> sha256 of each output file the golden file covers."""
+    config, covered = SNAPSHOTS[golden]
+    run_experiment(ExperimentConfig.from_dict({**config, "workers": workers}), output_dir=str(out_dir))
     tree = read_tree(out_dir)
     return {
         name: hashlib.sha256(data).hexdigest()
         for name, data in sorted(tree.items())
-        if name == "report.csv" or name.startswith("certificates")
+        if name.startswith(covered)
     }
 
 
-def test_harness_snapshot(tmp_path):
-    assert harness_snapshot(tmp_path / "out") == json.loads(SNAPSHOT.read_text())
+@pytest.mark.parametrize("workers", [1, 2])
+@pytest.mark.parametrize("golden", list(SNAPSHOTS), ids=lambda p: p.stem)
+def test_harness_snapshot(tmp_path, golden, workers):
+    assert harness_snapshot(golden, tmp_path / "out", workers) == json.loads(golden.read_text())
 
 
 def test_each_instance_colours_each_vertex_set_once(monkeypatch):
@@ -379,8 +437,9 @@ def test_each_instance_colours_each_vertex_set_once(monkeypatch):
 
 
 if __name__ == "__main__":
-    # Rewrites the golden file; only for an intended change of results.
+    # Rewrites the golden files; only for an intended change of results.
     import tempfile
 
-    with tempfile.TemporaryDirectory() as tmp:
-        SNAPSHOT.write_text(json.dumps(harness_snapshot(Path(tmp) / "out"), indent=1) + "\n")
+    for golden in SNAPSHOTS:
+        with tempfile.TemporaryDirectory() as tmp:
+            golden.write_text(json.dumps(harness_snapshot(golden, Path(tmp) / "out"), indent=1) + "\n")

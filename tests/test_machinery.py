@@ -19,7 +19,7 @@ from chibound.certificates import (
     validate_spire,
     validate_x_split,
 )
-from chibound.coloring import chi_local, chromatic_number
+from chibound.coloring import best_by_chi, chi_local, chromatic_number
 from chibound.embed import Embedding
 from chibound.errors import SearchBudgetExceeded
 from chibound.generators import (
@@ -36,7 +36,6 @@ from chibound.generators import (
 )
 from chibound.graphs import Graph, components_within, induced_subgraph, is_connected_set, set_to_mask
 from chibound.machinery import (
-    best_by_chi,
     d_equipment,
     find_spire,
     find_x_split,
