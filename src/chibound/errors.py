@@ -15,6 +15,14 @@ def _check_positive_int(value, where, null_ok=True):
         raise ValueError(f"{where} must be a positive integer{null}, got {value!r}")
 
 
+def _check_non_negative_int(value, where):
+    """Return value if it is an int of at least 0; else raise ValueError (a
+    bool, a float or a string is refused)."""
+    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
+        raise ValueError(f"{where} must be a non-negative integer, got {value!r}")
+    return value
+
+
 class GraphParseError(ValueError):
     """Malformed graph text. Carries the 1-based line (and optional column)."""
 

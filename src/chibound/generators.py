@@ -155,7 +155,7 @@ GENERATORS = {
 def generator_args(name, params):
     """Keyword arguments of a named generator, taken from a parameter
     mapping; ValueError for an unknown name or a missing parameter."""
-    if name not in GENERATORS:
+    if not isinstance(name, str) or name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}; known: {', '.join(sorted(GENERATORS))}")
     wanted = GENERATORS[name][1]
     missing = [w for w in wanted if w not in params]

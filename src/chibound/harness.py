@@ -17,15 +17,16 @@ import hashlib
 import io
 import json
 import os
+import re
 import time
-from concurrent.futures import ProcessPoolExecutor
+from collections import Counter
 from dataclasses import dataclass, field
 
 from .certificates import certificate_to_json, verify_certificate
 from .coloring import best_by_chi, chi_local, chromatic_number, clique_number
 from .counterexamples import build_counterexample, check_counterexample_params
 from .embed import is_kd_starry
-from .errors import BudgetExceeded, ConstructionRefuted, _check_positive_int
+from .errors import BudgetExceeded, ConstructionRefuted, _check_non_negative_int, _check_positive_int
 from .generators import generator_args, make_graph
 from .graphio import parse_graph6, write_graph6
 from .graphs import _component_masks, mask_to_set, set_to_mask
@@ -46,6 +47,11 @@ COLUMNS = ("index", "generator", *GRAPH_COLUMNS, "check", "params", "outcome", "
 # outcomes that count against the run
 VIOLATION = "violation"
 
+# check parameters that count something; each must be a non-negative int
+_COUNT_PARAMS = ("k_max", "starts", "min_chi", "d", "k")
+# the files a run writes under certificates/ and corpus/, named by task index
+_OWN_FILES = {"certificates": re.compile(r"\d{4,}_.+\.json"), "corpus": re.compile(r"\d{4,}_.+\.g6")}
+
 
 @dataclass
 class ExperimentConfig:
@@ -62,16 +68,25 @@ class ExperimentConfig:
         checks = _objects(obj, "checks")
         for entry in corpus:
             if "graph6" in entry:
+                if not isinstance(entry["graph6"], str):
+                    raise ValueError(f"graph6 must be a string, got {entry['graph6']!r}")
                 continue
             name = entry.get("generator")
             if name is None:
                 raise ValueError(f"corpus entry needs a generator or graph6: {entry}")
-            generator_args(name, entry)
+            for param, value in generator_args(name, entry).items():
+                if param != "p":
+                    _check_non_negative_int(value, f"{param} of generator {name!r}")
+                elif isinstance(value, bool) or not isinstance(value, (str, int)):
+                    raise ValueError(f"p of generator {name!r} must be a string or an integer, got {value!r}")
         for chk in checks:
             name = chk.get("check")
-            if name not in _CHECK_FUNCS:
+            if not isinstance(name, str) or name not in _CHECK_FUNCS:
                 raise ValueError(f"unknown check {name!r}")
             _check_positive_int(chk.get("node_budget"), f"node_budget of check {name!r}")
+            for param in _COUNT_PARAMS:
+                if param in chk:
+                    _check_non_negative_int(chk[param], f"{param} of check {name!r}")
             if name == "counterexample":
                 check_counterexample_params(*_counterexample_args(chk))
         budgets = obj.get("budgets", {})
@@ -263,8 +278,10 @@ def _process(task):
     """Run one task: a corpus entry (a dict) with the per-graph checks, or,
     with entry None, one counterexample check. A counterexample gets no
     graph metrics, no injected node budget, no graph_sha256 in its
-    certificate and no corpus file. Returns (index, generator, graph6 or
-    None, rows, certs, elapsed)."""
+    certificate and no corpus file. checks holds (position in the config,
+    check) pairs. A certificate is named by task index and check kind, plus
+    the check's position when its kind appears more than once in the task.
+    Returns (index, generator, graph6 or None, rows, certs, elapsed)."""
     index, entry, checks, budgets = task
     t0 = time.monotonic()
     g = base = g6 = None
@@ -289,7 +306,8 @@ def _process(task):
                 base["_" + key] = entry[key]
     rows = []
     certs = []
-    for chk in checks:
+    kinds = Counter(chk["check"] for _, chk in checks)
+    for position, chk in checks:
         name = chk["check"]
         params = {k: v for k, v in chk.items() if k != "check"}
         if g is not None and "node_budget" not in params and budgets.get("search_nodes"):
@@ -302,7 +320,8 @@ def _process(task):
         if cert is not None:
             if g is not None:
                 cert = {"graph_sha256": metrics["graph_sha256"], **cert}
-            cert_name = f"{index:04d}_{name}.json"
+            suffix = "" if kinds[name] == 1 else f"_{position}"
+            cert_name = f"{index:04d}_{name}{suffix}.json"
             certs.append((cert_name, cert))
         rows.append(
             {
@@ -322,12 +341,18 @@ def _process(task):
 def run_experiment(config, output_dir=None):
     """Run all checks over the corpus and the counterexample checks after
     it; optionally write report.csv, the corpus, certificates, and timings
-    under output_dir."""
-    per_graph = [chk for chk in config.checks if chk["check"] != "counterexample"]
+    under output_dir. Certificate and corpus files of an earlier run there
+    that this run does not write are removed."""
+    numbered = list(enumerate(config.checks))
+    per_graph = [(pos, chk) for pos, chk in numbered if chk["check"] != "counterexample"]
     jobs = [(entry, per_graph) for entry in config.corpus]
-    jobs += [(None, [chk]) for chk in config.checks if chk["check"] == "counterexample"]
+    jobs += [(None, [(pos, chk)]) for pos, chk in numbered if chk["check"] == "counterexample"]
     tasks = [(i, entry, checks, config.budgets) for i, (entry, checks) in enumerate(jobs)]
     if config.workers > 1 and len(tasks) > 1:
+        # imported only here: multiprocessing adds about 2 MiB of memory and
+        # import time that a serial run does not need
+        from concurrent.futures import ProcessPoolExecutor
+
         with ProcessPoolExecutor(max_workers=config.workers) as pool:
             results = list(pool.map(_process, tasks))
     else:
@@ -354,8 +379,12 @@ def run_experiment(config, output_dir=None):
                 files[os.path.join("corpus", f"{index:04d}_{generator}.g6")] = g6 + "\n"
             timings.append(f"{index},{generator},{elapsed:.3f}\n")
         files["timings.csv"] = "".join(timings)
-        for sub in ("certificates", "corpus"):
+        for sub, own in _OWN_FILES.items():
             os.makedirs(os.path.join(output_dir, sub), exist_ok=True)
+            for name in os.listdir(os.path.join(output_dir, sub)):
+                path = os.path.join(output_dir, sub, name)
+                if own.fullmatch(name) and os.path.join(sub, name) not in files and os.path.isfile(path):
+                    os.remove(path)
         for name, text in files.items():
             with open(os.path.join(output_dir, name), "wb") as fh:
                 fh.write(text.encode())

@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .errors import ThresholdTooLarge
+from .errors import ThresholdTooLarge, _check_non_negative_int
 
 DEFAULT_DIGIT_LIMIT = 100_000
 _LOG10_2 = math.log10(2.0)
@@ -50,7 +50,13 @@ class Mag:
     at great heights.
 
     ``+`` is add, ``Mag * x`` is mul, ``int * Mag`` is mul_const (scaling by
-    a positive constant), and comparisons order by (h, x)."""
+    a positive constant), and comparisons order by (h, x).
+
+    Every method reads only h and x, and no Mag is changed after __init__,
+    so two Mags with equal (h, x) behave identically. __init__ leaves x below
+    _FLOAT_CAP and, at h > 0, x >= 15 or 10^x >= _FLOAT_CAP; Mag(h, x) of
+    such a pair at h > 0 is that pair unchanged. The fast paths below rest on
+    this."""
 
     __slots__ = ("h", "x")
 
@@ -69,7 +75,7 @@ class Mag:
 
     @staticmethod
     def of(value):
-        if isinstance(value, Mag):
+        if type(value) is Mag:
             return value
         v = int(value)
         if v < 0:
@@ -92,12 +98,23 @@ class Mag:
 
     def add(self, other):
         other = Mag.of(other)
-        if self.h == 0 and other.h == 0:
+        if self.h != other.h:
+            return self if self.h > other.h else other
+        if self.h == 0:
             return Mag(0, self.x + other.x)
-        return self if self.key() >= other.key() else other
+        return self if self.x >= other.x else other
 
     def mul(self, other):
         other = Mag.of(other)
+        if self.h >= 2 or other.h >= 2:
+            # The general path below gives the larger operand by (h, x),
+            # self on a tie. Say self.h >= 2: self.log10() is (h - 1, x) at
+            # height >= 1, which add compares by (h, x) with other.log10().
+            # That is (other.h - 1, other.x) when other.h >= 1 and sits at
+            # height 0 otherwise, so the larger log belongs to the larger
+            # operand, and exp10 of (h - 1, x) at h - 1 >= 1 gives back (h, x)
+            # unchanged. The case other.h >= 2 is the same with roles swapped.
+            return other if other > self else self
         if self.h == 0 and other.h == 0 and self.x * other.x < _FLOAT_CAP:
             return Mag(0, self.x * other.x)
         return self.log10().add(other.log10()).exp10()
@@ -116,10 +133,16 @@ class Mag:
     __rmul__ = mul_const
 
     def __lt__(self, other):
-        return self.key() < Mag.of(other).key()
+        other = Mag.of(other)
+        if self.h != other.h:
+            return self.h < other.h
+        return self.x < other.x
 
     def __gt__(self, other):
-        return self.key() > Mag.of(other).key()
+        other = Mag.of(other)
+        if self.h != other.h:
+            return self.h > other.h
+        return self.x > other.x
 
     def __str__(self):
         if self.h == 0:
@@ -135,7 +158,9 @@ class Mag:
 #
 # A formula sees its domain as N: N.mul(a, b, where), N.pow2(e, where) and
 # N.ramsey(s, t, where) are the operations the exact domain budgets; where
-# names the subterm that blocks. Everything else is plain +, * and max.
+# names the subterm that blocks. N.reuse(formula, *args) is formula(N, *args);
+# the estimate domain computes it once per distinct arguments within one
+# evaluation. Everything else is plain +, * and max.
 
 class _Exact:
     """Ints under a digit budget."""
@@ -164,12 +189,30 @@ class _Exact:
             raise ThresholdTooLarge(where)
         return math.comb(n, k)
 
+    def reuse(self, formula, *args):
+        # no memo: an exact evaluation runs once, and hashing ints of up to
+        # 100,000 digits would cost time
+        return formula(self, *args)
+
 
 class _Estimate:
-    """Magnitudes; nothing blocks."""
+    """Magnitudes; nothing blocks. One instance serves one evaluation, and
+    its memo goes with it."""
 
     exact = False
     zero = Mag(0, 0.0)
+
+    def __init__(self):
+        self.memo = {}
+
+    def reuse(self, formula, *args):
+        # A Mag is keyed by its (h, x), which fixes its behaviour, and an int
+        # by type and value, so 1, 1.0, True and Mag(0, 1.0) stay apart.
+        key = (formula, *[(Mag, a.h, a.x) if type(a) is Mag else (type(a), a) for a in args])
+        value = self.memo.get(key)
+        if value is None:
+            value = self.memo[key] = formula(self, *args)
+        return value
 
     @staticmethod
     def mul(a, b, where):
@@ -233,7 +276,7 @@ def _t31(N, k, d, tau):
 
 
 def _t32(N, c, tau, d, k):
-    c1, _ = _t31(N, k, d, tau)
+    c1, _ = N.reuse(_t31, k, d, tau)
     return N.mul((2 * k + 2 * d + 3) * tau + c + c1, tau, "T3.2"), {"c1": c1}
 
 
@@ -440,14 +483,6 @@ _FORMULAS = {
 }
 
 
-def _as_int(name, value):
-    if isinstance(value, bool) or not isinstance(value, int):
-        raise ValueError(f"parameter {name} must be a non-negative integer, got {value!r}")
-    if value < 0:
-        raise ValueError(f"parameter {name} must be non-negative, got {value}")
-    return value
-
-
 def _evaluate(formula, N, args):
     """(value, intermediates); a formula without named intermediates
     returns its value alone."""
@@ -475,9 +510,9 @@ def lemma_threshold(lemma_id, params, digit_limit=DEFAULT_DIGIT_LIMIT):
     for p in names:
         if p == "ks":
             ks = list(params[p])
-            args[p] = [_as_int("ks entry", v) for v in ks]
+            args[p] = [_check_non_negative_int(v, "parameter ks entry") for v in ks]
         else:
-            args[p] = _as_int(p, params[p])
+            args[p] = _check_non_negative_int(params[p], f"parameter {p}")
 
     if lemma_id == "T3.3":
         r, s, ks = args["r"], args["s"], args["ks"]
@@ -501,7 +536,7 @@ def lemma_threshold(lemma_id, params, digit_limit=DEFAULT_DIGIT_LIMIT):
     except ThresholdTooLarge as e:
         result.blocked_at = e.where
         lifted = {p: Mag.of(v) if p in _MAG_PARAMS else v for p, v in args.items()}
-        result.magnitude = str(_evaluate(formula, _Estimate, lifted)[0])
+        result.magnitude = str(_evaluate(formula, _Estimate(), lifted)[0])
         result.expr["blocked_at"] = e.where
     return result
 

@@ -2,11 +2,14 @@
 
 Nothing here shares code with the package search kernels: chromatic
 numbers come from enumerating color assignments, embedding counts from
-enumerating injections, cliques from enumerating subsets. The one
-exception, reference_embed, keeps a plain copy of the embedding kernels'
-candidate-by-candidate search, so tests can pin their node accounting.
+enumerating injections, cliques from enumerating subsets. Two exceptions
+keep plain copies of package code so tests can pin it: reference_embed, the
+embedding kernels' candidate-by-candidate search and its node accounting,
+and ReferenceMag with ReferenceEstimate, the magnitude arithmetic of the
+threshold estimates before its fast paths.
 """
 
+import math
 from itertools import combinations, permutations
 
 
@@ -250,3 +253,109 @@ def first_argmax(items, key):
         if value > best_key:
             best, best_key = item, value
     return best, best_key
+
+
+# ------------------------------------------ reference magnitude arithmetic
+#
+# thresholds.Mag and thresholds._Estimate as they were before the fast
+# paths in Mag.add, Mag.mul and the comparisons: every product goes through
+# log10, add and exp10, and every comparison through key().
+
+_REF_LOG10_2 = math.log10(2.0)
+_REF_FLOAT_CAP = 1e15
+
+
+def _ref_log10_binom(n, k):
+    return (math.lgamma(n + 1) - math.lgamma(k + 1) - math.lgamma(n - k + 1)) / math.log(10.0)
+
+
+class ReferenceMag:
+    __slots__ = ("h", "x")
+
+    def __init__(self, h, x):
+        while x >= _REF_FLOAT_CAP:
+            x = math.log10(x)
+            h += 1
+        while h > 0 and x < 15.0:
+            nx = 10.0 ** x
+            if nx >= _REF_FLOAT_CAP:
+                break
+            x = nx
+            h -= 1
+        self.h = h
+        self.x = x
+
+    @staticmethod
+    def of(value):
+        if isinstance(value, ReferenceMag):
+            return value
+        v = int(value)
+        if v < 0:
+            raise ValueError("magnitudes are non-negative")
+        bl = v.bit_length()
+        if bl <= 50:
+            return ReferenceMag(0, float(v))
+        return ReferenceMag(1, bl * _REF_LOG10_2)
+
+    def key(self):
+        return (self.h, self.x)
+
+    def log10(self):
+        if self.h >= 1:
+            return ReferenceMag(self.h - 1, self.x)
+        return ReferenceMag(0, math.log10(self.x) if self.x > 1 else 0.0)
+
+    def exp10(self):
+        return ReferenceMag(self.h + 1, self.x)
+
+    def add(self, other):
+        other = ReferenceMag.of(other)
+        if self.h == 0 and other.h == 0:
+            return ReferenceMag(0, self.x + other.x)
+        return self if self.key() >= other.key() else other
+
+    def mul(self, other):
+        other = ReferenceMag.of(other)
+        if self.h == 0 and other.h == 0 and self.x * other.x < _REF_FLOAT_CAP:
+            return ReferenceMag(0, self.x * other.x)
+        return self.log10().add(other.log10()).exp10()
+
+    def mul_const(self, c):
+        if c <= 0:
+            raise ValueError("constants here are positive")
+        if self.h == 0:
+            return ReferenceMag(0, self.x * c)
+        if self.h == 1:
+            return ReferenceMag(1, self.x + math.log10(c))
+        return self
+
+    __add__ = __radd__ = add
+    __mul__ = mul
+    __rmul__ = mul_const
+
+    def __lt__(self, other):
+        return self.key() < ReferenceMag.of(other).key()
+
+    def __gt__(self, other):
+        return self.key() > ReferenceMag.of(other).key()
+
+
+class ReferenceEstimate:
+    @staticmethod
+    def mul(a, b, where):
+        return ReferenceMag.of(a).mul(b)
+
+    @staticmethod
+    def pow2(e, where):
+        return ReferenceMag.of(e).mul_const(_REF_LOG10_2).exp10()
+
+    @staticmethod
+    def ramsey(s, t, where):
+        s, t = ReferenceMag.of(s), ReferenceMag.of(t)
+        if s.h == 0 and t.h == 0 and s.x + t.x < 1e12:
+            n = max(s.x + t.x - 2.0, 0.0)
+            k = min(max(s.x - 1.0, 0.0), n)
+            if n <= 1:
+                return ReferenceMag(0, 1.0)
+            return ReferenceMag(1, _ref_log10_binom(n, k))
+        return ReferenceEstimate.pow2(s.add(t), where)

@@ -77,6 +77,40 @@ def test_certificates_revalidate_in_isolation(tmp_path):
     assert checked >= 4
 
 
+def test_repeated_checks_name_their_own_certificates(tmp_path):
+    """A check kind that appears once keeps the plain name; each repeated
+    one adds its position in the config, so no row points at another's."""
+    config = {
+        "corpus": [{"generator": "grotzsch"}],
+        "checks": [{"check": "spire", "d": 1}, {"check": "x_split"}, {"check": "spire", "d": 2}],
+    }
+    out = tmp_path / "out"
+    rows = run_experiment(ExperimentConfig.from_dict(config), output_dir=str(out)).rows
+    names = [row["certificate"] for row in rows]
+    assert names == ["0000_spire_0.json", "0000_x_split.json", "0000_spire_2.json"]
+    assert sorted(os.listdir(out / "certificates")) == sorted(names)
+    g = parse_graph6((out / "corpus" / "0000_grotzsch.g6").read_text())
+    for row in rows:
+        cert = json.loads((out / "certificates" / row["certificate"]).read_text())
+        assert cert["type"] == row["check"]
+        assert verify_lemma(row["check"], g, cert) == (True, None), row
+
+
+def test_reused_output_directory_drops_earlier_files(tmp_path):
+    out = tmp_path / "out"
+    petersen = {"corpus": [{"generator": "petersen"}], "checks": [{"check": "x_split"}]}
+    run_experiment(ExperimentConfig.from_dict(petersen), output_dir=str(out))
+    assert os.listdir(out / "certificates") == ["0000_x_split.json"]
+    # files the harness does not name are left alone
+    for other in ("certificates/notes.txt", "certificates/x_0000.json", "corpus/mine.g6", "corpus/12_a.g6"):
+        (out / other).write_text("kept\n")
+    run_experiment(ExperimentConfig.from_dict({"corpus": [], "checks": []}), output_dir=str(out))
+    assert sorted(os.listdir(out / "certificates")) == ["notes.txt", "x_0000.json"]
+    assert sorted(os.listdir(out / "corpus")) == ["12_a.g6", "mine.g6"]
+    run_experiment(ExperimentConfig.from_dict(petersen), output_dir=str(out))
+    assert sorted(os.listdir(out / "certificates")) == ["0000_x_split.json", "notes.txt", "x_0000.json"]
+
+
 def test_reports_are_byte_identical(tmp_path):
     config = ExperimentConfig.from_dict(SMALL_CONFIG)
     run_experiment(config, output_dir=str(tmp_path / "a"))
@@ -105,6 +139,24 @@ MALFORMED_CONFIGS = [
     {"corpus": [], "checks": ["invariants"]},
     {"corpus": [], "checks": [], "budgets": 5},
     {"corpus": [], "checks": [], "budgets": None},
+    # values of the wrong type inside an entry or a check
+    {"corpus": [{"graph6": 5}], "checks": []},
+    {"corpus": [{"graph6": ["Ehfw"]}], "checks": []},
+    {"corpus": [{"generator": ["cycle"], "n": 7}], "checks": []},
+    {"corpus": [{"generator": "cycle", "n": "7"}], "checks": []},
+    {"corpus": [{"generator": "cycle", "n": 7.0}], "checks": []},
+    {"corpus": [{"generator": "cycle", "n": True}], "checks": []},
+    {"corpus": [{"generator": "cycle", "n": -1}], "checks": []},
+    {"corpus": [{"generator": "kneser", "n": 5, "k": None}], "checks": []},
+    {"corpus": [{"generator": "random", "n": 5, "p": 0.5, "seed": 1}], "checks": []},
+    {"corpus": [{"generator": "random", "n": 5, "p": True, "seed": 1}], "checks": []},
+    {"corpus": [{"generator": "random", "n": 5, "p": "0.5", "seed": "1"}], "checks": []},
+    {"corpus": [], "checks": [{"check": ["invariants"]}]},
+    {"corpus": [], "checks": [{"check": "x_split", "min_chi": "1"}]},
+    {"corpus": [], "checks": [{"check": "gyarfas", "k_max": 2.0}]},
+    {"corpus": [], "checks": [{"check": "gyarfas", "starts": -1}]},
+    {"corpus": [], "checks": [{"check": "spire", "d": False}]},
+    {"corpus": [], "checks": [{"check": "starry", "k": "1"}]},
 ]
 
 
@@ -323,6 +375,9 @@ def test_cli_run_rejects_malformed_config(tmp_path, capsys):
     config.write_text(json.dumps({"corpus": ["graph6"], "checks": [{"check": "invariants"}]}))
     assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
     assert capsys.readouterr().err.startswith("error: corpus must be a list of objects")
+    config.write_text(json.dumps({"corpus": [{"graph6": 5}], "checks": [{"check": "invariants"}]}))
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "out")]) == 2
+    assert capsys.readouterr().err == "error: graph6 must be a string, got 5\n"
 
 
 def test_cli_parse_error_exit_code(tmp_path):

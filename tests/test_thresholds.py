@@ -1,17 +1,21 @@
 import hashlib
 import json
+import math
 import re
 from decimal import Decimal
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import all_graphs, has_stable_set, has_triangle
+from oracles import ReferenceEstimate, ReferenceMag, all_graphs, has_stable_set, has_triangle
 
 from chibound.generators import cycle_graph
 from chibound.thresholds import (
     DEFAULT_DIGIT_LIMIT,
     Mag,
+    _Estimate,
     format_result,
     format_value,
     lemma_threshold,
@@ -206,6 +210,92 @@ def test_format_parameter_past_int_str_limit():
     assert text.splitlines()[0] == f"T3.3(r=1, s=1, d=1, ks=[{format_value(c)}], tau=1)"
 
 
+# ------------------------------------------------ magnitude arithmetic
+
+# Top values near the normalisation bounds of Mag: 15 at heights >= 1 and
+# the float cap 1e15, where __init__ takes or drops a level.
+_TOP = st.one_of(
+    st.sampled_from([0.0, 1.0, 15.0, math.nextafter(15.0, 0.0), math.nextafter(15.0, 16.0),
+                     1e15, math.nextafter(1e15, 0.0)]),
+    st.floats(14.999, 15.001),
+    st.floats(0.999e15, 1.001e15),
+    st.floats(0.0, 1e15),
+)
+# Ints around Mag.of's switch from height 0 to height 1 at 2^50 bits.
+_INTS = st.one_of(
+    st.sampled_from([0, 1, -1]),
+    st.integers(2**50 - 8, 2**50 + 8),
+    st.integers(0, 2**60),
+    st.integers(0, 4000).map(lambda e: 1 << e),
+)
+_OPERANDS = st.one_of(st.tuples(st.integers(0, 5), _TOP), _INTS)
+_CONSTANTS = st.sampled_from([0, 1, 2, 3, 0.5, math.log10(2.0), 10**6])
+
+_MAG_OPS = {
+    "of": lambda M, E, a, b, c: M.of(b),
+    "add": lambda M, E, a, b, c: M.of(a).add(b),
+    "radd": lambda M, E, a, b, c: b + M.of(a),
+    "mul": lambda M, E, a, b, c: M.of(a) * b,
+    "mul_const": lambda M, E, a, b, c: c * M.of(a),
+    "log10": lambda M, E, a, b, c: M.of(a).log10(),
+    "exp10": lambda M, E, a, b, c: M.of(a).exp10(),
+    "lt": lambda M, E, a, b, c: M.of(a) < b,
+    "gt": lambda M, E, a, b, c: M.of(a) > b,
+    "reflected lt": lambda M, E, a, b, c: b < M.of(a),
+    "max": lambda M, E, a, b, c: max(M.of(a), b),
+    "estimate mul": lambda M, E, a, b, c: E.mul(a, b, "w"),
+    "estimate pow2": lambda M, E, a, b, c: E.pow2(a, "w"),
+    "estimate ramsey": lambda M, E, a, b, c: E.ramsey(a, b, "w"),
+}
+
+
+def _outcome(op, mag_type, estimate, a, b, c):
+    """What op gives in one implementation: a Mag of that implementation as
+    ("Mag", h, repr(x)), another value as (type name, value), or the
+    ValueError it raises."""
+    try:
+        out = _MAG_OPS[op](mag_type, estimate, a, b, c)
+    except ValueError as e:
+        return ("ValueError", str(e))
+    if type(out) is mag_type:
+        return ("Mag", type(out.h).__name__, out.h, repr(out.x))
+    return (type(out).__name__, out)
+
+
+def _both(operand):
+    """The operand for Mag and for ReferenceMag: an (h, x) pair becomes a
+    Mag of each kind, an int stays an int."""
+    if isinstance(operand, tuple):
+        return Mag(*operand), ReferenceMag(*operand)
+    return operand, operand
+
+
+def test_estimate_reuse_keys_by_value():
+    N = _Estimate()
+    calls = []
+
+    def formula(N, *args):
+        calls.append(args)
+        return Mag(0, float(len(calls)))
+
+    first = N.reuse(formula, Mag(3, 20.0), 2)
+    assert N.reuse(formula, Mag(3, 20.0), 2) is first  # another Mag, same (h, x)
+    for args in ((Mag(0, 1.0), 2), (1, 2), (True, 2), (1.0, 2), (Mag(3, 20.0), 3)):
+        N.reuse(formula, *args)
+    assert len(calls) == 6
+    assert _Estimate().memo == {}
+
+
+@settings(max_examples=600, derandomize=True, database=None, deadline=None)
+@given(_OPERANDS, _OPERANDS, _CONSTANTS)
+def test_mag_matches_reference_arithmetic(a, b, c):
+    (new_a, ref_a), (new_b, ref_b) = _both(a), _both(b)
+    for op in _MAG_OPS:
+        new = _outcome(op, Mag, _Estimate(), new_a, new_b, c)
+        ref = _outcome(op, ReferenceMag, ReferenceEstimate, ref_a, ref_b, c)
+        assert new == ref, (op, a, b, c)
+
+
 # ------------------------------------------------------- catalog snapshot
 
 SNAPSHOT = Path(__file__).with_name("threshold_snapshot.json")
@@ -260,8 +350,8 @@ SNAPSHOT_GRID = {
     "T6.2": [{"d": 1, "tau": 0}, {"d": 1, "tau": 1}, {"d": 2, "tau": 2}],
     "main": [{"kappa": 1, "k": 1, "d": 1}, {"kappa": 1, "k": 2, "d": 2}, {"kappa": 2, "k": 1, "d": 1}],
 }
-# Their estimates run the full 2000 loop steps (about 0.2 s each), so they
-# are evaluated at one digit limit only.
+# Their estimates run the full 2000 loop steps (about 0.12 s each on a 2-vCPU
+# VM), so they are evaluated at one digit limit only.
 SNAPSHOT_TALL = {
     "T6.2": [{"d": 1, "tau": 10**20}],
     "main": [{"kappa": 2, "k": 2, "d": 2}, {"kappa": 3, "k": 1, "d": 1}],
