@@ -15,9 +15,9 @@ travels inside the object.
 from dataclasses import MISSING, dataclass, fields
 from functools import cache
 
-from .coloring import chi_local, chi_of
+from .coloring import _chi_of_mask, chi_local
 from .embed import Embedding, StarryCertificate, verify_embedding
-from .graphs import bits, check_vertex_set, is_connected_set, set_to_mask
+from .graphs import bits, is_connected, vertex_mask
 from .trees import (
     binary_star,
     binary_star_order,
@@ -60,9 +60,6 @@ class Spire:
     a_set: frozenset
     b_set: frozenset
 
-    def vertex_set(self):
-        return self.a_set | self.b_set | set(self.path)
-
 
 @dataclass(frozen=True)
 class Cathedral:
@@ -76,41 +73,42 @@ class Band:
     center: int
     b_set: frozenset
 
-    def superstar_vertices(self):
-        return frozenset(self.embedding.mapping)
 
-
-def _is_induced_path(g, seq):
-    if len(seq) != len(set(seq)):
+def _is_induced_path(adj, path, pmask):
+    """True iff path has distinct vertices, pmask is their mask, and each
+    vertex's neighbors on the path are exactly its predecessor and its
+    successor."""
+    if pmask.bit_count() != len(path):
         return False
-    for i, u in enumerate(seq):
-        for j in range(i + 1, len(seq)):
-            if g.has_edge(u, seq[j]) != (j == i + 1):
-                return False
+    before = 0
+    for i, v in enumerate(path):
+        after = 1 << path[i + 1] if i + 1 < len(path) else 0
+        if adj[v] & pmask != before | after:
+            return False
+        before = 1 << v
     return True
 
 
 def validate_x_split(g, x_ground, cand):
     """All four definitional requirements of a split relative to x_ground.
     Returns (ok, first_failed_clause)."""
-    x_ground = check_vertex_set(g, x_ground)
-    z = check_vertex_set(g, cand.z_set)
-    g._check(cand.x)
-    g._check(cand.y)
-    zmask = set_to_mask(z)
-    if cand.x not in x_ground:
+    xmask = vertex_mask(g, x_ground)
+    zmask = vertex_mask(g, cand.z_set)
+    x, y = g._check(cand.x), g._check(cand.y)
+    adj = g.adjacency_masks()
+    if not (xmask >> x) & 1:
         return False, "x_in_x_ground"
-    if cand.y in x_ground:
+    if (xmask >> y) & 1:
         return False, "y_outside_x_ground"
-    if z & (x_ground | {cand.y}):
+    if zmask & (xmask | 1 << y):
         return False, "z_avoids_x_ground_and_y"
-    if not g.has_edge(cand.x, cand.y):
+    if not (adj[x] >> y) & 1:
         return False, "x_adjacent_y"
-    if not g.adjacency_mask(cand.x) & zmask:
+    if not adj[x] & zmask:
         return False, "x_has_neighbor_in_z"
-    if g.adjacency_mask(cand.y) & zmask:
+    if adj[y] & zmask:
         return False, "y_no_neighbors_in_z"
-    if not is_connected_set(g, z):
+    if not is_connected(g, zmask):
         return False, "z_connected"
     return True, None
 
@@ -119,46 +117,47 @@ def validate_equipment(g, y_ground, cert):
     """Equipment clauses relative to the ground set. Handles both the plain
     form (witness required) and the proper form (neighbors must avoid the
     path entirely)."""
-    y = check_vertex_set(g, y_ground)
-    g._check(cert.center)
-    nbrs = check_vertex_set(g, cert.independent_neighbors)
+    ymask = vertex_mask(g, y_ground)
+    c = g._check(cert.center)
+    nmask = vertex_mask(g, cert.independent_neighbors)
     path = tuple(cert.path)
-    d = len(nbrs)
-    if cert.center in y:
+    tail = vertex_mask(g, path[1:])
+    pmask = tail | vertex_mask(g, path[:1])
+    w = cert.witness
+    if w is not None:
+        g._check(w)
+    adj = g.adjacency_masks()
+    if (ymask >> c) & 1:
         return False, "center_outside_ground"
-    if len(path) != d + 1:
+    if len(path) != nmask.bit_count() + 1:
         return False, "path_length_matches_d"
-    if not nbrs <= y:
+    if nmask & ~ymask:
         return False, "neighbors_in_ground"
-    if any(not g.has_edge(cert.center, v) for v in nbrs):
+    if nmask & ~adj[c]:
         return False, "neighbors_adjacent_center"
-    ns = sorted(nbrs)
-    for i, u in enumerate(ns):
-        for v in ns[i + 1:]:
-            if g.has_edge(u, v):
-                return False, "neighbors_pairwise_nonadjacent"
-    if not path or path[0] != cert.center:
+    if any(adj[v] & nmask for v in bits(nmask)):
+        return False, "neighbors_pairwise_nonadjacent"
+    if not path or path[0] != c:
         return False, "path_starts_at_center"
-    if not set(path[1:]) <= y:
+    if tail & ~ymask:
         return False, "path_vertices_in_ground"
-    if not _is_induced_path(g, path):
+    if not _is_induced_path(adj, path, pmask):
         return False, "path_induced"
-    interior = set(path) - {cert.center}
-    imask = set_to_mask(interior)
+    # tail lies in the ground and the center does not, so tail is the path
+    # without its center
     if cert.proper:
-        if nbrs & set(path):
+        if nmask & pmask:
             return False, "neighbors_off_path"
-        if any(g.adjacency_mask(v) & imask for v in nbrs):
+        if any(adj[v] & tail for v in bits(nmask)):
             return False, "neighbors_detached_from_path"
         return True, None
-    w = cert.witness
-    if w is None or not 0 <= w < g.n or w not in y:
+    if w is None or not (ymask >> w) & 1:
         return False, "witness_in_ground"
-    if w in path:
+    if (pmask >> w) & 1:
         return False, "witness_off_path"
-    if not g.has_edge(cert.center, w):
+    if not (adj[c] >> w) & 1:
         return False, "witness_adjacent_center"
-    if g.adjacency_mask(w) & imask:
+    if adj[w] & tail:
         return False, "witness_no_other_path_neighbors"
     return True, None
 
@@ -166,126 +165,138 @@ def validate_equipment(g, y_ground, cert):
 def validate_gyarfas(g, c_set, cert):
     """The four conclusion clauses plus the chromatic lower bound. The path
     length determines k."""
-    c = check_vertex_set(g, c_set)
+    cmask = vertex_mask(g, c_set)
     path = tuple(cert.path)
-    residue = check_vertex_set(g, cert.residue)
+    tail = vertex_mask(g, path[1:])
+    pmask = tail | vertex_mask(g, path[:1])
+    rmask = vertex_mask(g, cert.residue)
+    adj = g.adjacency_masks()
     if not path:
         return False, "path_nonempty"
     k = len(path) - 1
-    if path[0] in c:
+    if (cmask >> path[0]) & 1:
         return False, "start_outside_c"
-    if not set(path[1:]) <= c:
+    if tail & ~cmask:
         return False, "path_inside_c"
-    if not _is_induced_path(g, path):
+    if not _is_induced_path(adj, path, pmask):
         return False, "path_induced"
-    if not residue <= c:
+    if rmask & ~cmask:
         return False, "residue_inside_c"
-    if residue & set(path):
+    if rmask & pmask:
         return False, "residue_avoids_path"
-    if not residue or not is_connected_set(g, residue):
+    if not rmask or not is_connected(g, rmask):
         return False, "residue_connected"
-    rmask = set_to_mask(residue)
-    if not g.adjacency_mask(path[-1]) & rmask:
+    if not adj[path[-1]] & rmask:
         return False, "endpoint_adjacent_residue"
-    if any(g.adjacency_mask(v) & rmask for v in path[:-1]):
+    if any(adj[v] & rmask for v in path[:-1]):
         return False, "earlier_path_detached"
-    if chi_of(g, residue) < chi_of(g, c) - k * chi_local(g, 1):
+    if _chi_of_mask(g, rmask)[0] < _chi_of_mask(g, cmask)[0] - k * chi_local(g, 1):
         return False, "residue_chromatic_bound"
     return True, None
+
+
+def _spire_masks(g, spire):
+    """(path, path mask, A mask, B mask) of a spire; an id outside g raises
+    ValueError."""
+    path = tuple(spire.path)
+    return path, vertex_mask(g, path), vertex_mask(g, spire.a_set), vertex_mask(g, spire.b_set)
+
+
+def _spire_clause(g, path, pmask, amask, bmask, cmask):
+    """First failed spire clause on masks, or None. The domination clauses
+    are tested when cmask, the dominated set's mask, is not None."""
+    adj = g.adjacency_masks()
+    if not path or not _is_induced_path(adj, path, pmask):
+        return "path_induced"
+    if not amask or not is_connected(g, amask):
+        return "a_connected"
+    if amask & bmask:
+        return "a_b_disjoint"
+    if any(not adj[v] & amask for v in bits(bmask)):
+        return "a_covers_b"
+    if pmask & bmask:
+        return "path_avoids_b"
+    ends_in_a = [v for v in (path[0], path[-1]) if (amask >> v) & 1]
+    if not ends_in_a or pmask & amask != 1 << ends_in_a[0]:
+        return "path_meets_a_only_at_anchor"
+    z = 1 << ends_in_a[0]
+    if any(adj[v] & (amask | bmask) & ~z for v in bits(pmask & ~z)):
+        return "path_detached_from_a_b"
+    if cmask is None:
+        return None
+    if cmask & (amask | bmask | pmask):
+        return "dominated_disjoint"
+    if any(adj[v] & cmask for v in bits(amask | pmask)):
+        return "no_edges_a_path_to_dominated"
+    if any(not adj[v] & bmask for v in bits(cmask)):
+        return "b_covers_dominated"
+    return None
 
 
 def validate_spire(g, spire, dominated=None):
     """The five spire clauses, plus the three domination clauses when a
     dominated set is supplied."""
-    path = tuple(spire.path)
-    a = check_vertex_set(g, spire.a_set)
-    b = check_vertex_set(g, spire.b_set)
-    if not path or not _is_induced_path(g, path):
-        return False, "path_induced"
-    if not a or not is_connected_set(g, a):
-        return False, "a_connected"
-    if a & b:
-        return False, "a_b_disjoint"
-    amask = set_to_mask(a)
-    if any(not g.adjacency_mask(v) & amask for v in b):
-        return False, "a_covers_b"
-    if set(path) & b:
-        return False, "path_avoids_b"
-    ends_in_a = [v for v in (path[0], path[-1]) if v in a]
-    if not ends_in_a or set(path) & a != {ends_in_a[0]}:
-        return False, "path_meets_a_only_at_anchor"
-    z = ends_in_a[0]
-    ab_rest = set_to_mask((a | b) - {z})
-    if any(g.adjacency_mask(v) & ab_rest for v in path if v != z):
-        return False, "path_detached_from_a_b"
-    if dominated is None:
-        return True, None
-    c = check_vertex_set(g, dominated)
-    if c & spire.vertex_set():
-        return False, "dominated_disjoint"
-    cmask = set_to_mask(c)
-    if any(g.adjacency_mask(v) & cmask for v in a | set(path)):
-        return False, "no_edges_a_path_to_dominated"
-    bmask = set_to_mask(b)
-    if any(not g.adjacency_mask(v) & bmask for v in c):
-        return False, "b_covers_dominated"
-    return True, None
+    cmask = None if dominated is None else vertex_mask(g, dominated)
+    clause = _spire_clause(g, *_spire_masks(g, spire), cmask)
+    return clause is None, clause
 
 
 def validate_cathedral(g, cath, free=False, dominated=None):
     """Per-spire validity, pairwise disjointness, the cross-edge rule
     (free variant: only B-to-B allowed), and per-spire domination."""
-    spires = tuple(cath.spires)
+    spires = [_spire_masks(g, s) for s in cath.spires]
+    cmask = None if dominated is None else vertex_mask(g, dominated)
     if not spires:
         return False, "nonempty"
-    for i, s in enumerate(spires):
-        ok, clause = validate_spire(g, s, dominated)
-        if not ok:
+    for i, masks in enumerate(spires):
+        clause = _spire_clause(g, *masks, cmask)
+        if clause is not None:
             return False, f"spire_{i}_{clause}"
-    for i in range(len(spires)):
+    adj = g.adjacency_masks()
+    for i, (_, pi, ai, bi) in enumerate(spires):
+        vi = pi | ai | bi
         for j in range(i + 1, len(spires)):
-            vi, vj = spires[i].vertex_set(), spires[j].vertex_set()
+            _, pj, aj, bj = spires[j]
+            vj = pj | aj | bj
             if vi & vj:
                 return False, f"disjoint_{i}_{j}"
-            allowed_j = spires[j].b_set if free else (spires[j].a_set | spires[j].b_set)
-            for u in vi:
-                for v in bits(g.adjacency_mask(u) & set_to_mask(vj)):
-                    if u not in spires[i].b_set or v not in allowed_j:
-                        return False, f"cross_edges_{i}_{j}"
+            # an edge into spire j must leave B of spire i and land in allowed_j
+            allowed_j = bj if free else aj | bj
+            if any(adj[u] & vj for u in bits(vi & ~bi)) or any(adj[u] & vj & ~allowed_j for u in bits(bi)):
+                return False, f"cross_edges_{i}_{j}"
     return True, None
 
 
 def validate_band(g, band, dominated=None):
     """Band clauses: an induced superstar rooted at the center, B fully
     adjacent to the center and untouched by the rest of the star."""
-    b = check_vertex_set(g, band.b_set)
-    g._check(band.center)
+    bmask = vertex_mask(g, band.b_set)
+    c = g._check(band.center)
+    cmask = None if dominated is None else vertex_mask(g, dominated)
     # sizes first: a huge d from the certificate is rejected before any
     # pattern of that size is built
     emb = band.embedding
     if len(emb.mapping) != superstar_order(band.d) or not verify_embedding(g, superstar(band.d).graph, emb):
         return False, "superstar_embedding_valid"
-    if band.embedding.mapping[0] != band.center:
+    if emb.mapping[0] != c:
         return False, "root_maps_to_center"
-    hverts = band.superstar_vertices()
-    if b & hverts:
+    hmask = vertex_mask(g, emb.mapping)
+    adj = g.adjacency_masks()
+    if bmask & hmask:
         return False, "b_avoids_superstar"
-    bmask = set_to_mask(b)
-    if any(not g.has_edge(band.center, v) for v in b):
+    if bmask & ~adj[c]:
         return False, "center_adjacent_b"
-    if any(g.adjacency_mask(v) & bmask for v in hverts - {band.center}):
+    if any(adj[v] & bmask for v in bits(hmask & ~(1 << c))):
         return False, "superstar_detached_from_b"
-    if dominated is None:
+    if cmask is None:
         return True, None
-    c = check_vertex_set(g, dominated)
-    if c & hverts:
+    if cmask & hmask:
         return False, "dominated_avoids_superstar"
-    if c & b:
+    if cmask & bmask:
         return False, "dominated_avoids_b"
-    cmask = set_to_mask(c)
-    if any(g.adjacency_mask(v) & cmask for v in hverts):
+    if any(adj[v] & cmask for v in bits(hmask)):
         return False, "no_edges_superstar_to_dominated"
-    if any(not g.adjacency_mask(v) & bmask for v in c):
+    if any(not adj[v] & bmask for v in bits(cmask)):
         return False, "b_covers_dominated"
     return True, None
 
@@ -328,7 +339,7 @@ def _json_list(value):
 
 
 def _json_ints(value):
-    if not set(map(type, _json_list(value))) <= {int}:
+    if any(type(v) is not int for v in _json_list(value)):
         raise ValueError(f"expected a list of ints, got {value!r}")
     return value
 

@@ -17,7 +17,7 @@ from itertools import islice
 
 from . import _kernels
 from .errors import ColoringBudgetExceeded, SearchBudgetExceeded, _check_positive_int
-from .graphs import bits, check_vertex_set, layers, set_to_mask
+from .graphs import bits, layers, mask_to_set, vertex_mask
 
 
 def _greedy_upper(adj):
@@ -108,7 +108,7 @@ def chromatic_number(g, node_budget=None):
 def chi_of(g, s, node_budget=None):
     """Chromatic number of the subgraph induced on the vertex set s."""
     _check_positive_int(node_budget, "node_budget")
-    return _chi_of_mask(g, set_to_mask(check_vertex_set(g, s)), node_budget)[0]
+    return _chi_of_mask(g, vertex_mask(g, s), node_budget)[0]
 
 
 def _chi_of_mask(g, smask, node_budget=None):
@@ -129,7 +129,7 @@ def _chi_of_mask(g, smask, node_budget=None):
         adj = list(host)
     else:
         # new_bit maps each vertex's bit in g to its bit in the subgraph;
-        # the loops are _bits inlined, since every cold colouring runs them
+        # the loops are bits inlined, since every cold colouring runs them
         new_bit = {}
         rest = smask
         while rest:
@@ -218,14 +218,14 @@ def minimal_subset_with_chi(g, s, t, node_budget=None):
     if t < 1:
         raise ValueError(f"threshold must be positive, got {t}")
     _check_positive_int(node_budget, "node_budget")
-    current = sorted(set(s))
-    if chi_of(g, current, node_budget) < t:
+    smask = vertex_mask(g, s)
+    if _chi_of_mask(g, smask, node_budget)[0] < t:
         raise ValueError(f"chi of the given set is below {t}")
-    for v in list(current):
-        trial = [u for u in current if u != v]
-        if chi_of(g, trial, node_budget) >= t:
-            current = trial
-    return frozenset(current)
+    for v in bits(smask):
+        trial = smask & ~(1 << v)
+        if _chi_of_mask(g, trial, node_budget)[0] >= t:
+            smask = trial
+    return mask_to_set(smask)
 
 
 def is_vertex_critical(g, node_budget=None):
@@ -233,8 +233,5 @@ def is_vertex_critical(g, node_budget=None):
     chi, _ = chromatic_number(g, node_budget)
     if chi == 0:
         return True
-    for v in range(g.n):
-        rest = [u for u in range(g.n) if u != v]
-        if chi_of(g, rest, node_budget) >= chi:
-            return False
-    return True
+    everything = (1 << g.n) - 1
+    return all(_chi_of_mask(g, everything & ~(1 << v), node_budget)[0] < chi for v in range(g.n))

@@ -8,10 +8,11 @@ first witness is deterministic across runs and kernel backends.
 """
 
 from dataclasses import dataclass
+from itertools import accumulate
 
 from . import _kernels
 from .errors import SearchBudgetExceeded, _check_positive_int
-from .graphs import bits, components, layers
+from .graphs import _component_masks, bits, layers
 from .trees import binary_star, bristled_star
 
 
@@ -76,16 +77,18 @@ def _bfs_dist(g, start):
     return dist
 
 
-def _dfs_order(pattern, root, comp_set):
-    """Preorder (vertex, parent) pairs from root, neighbors ascending."""
+def _dfs_order(pattern, root):
+    """Preorder (vertex, parent) pairs over root's component, neighbors
+    ascending."""
     out = []
-    visited = set()
+    visited = 0
 
     def visit(v, par):
-        visited.add(v)
+        nonlocal visited
+        visited |= 1 << v
         out.append((v, par))
-        for w in sorted(bits(pattern.adjacency_mask(v))):
-            if w in comp_set and w not in visited:
+        for w in bits(pattern.adjacency_mask(v)):
+            if not (visited >> w) & 1:
                 visit(w, v)
 
     visit(root, -1)
@@ -115,21 +118,19 @@ def _search_plan(host, pattern, anchor):
                 m |= 1 << h
         deg_ok[p] = m
 
-    comps = components(pattern)
     anchor_p = anchor[0] if anchor is not None else None
 
     keyed = []
-    for comp in comps:
-        if anchor_p is not None and anchor_p in comp:
-            keyed.append((0, anchor_p, comp))
+    for comp in _component_masks(pattern, (1 << pn) - 1):
+        if anchor_p is not None and (comp >> anchor_p) & 1:
+            keyed.append((0, anchor_p))
         else:
-            root = max(comp, key=lambda v: (pat_deg[v], -v))
-            keyed.append((1, root, comp))
-    keyed.sort(key=lambda item: (item[0], item[1]))
+            keyed.append((1, max(bits(comp), key=lambda v: (pat_deg[v], -v))))
+    keyed.sort()
 
     pairs = []
-    for _, root, comp in keyed:
-        pairs.extend(_dfs_order(pattern, root, comp))
+    for _, root in keyed:
+        pairs.extend(_dfs_order(pattern, root))
 
     order = [v for v, _ in pairs]
     pos_of = {v: t for t, (v, _) in enumerate(pairs)}
@@ -139,21 +140,14 @@ def _search_plan(host, pattern, anchor):
     cands = [deg_ok[v] for v in order]
     if anchor is not None:
         ap, ah = anchor
-        t0 = pos_of[ap]
-        if not (cands[t0] >> ah) & 1:
-            cands[t0] = 0
-        else:
-            cands[t0] = 1 << ah
-        hdist = _bfs_dist(host, ah)
+        cands[pos_of[ap]] &= 1 << ah
+        # balls[r]: host vertices within distance r of ah; the frontiers
+        # are disjoint, so a ball is their sum
+        balls = list(accumulate(layers(host, ah)))
         pdist = _bfs_dist(pattern, ap)
         for t, v in enumerate(order):
-            if pdist[v] < 0:
-                continue  # other component, no distance constraint
-            allowed = 0
-            for h in bits(cands[t]):
-                if 0 <= hdist[h] <= pdist[v]:
-                    allowed |= 1 << h
-            cands[t] = allowed
+            if pdist[v] >= 0:  # a vertex of another component has no constraint
+                cands[t] &= balls[min(pdist[v], len(balls) - 1)]
     return order, pat_adj_o, parents, cands
 
 

@@ -4,6 +4,12 @@ Vertices are 0..n-1. Adjacency is stored as one Python int bitmask per
 vertex, which the search kernels consume directly. Graphs are immutable:
 every operation returns new values.
 
+Inside the package a vertex set is a mask: bit v set iff v is a member.
+Searchers and validators work on masks throughout. Frozensets appear only
+in certificate fields and in public return values. vertex_mask is the one
+checked way in: it range-checks a vertex set from outside and returns its
+mask.
+
 Every traversal is one masked BFS, `layers`: neighborhoods, distances,
 components, connectivity and level decompositions are all built on it.
 """
@@ -23,7 +29,7 @@ class Graph:
     write it, so budget outcomes are those of a cold graph.
     """
 
-    __slots__ = ("_n", "_adj", "_chi_memo")
+    __slots__ = ("n", "_adj", "_chi_memo")
 
     def __init__(self, n, edges=()):
         if n < 0:
@@ -37,13 +43,9 @@ class Graph:
                 raise ValueError(f"self-loop not allowed: {u}")
             adj[u] |= 1 << v
             adj[v] |= 1 << u
-        self._n = n
+        self.n = n
         self._adj = tuple(adj)
         self._chi_memo = {}
-
-    @property
-    def n(self):
-        return self._n
 
     def adjacency_mask(self, v):
         """Neighbors of v as a bitmask (bit u set iff u adjacent to v)."""
@@ -51,9 +53,6 @@ class Graph:
 
     def adjacency_masks(self):
         return self._adj
-
-    def neighbors(self, v):
-        return frozenset(_bits(self._adj[self._check(v)]))
 
     def degree(self, v):
         return self._adj[self._check(v)].bit_count()
@@ -66,9 +65,9 @@ class Graph:
     def edges(self):
         """Edges as (u, v) pairs with u < v, lexicographic order."""
         out = []
-        for u in range(self._n):
+        for u in range(self.n):
             m = self._adj[u] >> (u + 1)
-            for off in _bits(m):
+            for off in bits(m):
                 out.append((u, u + 1 + off))
         return out
 
@@ -76,22 +75,19 @@ class Graph:
     def edge_count(self):
         return sum(m.bit_count() for m in self._adj) // 2
 
-    def vertices(self):
-        return range(self._n)
-
     def _check(self, v):
-        if not (0 <= v < self._n):
-            raise ValueError(f"vertex {v} out of range for n={self._n}")
+        if not (0 <= v < self.n):
+            raise ValueError(f"vertex {v} out of range for n={self.n}")
         return v
 
     def __eq__(self, other):
-        return isinstance(other, Graph) and self._n == other._n and self._adj == other._adj
+        return isinstance(other, Graph) and self.n == other.n and self._adj == other._adj
 
     def __hash__(self):
-        return hash((self._n, self._adj))
+        return hash((self.n, self._adj))
 
     def __repr__(self):
-        return f"Graph(n={self._n}, m={self.edge_count})"
+        return f"Graph(n={self.n}, m={self.edge_count})"
 
 
 @dataclass(frozen=True)
@@ -103,36 +99,25 @@ class LevelDecomposition:
     levels: tuple
 
 
-def _bits(mask):
+def bits(mask):
+    """Iterate set bit positions of a mask, ascending."""
     while mask:
         b = mask & -mask
         yield b.bit_length() - 1
         mask ^= b
 
 
-def bits(mask):
-    """Iterate set bit positions of a mask, ascending."""
-    return _bits(mask)
+def mask_to_set(mask):
+    return frozenset(bits(mask))
 
 
-def set_to_mask(s):
+def vertex_mask(g, s):
+    """The mask of the vertex set s; a member outside 0..n-1 of g raises
+    ValueError."""
     m = 0
     for v in s:
-        m |= 1 << v
+        m |= 1 << g._check(v)
     return m
-
-
-def mask_to_set(mask):
-    return frozenset(_bits(mask))
-
-
-def check_vertex_set(g, s):
-    """Validate s against g and return it as a frozenset."""
-    out = frozenset(s)
-    for v in out:
-        if not (0 <= v < g.n):
-            raise ValueError(f"vertex {v} out of range for n={g.n}")
-    return out
 
 
 def layers(g, v, within=-1):
@@ -147,7 +132,7 @@ def layers(g, v, within=-1):
         yield frontier
         nxt = 0
         rest = frontier
-        while rest:  # _bits inlined: every traversal runs this loop
+        while rest:  # bits inlined: every traversal runs this loop
             low = rest & -rest
             nxt |= adj[low.bit_length() - 1]
             rest ^= low
@@ -182,16 +167,14 @@ def distance(g, u, v):
 
 def components(g):
     """Connected components as vertex sets, ordered by smallest member."""
-    return components_within(g, range(g.n))
+    return [mask_to_set(comp) for comp in _component_masks(g, (1 << g.n) - 1)]
 
 
-def is_connected_set(g, s):
-    """True iff the subgraph induced on s is connected. The empty set
-    counts as connected; callers needing nonemptiness check it first."""
-    smask = set_to_mask(s)
-    if not smask:
-        return True
-    return sum(layers(g, g._check(next(_bits(smask))), smask)) == smask
+def is_connected(g, smask):
+    """True iff the subgraph induced on the vertex mask smask is connected.
+    The empty mask counts as connected; callers needing nonemptiness check
+    it first."""
+    return next(_component_masks(g, smask), 0) == smask
 
 
 def _component_masks(g, smask, meeting=-1):
@@ -199,16 +182,10 @@ def _component_masks(g, smask, meeting=-1):
     the mask meeting (every component by default), by smallest member."""
     rest = smask
     while rest:
-        comp = sum(layers(g, g._check(next(_bits(rest))), smask))
+        comp = sum(layers(g, (rest & -rest).bit_length() - 1, smask))
         if comp & meeting:
             yield comp
         rest &= ~comp
-
-
-def components_within(g, s):
-    """Components of the subgraph induced on s, by smallest member, as
-    subsets of the original vertex ids."""
-    return [mask_to_set(comp) for comp in _component_masks(g, set_to_mask(s))]
 
 
 def induced_subgraph(g, s):
@@ -217,11 +194,11 @@ def induced_subgraph(g, s):
     Returns (h, old_ids) where old_ids[i] is the original id of vertex i of
     h. Old ids are taken in ascending order, so the relabeling is canonical.
     """
-    old_ids = tuple(sorted(check_vertex_set(g, s)))
+    old_ids = tuple(bits(vertex_mask(g, s)))
     index = {v: i for i, v in enumerate(old_ids)}
     edges = []
     for i, v in enumerate(old_ids):
-        m = g.adjacency_mask(v)
+        m = g._adj[v]
         for u in old_ids[i + 1:]:
             if (m >> u) & 1:
                 edges.append((i, index[u]))
@@ -231,12 +208,11 @@ def induced_subgraph(g, s):
 def covers(g, a, b):
     """True iff every vertex of b has a neighbor in a. The sets must be
     disjoint; overlap is a precondition error, not False."""
-    a = check_vertex_set(g, a)
-    b = check_vertex_set(g, b)
-    if a & b:
-        raise ValueError(f"covers() requires disjoint sets; common vertices {sorted(a & b)}")
-    amask = set_to_mask(a)
-    return all(g.adjacency_mask(v) & amask for v in b)
+    amask = vertex_mask(g, a)
+    bmask = vertex_mask(g, b)
+    if amask & bmask:
+        raise ValueError(f"covers() requires disjoint sets; common vertices {list(bits(amask & bmask))}")
+    return all(g._adj[v] & amask for v in bits(bmask))
 
 
 def level_decomposition(g, v):

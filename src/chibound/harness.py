@@ -29,7 +29,7 @@ from .embed import is_kd_starry
 from .errors import BudgetExceeded, ConstructionRefuted, _check_non_negative_int, _check_positive_int
 from .generators import generator_args, make_graph
 from .graphio import parse_graph6, write_graph6
-from .graphs import _component_masks, mask_to_set, set_to_mask
+from .graphs import _component_masks, bits
 from .machinery import (
     d_equipment,
     find_spire,
@@ -159,11 +159,10 @@ def _check_stable_removal_degree(g, base, params):
     if chi == 0:
         return "pass", "instances=0", None
     checked = 0
+    adj = g.adjacency_masks()
     for color in range(1, chi + 1):
-        x_set = frozenset(v for v in range(g.n) if witness.colors[v] == color)
-        outside = frozenset(range(g.n)) - x_set
-        omask = set_to_mask(outside)
-        best = max((g.adjacency_mask(v) & omask).bit_count() for v in x_set)
+        x_mask = sum(1 << v for v, c in enumerate(witness.colors) if c == color)
+        best = max((adj[v] & ~x_mask).bit_count() for v in bits(x_mask))
         for d in range(chi):
             checked += 1
             if best < d:
@@ -182,12 +181,11 @@ def _check_gyarfas(g, base, params):
         best, best_chi = best_by_chi(g, _component_masks(g, region, g.adjacency_mask(x0)), budget)
         if best is None:
             continue
-        best_set = mask_to_set(best)
         for k in range(k_max + 1):
             if best_chi <= k * chi1:
                 break
             try:
-                gyarfas_path(g, best_set, x0, k)
+                gyarfas_path(g, bits(best), x0, k)
             except AssertionError as e:
                 return VIOLATION, f"x0={x0} k={k}: {e}", None
             checked += 1
@@ -256,7 +254,7 @@ def _check_counterexample(g, base, params):
     if variant == "split-pairs":
         claims["no_centered_five_path"] = induced_path_centered(res.graph, v, 2) is None
     else:
-        ground = frozenset(range(res.graph.n)) - {v}
+        ground = [u for u in range(res.graph.n) if u != v]
         claims["not_properly_2_equipped"] = properly_d_equipped(res.graph, v, ground, 2) is None
         claims["plain_2_equipped"] = d_equipment(res.graph, v, ground, 2) is not None
     ok = all(all(c.values()) if isinstance(c, dict) else c for c in claims.values())

@@ -1,9 +1,11 @@
 """Bounded searchers for the certificate types.
 
-Every searcher is exhaustive at desk scale and deterministic: iteration is
-ascending by vertex id, components are ranked by exact chromatic number
-with ties to the smallest member, and each positive result is re-checked
-by its validator before being returned.
+Every searcher is deterministic: iteration is ascending by vertex id,
+components are ranked by exact chromatic number with ties to the smallest
+member, and each positive result is re-checked by its validator before
+being returned. Every searcher but find_spire is exhaustive at desk scale,
+so its None means that no such object exists. find_spire is a
+construction: its None means only that the construction found none.
 """
 
 from .certificates import (
@@ -19,15 +21,7 @@ from .certificates import (
 from .coloring import _chi_of_mask, best_by_chi, chi_local
 from .embed import find_induced_embedding
 from .errors import SearchBudgetExceeded, _check_positive_int
-from .graphs import (
-    _component_masks,
-    bits,
-    check_vertex_set,
-    is_connected_set,
-    layers,
-    mask_to_set,
-    set_to_mask,
-)
+from .graphs import _component_masks, bits, is_connected, layers, mask_to_set, vertex_mask
 from .trees import path_tree
 
 
@@ -43,11 +37,10 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
     chi(Z) > 1 iff Z has at least two vertices. A budgeted call colours every
     candidate, so its budget outcomes stay those of the colouring."""
     _check_positive_int(node_budget, "node_budget")
-    x_ground = check_vertex_set(g, x_ground)
-    xmask = set_to_mask(x_ground)
+    xmask = vertex_mask(g, x_ground)
     outside_x = ((1 << g.n) - 1) & ~xmask
     by_size = node_budget is None and min_chi <= 1
-    for x in sorted(x_ground):
+    for x in bits(xmask):
         x_nbrs = g.adjacency_mask(x)
         for y in bits(x_nbrs & ~xmask):
             region = outside_x & ~(1 << y) & ~g.adjacency_mask(y)
@@ -58,7 +51,7 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
                     above = _chi_of_mask(g, comp, node_budget)[0] > min_chi
                 if above:
                     cand = XSplit(x=x, y=y, z_set=mask_to_set(comp))
-                    ok, clause = validate_x_split(g, x_ground, cand)
+                    ok, clause = validate_x_split(g, bits(xmask), cand)
                     if not ok:
                         raise AssertionError(f"searcher produced invalid split: {clause}")
                     return cand
@@ -94,17 +87,16 @@ def gyarfas_path(g, c_set, x0, k):
     The chromatic precondition chi(C) > k * chi_1 is verified exactly
     before the walk.
     """
-    c_set = check_vertex_set(g, c_set)
+    cmask = vertex_mask(g, c_set)
     g._check(x0)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")
-    if x0 in c_set:
+    if (cmask >> x0) & 1:
         raise ValueError("the start vertex must lie outside the set")
-    if not c_set:
+    if not cmask:
         raise ValueError("the set must be nonempty")
-    if not is_connected_set(g, c_set):
+    if not is_connected(g, cmask):
         raise ValueError("the set must induce a connected subgraph")
-    cmask = set_to_mask(c_set)
     if not g.adjacency_mask(x0) & cmask:
         raise ValueError("the start vertex needs a neighbor in the set")
     if _chi_of_mask(g, cmask)[0] <= k * chi_local(g, 1):
@@ -114,31 +106,30 @@ def gyarfas_path(g, c_set, x0, k):
         raise RuntimeError("walk ran out of room although the chromatic precondition holds")
     path, residue = got
     cert = GyarfasResult(path=path, residue=mask_to_set(residue))
-    ok, clause = validate_gyarfas(g, c_set, cert)
+    ok, clause = validate_gyarfas(g, bits(cmask), cert)
     if not ok:
         raise AssertionError(f"walk produced an invalid result: {clause}")
     return cert
 
 
-def _lex_independent_subset(g, candidates, d):
-    """Lexicographically first pairwise-nonadjacent d-subset of the sorted
-    candidate list, by backtracking."""
-    cands = sorted(candidates)
-    chosen = []
+def _lex_independent_subset(g, cand_mask, d):
+    """Mask of the lexicographically first pairwise-nonadjacent d-subset of
+    the candidate mask, by backtracking, or None."""
+    adj = g.adjacency_masks()
+    cands = list(bits(cand_mask))
 
-    def rec(start):
-        if len(chosen) == d:
-            return True
+    def rec(start, chosen, blocked):
+        if chosen.bit_count() == d:
+            return chosen
         for i in range(start, len(cands)):
             v = cands[i]
-            if all(not g.has_edge(v, u) for u in chosen):
-                chosen.append(v)
-                if rec(i + 1):
-                    return True
-                chosen.pop()
-        return False
+            if not (blocked >> v) & 1:
+                got = rec(i + 1, chosen | 1 << v, blocked | adj[v])
+                if got is not None:
+                    return got
+        return None
 
-    return tuple(chosen) if rec(0) else None
+    return rec(0, 0, 0)
 
 
 def _induced_paths_from(g, start, allowed_mask, length, node_budget=0):
@@ -172,17 +163,16 @@ def _induced_paths_from(g, start, allowed_mask, length, node_budget=0):
 
 
 def _equipment_ground(g, center, y_ground, d, node_budget):
-    """Checked ground set, its mask and the center's neighbors in it,
-    ascending, after checking d and the node budget."""
+    """Mask of the checked ground set and of the center's neighbors in it,
+    after checking d and the node budget."""
     _check_positive_int(node_budget, "node_budget")
-    y = check_vertex_set(g, y_ground)
+    ymask = vertex_mask(g, y_ground)
     g._check(center)
     if d < 1:
         raise ValueError(f"d must be positive, got {d}")
-    if center in y:
+    if (ymask >> center) & 1:
         raise ValueError("center must lie outside the ground set")
-    ymask = set_to_mask(y)
-    return y, ymask, sorted(bits(g.adjacency_mask(center) & ymask))
+    return ymask, g.adjacency_mask(center) & ymask
 
 
 def d_equipment(g, center, y_ground, d, node_budget=None):
@@ -191,24 +181,22 @@ def d_equipment(g, center, y_ground, d, node_budget=None):
     The independent neighbor set does not depend on the path, so it is
     found once; then paths are enumerated lexicographically until one
     admits a witness neighbor."""
-    y, ymask, nbrs = _equipment_ground(g, center, y_ground, d, node_budget)
+    ymask, nbrs = _equipment_ground(g, center, y_ground, d, node_budget)
     indep = _lex_independent_subset(g, nbrs, d)
     if indep is None:
         return None
     for path in _induced_paths_from(g, center, ymask, d, node_budget or 0):
-        interior_mask = set_to_mask(set(path) - {center})
-        for w in nbrs:
-            if w in path:
-                continue
-            if g.adjacency_mask(w) & interior_mask:
+        interior = vertex_mask(g, path[1:])
+        for w in bits(nbrs & ~interior):
+            if g.adjacency_mask(w) & interior:
                 continue
             cert = Equipment(
                 center=center,
-                independent_neighbors=frozenset(indep),
+                independent_neighbors=mask_to_set(indep),
                 path=path,
                 witness=w,
             )
-            ok, clause = validate_equipment(g, y, cert)
+            ok, clause = validate_equipment(g, bits(ymask), cert)
             if not ok:
                 raise AssertionError(f"searcher produced invalid equipment: {clause}")
             return cert
@@ -219,22 +207,21 @@ def properly_d_equipped(g, center, y_ground, d, node_budget=None):
     """Strengthened equipment: the d pairwise-nonadjacent neighbors must
     avoid the path and have no neighbors on it beyond the center. The
     neighbor set now depends on the path, so both are searched together."""
-    y, ymask, nbrs = _equipment_ground(g, center, y_ground, d, node_budget)
+    ymask, nbrs = _equipment_ground(g, center, y_ground, d, node_budget)
     for path in _induced_paths_from(g, center, ymask, d, node_budget or 0):
-        on_path = set(path)
-        interior_mask = set_to_mask(on_path - {center})
-        allowed = [v for v in nbrs if v not in on_path and not g.adjacency_mask(v) & interior_mask]
+        interior = vertex_mask(g, path[1:])
+        allowed = sum(1 << v for v in bits(nbrs & ~interior) if not g.adjacency_mask(v) & interior)
         indep = _lex_independent_subset(g, allowed, d)
         if indep is None:
             continue
         cert = Equipment(
             center=center,
-            independent_neighbors=frozenset(indep),
+            independent_neighbors=mask_to_set(indep),
             path=path,
             witness=None,
             proper=True,
         )
-        ok, clause = validate_equipment(g, y, cert)
+        ok, clause = validate_equipment(g, bits(ymask), cert)
         if not ok:
             raise AssertionError(f"searcher produced invalid proper equipment: {clause}")
         return cert
@@ -243,12 +230,13 @@ def properly_d_equipped(g, center, y_ground, d, node_budget=None):
 
 def find_spire(g, d, min_chi, node_budget=None):
     """Spire of height d dominating a set with chromatic number above
-    min_chi, or None.
+    min_chi, with that set, or None.
 
-    Construction: from a start vertex, walk a d-step path into the best
-    component, level-decompose what remains from the far end, and cut the
-    levels at the best deep level. Start vertices are tried by descending
-    degree, then ascending id."""
+    A construction, not an exhaustive search: from a start vertex, walk a
+    d-step path into the best component, level-decompose what remains from
+    the far end, and cut the levels at the best deep level. Start vertices
+    are tried by descending degree, then ascending id. None means only that
+    no start vertex gave a spire; a spire may still exist."""
     if d < 1:
         raise ValueError(f"height must be positive, got {d}")
     _check_positive_int(node_budget, "node_budget")

@@ -5,8 +5,10 @@ numbers come from enumerating color assignments, embedding counts from
 enumerating injections, cliques from enumerating subsets. Two exceptions
 keep plain copies of package code so tests can pin it: reference_embed, the
 embedding kernels' candidate-by-candidate search and its node accounting,
-and ReferenceMag with ReferenceEstimate, the magnitude arithmetic of the
-threshold estimates before its fast paths.
+ReferenceMag with ReferenceEstimate, the magnitude arithmetic of the
+threshold estimates before its fast paths, and the ref_validate_*
+functions, the certificate validators as they were over frozensets, before
+they moved to vertex masks.
 """
 
 import math
@@ -359,3 +361,251 @@ class ReferenceEstimate:
                 return ReferenceMag(0, 1.0)
             return ReferenceMag(1, _ref_log10_binom(n, k))
         return ReferenceEstimate.pow2(s.add(t), where)
+
+
+# ------------------------------------------------- reference validators
+#
+# certificates.validate_* as they were when every set field was checked and
+# kept as a frozenset, with the graphs helpers they called copied beside
+# them. Connectivity comes from brute_components; chromatic numbers and
+# embeddings from the package, which these validators called too. The
+# verdicts are pinned only on certificates whose ids are all vertices.
+
+
+def _ref_set_to_mask(s):
+    m = 0
+    for v in s:
+        m |= 1 << v
+    return m
+
+
+def _ref_check_vertex_set(g, s):
+    out = frozenset(s)
+    for v in out:
+        if not (0 <= v < g.n):
+            raise ValueError(f"vertex {v} out of range for n={g.n}")
+    return out
+
+
+def _ref_is_connected_set(g, s):
+    return len(brute_components(g, s)) <= 1
+
+
+def _ref_spire_vertices(spire):
+    return spire.a_set | spire.b_set | set(spire.path)
+
+
+def _ref_is_induced_path(g, seq):
+    if len(seq) != len(set(seq)):
+        return False
+    for i, u in enumerate(seq):
+        for j in range(i + 1, len(seq)):
+            if g.has_edge(u, seq[j]) != (j == i + 1):
+                return False
+    return True
+
+
+def ref_validate_x_split(g, x_ground, cand):
+    x_ground = _ref_check_vertex_set(g, x_ground)
+    z = _ref_check_vertex_set(g, cand.z_set)
+    g._check(cand.x)
+    g._check(cand.y)
+    zmask = _ref_set_to_mask(z)
+    if cand.x not in x_ground:
+        return False, "x_in_x_ground"
+    if cand.y in x_ground:
+        return False, "y_outside_x_ground"
+    if z & (x_ground | {cand.y}):
+        return False, "z_avoids_x_ground_and_y"
+    if not g.has_edge(cand.x, cand.y):
+        return False, "x_adjacent_y"
+    if not g.adjacency_mask(cand.x) & zmask:
+        return False, "x_has_neighbor_in_z"
+    if g.adjacency_mask(cand.y) & zmask:
+        return False, "y_no_neighbors_in_z"
+    if not _ref_is_connected_set(g, z):
+        return False, "z_connected"
+    return True, None
+
+
+def ref_validate_equipment(g, y_ground, cert):
+    y = _ref_check_vertex_set(g, y_ground)
+    g._check(cert.center)
+    nbrs = _ref_check_vertex_set(g, cert.independent_neighbors)
+    path = tuple(cert.path)
+    d = len(nbrs)
+    if cert.center in y:
+        return False, "center_outside_ground"
+    if len(path) != d + 1:
+        return False, "path_length_matches_d"
+    if not nbrs <= y:
+        return False, "neighbors_in_ground"
+    if any(not g.has_edge(cert.center, v) for v in nbrs):
+        return False, "neighbors_adjacent_center"
+    ns = sorted(nbrs)
+    for i, u in enumerate(ns):
+        for v in ns[i + 1:]:
+            if g.has_edge(u, v):
+                return False, "neighbors_pairwise_nonadjacent"
+    if not path or path[0] != cert.center:
+        return False, "path_starts_at_center"
+    if not set(path[1:]) <= y:
+        return False, "path_vertices_in_ground"
+    if not _ref_is_induced_path(g, path):
+        return False, "path_induced"
+    interior = set(path) - {cert.center}
+    imask = _ref_set_to_mask(interior)
+    if cert.proper:
+        if nbrs & set(path):
+            return False, "neighbors_off_path"
+        if any(g.adjacency_mask(v) & imask for v in nbrs):
+            return False, "neighbors_detached_from_path"
+        return True, None
+    w = cert.witness
+    if w is None or not 0 <= w < g.n or w not in y:
+        return False, "witness_in_ground"
+    if w in path:
+        return False, "witness_off_path"
+    if not g.has_edge(cert.center, w):
+        return False, "witness_adjacent_center"
+    if g.adjacency_mask(w) & imask:
+        return False, "witness_no_other_path_neighbors"
+    return True, None
+
+
+def ref_validate_gyarfas(g, c_set, cert):
+    from chibound.coloring import chi_local, chi_of
+
+    c = _ref_check_vertex_set(g, c_set)
+    path = tuple(cert.path)
+    residue = _ref_check_vertex_set(g, cert.residue)
+    if not path:
+        return False, "path_nonempty"
+    k = len(path) - 1
+    if path[0] in c:
+        return False, "start_outside_c"
+    if not set(path[1:]) <= c:
+        return False, "path_inside_c"
+    if not _ref_is_induced_path(g, path):
+        return False, "path_induced"
+    if not residue <= c:
+        return False, "residue_inside_c"
+    if residue & set(path):
+        return False, "residue_avoids_path"
+    if not residue or not _ref_is_connected_set(g, residue):
+        return False, "residue_connected"
+    rmask = _ref_set_to_mask(residue)
+    if not g.adjacency_mask(path[-1]) & rmask:
+        return False, "endpoint_adjacent_residue"
+    if any(g.adjacency_mask(v) & rmask for v in path[:-1]):
+        return False, "earlier_path_detached"
+    if chi_of(g, residue) < chi_of(g, c) - k * chi_local(g, 1):
+        return False, "residue_chromatic_bound"
+    return True, None
+
+
+def ref_validate_spire(g, spire, dominated=None):
+    path = tuple(spire.path)
+    a = _ref_check_vertex_set(g, spire.a_set)
+    b = _ref_check_vertex_set(g, spire.b_set)
+    if not path or not _ref_is_induced_path(g, path):
+        return False, "path_induced"
+    if not a or not _ref_is_connected_set(g, a):
+        return False, "a_connected"
+    if a & b:
+        return False, "a_b_disjoint"
+    amask = _ref_set_to_mask(a)
+    if any(not g.adjacency_mask(v) & amask for v in b):
+        return False, "a_covers_b"
+    if set(path) & b:
+        return False, "path_avoids_b"
+    ends_in_a = [v for v in (path[0], path[-1]) if v in a]
+    if not ends_in_a or set(path) & a != {ends_in_a[0]}:
+        return False, "path_meets_a_only_at_anchor"
+    z = ends_in_a[0]
+    ab_rest = _ref_set_to_mask((a | b) - {z})
+    if any(g.adjacency_mask(v) & ab_rest for v in path if v != z):
+        return False, "path_detached_from_a_b"
+    if dominated is None:
+        return True, None
+    c = _ref_check_vertex_set(g, dominated)
+    if c & _ref_spire_vertices(spire):
+        return False, "dominated_disjoint"
+    cmask = _ref_set_to_mask(c)
+    if any(g.adjacency_mask(v) & cmask for v in a | set(path)):
+        return False, "no_edges_a_path_to_dominated"
+    bmask = _ref_set_to_mask(b)
+    if any(not g.adjacency_mask(v) & bmask for v in c):
+        return False, "b_covers_dominated"
+    return True, None
+
+
+def ref_validate_cathedral(g, cath, free=False, dominated=None):
+    from chibound.graphs import bits
+
+    spires = tuple(cath.spires)
+    if not spires:
+        return False, "nonempty"
+    for i, s in enumerate(spires):
+        ok, clause = ref_validate_spire(g, s, dominated)
+        if not ok:
+            return False, f"spire_{i}_{clause}"
+    for i in range(len(spires)):
+        for j in range(i + 1, len(spires)):
+            vi, vj = _ref_spire_vertices(spires[i]), _ref_spire_vertices(spires[j])
+            if vi & vj:
+                return False, f"disjoint_{i}_{j}"
+            allowed_j = spires[j].b_set if free else (spires[j].a_set | spires[j].b_set)
+            for u in vi:
+                for v in bits(g.adjacency_mask(u) & _ref_set_to_mask(vj)):
+                    if u not in spires[i].b_set or v not in allowed_j:
+                        return False, f"cross_edges_{i}_{j}"
+    return True, None
+
+
+def ref_validate_band(g, band, dominated=None):
+    from chibound.embed import verify_embedding
+    from chibound.trees import superstar, superstar_order
+
+    b = _ref_check_vertex_set(g, band.b_set)
+    g._check(band.center)
+    emb = band.embedding
+    if len(emb.mapping) != superstar_order(band.d) or not verify_embedding(g, superstar(band.d).graph, emb):
+        return False, "superstar_embedding_valid"
+    if band.embedding.mapping[0] != band.center:
+        return False, "root_maps_to_center"
+    hverts = frozenset(band.embedding.mapping)
+    if b & hverts:
+        return False, "b_avoids_superstar"
+    bmask = _ref_set_to_mask(b)
+    if any(not g.has_edge(band.center, v) for v in b):
+        return False, "center_adjacent_b"
+    if any(g.adjacency_mask(v) & bmask for v in hverts - {band.center}):
+        return False, "superstar_detached_from_b"
+    if dominated is None:
+        return True, None
+    c = _ref_check_vertex_set(g, dominated)
+    if c & hverts:
+        return False, "dominated_avoids_superstar"
+    if c & b:
+        return False, "dominated_avoids_b"
+    cmask = _ref_set_to_mask(c)
+    if any(g.adjacency_mask(v) & cmask for v in hverts):
+        return False, "no_edges_superstar_to_dominated"
+    if any(not g.adjacency_mask(v) & bmask for v in c):
+        return False, "b_covers_dominated"
+    return True, None
+
+
+def ref_validate_starry(g, cert):
+    from chibound.embed import verify_embedding
+    from chibound.trees import binary_star, binary_star_order, bristled_star, bristled_star_order
+
+    k, d = cert.k, cert.d
+    binary, bristled = cert.binary_embedding, cert.bristled_embedding
+    if len(binary.mapping) != binary_star_order(k, d) or not verify_embedding(g, binary_star(k, d), binary):
+        return False, "binary_star_embedding"
+    if (len(bristled.mapping) != bristled_star_order(k, d)
+            or not verify_embedding(g, bristled_star(k, d), bristled)):
+        return False, "bristled_star_embedding"
+    return True, None

@@ -7,7 +7,7 @@ import random
 import time
 from itertools import product
 
-from oracles import all_graphs, brute_chromatic, brute_count_induced, has_stable_set, has_triangle
+from oracles import all_graphs, brute_chromatic, brute_components, brute_count_induced, has_stable_set, has_triangle
 
 from chibound.certificates import validate_gyarfas, validate_spire, validate_starry, validate_x_split
 from chibound.coloring import chi_local, chromatic_number, clique_number
@@ -24,12 +24,7 @@ from chibound.generators import (
     shift_graph,
     star_graph,
 )
-from chibound.graphs import (
-    Graph,
-    components_within,
-    induced_subgraph,
-    set_to_mask,
-)
+from chibound.graphs import Graph, induced_subgraph, vertex_mask
 from chibound.harness import ExperimentConfig, run_experiment
 from chibound.machinery import (
     d_equipment,
@@ -134,7 +129,7 @@ def test_criterion_04_stable_removal_degree_property():
                 continue
             if chi_of(g, frozenset(range(g.n)) - x_set) >= chi:
                 continue
-            outside = set_to_mask(frozenset(range(g.n)) - x_set)
+            outside = vertex_mask(g, frozenset(range(g.n)) - x_set)
             best = max((g.adjacency_mask(v) & outside).bit_count() for v in x_set)
             for d in range(chi):
                 instances += 1
@@ -176,7 +171,7 @@ def test_criterion_05_gyarfas_closed_loop():
         for x0 in range(min(5, g.n)):
             region = frozenset(range(g.n)) - {x0}
             comps = [
-                c for c in components_within(g, region) if g.adjacency_mask(x0) & set_to_mask(c)
+                c for c in brute_components(g, region) if g.adjacency_mask(x0) & vertex_mask(g, c)
             ]
             if not comps:
                 continue

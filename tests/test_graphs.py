@@ -9,16 +9,17 @@ from chibound.errors import GraphParseError
 from chibound.generators import complete_graph, cycle_graph, path_graph, petersen, random_graph, star_graph
 from chibound.graphs import (
     Graph,
+    _component_masks,
     components,
-    components_within,
     covers,
     distance,
     induced_subgraph,
-    is_connected_set,
+    is_connected,
     layers,
     level_decomposition,
+    mask_to_set,
     neighborhood,
-    set_to_mask,
+    vertex_mask,
 )
 from chibound.graphio import (
     parse_edge_list,
@@ -188,6 +189,17 @@ def test_covers():
         covers(p5, {1, 2}, {2, 3})
 
 
+def test_vertex_mask():
+    p5 = path_graph(5)
+    assert vertex_mask(p5, [4, 0, 4]) == 0b10001
+    assert vertex_mask(p5, ()) == 0
+    for bad in ([5], [0, -1]):
+        with pytest.raises(ValueError, match="out of range"):
+            vertex_mask(p5, bad)
+        with pytest.raises(ValueError, match="out of range"):
+            covers(p5, bad, [])
+
+
 def test_level_decomposition():
     star = star_graph(4)
     ld = level_decomposition(star, 0)
@@ -215,8 +227,9 @@ def test_levels_match_distance_classes():
 def test_traversals_match_brute_force(case):
     g, s = case
     comps = brute_components(g, s)
-    assert components_within(g, s) == comps
-    assert is_connected_set(g, s) == (len(comps) <= 1)
+    smask = vertex_mask(g, s)
+    assert [mask_to_set(c) for c in _component_masks(g, smask)] == comps
+    assert is_connected(g, smask) == (len(comps) <= 1)
     assert components(g) == brute_components(g, range(g.n))
     dist = brute_distances(g)
     for v in range(g.n):
@@ -233,6 +246,6 @@ def test_traversals_match_brute_force(case):
             assert neighborhood(g, v, r, "ball") == {u for u in reach if reach[u] <= r}
         # within s plus the source, as find_spire cuts a residue
         local = {u: d for u, d in enumerate(brute_distances(g, s | {v})[v]) if d is not None}
-        got = list(layers(g, v, set_to_mask(s | {v})))
-        assert got == [set_to_mask(u for u in local if local[u] == i) for i in range(len(got))]
+        got = list(layers(g, v, vertex_mask(g, s | {v})))
+        assert got == [vertex_mask(g, (u for u in local if local[u] == i)) for i in range(len(got))]
         assert len(got) == max(local.values()) + 1

@@ -237,6 +237,45 @@ def test_malformed_certificates_are_errors(tmp_path, capsys):
     assert verify_certificate(g, cathedral)[0] is True
 
 
+# well-formed certificates on the path 0-1-2, each a verdict of (True, None)
+P3_SPIRE = {"type": "spire", "path": [0, 1], "a_set": [1], "b_set": [2]}
+P3_GYARFAS = {"type": "gyarfas", "path": [0, 1], "residue": [2], "c_set": [1, 2]}
+P3_EQUIPMENT = {"type": "equipment", "center": 1, "independent_neighbors": [0], "path": [1, 0],
+                "witness": 2, "proper": False, "ground": [0, 2]}
+
+
+OUT_OF_RANGE = {
+    "spire_path_99": {**P3_SPIRE, "path": [99]},
+    "spire_path_1_99": {**P3_SPIRE, "path": [1, 99]},
+    "spire_dominated_5": {**P3_SPIRE, "path": [2], "dominated": [5]},  # fails a clause before domination
+    "gyarfas_path_1_-1": {**P3_GYARFAS, "path": [1, -1]},
+    "gyarfas_path_-1": {**P3_GYARFAS, "path": [-1]},
+    "equipment_path_1_-1": {**P3_EQUIPMENT, "path": [1, -1]},
+    "equipment_witness_99": {**P3_EQUIPMENT, "witness": 99},
+    "equipment_witness_-1": {**P3_EQUIPMENT, "witness": -1},
+    "proper_equipment_witness_3": {**P3_EQUIPMENT, "witness": 3, "proper": True},
+}
+
+
+@pytest.mark.parametrize("obj", OUT_OF_RANGE.values(), ids=OUT_OF_RANGE)
+def test_out_of_range_ids_are_malformed(tmp_path, capsys, obj):
+    """A path or witness id outside the graph is malformed input wherever it
+    sits, not a failed clause."""
+    from chibound.certificates import verify_certificate
+    from chibound.generators import path_graph
+    from chibound.graphio import write_graph6
+
+    g = path_graph(3)
+    for good in (P3_SPIRE, P3_GYARFAS, P3_EQUIPMENT):
+        assert verify_certificate(g, good) == (True, None)
+    with pytest.raises(ValueError, match="out of range"):
+        verify_certificate(g, obj)
+    (tmp_path / "p3.g6").write_text(write_graph6(g) + "\n")
+    (tmp_path / "cert.json").write_text(json.dumps(obj))
+    assert cli_main(["verify", "--graph", str(tmp_path / "p3.g6"), "--certificate", str(tmp_path / "cert.json")]) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_gyarfas_honours_node_budget():
     def gyarfas_row(generator, budget):
         config = {"corpus": [generator], "checks": [{"check": "gyarfas", "node_budget": budget}]}
@@ -457,6 +496,17 @@ def harness_snapshot(golden, out_dir, workers=1):
 @pytest.mark.parametrize("golden", list(SNAPSHOTS), ids=lambda p: p.stem)
 def test_harness_snapshot(tmp_path, golden, workers):
     assert harness_snapshot(golden, tmp_path / "out", workers) == json.loads(golden.read_text())
+
+
+@pytest.mark.parametrize("golden", list(SNAPSHOTS), ids=lambda p: p.stem)
+def test_harness_snapshot_on_compiled_kernels(tmp_path, monkeypatch, ckernels, golden):
+    """The golden files hold on the compiled kernels too, whichever backend
+    is active: report bytes do not depend on the backend."""
+    from chibound import _kernels
+
+    for name in ("greedy_clique", "k_color", "max_clique", "find_embedding", "count_embeddings"):
+        monkeypatch.setattr(_kernels, name, getattr(ckernels, name))
+    assert harness_snapshot(golden, tmp_path / "out") == json.loads(golden.read_text())
 
 
 def test_each_instance_colours_each_vertex_set_once(monkeypatch):

@@ -3,7 +3,7 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import brute_induced_paths
+from oracles import brute_components, brute_induced_paths
 from strategies import graphs_with_subsets
 
 from chibound.certificates import (
@@ -34,7 +34,8 @@ from chibound.generators import (
     shift_graph,
     star_graph,
 )
-from chibound.graphs import Graph, components_within, induced_subgraph, is_connected_set, set_to_mask
+from chibound.graphio import parse_graph6
+from chibound.graphs import Graph, induced_subgraph, is_connected, vertex_mask
 from chibound.machinery import (
     d_equipment,
     find_spire,
@@ -83,9 +84,10 @@ def brute_best_split_chi(g, x_ground):
             for size in range(1, len(pool) + 1):
                 for z in combinations(pool, size):
                     zs = frozenset(z)
-                    if not is_connected_set(g, zs):
+                    zmask = vertex_mask(g, zs)
+                    if not is_connected(g, zmask):
                         continue
-                    if not g.adjacency_mask(x) & set_to_mask(zs):
+                    if not g.adjacency_mask(x) & zmask:
                         continue
                     chi = chi_of(g, zs)
                     if best is None or chi > best:
@@ -172,7 +174,7 @@ def test_gyarfas_closed_loop_seeded():
         x0 = 0
         region = frozenset(range(g.n)) - {x0}
         comps = [
-            c for c in components_within(g, region) if g.adjacency_mask(x0) & set_to_mask(c)
+            c for c in brute_components(g, region) if g.adjacency_mask(x0) & vertex_mask(g, c)
         ]
         if not comps:
             continue
@@ -346,6 +348,21 @@ def test_find_spire_grotzsch():
     assert chi_of(g, dom) >= 2  # the dominated set contains an edge
 
 
+# graph6 D|o: edges 01 02 03 04 12 14 23, with a spire find_spire misses
+D_O = parse_graph6("D|o")
+D_O_SPIRE = Spire(path=(3, 2), a_set=frozenset({2}), b_set=frozenset({1}))
+
+
+def test_d_o_has_a_spire():
+    assert validate_spire(D_O, D_O_SPIRE, frozenset({4})) == (True, None)
+    assert independent_spire_recheck(D_O, D_O_SPIRE, frozenset({4}))
+
+
+@pytest.mark.xfail(strict=True, reason="find_spire is a construction, not an exhaustive search (ROADMAP item 4)")
+def test_find_spire_finds_an_existing_spire():
+    assert find_spire(D_O, 1, 0) is not None
+
+
 def test_find_spire_closed_loop_seeded():
     found = 0
     for i in range(25):
@@ -429,7 +446,7 @@ def test_induced_paths_match_brute_force(case, start, length):
     the number of induced path prefixes suffices and one less runs out."""
     g, allowed = case
     assume(start < g.n)
-    allowed_mask = set_to_mask(allowed)
+    allowed_mask = vertex_mask(g, allowed)
     want = brute_induced_paths(g, start, allowed, length)
     assert list(_induced_paths_from(g, start, allowed_mask, length)) == want
     nodes = sum(len(brute_induced_paths(g, start, allowed, k)) for k in range(1, length + 1))
