@@ -22,11 +22,11 @@ from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
 from chibound.embed import _search_plan
 from chibound.generators import complete_graph, kneser, mycielski_tower, random_graph, shift_graph
-from chibound.trees import bristle, bristled_star, broom, superstar
+from chibound.trees import binary_star, bristle, bristled_star, broom, superstar
 
 
-def embedding_args(host, pattern):
-    _, *plan = _search_plan(host, pattern, None)
+def embedding_args(host, pattern, anchor=None):
+    _, *plan = _search_plan(host, pattern, anchor)
     return (list(host.adjacency_masks()), *plan)
 
 
@@ -84,6 +84,20 @@ def workloads():
         yield (f"count {name} in {host_name}", lambda m, a=menu_args: m.count_embeddings(*a))
     absent_args = embedding_args(k72, superstar(3).graph)
     yield ("refute superstar(3) in kneser(7,2)", lambda m: m.find_embedding(*absent_args))
+    refute_args = embedding_args(kneser(6, 2), binary_star(1, 2))
+    yield ("refute binary_star(1,2) in kneser(6,2)", lambda m: m.find_embedding(*refute_args))
+    # found only after about 3,000 nodes, past many dead ends
+    deep_args = embedding_args(mycielski_tower(4), superstar(3).graph)
+    yield ("find superstar(3) in tower24", lambda m: m.find_embedding(*deep_args))
+    # early hits, under 0.1 ms: the fit rows a search builds must cost
+    # little next to the few nodes it visits
+    for name, pattern, early_host, host_name, anchor in [
+        ("superstar(3)", superstar(3).graph, random_graph(30, "0.15", 4099), "random(30, .15)", None),
+        ("superstar(2)", superstar(2).graph, k72, "kneser(7,2)", None),
+        ("bristle(1,2) at (0, 5)", bristle(1, 2).graph, k72, "kneser(7,2)", (0, 5)),
+    ]:
+        early_args = embedding_args(early_host, pattern, anchor)
+        yield (f"find {name} in {host_name}", lambda m, a=early_args: m.find_embedding(*a))
 
 
 def compiled_module(build_dir):

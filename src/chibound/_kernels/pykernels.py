@@ -20,12 +20,14 @@ Common conventions:
     that many neighbor colors), so painting a vertex is a few mask
     operations rather than a walk over its neighbors; _ckernels.c keeps
     per-vertex counters instead and runs the same search node for node;
-  * the induced-embedding search tests a candidate host h for position t
-    below the last with one mask comparison, host_adj[h] & used == want,
-    where used holds the hosts assigned so far and want those of the
-    earlier positions adjacent to t; the last position takes all its
-    passing hosts at once, as one AND of the candidate pool with a mask
-    that each placement narrows (see find_embedding);
+  * the induced-embedding search carries one packed int, fit, with an
+    hn-bit field per search position (hn the host's vertex count): field t
+    holds the hosts whose adjacency to the hosts placed so far matches
+    position t's adjacency to their positions, so each position takes its
+    passing candidates as one AND of its candidate pool with its field,
+    and the last position takes them all in one step (see
+    find_embedding); _ckernels.c keeps a loop over each candidate below
+    the last position, one mask comparison each, over the same nodes;
   * every entry point returns (status, payload) with status
     0 = result found, 1 = exhausted without result, 2 = budget exceeded.
 """
@@ -245,13 +247,29 @@ def find_embedding(host_adj, pat_adj_o, parents, cands, node_budget=0):
     is the statically filtered host candidate mask for position t.
 
     Candidates for position t are the unused hosts of cands[t] adjacent to
-    the parent's host, in ascending order, one node each. Below the last
-    position L = m - 1 the module docstring's mask test decides each
-    candidate, and each passing one is placed and searched from. The
-    search also carries fit, the hosts that pass L's test against the
-    positions placed so far: it starts as all ones, and placing h at
-    position s < L ANDs in host_adj[h] when s ~ L and ~host_adj[h]
-    otherwise. At L the passing set is ok = pool & fit, in one step:
+    the parent's host, in ascending order, one node each. A candidate h
+    passes when, for every earlier position s placed at host assign[s], h
+    is adjacent to assign[s] exactly when t is adjacent to s. The search
+    carries fit, one int with an hn-bit field per position, field t in
+    bits t * hn to (t + 1) * hn - 1: it starts as all ones, and placing h
+    at position s ANDs in side[s][h], which holds host row h in the field
+    of each later position adjacent to s, the row's complement in the
+    field of each later position not adjacent to s, and zeros in the
+    fields of s and the positions before it, which are never read again.
+    side[s][h] is built on h's first placement at s, as
+    row * after[s] ^ flip[s]: after[s] holds a one at the bottom of the
+    field of each later position, so the product copies the row into each
+    of those fields, and flip[s] fills the fields of the later positions
+    not adjacent to s. Building every row up front would cost more than an
+    early find spends in its whole search.
+
+    At position t the passing set is ok = pool & (fit >> t * hn), and only
+    its bits are placed and searched from. The failing candidates are
+    never visited, but a budgeted call still charges them: before placing
+    a passing bit b it charges popcount(pool & ((b << 1) - 1)) nodes, b and
+    the failures below it, and drops those bits from pool; after the last
+    passing bit it charges what is left of pool. At the last position
+    L = m - 1 the passing set is taken in one step:
 
       * count_embeddings adds popcount(ok) and charges popcount(pool)
         nodes;
@@ -259,10 +277,12 @@ def find_embedding(host_adj, pat_adj_o, parents, cands, node_budget=0):
         popcount(pool & (first - 1)) + 1 nodes, first being that bit, or
         popcount(pool) when ok is 0.
 
-    A candidate at L recurses into nothing, so a budgeted call stops, with
-    status 2, exactly when nodes + charge > node_budget: where a loop over
-    L's candidates one at a time would stop. Every status, witness, count
-    and budget outcome is that loop's.
+    A budgeted call stops, with status 2, at the first charge that takes
+    nodes past node_budget, which is where a loop over each position's
+    candidates one at a time would stop: every status, witness, count and
+    budget outcome is that loop's. _ckernels.c runs that loop below L,
+    testing each candidate with one mask comparison, over the same nodes
+    in the same order.
 
     fit reads host_adj[h] as a column (bit u set iff h ~ u), which holds
     because host adjacency is symmetric by the module's convention. The
@@ -283,9 +303,9 @@ def _embed(host_adj, pat_adj_o, parents, cands, node_budget, count):
     """The search behind both entry points: the first embedding, or with
     count the number of embeddings. Candidates for position t are the
     unused hosts of cands[t] adjacent to the parent's host, taken ascending
-    at one node each; below the last position the module docstring's mask
-    test decides each, and the last position takes its passing set in one
-    step (see find_embedding)."""
+    at one node each; the packed fit mask picks out at once those that
+    pass, and the last position takes them in one step (see
+    find_embedding)."""
     hn, m = len(host_adj), len(parents)
     _popcounts(host_adj, hn, hn, "host_adj")
     _popcounts(cands, m, hn, "cands", loops=True)
@@ -296,27 +316,44 @@ def _embed(host_adj, pat_adj_o, parents, cands, node_budget, count):
     if m == 0:
         return (0, 1) if count else (0, [])
     last = m - 1
-    # placing h at t < last ANDs sides[t][h] into fit: host row h when t
-    # is adjacent to the last position, else its complement
-    near_last = pat_adj_o[last]
-    off_rows = [~row for row in host_adj]
-    sides = [host_adj if near_last >> t & 1 else off_rows for t in range(last)]
+    # after[s] has a one at the bottom of the field of each position after
+    # s, so row * after[s] copies a host row into each of those fields, and
+    # flip[s] fills the fields of the later positions not adjacent to s, so
+    # XORing it in turns the row there into its complement
+    full = (1 << hn) - 1
+    after = [0] * last
+    flip = [0] * last
+    later = 0
+    for s in range(last - 1, -1, -1):
+        t = s + 1
+        later |= 1 << t * hn
+        apart = later
+        adj = pat_adj_o[s] >> t
+        while adj:
+            if adj & 1:
+                apart ^= 1 << t * hn
+            adj >>= 1
+            t += 1
+        after[s] = later
+        flip[s] = full * apart
+    # sides[s][h], built on h's first placement at s, is what that
+    # placement ANDs into fit
+    sides = [[None] * hn for _ in range(last)]
     assign = [0] * m
-    earlier = [[s for s in range(t) if (pat_adj_o[t] >> s) & 1] for t in range(m)]
     used = 0
     nodes = 0
     total = 0
 
     def rec(t, fit):
         """0 = search on, 2 = budget exceeded, 3 = embedding complete.
-        fit holds the hosts that pass the last position's mask test
-        against positions 0..t - 1."""
+        Field u of fit, for u >= t, holds the hosts that pass position
+        u's test against positions 0..t - 1."""
         nonlocal used, nodes, total
         pool = cands[t] & ~used
         if parents[t] >= 0:
             pool &= host_adj[assign[parents[t]]]
+        ok = pool & (fit >> t * hn)
         if t == last:
-            ok = pool & fit
             # only a nonzero budget reads the node count
             if node_budget:
                 if ok and not count:
@@ -332,25 +369,31 @@ def _embed(host_adj, pat_adj_o, parents, cands, node_budget, count):
                 assign[t] = (ok & -ok).bit_length() - 1
                 return 3
             return 0
-        want = 0
-        for s in earlier[t]:
-            want |= 1 << assign[s]
         side = sides[t]
-        while pool:
-            b = pool & -pool
-            pool ^= b
-            nodes += 1
-            if node_budget and nodes > node_budget:
-                return 2
+        while ok:
+            b = ok & -ok
+            ok ^= b
+            if node_budget:
+                # the failing candidates below b, then b itself
+                taken = pool & ((b << 1) - 1)
+                pool ^= taken
+                nodes += taken.bit_count()
+                if nodes > node_budget:
+                    return 2
             h = b.bit_length() - 1
-            if host_adj[h] & used != want:
-                continue
+            row = side[h]
+            if row is None:
+                side[h] = row = host_adj[h] * after[t] ^ flip[t]
             assign[t] = h
             used |= b
-            r = rec(t + 1, fit & side[h])
+            r = rec(t + 1, fit & row)
             used ^= b
             if r:
                 return r
+        if node_budget:
+            nodes += pool.bit_count()
+            if nodes > node_budget:
+                return 2
         return 0
 
     status = rec(0, -1)

@@ -31,10 +31,10 @@ from .generators import generator_args, make_graph
 from .graphio import parse_graph6, write_graph6
 from .graphs import _component_masks, bits
 from .machinery import (
+    _gyarfas_path_of_mask,
     d_equipment,
     find_spire,
     find_x_split,
-    gyarfas_path,
     induced_path_centered,
     properly_d_equipped,
 )
@@ -185,7 +185,7 @@ def _check_gyarfas(g, base, params):
             if best_chi <= k * chi1:
                 break
             try:
-                gyarfas_path(g, bits(best), x0, k)
+                _gyarfas_path_of_mask(g, best, x0, k)
             except AssertionError as e:
                 return VIOLATION, f"x0={x0} k={k}: {e}", None
             checked += 1

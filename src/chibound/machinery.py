@@ -87,7 +87,12 @@ def gyarfas_path(g, c_set, x0, k):
     The chromatic precondition chi(C) > k * chi_1 is verified exactly
     before the walk.
     """
-    cmask = vertex_mask(g, c_set)
+    return _gyarfas_path_of_mask(g, vertex_mask(g, c_set), x0, k)
+
+
+def _gyarfas_path_of_mask(g, cmask, x0, k):
+    """gyarfas_path on the set given as a mask of g's vertices, checked by
+    the caller; every other precondition is checked here."""
     g._check(x0)
     if k < 0:
         raise ValueError(f"k must be non-negative, got {k}")

@@ -4,7 +4,7 @@ import random
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings
+from hypothesis import assume, given, settings
 from hypothesis import strategies as st
 from oracles import reference_embed
 
@@ -225,6 +225,56 @@ def test_embedding_kernels_match_reference_at_every_budget(ckernels, case):
         kernel = "count_embeddings" if count else "find_embedding"
         nodes = reference_embed(*case, 0, count)[2]
         for budget in range(nodes + 2):
+            want = reference_embed(*case, budget, count)[:2]
+            assert getattr(pykernels, kernel)(*case, budget) == want
+            assert getattr(ckernels, kernel)(*case, budget) == want
+
+
+# nodes past which a drawn large case is dropped, so that the unbudgeted
+# reference searches and counts stay quick
+LARGE_CASE_NODES = 20000
+
+
+@st.composite
+def large_reference_cases(draw):
+    """Embedding kernel arguments with a symmetric host on 30 to 70
+    vertices, so the packed fit fields span many machine words and a C
+    row past 64 hosts takes two, and a pattern of 7 to 10 positions.
+    Half the patterns are induced subgraphs of the host on planted
+    vertices, each in its position's candidate mask, so that many cases
+    have embeddings; each parent is an earlier adjacent position or -1,
+    as in a search plan, and a few candidates per position keep the
+    unbudgeted searches small."""
+    hn = draw(st.sampled_from(range(30, 71)))
+    m = draw(st.sampled_from(range(7, 11)))
+    _, host_adj = draw_adjacency(draw, hn, hn)
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+    planted = rng.sample(range(hn), m)
+    if draw(st.booleans()):
+        pat_adj_o = [sum(1 << s for s in range(m) if host_adj[planted[t]] >> planted[s] & 1) for t in range(m)]
+    else:
+        _, pat_adj_o = draw_adjacency(draw, m, m)
+    fill = draw(st.sampled_from((0.02, 0.05, 0.08, 0.12)))
+    parents = []
+    for t in range(m):
+        near = [s for s in range(t) if pat_adj_o[t] >> s & 1]
+        parents.append(rng.choice(near) if near and rng.random() < 0.8 else -1)
+    cands = [sum(1 << h for h in range(hn) if rng.random() < fill) | 1 << planted[t] for t in range(m)]
+    return host_adj, pat_adj_o, parents, cands
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=large_reference_cases())
+def test_embedding_kernels_match_reference_on_large_instances(ckernels, case):
+    """Both backends return the reference search's (status, payload)
+    unbudgeted, at budget 1 and at half, one below, exactly and one past
+    the nodes an unbudgeted call charges."""
+    # a count charges at least every node a find does
+    assume(reference_embed(*case, LARGE_CASE_NODES, True)[0] != 2)
+    for count in (False, True):
+        kernel = "count_embeddings" if count else "find_embedding"
+        nodes = reference_embed(*case, 0, count)[2]
+        for budget in sorted({0, 1, nodes // 2, nodes - 1, nodes, nodes + 1} - {-1}):
             want = reference_embed(*case, budget, count)[:2]
             assert getattr(pykernels, kernel)(*case, budget) == want
             assert getattr(ckernels, kernel)(*case, budget) == want
