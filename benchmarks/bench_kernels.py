@@ -56,6 +56,15 @@ def workloads():
         f"refute {chi40 - 1}-coloring random(40, .5)",
         lambda m: m.k_color(dense40.n, list(dense40.adjacency_masks()), chi40 - 1),
     )
+    # whole chi sweeps from k = 1, as chromatic_number makes them
+    yield (
+        "chi sweep tower23",
+        lambda m: m.k_color(tower.n, list(tower.adjacency_masks()), 1, 0, tower.n),
+    )
+    yield (
+        "chi sweep random(40, .5)",
+        lambda m: m.k_color(dense40.n, list(dense40.adjacency_masks()), 1, 0, dense40.n),
+    )
     yield (
         "refute 3-coloring random(70, .12)",
         lambda m: m.k_color(sparse.n, list(sparse.adjacency_masks()), 3),

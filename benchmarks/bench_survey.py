@@ -6,8 +6,15 @@ sparse random graphs, each under all six per-graph checks, plus three
 counterexample checks) through harness.run_experiment with an output
 directory, one config at a time, in this interpreter. After one untimed
 warm-up sweep it times --repeat sweeps, then counts the calls one more
-sweep makes to the k_color and greedy_clique kernel entry points. It
-prints one JSON object.
+sweep makes to the k_color and greedy_clique kernel entry points. A
+k_color call is one k-sweep: a chromatic number costs one call, however
+many k it tries. It prints one JSON object.
+
+Each sweep is timed in wall and in user CPU seconds. The harness writes
+its output files in every sweep, and on a shared 2-vCPU VM the
+kernel-mode time of those writes spread the wall times of one
+checkout's sweeps over a range of 2x, while their user times stayed
+within about 10% of the median; compare checkouts by user time there.
 
 Usage, from the root of a checkout; PYTHONPATH picks the chibound to time:
 
@@ -22,6 +29,7 @@ import importlib.util
 import json
 import os
 import platform
+import resource
 import statistics
 import subprocess
 import sys
@@ -50,14 +58,18 @@ def load_built_c_kernels(build_dir):
     return module
 
 
+def user_seconds():
+    return resource.getrusage(resource.RUSAGE_SELF).ru_utime
+
+
 def count_kernel_calls(kernels, names):
     """Wrap the named entry points of the kernels module with call
     counters. Returns the dict of counts, which grows as calls are made."""
     calls = dict.fromkeys(names, 0)
     for name in names:
-        def counted(*a, _fn=getattr(kernels, name), _name=name):
+        def counted(*a, _fn=getattr(kernels, name), _name=name, **kw):
             calls[_name] += 1
-            return _fn(*a)
+            return _fn(*a, **kw)
 
         setattr(kernels, name, counted)
     return calls
@@ -83,13 +95,14 @@ def main():
         configs = [harness.ExperimentConfig.from_dict(c) for c in survey_configs(SURVEY_FIXED + SURVEY_POOL)]
 
         def sweep():
-            start = time.perf_counter()
+            """(wall, user CPU) seconds of one sweep."""
+            start, user = time.perf_counter(), user_seconds()
             for i, config in enumerate(configs):
                 harness.run_experiment(config, output_dir=str(tmp / f"op{i:02d}"))
-            return time.perf_counter() - start
+            return time.perf_counter() - start, user_seconds() - user
 
         sweep()
-        times = [sweep() for _ in range(args.repeat)]
+        times, user = zip(*(sweep() for _ in range(args.repeat)))
 
         calls = count_kernel_calls(_kernels, ("k_color", "greedy_clique"))
         sweep()
@@ -101,6 +114,8 @@ def main():
         "configs": len(configs),
         "sweep_s": [round(t, 4) for t in times],
         "median_s": round(statistics.median(times), 4),
+        "user_s": [round(t, 4) for t in user],
+        "median_user_s": round(statistics.median(user), 4),
         "calls_per_sweep": calls,
     }))
 

@@ -314,16 +314,54 @@ kc_rec(KCtx *cx, int colored, int max_used)
     return 1;
 }
 
+/* One k of the sweep: precolour the clique, then search, with fresh
+   colours, counters and node count. The colouring is left in colors.
+   Returns kc_rec's status, or -1 with MemoryError set. */
+static int
+kc_search(int n, int nw, const uint64_t *adj, int *degs, const int *clique, int size,
+          Py_ssize_t k, long long budget, int *colors)
+{
+    /* no search of n vertices uses more than n colours, so a larger k
+       takes the same path */
+    KCtx cx = {.n = n, .k = (int)(k < n ? k : n), .nw = nw, .adj = adj, .degs = degs,
+               .colors = colors, .budget = budget};
+    cx.ncount = calloc((size_t)n * (cx.k + 1), sizeof(int));
+    cx.satcount = calloc(n, sizeof(int));
+    int status = -1;
+    if (cx.ncount == NULL || cx.satcount == NULL)
+        PyErr_NoMemory();
+    else {
+        memset(colors, 0, (size_t)n * sizeof(int));
+        for (int i = 0; i < size; i++)
+            paint(&cx, clique[i], i + 1);
+        status = kc_rec(&cx, size, size);
+    }
+    free(cx.ncount);
+    free(cx.satcount);
+    return status;
+}
+
+/* Try each k' from max(k, greedy clique size) to k_max (default k), each
+   with a fresh node budget: (0, colours) for the first k' that colours,
+   (1, None) when none does, (2, k') for the k' that ran out of budget.
+   The checks, degrees and greedy clique run once per call. */
 static PyObject *
 k_color(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "adj", "k", "node_budget", NULL};
+    static char *kwlist[] = {"n", "adj", "k", "node_budget", "k_max", NULL};
     Py_ssize_t n, k;
     long long budget = 0;
-    PyObject *adj_o, *result = NULL;
+    PyObject *adj_o, *k_max_o = Py_None, *result = NULL;
     int nw, size = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nOn|L:k_color", kwlist, &n, &adj_o, &k, &budget))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nOn|LO:k_color", kwlist, &n, &adj_o, &k, &budget,
+                                     &k_max_o))
         return NULL;
+    Py_ssize_t k_max = k;
+    if (k_max_o != Py_None) {
+        k_max = PyNumber_AsSsize_t(k_max_o, PyExc_OverflowError);
+        if (k_max == -1 && PyErr_Occurred())
+            return NULL;
+    }
     uint64_t *adj = load_graph(n, adj_o, &nw);
     if (adj == NULL)
         return NULL;
@@ -331,46 +369,34 @@ k_color(PyObject *self, PyObject *args, PyObject *kwargs)
         free(adj);
         return Py_BuildValue("(iN)", 0, PyList_New(0));
     }
-    if (k <= 0) {
-        free(adj);
-        return Py_BuildValue("(iO)", 1, Py_None);
-    }
     int *clique = greedy_alloc((int)n, nw, adj, &size);
-    if (clique == NULL) {
-        free(adj);
-        return NULL;
+    int *degs = calloc(n, sizeof(int));
+    int *colors = calloc(n, sizeof(int));
+    if (clique == NULL || degs == NULL || colors == NULL) {
+        if (!PyErr_Occurred())
+            PyErr_NoMemory();
     }
-    if (size > k) {
-        free(adj);
-        free(clique);
-        return Py_BuildValue("(iO)", 1, Py_None);
-    }
-    /* no search of n vertices uses more than n colours, so a larger k
-       takes the same path */
-    KCtx cx = {.n = (int)n, .k = (int)(k < n ? k : n), .nw = nw, .adj = adj, .budget = budget};
-    cx.colors = calloc(n, sizeof(int));
-    cx.degs = calloc(n, sizeof(int));
-    cx.ncount = calloc((size_t)n * (cx.k + 1), sizeof(int));
-    cx.satcount = calloc(n, sizeof(int));
-    if (cx.colors == NULL || cx.degs == NULL || cx.ncount == NULL || cx.satcount == NULL)
-        PyErr_NoMemory();
     else {
         for (int i = 0; i < n; i++)
-            cx.degs[i] = bs_popcount(adj + (size_t)i * nw, nw);
-        for (int i = 0; i < size; i++)
-            paint(&cx, clique[i], i + 1);
-        int status = kc_rec(&cx, size, size);
+            degs[i] = bs_popcount(adj + (size_t)i * nw, nw);
+        int status = 1;
+        Py_ssize_t kk = k > size ? k : size;
+        for (; kk <= k_max; kk++) {
+            status = kc_search((int)n, nw, adj, degs, clique, size, kk, budget, colors);
+            if (status != 1)
+                break;
+        }
         if (status == 0)
-            result = Py_BuildValue("(iN)", 0, int_list(cx.colors, n));
-        else
-            result = Py_BuildValue("(iO)", status, Py_None);
+            result = Py_BuildValue("(iN)", 0, int_list(colors, n));
+        else if (status == 1)
+            result = Py_BuildValue("(iO)", 1, Py_None);
+        else if (status == 2)
+            result = Py_BuildValue("(in)", 2, kk);
     }
     free(adj);
     free(clique);
-    free(cx.colors);
-    free(cx.degs);
-    free(cx.ncount);
-    free(cx.satcount);
+    free(degs);
+    free(colors);
     return result;
 }
 

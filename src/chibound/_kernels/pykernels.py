@@ -15,11 +15,16 @@ Common conventions:
   * a node budget of 0 means unbounded; a budgeted kernel counts a node and
     then stops once the count exceeds a nonzero budget, so it never
     expands node budget + 1 nodes;
-  * k_color keeps DSATUR's saturation as masks, one per color (who has a
-    neighbor of that color) and one per saturation level (who has at least
-    that many neighbor colors), so painting a vertex is a few mask
-    operations rather than a walk over its neighbors; _ckernels.c keeps
-    per-vertex counters instead and runs the same search node for node;
+  * k_color runs a whole k-sweep in one call, with one set-up (checks,
+    degrees, greedy clique) for every k it tries. It renumbers the
+    vertices once by DSATUR's static key, degree then lower id, so a tie
+    within a saturation level goes to the top bit, and packs the search
+    state into two ints with an n-bit field per level or colour: L, who
+    has at least s neighbour colours, and P, who has a neighbour coloured
+    c. Painting a vertex is a few big-int operations whose results are
+    passed down the recursion, so backtracking restores nothing.
+    _ckernels.c keeps per-vertex colour counters and a scan for the pick,
+    with no renumbering, and runs the same search node for node;
   * the induced-embedding search carries one packed int, fit, with an
     hn-bit field per search position (hn the host's vertex count): field t
     holds the hosts whose adjacency to the hosts placed so far matches
@@ -29,7 +34,8 @@ Common conventions:
     find_embedding); _ckernels.c keeps a loop over each candidate below
     the last position, one mask comparison each, over the same nodes;
   * every entry point returns (status, payload) with status
-    0 = result found, 1 = exhausted without result, 2 = budget exceeded.
+    0 = result found, 1 = exhausted without result, 2 = budget exceeded;
+    k_color's status-2 payload is the k whose search ran out.
 """
 
 BACKEND_NAME = "python"
@@ -86,120 +92,124 @@ def _greedy(adj, degs):
     return clique
 
 
-def k_color(n, adj, k, node_budget=0):
-    """Decide k-colorability and return a witness.
+def k_color(n, adj, k, node_budget=0, k_max=None):
+    """Sweep k' up from k to k_max for the first k'-colouring.
 
-    Saturation-driven backtracking (DSATUR): repeatedly color the uncolored
-    vertex with the most distinctly-colored neighbors (ties: higher degree,
-    then lower id), trying colors in ascending order and allowing at most
-    one color beyond the current maximum. A greedy clique is precolored
-    first. The first witness found is canonical given these rules.
+    Tries each k' from the larger of k and the greedy clique's size up to
+    k_max (default k), each with a fresh node budget, and returns (0,
+    colours) for the first k' that colours, (1, None) when none does and
+    (2, k') for the k' whose search ran out of budget. The null graph
+    gives (0, []). The checks, degrees, greedy clique and renumbering run
+    once per call, not once per k'.
 
-    The saturation lives in masks over the vertices:
+    The search is saturation-driven backtracking (DSATUR): repeatedly
+    colour the uncoloured vertex with the most distinctly-coloured
+    neighbours (ties: higher degree, then lower id), trying colours in
+    ascending order and allowing at most one colour beyond the current
+    maximum. The greedy clique is precoloured first. The first witness
+    found is canonical given these rules.
 
-      * seen[c] holds every vertex with a neighbor colored c, so c is free
-        for v iff seen[c] & (1 << v) is 0;
-      * lev[s], for s = 0..min(k, n), holds every vertex whose saturation
-        is at least s, so lev[0] holds them all; only its uncolored bits
-        are kept current;
-      * uncol holds the uncolored vertices.
+    The vertices are renumbered once, ascending by the static key (degree,
+    then id reversed), so among vertices of equal saturation the highest
+    new id is the one DSATUR picks. The state is two packed ints with an
+    n-bit field per level or colour, passed down the recursion as new
+    ints, so backtracking restores nothing:
 
-    Painting v with c raises by one the saturation of each vertex in
-    new = adj[v] & ~seen[c] & uncol: each level s from the top down takes
-    the vertices of new one level below, lev[s] |= lev[s - 1] & new. No
-    saturation exceeds the colors in use, so the top is the current
-    maximum color; the levels are nested, so once lev[s - 1] holds all of
-    new the levels below it hold new already and the walk stops.
-    Unpainting restores the saved seen[c] and levels. colors keeps the
-    stale colors of backtracked vertices: a success paints every vertex.
+      * L: field s holds the vertices whose saturation is at least s, for
+        s = 0..top, top the largest colour in use; only its uncoloured
+        bits are kept current;
+      * P: field c - 1 holds the vertices with a neighbour coloured c.
 
-    The pick is the highest level with an uncolored vertex. Among several,
-    the maximum of the static key (degree << b) | (n - 1 - u), with
-    b = n.bit_length(), names the vertex: degree and n - 1 - u lie in
-    [0, n), so each fits its own b-bit field and comparing keys compares
-    degree first, then the id reversed.
+    With E[t] a one at the bottom of fields 0..t, the pick is the top bit
+    of L & uncol * E[top]: the top bit of the highest level with an
+    uncoloured vertex. The free colours of v, at most limit = min(top + 1,
+    k'), are the bits of E[limit - 1] & ~(P >> v), visited ascending.
+    Painting v with c adds row << (c - 1) * n to P and moves the vertices
+    new = row & uncol & ~(P >> (c - 1) * n) up one level, all levels at
+    once, as L | (L << n) & new * E[t]. The colours are written, in the
+    caller's ids, on the way back up from a success.
+    _ckernels.c keeps per-vertex colour counters and a scan for the pick
+    instead, over the same nodes in the same order.
     """
     degs = _popcounts(adj, n, n, "adj")
     if n == 0:
         return (0, [])
-    if k <= 0:
-        return (1, None)
     clique = _greedy(adj, degs)
-    if len(clique) > k:
+    ks = range(max(k, len(clique)), (k if k_max is None else k_max) + 1)
+    if not ks:
         return (1, None)
 
+    # order[i] is the vertex numbered i: the keys (degree << b) | (n - 1 - v)
+    # sort by degree, then id reversed, as each part fits its b-bit field
     b = n.bit_length()
-    low = (1 << b) - 1
-    keys = [(d << b) | (n - 1 - v) for v, d in enumerate(degs)]
-    colors = [0] * n
-    # no search of n vertices uses more than n colors
-    seen = [0] * (min(k, n) + 1)
-    lev = [0] * (min(k, n) + 1)
-    lev[0] = uncol = (1 << n) - 1
+    id_field = (1 << b) - 1
+    order = [n - 1 - (key & id_field) for key in sorted([(d << b) | (n - 1 - v) for v, d in enumerate(degs)])]
+    # renumber both ends of every edge: M holds the rows in the new order,
+    # one n-bit field each, and column order[j] of M moves to column j
+    M = 0
+    for i, v in enumerate(order):
+        M |= adj[v] << i * n
+    low = ((1 << n * n) - 1) // ((1 << n) - 1)  # a one at the bottom of each field
+    R = 0
+    for j, u in enumerate(order):
+        R |= (M >> u & low) << j
+    full = (1 << n) - 1
+    rows = [R >> i * n & full for i in range(n)]
 
-    for c, v in enumerate(clique, 1):
-        colors[v] = c
+    # E grows by one field whenever the search opens a colour
+    E = [1]
+    L = uncol = full
+    P = 0
+    colors = [0] * n
+    for c, u in enumerate(clique, 1):
+        v = order.index(u)
+        E.append(E[-1] | 1 << c * n)
+        colors[u] = c
         uncol ^= 1 << v
-        new = adj[v] & uncol
-        seen[c] = adj[v]
-        for s in range(c, 0, -1):
-            lev[s] |= lev[s - 1] & new
+        row = rows[v]
+        L |= (L << n) & (row & uncol) * E[c]
+        P |= row << (c - 1) * n
 
     nodes = 0
 
-    def rec(uncol, max_used):
+    def rec(uncol, L, P, top):
         nonlocal nodes
         if not uncol:
             return 0
-        s = max_used
-        while not (cand := lev[s] & uncol):
-            s -= 1
-        if cand & (cand - 1):
-            best = -1
-            while cand:
-                u = cand.bit_length() - 1
-                cand ^= 1 << u
-                key = keys[u]
-                if key > best:
-                    best = key
-            v = n - 1 - (best & low)
-            bit = 1 << v
-        else:
-            bit = cand
-            v = bit.bit_length() - 1
-        row = adj[v]
-        rest = uncol ^ bit
-        limit = max_used + 1 if max_used < k else k
-        for c in range(1, limit + 1):
-            was = seen[c]
-            if was & bit:
-                continue
+        v = ((L & uncol * E[top]).bit_length() - 1) % n
+        row = rows[v]
+        rest = uncol ^ 1 << v
+        free = E[top if top < k else top - 1] & ~(P >> v)
+        while free:
+            fb = free & -free
+            free ^= fb
             nodes += 1
             if node_budget and nodes > node_budget:
                 return 2
-            top = max_used if c <= max_used else c
-            colors[v] = c
-            seen[c] = was | row
-            new = row & ~was & rest
-            if new:
-                saved = lev[1 : top + 1]
-                s = top
-                while True:
-                    below = lev[s - 1] & new
-                    lev[s] |= below
-                    if below == new:
-                        break
-                    s -= 1
-            r = rec(rest, top)
+            shift = fb.bit_length() - 1
+            c = shift // n + 1
+            t = top
+            if c > top:
+                t = c
+                if c == len(E):
+                    E.append(E[-1] | 1 << c * n)
+            new = row & rest & ~(P >> shift)
+            r = rec(rest, L | (L << n) & new * E[t], P | row << shift, t)
             if r != 1:
+                if r == 0:
+                    colors[order[v]] = c
                 return r
-            seen[c] = was
-            if new:
-                lev[1 : top + 1] = saved
         return 1
 
-    status = rec(uncol, len(clique))
-    return (status, colors.copy() if status == 0 else None)
+    # rec reads k, the k' being tried
+    for k in ks:
+        nodes = 0
+        status = rec(uncol, L, P, len(clique))
+        if status == 0:
+            return (0, colors)
+        if status == 2:
+            return (2, k)
+    return (1, None)
 
 
 def max_clique(n, adj, node_budget=0):

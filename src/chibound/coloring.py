@@ -5,6 +5,11 @@ default to unbounded. Searches break ties by lowest vertex id, so repeated
 runs and both kernel backends return identical witnesses. Unbudgeted
 answers are kept in each graph's chi memo (see graphs.Graph).
 
+A chromatic number is one k_color kernel call: the kernel sweeps k up
+from the larger of a proven lower bound and its greedy clique size, with
+one set-up and one greedy clique for the whole sweep and a fresh node
+budget for each k, and returns the first colouring it finds.
+
 Unbudgeted calls also use what the memo proves: a refuted k-colouring
 starts the next chi sweep of that graph above k, and a scan for the vertex
 set of largest chi stops at chi(g) and skips sets too small to win
@@ -69,29 +74,29 @@ def _k_colorable(adj, k, node_budget=None):
     status, colors = _kernels.k_color(len(adj), adj, k, node_budget or 0)
     if status == 2:
         raise ColoringBudgetExceeded(lower=0, upper=_greedy_upper(adj))
-    if status == 1:
-        return None
-    used = max(colors) if colors else 0
-    return Coloring(colors=tuple(colors), color_count=max(used, 0))
+    return None if status == 1 else _coloring(colors)
+
+
+def _coloring(colors):
+    return Coloring(colors=tuple(colors), color_count=max(colors, default=0))
 
 
 def _chromatic(adj, node_budget=None, proven=1):
     """The k-sweep behind chromatic_number and chi_of, over the adjacency
-    masks of vertices 0..len(adj)-1, from the larger of the greedy clique
-    size and the proven lower bound. Only the last k, chi itself, yields a
-    colouring, so the witness does not depend on where the sweep starts."""
+    masks of vertices 0..len(adj)-1: one k_color call tries every k from
+    the larger of the greedy clique size and the proven lower bound. Only
+    the last k, chi itself, yields a colouring, so the witness does not
+    depend on where the sweep starts."""
     n = len(adj)
     if n == 0:
         return 0, None
-    lower = max(len(_kernels.greedy_clique(n, adj)), proven)
-    for k in range(lower, n + 1):
-        try:
-            witness = _k_colorable(adj, k, node_budget)
-        except ColoringBudgetExceeded as e:
-            raise ColoringBudgetExceeded(lower=k, upper=e.upper) from None
-        if witness is not None:
-            return k, witness
-    raise AssertionError("unreachable: every graph is n-colorable")
+    status, payload = _kernels.k_color(n, adj, proven, node_budget or 0, k_max=n)
+    if status == 2:
+        raise ColoringBudgetExceeded(lower=payload, upper=_greedy_upper(adj))
+    if status == 1:
+        raise AssertionError("unreachable: every graph is n-colorable")
+    witness = _coloring(payload)
+    return witness.color_count, witness
 
 
 def chromatic_number(g, node_budget=None):
@@ -201,8 +206,12 @@ def chi_local(g, k, node_budget=None):
     memo, key = g._chi_memo, ("local", k)
     if node_budget is None and key in memo:
         return memo[key]
-    # the frontiers are disjoint, so a ball is their sum
-    balls = (sum(islice(layers(g, v), k + 1)) for v in range(g.n))
+    if k == 1:
+        adj = g.adjacency_masks()
+        balls = (adj[v] | 1 << v for v in range(g.n))
+    else:
+        # the frontiers are disjoint, so a ball is their sum
+        balls = (sum(islice(layers(g, v), k + 1)) for v in range(g.n))
     best = max(best_by_chi(g, balls, node_budget)[1], 0)
     if node_budget is None:
         memo[key] = best

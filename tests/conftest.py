@@ -43,3 +43,30 @@ def compiled_kernels(tmp_path):
 @pytest.fixture(scope="session")
 def ckernels(tmp_path_factory):
     return compiled_kernels(tmp_path_factory.mktemp("ckernels"))
+
+
+@pytest.fixture
+def spy_k_color(monkeypatch):
+    """A function that wraps _kernels.k_color for the test and calls
+    record(adj, k) for every k each call tries, in order. A call sweeps k
+    from the larger of its k and the greedy clique size up to the k it
+    returns: the colour count of a colouring, the k of a budget stop, or
+    its k_max (by default k) when every k fails."""
+    from chibound import _kernels
+
+    def install(record):
+        k_color = _kernels.k_color
+
+        def spy(n, adj, k, node_budget=0, k_max=None):
+            status, payload = result = k_color(n, adj, k, node_budget, k_max)
+            if status == 0:
+                last = max(payload, default=0)
+            else:
+                last = payload if status == 2 else k if k_max is None else k_max
+            for tried in range(max(k, len(_kernels.greedy_clique(n, adj))), last + 1):
+                record(adj, tried)
+            return result
+
+        monkeypatch.setattr(_kernels, "k_color", spy)
+
+    return install

@@ -5,7 +5,9 @@ numbers come from enumerating color assignments, embedding counts from
 enumerating injections, cliques from enumerating subsets. Two exceptions
 keep plain copies of package code so tests can pin it: reference_embed, the
 embedding kernels' candidate-by-candidate search and its node accounting,
-ReferenceMag with ReferenceEstimate, the magnitude arithmetic of the
+reference_k_color, the single-k DSATUR kernel with its saturation as one
+mask per level and per colour, before the k-sweep, the renumbering and the
+packed state, ReferenceMag with ReferenceEstimate, the magnitude arithmetic of the
 threshold estimates before its fast paths, and the ref_validate_*
 functions, the certificate validators as they were over frozensets, before
 they moved to vertex masks.
@@ -147,6 +149,161 @@ def reference_embed(host_adj, pat_adj_o, parents, cands, budget, count):
     if count:
         return (0, total, nodes)
     return (0, assign.copy(), nodes) if status == 3 else (1, None, nodes)
+
+
+def _ref_degrees(adj, n):
+    """Popcount of each of the first n adjacency masks, after the checks
+    the kernels make: each mask non-negative, below 1 << n and without its
+    own vertex's bit."""
+    if len(adj) < n:
+        raise ValueError(f"adj has {len(adj)} masks, need {n}")
+    out = []
+    for i in range(n):
+        m = adj[i]
+        if m >> n or m < 0 or m >> i & 1:
+            raise ValueError(f"adj[{i}] is not a loopless mask below {n} bits")
+        out.append(m.bit_count())
+    return out
+
+
+def _ref_greedy(adj, degs):
+    """The kernels' greedy clique: the highest-degree vertex, then the
+    candidate with the most candidate neighbours, ties to the lowest id."""
+    if not degs:
+        return []
+    best_v = degs.index(max(degs))
+    clique = [best_v]
+    cand = adj[best_v]
+    while cand:
+        pick, pick_count = -1, -1
+        m = cand
+        while m:
+            b = m & -m
+            v = b.bit_length() - 1
+            m ^= b
+            count = (adj[v] & cand).bit_count()
+            if count > pick_count:
+                pick_count, pick = count, v
+        clique.append(pick)
+        cand &= adj[pick]
+    return clique
+
+
+def reference_greedy_clique(n, adj):
+    return _ref_greedy(adj, _ref_degrees(adj, n))
+
+
+def reference_k_color(n, adj, k, node_budget=0):
+    """The single-k DSATUR kernel (see pykernels.k_color): the uncoloured
+    vertex with the most distinct neighbour colours next, ties to the
+    higher degree and then the lower id, colours ascending, at most one
+    colour past the largest in use, after precolouring the greedy clique.
+    seen[c] holds the vertices with a neighbour coloured c and lev[s] the
+    vertices of saturation at least s; painting moves the new neighbours
+    up one level from the top down, and unpainting restores the saved
+    masks. Returns (status, payload, nodes): the kernel's (status,
+    payload) for a single k, with None as the payload of a budget stop,
+    and the nodes charged before the search ended."""
+    degs = _ref_degrees(adj, n)
+    if n == 0:
+        return (0, [], 0)
+    if k <= 0:
+        return (1, None, 0)
+    clique = _ref_greedy(adj, degs)
+    if len(clique) > k:
+        return (1, None, 0)
+
+    b = n.bit_length()
+    low = (1 << b) - 1
+    keys = [(d << b) | (n - 1 - v) for v, d in enumerate(degs)]
+    colors = [0] * n
+    seen = [0] * (min(k, n) + 1)
+    lev = [0] * (min(k, n) + 1)
+    lev[0] = uncol = (1 << n) - 1
+
+    for c, v in enumerate(clique, 1):
+        colors[v] = c
+        uncol ^= 1 << v
+        new = adj[v] & uncol
+        seen[c] = adj[v]
+        for s in range(c, 0, -1):
+            lev[s] |= lev[s - 1] & new
+
+    nodes = 0
+
+    def rec(uncol, max_used):
+        nonlocal nodes
+        if not uncol:
+            return 0
+        s = max_used
+        while not (cand := lev[s] & uncol):
+            s -= 1
+        if cand & (cand - 1):
+            best = -1
+            while cand:
+                u = cand.bit_length() - 1
+                cand ^= 1 << u
+                key = keys[u]
+                if key > best:
+                    best = key
+            v = n - 1 - (best & low)
+            bit = 1 << v
+        else:
+            bit = cand
+            v = bit.bit_length() - 1
+        row = adj[v]
+        rest = uncol ^ bit
+        limit = max_used + 1 if max_used < k else k
+        for c in range(1, limit + 1):
+            was = seen[c]
+            if was & bit:
+                continue
+            nodes += 1
+            if node_budget and nodes > node_budget:
+                return 2
+            top = max_used if c <= max_used else c
+            colors[v] = c
+            seen[c] = was | row
+            new = row & ~was & rest
+            if new:
+                saved = lev[1 : top + 1]
+                s = top
+                while True:
+                    below = lev[s - 1] & new
+                    lev[s] |= below
+                    if below == new:
+                        break
+                    s -= 1
+            r = rec(rest, top)
+            if r != 1:
+                return r
+            seen[c] = was
+            if new:
+                lev[1 : top + 1] = saved
+        return 1
+
+    status = rec(uncol, len(clique))
+    return (status, colors.copy() if status == 0 else None, nodes)
+
+
+def reference_k_sweep(n, adj, k, node_budget, k_max):
+    """The k-sweep as a loop of single-k reference calls: every k' from
+    the larger of k and the greedy clique size up to k_max, each with a
+    fresh budget. Returns (status, payload, nodes): (0, colours) for the
+    first k' that colours, (1, None) when none does, (2, k') for the k'
+    that ran out of budget, and the most nodes any k' charged. The null
+    graph is coloured by the empty colouring whatever k and k_max are."""
+    if n == 0:
+        return (0, [], 0)
+    most = 0
+    for kk in range(max(k, len(reference_greedy_clique(n, adj))), k_max + 1):
+        status, colors, nodes = reference_k_color(n, adj, kk, node_budget)
+        most = max(most, nodes)
+        if status == 0:
+            return (0, colors, most)
+        if status == 2:
+            return (2, kk, most)
+    return (1, None, most)
 
 
 def brute_induced_paths(g, start, allowed, length):

@@ -12,7 +12,6 @@ from oracles import (
 )
 from strategies import graphs_with_subsets
 
-from chibound import _kernels
 from chibound.coloring import (
     best_by_chi,
     chi_local,
@@ -272,15 +271,10 @@ def test_best_by_chi_is_the_first_argmax(case, data, warm, budget):
 
 
 @pytest.fixture
-def k_color_ks(monkeypatch):
-    """The k of every _kernels.k_color call the test makes, in order."""
-    k_color, ks = _kernels.k_color, []
-
-    def counted(*args):
-        ks.append(args[2])
-        return k_color(*args)
-
-    monkeypatch.setattr(_kernels, "k_color", counted)
+def k_color_ks(spy_k_color):
+    """Every k the test's _kernels.k_color calls try, in order."""
+    ks = []
+    spy_k_color(lambda adj, k: ks.append(k))
     return ks
 
 

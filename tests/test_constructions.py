@@ -272,21 +272,15 @@ def test_build_counterexample_k2():
     assert out["graph6"] and out["gadgets_added"]
 
 
-def test_build_counterexample_refutes_each_k_once(monkeypatch):
+def test_build_counterexample_refutes_each_k_once(spy_k_color):
     """The stopping rule refutes k-colouring of the final graph with
     is_k_colorable, then takes chromatic_number of the same graph. The kept
     refutation starts that sweep at k + 1. Re-refuting k (and the clique
-    bound 2 below it) took 34 k_color calls for split-pairs k = 3, and
-    colouring the base minus a vertex again in critical_base 32."""
-    from chibound import _kernels
-
-    k_color, calls = _kernels.k_color, []
-
-    def counted(n, adj, k, budget):
-        calls.append((tuple(adj), k))
-        return k_color(n, adj, k, budget)
-
-    monkeypatch.setattr(_kernels, "k_color", counted)
+    bound 2 below it) took 34 k_color tries for split-pairs k = 3, and
+    colouring the base minus a vertex again in critical_base 32. A try is
+    one k of a k_color call's sweep."""
+    calls = []
+    spy_k_color(lambda adj, k: calls.append((tuple(adj), k)))
     res = build_counterexample("split-pairs", 3)
     final = res.graph.adjacency_masks()
     assert [k for adj, k in calls if adj == final] == [3, 4]

@@ -510,18 +510,18 @@ def test_harness_snapshot_on_compiled_kernels(tmp_path, monkeypatch, ckernels, g
 
 
 def test_each_instance_colours_each_vertex_set_once(monkeypatch):
-    """The chi memo is alive: coloring._chromatic calls greedy_clique once
-    per colouring (k_color's own call does not go through the _kernels
-    attribute), so an instance makes no more calls than it has distinct
-    vertex sets coloured, although its checks ask for many sets again."""
+    """The chi memo is alive: coloring._chromatic makes one k_color sweep
+    per colouring, so an instance makes no more k_color calls than it has
+    distinct vertex sets coloured, although its checks ask for many sets
+    again."""
     from chibound import _kernels, coloring, machinery
 
-    greedy, colour = _kernels.greedy_clique, coloring._chi_of_mask
+    k_color, colour = _kernels.k_color, coloring._chi_of_mask
     calls, asked, graphs = [], [], []
 
-    def counted_greedy(n, adj):
+    def counted_k_color(n, adj, k, node_budget=0, k_max=None):
         calls.append(n)
-        return greedy(n, adj)
+        return k_color(n, adj, k, node_budget, k_max)
 
     def spy(g, smask, node_budget=None):
         assert node_budget is None  # the config sets no budget
@@ -529,7 +529,7 @@ def test_each_instance_colours_each_vertex_set_once(monkeypatch):
         asked.append((id(g), smask))
         return colour(g, smask, node_budget)
 
-    monkeypatch.setattr(_kernels, "greedy_clique", counted_greedy)
+    monkeypatch.setattr(_kernels, "k_color", counted_k_color)
     monkeypatch.setattr(coloring, "_chi_of_mask", spy)
     monkeypatch.setattr(machinery, "_chi_of_mask", spy)  # it colours component masks directly
     for entry in SNAPSHOT_CONFIG["corpus"]:

@@ -6,7 +6,7 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import reference_embed
+from oracles import reference_embed, reference_greedy_clique, reference_k_color, reference_k_sweep
 
 from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
@@ -67,6 +67,7 @@ def test_backends_agree(ckernels):
             assert pykernels.max_clique(n, adj, budget) == ckernels.max_clique(n, adj, budget)
             for k in ks:
                 assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
+            assert pykernels.k_color(n, adj, 1, budget, n) == ckernels.k_color(n, adj, 1, budget, n)
 
     for plan in embedding_grid():
         for budget in (0, 5, 50):
@@ -93,6 +94,7 @@ def test_backends_agree_where_ties_decide(ckernels):
         for k in range(1, chromatic_number(g)[0] + 1):
             for budget in (0, 1, 10, 100):
                 assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
+                assert pykernels.k_color(n, adj, k, budget, n) == ckernels.k_color(n, adj, k, budget, n)
 
 
 BUDGET_SNAPSHOT = Path(__file__).with_name("kernel_budget_snapshot.json")
@@ -102,13 +104,16 @@ GRID_BUDGETS = (0, 1, 5, 50, 500)
 def budget_outcomes(kernels):
     """sha256 per kernel over the (status, payload) of every call on the
     coloring and embedding grids at each of GRID_BUDGETS, and the number of
-    calls that ran out of budget."""
-    out = {"find_embedding": [], "count_embeddings": [], "max_clique": [], "k_color": []}
+    calls that ran out of budget. k_color holds the single-k calls and
+    k_color_sweep the sweeps from k = 1 and from k = 2 up to the vertex
+    count."""
+    out = {"find_embedding": [], "count_embeddings": [], "max_clique": [], "k_color": [], "k_color_sweep": []}
     for g, ks in coloring_grid():
         n, adj = g.n, list(g.adjacency_masks())
         for budget in GRID_BUDGETS:
             out["max_clique"].append(kernels.max_clique(n, adj, budget))
             out["k_color"].extend(kernels.k_color(n, adj, k, budget) for k in ks)
+            out["k_color_sweep"].extend(kernels.k_color(n, adj, k, budget, n) for k in (1, 2))
     for plan in embedding_grid():
         for budget in GRID_BUDGETS:
             out["find_embedding"].append(kernels.find_embedding(*plan, budget))
@@ -133,18 +138,24 @@ def test_budget_outcomes_are_pinned(request, backend):
     assert got == json.loads(BUDGET_SNAPSHOT.read_text())
 
 
-def draw_adjacency(draw, min_n, max_n):
-    """Adjacency masks of a seeded random graph on min_n to max_n vertices."""
-    n = draw(st.integers(min_n, max_n))
-    density = draw(st.integers(0, 100)) / 100
-    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+def random_adjacency(n, density, seed):
+    """Adjacency masks of a random graph on n vertices, each pair an edge
+    with probability density."""
+    rng = random.Random(seed)
     adj = [0] * n
     for u in range(n):
         for v in range(u + 1, n):
             if rng.random() < density:
                 adj[u] |= 1 << v
                 adj[v] |= 1 << u
-    return n, adj
+    return adj
+
+
+def draw_adjacency(draw, min_n, max_n):
+    """Adjacency masks of a seeded random graph on min_n to max_n vertices."""
+    n = draw(st.integers(min_n, max_n))
+    density = draw(st.integers(0, 100)) / 100
+    return n, random_adjacency(n, density, draw(st.integers(0, 2 ** 32)))
 
 
 def as_graph(n, adj):
@@ -154,21 +165,67 @@ def as_graph(n, adj):
 @st.composite
 def kernel_cases(draw):
     """A seeded random adjacency list on up to 70 vertices (past one 64-bit
-    word), a k and a node budget; hosts past 24 vertices get a nonzero
-    budget, so no case runs an unbounded search on a large host."""
+    word), a k, a node budget and a sweep end k_max from k to k + 4;
+    hosts past 24 vertices get a nonzero budget, so no case runs an
+    unbounded search on a large host."""
     n, adj = draw_adjacency(draw, 0, 70)
     k = draw(st.integers(0, 9))
     budget = draw(st.sampled_from((0, 1, 3, 10, 50, 500) if n <= 24 else (1, 3, 10, 50, 500)))
-    return n, adj, k, budget
+    return n, adj, k, k + draw(st.integers(0, 4)), budget
 
 
 @settings(max_examples=400, derandomize=True, database=None, deadline=None)
 @given(case=kernel_cases())
 def test_backends_agree_on_random_adjacency(ckernels, case):
-    n, adj, k, budget = case
+    n, adj, k, k_max, budget = case
     assert pykernels.greedy_clique(n, adj) == ckernels.greedy_clique(n, adj)
     assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
+    assert pykernels.k_color(n, adj, k, budget, k_max) == ckernels.k_color(n, adj, k, budget, k_max)
     assert pykernels.max_clique(n, adj, budget) == ckernels.max_clique(n, adj, budget)
+
+
+# nodes past which a drawn colouring case is dropped, so that the
+# unbudgeted reference searches stay quick
+COLORING_CASE_NODES = 20000
+
+
+@st.composite
+def coloring_cases(draw):
+    """A seeded random adjacency list on 0 to 45 vertices (past one 64-bit
+    word), sparse or dense, a k from 0 to 10 and a sweep end k_max from k
+    to k + 4. Half the ks are at most three above the greedy clique size,
+    where the searches backtrack most; a k below it is refuted at once."""
+    n = draw(st.sampled_from(range(46)))
+    density = draw(st.sampled_from((0.05, 0.1, 0.2, 0.3, 0.5, 0.7, 0.9)))
+    adj = random_adjacency(n, density, draw(st.integers(0, 2 ** 32)))
+    k = draw(st.sampled_from(range(11)))
+    if draw(st.booleans()):
+        k = min(len(reference_greedy_clique(n, adj)) + draw(st.sampled_from(range(4))), 10)
+    return n, adj, k, k + draw(st.sampled_from(range(5)))
+
+
+@settings(max_examples=500, derandomize=True, database=None, deadline=None)
+@given(case=coloring_cases())
+def test_k_color_matches_reference(ckernels, case):
+    """Both backends return the single-k reference search's (status,
+    payload), with the k of a budget stop as its payload, and a sweep
+    returns the outcome of a loop of single-k reference calls, at budget
+    0 (unbounded), 1, and half, one below, exactly and one past the nodes
+    an unbudgeted call charges."""
+    n, adj, k, k_max = case
+    assume(reference_k_sweep(n, adj, k, COLORING_CASE_NODES, k_max)[0] != 2)
+    assume(reference_k_color(n, adj, k, COLORING_CASE_NODES)[0] != 2)
+    nodes = reference_k_color(n, adj, k, 0)[2]
+    for budget in sorted({0, 1, nodes // 2, nodes - 1, nodes, nodes + 1} - {-1}):
+        status, payload, _ = reference_k_color(n, adj, k, budget)
+        want = (status, k if status == 2 else payload)
+        assert pykernels.k_color(n, adj, k, budget) == want
+        assert ckernels.k_color(n, adj, k, budget) == want
+    nodes = reference_k_sweep(n, adj, k, 0, k_max)[2]
+    for budget in sorted({0, 1, nodes // 2, nodes - 1, nodes, nodes + 1} - {-1}):
+        want = reference_k_sweep(n, adj, k, budget, k_max)[:2]
+        assert pykernels.k_color(n, adj, k, budget, k_max) == want
+        assert ckernels.k_color(n, adj, k, budget, k_max) == want
 
 
 @st.composite
