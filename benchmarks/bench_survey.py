@@ -10,12 +10,6 @@ sweep makes to the k_color and greedy_clique kernel entry points. A
 k_color call is one k-sweep: a chromatic number costs one call, however
 many k it tries. It prints one JSON object.
 
-Each sweep is timed in wall and in user CPU seconds. The harness writes
-its output files in every sweep, and on a shared 2-vCPU VM the
-kernel-mode time of those writes spread the wall times of one
-checkout's sweeps over a range of 2x, while their user times stayed
-within about 10% of the median; compare checkouts by user time there.
-
 Usage, from the root of a checkout; PYTHONPATH picks the chibound to time:
 
     PYTHONPATH=src python benchmarks/bench_survey.py --backend py --repeat 5
@@ -29,7 +23,6 @@ import importlib.util
 import json
 import os
 import platform
-import resource
 import statistics
 import subprocess
 import sys
@@ -56,10 +49,6 @@ def load_built_c_kernels(build_dir):
     spec.loader.exec_module(module)
     sys.modules[spec.name] = module
     return module
-
-
-def user_seconds():
-    return resource.getrusage(resource.RUSAGE_SELF).ru_utime
 
 
 def count_kernel_calls(kernels, names):
@@ -95,14 +84,13 @@ def main():
         configs = [harness.ExperimentConfig.from_dict(c) for c in survey_configs(SURVEY_FIXED + SURVEY_POOL)]
 
         def sweep():
-            """(wall, user CPU) seconds of one sweep."""
-            start, user = time.perf_counter(), user_seconds()
+            start = time.perf_counter()
             for i, config in enumerate(configs):
                 harness.run_experiment(config, output_dir=str(tmp / f"op{i:02d}"))
-            return time.perf_counter() - start, user_seconds() - user
+            return time.perf_counter() - start
 
         sweep()
-        times, user = zip(*(sweep() for _ in range(args.repeat)))
+        times = [sweep() for _ in range(args.repeat)]
 
         calls = count_kernel_calls(_kernels, ("k_color", "greedy_clique"))
         sweep()
@@ -114,8 +102,6 @@ def main():
         "configs": len(configs),
         "sweep_s": [round(t, 4) for t in times],
         "median_s": round(statistics.median(times), 4),
-        "user_s": [round(t, 4) for t in user],
-        "median_user_s": round(statistics.median(user), 4),
         "calls_per_sweep": calls,
     }))
 

@@ -281,8 +281,12 @@ unpaint(KCtx *cx, int v, int c)
     }
 }
 
-/* 0 = coloured, 1 = exhausted, 2 = budget exceeded. */
-static int
+/* 0 = coloured, 1 = exhausted, 2 = budget exceeded. Aligned to a cache
+   line so that edits elsewhere in this file do not move the search's
+   loops across 32- and 64-byte boundaries: the same instructions starting
+   16 bytes past a 32-byte boundary made the split-pairs k = 4 refutation
+   measurably slower (BENCH_chromatic.json). */
+static int __attribute__((aligned(64)))
 kc_rec(KCtx *cx, int colored, int max_used)
 {
     if (colored == cx->n)

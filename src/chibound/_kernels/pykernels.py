@@ -111,9 +111,11 @@ def k_color(n, adj, k, node_budget=0, k_max=None):
 
     The vertices are renumbered once, ascending by the static key (degree,
     then id reversed), so among vertices of equal saturation the highest
-    new id is the one DSATUR picks. The state is two packed ints with an
-    n-bit field per level or colour, passed down the recursion as new
-    ints, so backtracking restores nothing:
+    new id is the one DSATUR picks. The renumbered rows are read as columns
+    of the old rows in one pass over n^2 binary digits, which holds because
+    adjacency is symmetric by the module's convention. The state is two
+    packed ints with an n-bit field per level or colour, passed down the
+    recursion as new ints, so backtracking restores nothing:
 
       * L: field s holds the vertices whose saturation is at least s, for
         s = 0..top, top the largest colour in use; only its uncoloured
@@ -139,22 +141,16 @@ def k_color(n, adj, k, node_budget=0, k_max=None):
     if not ks:
         return (1, None)
 
-    # order[i] is the vertex numbered i: the keys (degree << b) | (n - 1 - v)
-    # sort by degree, then id reversed, as each part fits its b-bit field
-    b = n.bit_length()
-    id_field = (1 << b) - 1
-    order = [n - 1 - (key & id_field) for key in sorted([(d << b) | (n - 1 - v) for v, d in enumerate(degs)])]
-    # renumber both ends of every edge: M holds the rows in the new order,
-    # one n-bit field each, and column order[j] of M moves to column j
-    M = 0
-    for i, v in enumerate(order):
-        M |= adj[v] << i * n
-    low = ((1 << n * n) - 1) // ((1 << n) - 1)  # a one at the bottom of each field
-    R = 0
-    for j, u in enumerate(order):
-        R |= (M >> u & low) << j
+    # order[i] is the vertex numbered i: ascending degree, and a stable sort
+    # of the ids from the top keeps equal degrees in descending id order
+    order = sorted(range(n - 1, -1, -1), key=degs.__getitem__)
+    # renumber both ends of every edge in O(n^2): S holds the rows as n-digit
+    # binary strings, vertex order[n - 1] first, so the digits of column v,
+    # S[n - 1 - v::n], read the new row of v from its top bit down (the
+    # adjacency is symmetric)
     full = (1 << n) - 1
-    rows = [R >> i * n & full for i in range(n)]
+    S = "".join([bin(adj[v] | full + 1)[3:] for v in reversed(order)])
+    rows = [int(S[n - 1 - v::n], 2) for v in order]
 
     # E grows by one field whenever the search opens a colour
     E = [1]

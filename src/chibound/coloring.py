@@ -206,12 +206,8 @@ def chi_local(g, k, node_budget=None):
     memo, key = g._chi_memo, ("local", k)
     if node_budget is None and key in memo:
         return memo[key]
-    if k == 1:
-        adj = g.adjacency_masks()
-        balls = (adj[v] | 1 << v for v in range(g.n))
-    else:
-        # the frontiers are disjoint, so a ball is their sum
-        balls = (sum(islice(layers(g, v), k + 1)) for v in range(g.n))
+    # the frontiers are disjoint, so a ball is their sum
+    balls = (sum(islice(layers(g, v), k + 1)) for v in range(g.n))
     best = max(best_by_chi(g, balls, node_budget)[1], 0)
     if node_budget is None:
         memo[key] = best
