@@ -26,7 +26,9 @@ from chibound.trees import binary_star, bristle, bristled_star, broom, superstar
 
 
 def embedding_args(host, pattern, anchor=None):
-    _, *plan = _search_plan(host, pattern, anchor)
+    """The kernel arguments of the search plan; a count row times the
+    constrained count, which the plan's factor scales to the full one."""
+    _, *plan, _ = _search_plan(host, pattern, anchor)
     return (list(host.adjacency_masks()), *plan)
 
 

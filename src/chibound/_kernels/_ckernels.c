@@ -498,14 +498,19 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
 
 /* Search-order space: position t is assigned t-th, pat row t has bit s
    set iff positions t and s are adjacent, parents[t] is an earlier
-   position adjacent to t (or -1) and cands[t] the host candidates of
-   position t. Candidates are the unused hosts of cands[t] adjacent to the
-   parent's host, taken ascending, and each one taken is a node charged
-   before it is tested. Below the last position L = m - 1, a candidate h
-   for position t passes iff (host[h] & used) == want, where used holds
-   the hosts assigned so far and want, built once per level from pat row
-   t, those of the earlier positions adjacent to t: one mask comparison
-   per candidate.
+   position adjacent to t (or -1), above[t] an earlier position whose host
+   t's host must exceed (or -1) and cands[t] the host candidates of
+   position t. embed._search_plan links each isomorphic sibling subtree of
+   a forest pattern to the previous one through above, which breaks their
+   symmetry without changing the first embedding; a count is then
+   multiplied by the number of automorphisms broken. Candidates are the
+   unused hosts of cands[t] adjacent to the parent's host and above the
+   host of position above[t], taken ascending, and each one taken is a
+   node charged before it is tested. Below the last position L = m - 1, a
+   candidate h for position t passes iff (host[h] & used) == want, where
+   used holds the hosts assigned so far and want, built once per level
+   from pat row t, those of the earlier positions adjacent to t: one mask
+   comparison per candidate.
 
    Each level also carries fit, the hosts that pass L's test against the
    positions placed so far: level 0 starts it all ones, and placing h at
@@ -523,7 +528,7 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
 typedef struct {
     int m, nw, pw, count_all;
     uint64_t *host, *pat, *cands, *stack, *used; /* stack: pool, want and fit rows per level */
-    int *parents, *assign;
+    int *parents, *above, *assign;
     long long nodes, budget, total;
 } ECtx;
 
@@ -572,6 +577,9 @@ emb_rec(ECtx *cx, int t)
         return cx->count_all ? 0 : 3;
     }
     int nw = cx->nw, p = cx->parents[t], last = cx->m - 1, h, s;
+    /* a is the host that t's host must exceed, in word aw, and the words
+       below aw keep nothing; with no such host both are -1 */
+    int a = cx->above[t] >= 0 ? cx->assign[cx->above[t]] : -1, aw = a >= 0 ? a >> 6 : -1;
     uint64_t *pool = cx->stack + (size_t)3 * t * nw, *want = pool + nw, *fit = want + nw;
     /* want is zeroed in this loop: a loop of its own compiles to a memset
        call, which measurably slows searches that rarely reach the leaf */
@@ -579,6 +587,8 @@ emb_rec(ECtx *cx, int t)
         pool[i] = cx->cands[(size_t)t * nw + i] & ~cx->used[i];
         if (p >= 0)
             pool[i] &= cx->host[(size_t)cx->assign[p] * nw + i];
+        if (i <= aw) /* shifted twice, as a shift by 64 is undefined */
+            pool[i] &= i < aw ? 0 : (~(uint64_t)0 << (a & 63)) << 1;
         want[i] = 0;
     }
     if (t == last)
@@ -621,17 +631,43 @@ emb_free(ECtx *cx)
     free(cx->stack);
     free(cx->used);
     free(cx->parents);
+    free(cx->above);
     free(cx->assign);
+}
+
+/* The first m entries of the sequence seq_o into out, each checked to
+   be -1 or an earlier position; 0, or -1 with an exception set. */
+static int
+load_positions(PyObject *seq_o, Py_ssize_t m, int *out, const char *name)
+{
+    PyObject *seq = PySequence_Fast(seq_o, "positions must be a sequence of ints");
+    if (seq == NULL)
+        return -1;
+    Py_ssize_t len = PySequence_Fast_GET_SIZE(seq);
+    if (len < m)
+        PyErr_Format(PyExc_ValueError, "%s has %zd entries, need %zd", name, len, m);
+    for (int t = 0; len >= m && t < m; t++) {
+        long p = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, t));
+        if (p == -1 && PyErr_Occurred())
+            break;
+        if (p < -1 || p >= t) {
+            PyErr_Format(PyExc_ValueError, "%s[%d] is %ld, outside -1..%d", name, t, p, t - 1);
+            break;
+        }
+        out[t] = (int)p;
+    }
+    Py_DECREF(seq);
+    return PyErr_Occurred() ? -1 : 0;
 }
 
 /* Fill cx from the Python arguments; 0, or -1 with an exception set. */
 static int
 emb_setup(ECtx *cx, PyObject *args, PyObject *kwargs, const char *fmt)
 {
-    static char *kwlist[] = {"host_adj", "pat_adj_o", "parents", "cands", "node_budget", NULL};
-    PyObject *host_o, *pat_o, *parents_o, *cands_o;
+    static char *kwlist[] = {"host_adj", "pat_adj_o", "parents", "above", "cands", "node_budget", NULL};
+    PyObject *host_o, *pat_o, *parents_o, *above_o, *cands_o;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, fmt, kwlist, &host_o, &pat_o, &parents_o,
-                                     &cands_o, &cx->budget))
+                                     &above_o, &cands_o, &cx->budget))
         return -1;
     Py_ssize_t hn = PyObject_Length(host_o), m = PyObject_Length(parents_o);
     if (hn < 0 || m < 0)
@@ -655,28 +691,18 @@ emb_setup(ECtx *cx, PyObject *args, PyObject *kwargs, const char *fmt)
     cx->stack = calloc(((size_t)m + 1) * 3 * nw, sizeof(uint64_t));
     cx->used = calloc(nw, sizeof(uint64_t));
     cx->parents = calloc(m + 1, sizeof(int));
+    cx->above = calloc(m + 1, sizeof(int));
     cx->assign = calloc(m + 1, sizeof(int));
-    if (cx->stack == NULL || cx->used == NULL || cx->parents == NULL || cx->assign == NULL) {
+    if (cx->stack == NULL || cx->used == NULL || cx->parents == NULL || cx->above == NULL ||
+        cx->assign == NULL) {
         PyErr_NoMemory();
         return -1;
     }
     for (int i = 0; i < nw; i++)
         cx->stack[2 * nw + i] = ~(uint64_t)0; /* level 0's fit: every host */
-    PyObject *seq = PySequence_Fast(parents_o, "parents must be a sequence of ints");
-    if (seq == NULL)
+    if (load_positions(parents_o, m, cx->parents, "parents") < 0)
         return -1;
-    for (int t = 0; t < m; t++) {
-        long p = PyLong_AsLong(PySequence_Fast_GET_ITEM(seq, t));
-        if (p == -1 && PyErr_Occurred())
-            break;
-        if (p < -1 || p >= t) {
-            PyErr_Format(PyExc_ValueError, "parents[%d] is %ld, outside -1..%d", t, p, t - 1);
-            break;
-        }
-        cx->parents[t] = (int)p;
-    }
-    Py_DECREF(seq);
-    return PyErr_Occurred() ? -1 : 0;
+    return load_positions(above_o, m, cx->above, "above");
 }
 
 static PyObject *
@@ -684,7 +710,7 @@ find_embedding(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     ECtx cx = {0};
     PyObject *result = NULL;
-    if (emb_setup(&cx, args, kwargs, "OOOO|L:find_embedding") == 0) {
+    if (emb_setup(&cx, args, kwargs, "OOOOO|L:find_embedding") == 0) {
         int status = emb_rec(&cx, 0);
         if (status == 3)
             result = Py_BuildValue("(iN)", 0, int_list(cx.assign, cx.m));
@@ -700,7 +726,7 @@ count_embeddings(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     ECtx cx = {.count_all = 1};
     PyObject *result = NULL;
-    if (emb_setup(&cx, args, kwargs, "OOOO|L:count_embeddings") == 0) {
+    if (emb_setup(&cx, args, kwargs, "OOOOO|L:count_embeddings") == 0) {
         if (emb_rec(&cx, 0) == 2)
             result = Py_BuildValue("(iO)", 2, Py_None);
         else

@@ -30,9 +30,17 @@ Common conventions:
     holds the hosts whose adjacency to the hosts placed so far matches
     position t's adjacency to their positions, so each position takes its
     passing candidates as one AND of its candidate pool with its field,
-    and the last position takes them all in one step (see
-    find_embedding); _ckernels.c keeps a loop over each candidate below
-    the last position, one mask comparison each, over the same nodes;
+    and the last position takes them all in one step, made inside the
+    loop of the position before it (see find_embedding); _ckernels.c
+    keeps a loop over each candidate below the last position, one mask
+    comparison each, over the same nodes;
+  * the embedding kernels take above, one earlier position or -1 per
+    position, and keep only hosts above the host of position above[t] in
+    t's pool. embed._search_plan links each isomorphic sibling subtree of
+    a forest pattern to the previous one this way, so a search visits one
+    of each set of relabellings of those subtrees; the first embedding
+    is unchanged, and embed.count_induced_embeddings multiplies a count
+    by the number of automorphisms the constraints break;
   * every entry point returns (status, payload) with status
     0 = result found, 1 = exhausted without result, 2 = budget exceeded;
     k_color's status-2 payload is the k whose search ran out.
@@ -244,30 +252,36 @@ def max_clique(n, adj, node_budget=0):
     return (2 if status == 2 else 0, sorted(best))
 
 
-def find_embedding(host_adj, pat_adj_o, parents, cands, node_budget=0):
+def find_embedding(host_adj, pat_adj_o, parents, above, cands, node_budget=0):
     """First induced embedding in canonical order, or absence.
 
     Everything is in search-order space: position t is assigned t-th,
     pat_adj_o[t] has bit s set iff pattern positions t and s are adjacent,
-    parents[t] is an earlier position adjacent to t (or -1), and cands[t]
-    is the statically filtered host candidate mask for position t.
+    parents[t] is an earlier position adjacent to t (or -1), above[t] is
+    an earlier position whose host t's host must exceed (or -1), and
+    cands[t] is the statically filtered host candidate mask for position
+    t. embed._search_plan sets above[t] to the previous isomorphic sibling
+    subtree of a forest pattern, which breaks the symmetry between
+    siblings without changing the first embedding (see
+    embed.find_induced_embedding).
 
     Candidates for position t are the unused hosts of cands[t] adjacent to
-    the parent's host, in ascending order, one node each. A candidate h
-    passes when, for every earlier position s placed at host assign[s], h
-    is adjacent to assign[s] exactly when t is adjacent to s. The search
-    carries fit, one int with an hn-bit field per position, field t in
-    bits t * hn to (t + 1) * hn - 1: it starts as all ones, and placing h
-    at position s ANDs in side[s][h], which holds host row h in the field
-    of each later position adjacent to s, the row's complement in the
-    field of each later position not adjacent to s, and zeros in the
-    fields of s and the positions before it, which are never read again.
-    side[s][h] is built on h's first placement at s, as
-    row * after[s] ^ flip[s]: after[s] holds a one at the bottom of the
-    field of each later position, so the product copies the row into each
-    of those fields, and flip[s] fills the fields of the later positions
-    not adjacent to s. Building every row up front would cost more than an
-    early find spends in its whole search.
+    the parent's host and above the host of position above[t], in
+    ascending order, one node each. A candidate h passes when, for every
+    earlier position s placed at host assign[s], h is adjacent to
+    assign[s] exactly when t is adjacent to s. The search carries fit, one
+    int with an hn-bit field per position, field t in bits t * hn to
+    (t + 1) * hn - 1: it starts as all ones, and placing h at position s
+    ANDs in side[s][h], which holds host row h in the field of each later
+    position adjacent to s, the row's complement in the field of each
+    later position not adjacent to s, and zeros in the fields of s and the
+    positions before it, which are never read again. side[s][h] is built
+    on h's first placement at s, as row * after[s] ^ flip[s]: after[s]
+    holds a one at the bottom of the field of each later position, so the
+    product copies the row into each of those fields, and flip[s] fills
+    the fields of the later positions not adjacent to s. Building every
+    row up front would cost more than an early find spends in its whole
+    search.
 
     At position t the passing set is ok = pool & (fit >> t * hn), and only
     its bits are placed and searched from. The failing candidates are
@@ -283,6 +297,11 @@ def find_embedding(host_adj, pat_adj_o, parents, cands, node_budget=0):
         popcount(pool & (first - 1)) + 1 nodes, first being that bit, or
         popcount(pool) when ok is 0.
 
+    That step is made in the loop of position L - 1, right after the
+    charge for each of its passing candidates, from L's field of fit and
+    that candidate's host row, so no call is made per candidate there. A
+    one-position pattern takes it before any search.
+
     A budgeted call stops, with status 2, at the first charge that takes
     nodes past node_budget, which is where a loop over each position's
     candidates one at a time would stop: every status, witness, count and
@@ -296,41 +315,54 @@ def find_embedding(host_adj, pat_adj_o, parents, cands, node_budget=0):
     costs a pass over every mask on every call, and every caller passes a
     Graph's adjacency, which is symmetric by construction.
     """
-    return _embed(host_adj, pat_adj_o, parents, cands, node_budget, False)
+    return _embed(host_adj, pat_adj_o, parents, above, cands, node_budget, False)
 
 
-def count_embeddings(host_adj, pat_adj_o, parents, cands, node_budget=0):
-    """Count all induced embeddings (labeled maps). Same search as
-    find_embedding without early exit."""
-    return _embed(host_adj, pat_adj_o, parents, cands, node_budget, True)
+def count_embeddings(host_adj, pat_adj_o, parents, above, cands, node_budget=0):
+    """Count the induced embeddings (labeled maps) that meet the above
+    constraints. Same search as find_embedding without early exit."""
+    return _embed(host_adj, pat_adj_o, parents, above, cands, node_budget, True)
 
 
-def _embed(host_adj, pat_adj_o, parents, cands, node_budget, count):
+def _embed(host_adj, pat_adj_o, parents, above, cands, node_budget, count):
     """The search behind both entry points: the first embedding, or with
     count the number of embeddings. Candidates for position t are the
-    unused hosts of cands[t] adjacent to the parent's host, taken ascending
-    at one node each; the packed fit mask picks out at once those that
-    pass, and the last position takes them in one step (see
-    find_embedding)."""
+    unused hosts of cands[t] adjacent to the parent's host and above the
+    host of position above[t], taken ascending at one node each; the
+    packed fit mask picks out at once those that pass, and the last
+    position takes them in one step inside the loop of the position
+    before it (see find_embedding)."""
     hn, m = len(host_adj), len(parents)
     _popcounts(host_adj, hn, hn, "host_adj")
     _popcounts(cands, m, hn, "cands", loops=True)
     _popcounts(pat_adj_o, m, m, "pat_adj_o")
-    for t, p in enumerate(parents):
-        if not -1 <= p < t:
-            raise ValueError(f"parents[{t}] is {p}, outside -1..{t - 1}")
+    if len(above) < m:
+        raise ValueError(f"above has {len(above)} entries, need {m}")
+    for t in range(m):
+        if not -1 <= parents[t] < t:
+            raise ValueError(f"parents[{t}] is {parents[t]}, outside -1..{t - 1}")
+        if not -1 <= above[t] < t:
+            raise ValueError(f"above[{t}] is {above[t]}, outside -1..{t - 1}")
     if m == 0:
         return (0, 1) if count else (0, [])
+    if m == 1:
+        # the last position's step, before any search: with no earlier
+        # position its pool is cands[0] and every candidate passes
+        pool = cands[0]
+        if count:
+            return (2, None) if 0 < node_budget < pool.bit_count() else (0, pool.bit_count())
+        return (0, [(pool & -pool).bit_length() - 1]) if pool else (1, None)
     last = m - 1
+    pen = last - 1  # the position whose loop makes the last position's step
     # after[s] has a one at the bottom of the field of each position after
     # s, so row * after[s] copies a host row into each of those fields, and
     # flip[s] fills the fields of the later positions not adjacent to s, so
     # XORing it in turns the row there into its complement
     full = (1 << hn) - 1
-    after = [0] * last
-    flip = [0] * last
-    later = 0
-    for s in range(last - 1, -1, -1):
+    after = [0] * pen
+    flip = [0] * pen
+    later = 1 << last * hn
+    for s in range(pen - 1, -1, -1):
         t = s + 1
         later |= 1 << t * hn
         apart = later
@@ -344,7 +376,12 @@ def _embed(host_adj, pat_adj_o, parents, cands, node_budget, count):
         flip[s] = full * apart
     # sides[s][h], built on h's first placement at s, is what that
     # placement ANDs into fit
-    sides = [[None] * hn for _ in range(last)]
+    sides = [[None] * hn for _ in range(pen)]
+    # the last position's test against pen's host h keeps host row h ^
+    # flip_last: the row when the two positions are adjacent, else its
+    # complement
+    flip_last = 0 if pat_adj_o[last] >> pen & 1 else -1
+    parent_last, above_last = parents[last], above[last]
     assign = [0] * m
     used = 0
     nodes = 0
@@ -358,44 +395,72 @@ def _embed(host_adj, pat_adj_o, parents, cands, node_budget, count):
         pool = cands[t] & ~used
         if parents[t] >= 0:
             pool &= host_adj[assign[parents[t]]]
+        if above[t] >= 0:
+            pool &= -2 << assign[above[t]]
         ok = pool & (fit >> t * hn)
-        if t == last:
-            # only a nonzero budget reads the node count
-            if node_budget:
-                if ok and not count:
-                    nodes += (pool & ((ok & -ok) - 1)).bit_count() + 1
-                else:
-                    nodes += pool.bit_count()
-                if nodes > node_budget:
-                    return 2
-            if count:
-                total += ok.bit_count()
-                return 0
+        if t == pen:
             if ok:
-                assign[t] = (ok & -ok).bit_length() - 1
-                return 3
-            return 0
-        side = sides[t]
-        while ok:
-            b = ok & -ok
-            ok ^= b
-            if node_budget:
-                # the failing candidates below b, then b itself
-                taken = pool & ((b << 1) - 1)
-                pool ^= taken
-                nodes += taken.bit_count()
-                if nodes > node_budget:
-                    return 2
-            h = b.bit_length() - 1
-            row = side[h]
-            if row is None:
-                side[h] = row = host_adj[h] * after[t] ^ flip[t]
-            assign[t] = h
-            used |= b
-            r = rec(t + 1, fit & row)
-            used ^= b
-            if r:
-                return r
+                # the last position's pool before pen is placed, and its
+                # passing part; a refutation mostly reaches pen with no
+                # passing candidate, so they are built only when one is
+                base = cands[last] & ~used
+                if 0 <= parent_last < pen:
+                    base &= host_adj[assign[parent_last]]
+                if 0 <= above_last < pen:
+                    base &= -2 << assign[above_last]
+                base_ok = base & (fit >> last * hn)
+            while ok:
+                b = ok & -ok
+                ok ^= b
+                if node_budget:
+                    taken = pool & ((b << 1) - 1)
+                    pool ^= taken
+                    nodes += taken.bit_count()
+                    if nodes > node_budget:
+                        return 2
+                h = b.bit_length() - 1
+                row = host_adj[h]
+                # what placing h at pen removes from the last position's pool
+                keep = -(b << 1) if above_last == pen else ~b
+                if parent_last == pen:
+                    keep &= row
+                ok_last = base_ok & (row ^ flip_last) & keep
+                if node_budget:
+                    pool_last = base & keep
+                    if ok_last and not count:
+                        nodes += (pool_last & ((ok_last & -ok_last) - 1)).bit_count() + 1
+                    else:
+                        nodes += pool_last.bit_count()
+                    if nodes > node_budget:
+                        return 2
+                if count:
+                    total += ok_last.bit_count()
+                elif ok_last:
+                    assign[pen] = h
+                    assign[last] = (ok_last & -ok_last).bit_length() - 1
+                    return 3
+        else:
+            side = sides[t]
+            while ok:
+                b = ok & -ok
+                ok ^= b
+                if node_budget:
+                    # the failing candidates below b, then b itself
+                    taken = pool & ((b << 1) - 1)
+                    pool ^= taken
+                    nodes += taken.bit_count()
+                    if nodes > node_budget:
+                        return 2
+                h = b.bit_length() - 1
+                row = side[h]
+                if row is None:
+                    side[h] = row = host_adj[h] * after[t] ^ flip[t]
+                assign[t] = h
+                used |= b
+                r = rec(t + 1, fit & row)
+                used ^= b
+                if r:
+                    return r
         if node_budget:
             nodes += pool.bit_count()
             if nodes > node_budget:

@@ -4,7 +4,11 @@ two-pattern starriness test.
 Embeddings are labeled injective maps preserving both adjacency and
 non-adjacency. The backtracking order is canonical (DFS from the anchor or
 from a highest-degree pattern vertex, host candidates ascending), so the
-first witness is deterministic across runs and kernel backends.
+first witness is deterministic across runs and kernel backends. For a
+forest pattern the search places isomorphic sibling subtrees in
+ascending host order (the symmetry breaking of Grochow and Kellis, RECOMB
+2007), which keeps the first witness and makes a count one orbit
+representative per relabelling of those subtrees, multiplied back.
 """
 
 from dataclasses import dataclass
@@ -95,28 +99,70 @@ def _dfs_order(pattern, root):
     return out
 
 
+def _sibling_classes(parents, anchored):
+    """above and factor of _search_plan for a forest's DFS parents, in one
+    pass from the last position back. A position's children come after it
+    in preorder, so its AHU code, one small int per distinct sorted tuple
+    of child codes, is complete when the pass reaches it, and the sibling
+    of its class met just before it in the pass is the next one in order.
+    anchored keeps position 0, the anchored root, out of every class."""
+    m = len(parents)
+    codes = {}
+    kids = [[] for _ in range(m)]
+    above = [-1] * m
+    factor = 1
+    later = {}  # (parent, code) -> (the class's earliest position so far, its size)
+    for t in range(m - 1, -1, -1):
+        mine = kids[t]
+        mine.sort()
+        code = codes.setdefault(tuple(mine), len(codes))
+        p = parents[t]
+        if p >= 0:
+            kids[p].append(code)
+        elif anchored and t == 0:
+            break
+        nxt, size = later.get((p, code), (-1, 0))
+        if nxt >= 0:
+            above[nxt] = t
+        size += 1
+        factor *= size
+        later[p, code] = (t, size)
+    return above, factor
+
+
 def _search_plan(host, pattern, anchor):
     """Order pattern vertices and build static candidate masks.
 
-    Returns (order, pat_adj_o, parents, cands) in search-order space:
-    pat_adj_o[t] has bit s set iff the pattern vertices at positions t and
-    s are adjacent. Static filters:
+    Returns (order, pat_adj_o, parents, above, cands, factor) in
+    search-order space: pat_adj_o[t] has bit s set iff the pattern
+    vertices at positions t and s are adjacent. Static filters:
     host degree at least pattern degree everywhere, the anchor pinned to a
     single host vertex, and, within the anchor's pattern component, host
     distance from the anchor host no larger than pattern distance from the
     anchor vertex.
-    """
-    hn, pn = host.n, pattern.n
-    host_deg = [host.adjacency_mask(v).bit_count() for v in range(hn)]
-    pat_deg = [pattern.adjacency_mask(v).bit_count() for v in range(pn)]
 
-    deg_ok = [0] * pn
-    for p in range(pn):
-        m = 0
-        for h in range(hn):
-            if host_deg[h] >= pat_deg[p]:
-                m |= 1 << h
-        deg_ok[p] = m
+    When the pattern is a forest, above[t] is the position of the previous
+    sibling subtree isomorphic to position t's: the same parent in the DFS
+    tree, or both the roots of unanchored components, and the same rooted
+    (AHU) code. The kernels place t's host above that sibling's. Otherwise,
+    and for a first sibling, above[t] is -1. factor is the number of
+    automorphisms those constraints break, the product of (class size)!
+    over the classes of isomorphic siblings; it is 1 when above is all -1.
+    The anchored component's root sits apart from the other roots, as its
+    host is pinned.
+    """
+    pn = pattern.n
+    pat_deg = [row.bit_count() for row in pattern.adjacency_masks()]
+    # deg_ok[d]: the hosts of degree at least d, for d up to the largest
+    # pattern degree, from one pass over the hosts
+    top = max(pat_deg)
+    deg_ok = [0] * (top + 1)
+    b = 1
+    for d in map(int.bit_count, host.adjacency_masks()):
+        deg_ok[d if d < top else top] |= b
+        b <<= 1
+    for d in range(top - 1, -1, -1):
+        deg_ok[d] |= deg_ok[d + 1]
 
     anchor_p = anchor[0] if anchor is not None else None
 
@@ -137,7 +183,12 @@ def _search_plan(host, pattern, anchor):
     parents = [-1 if par < 0 else pos_of[par] for _, par in pairs]
     pat_adj_o = [sum(1 << pos_of[w] for w in bits(pattern.adjacency_mask(v))) for v in order]
 
-    cands = [deg_ok[v] for v in order]
+    above = [-1] * pn
+    factor = 1
+    if sum(pat_deg) == 2 * (pn - len(keyed)):  # a forest: one edge fewer than vertices per tree
+        above, factor = _sibling_classes(parents, anchor is not None)
+
+    cands = [deg_ok[pat_deg[v]] for v in order]
     if anchor is not None:
         ap, ah = anchor
         cands[pos_of[ap]] &= 1 << ah
@@ -148,7 +199,7 @@ def _search_plan(host, pattern, anchor):
         for t, v in enumerate(order):
             if pdist[v] >= 0:  # a vertex of another component has no constraint
                 cands[t] &= balls[min(pdist[v], len(balls) - 1)]
-    return order, pat_adj_o, parents, cands
+    return order, pat_adj_o, parents, above, cands, factor
 
 
 def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
@@ -157,6 +208,20 @@ def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
     anchor, when given, is a (pattern_vertex, host_vertex) pair that the
     embedding must respect. Raises SearchBudgetExceeded when a node budget
     is given and exhausted; that outcome is indeterminate, not absence.
+
+    The witness is the first embedding in the search's lexicographic order
+    (hosts compared position by position in search order), and the
+    symmetry constraints of the plan (see _search_plan) do not change it.
+    Say the first embedding f placed a sibling subtree B below its earlier
+    isomorphic sibling A, so f(root of B) < f(root of A). Swapping A and B
+    by an isomorphism is an automorphism of the pattern that fixes every
+    other vertex, the anchor and the DFS root included, so f composed with
+    it is an embedding with the same degrees and anchor distances at every
+    position, hence in every candidate pool. It agrees with f before A's
+    root, whose host it lowers to f(root of B): an earlier embedding, which
+    contradicts the choice of f. So f meets every constraint, and as the
+    constrained search visits a subset of the same order, it finds f.
+    A budget stop may therefore turn into this answer, never into another.
     """
     _check_positive_int(node_budget, "node_budget")
     if anchor is not None:
@@ -168,7 +233,7 @@ def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
         return None
     if pattern.n == 0:
         return Embedding(mapping=())
-    order, *plan = _search_plan(host, pattern, anchor)
+    order, *plan, _ = _search_plan(host, pattern, anchor)
     status, assign = _kernels.find_embedding(list(host.adjacency_masks()), *plan, node_budget or 0)
     if status == 2:
         raise SearchBudgetExceeded("induced embedding")
@@ -182,17 +247,26 @@ def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
 
 def count_induced_embeddings(host, pattern, node_budget=None):
     """Exact number of labeled induced embeddings. Automorphic images
-    count separately."""
+    count separately.
+
+    For a forest the kernel counts only the embeddings that place each
+    sibling subtree above its earlier isomorphic siblings (see
+    _search_plan), and the total is that count times the plan's factor,
+    the size of the group G that permutes isomorphic sibling subtrees. G
+    acts freely on embeddings, as they are injective, and each orbit holds
+    exactly one constrained embedding: sorting the siblings of each class
+    by host, from the DFS roots down, picks it. A budget is charged only
+    for the constrained search."""
     _check_positive_int(node_budget, "node_budget")
     if pattern.n > host.n:
         return 0
     if pattern.n == 0:
         return 1
-    _, *plan = _search_plan(host, pattern, None)
+    _, *plan, factor = _search_plan(host, pattern, None)
     status, total = _kernels.count_embeddings(list(host.adjacency_masks()), *plan, node_budget or 0)
     if status == 2:
         raise SearchBudgetExceeded("embedding count")
-    return total
+    return total * factor
 
 
 def is_kd_starry(host, k, d, node_budget=None):

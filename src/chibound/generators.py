@@ -115,6 +115,8 @@ def random_graph(n, p, seed):
     p = num / den. For an integer h that is h < ceil(num * 2**256 / den),
     and two 32-byte big-endian strings compare as the integers they
     encode, so each digest is compared with that bound's bytes directly.
+    The prefix f"{seed}:{u}:" is hashed once per row, and each pair
+    continues a copy of that state with the bytes of v.
     """
     if n < 0:
         raise ValueError(f"n must be non-negative, got {n}")
@@ -127,12 +129,14 @@ def random_graph(n, p, seed):
     if bound == 1 << 256:  # p = 1: every digest is below 2**256
         return complete_graph(n)
     limit = bound.to_bytes(32, "big")
-    sha256 = hashlib.sha256
+    suffixes = [str(v).encode() for v in range(n)]
     edges = []
     for u in range(n):
-        prefix = f"{seed}:{u}:"
+        row = hashlib.sha256(f"{seed}:{u}:".encode())
         for v in range(u + 1, n):
-            if sha256(f"{prefix}{v}".encode()).digest() < limit:
+            h = row.copy()
+            h.update(suffixes[v])
+            if h.digest() < limit:
                 edges.append((u, v))
     return Graph(n, edges)
 

@@ -102,7 +102,7 @@ def brute_count_induced(host, pattern):
     return count
 
 
-def reference_embed(host_adj, pat_adj_o, parents, cands, budget, count):
+def reference_embed(host_adj, pat_adj_o, parents, above, cands, budget, count):
     """The induced-embedding kernels' search (see pykernels.find_embedding
     for the arguments), one candidate and one node at a time at every
     position, the last included. Returns (status, payload, nodes): the
@@ -126,6 +126,8 @@ def reference_embed(host_adj, pat_adj_o, parents, cands, budget, count):
         pool = cands[t] & ~used
         if parents[t] >= 0:
             pool &= host_adj[assign[parents[t]]]
+        if above[t] >= 0:
+            pool &= ~((1 << assign[above[t]] + 1) - 1)
         while pool:
             b = pool & -pool
             pool ^= b

@@ -6,11 +6,17 @@ from pathlib import Path
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import reference_embed, reference_greedy_clique, reference_k_color, reference_k_sweep
+from oracles import (
+    brute_count_induced,
+    reference_embed,
+    reference_greedy_clique,
+    reference_k_color,
+    reference_k_sweep,
+)
 
 from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
-from chibound.embed import _search_plan
+from chibound.embed import _search_plan, count_induced_embeddings
 from chibound.generators import (
     complete_graph,
     cycle_graph,
@@ -23,7 +29,7 @@ from chibound.generators import (
     star_graph,
 )
 from chibound.graphs import Graph, bits
-from chibound.trees import binary_star, broom, superstar
+from chibound.trees import RootedTree, binary_star, broom, rooted_sum, superstar
 
 def coloring_grid():
     """(graph, ks) pairs: small random graphs at k = 1..4, then dense hosts,
@@ -35,8 +41,9 @@ def coloring_grid():
 
 
 def embedding_grid():
-    """Embedding kernel arguments for each (host, pattern, anchor) triple,
-    including patterns absent from sparse hosts and hosts past 64 vertices."""
+    """Embedding kernel arguments and the count factor of the search plan
+    for each (host, pattern, anchor) triple, including patterns absent
+    from sparse hosts and hosts past 64 vertices."""
     patterns = [
         path_graph(4),
         star_graph(3),
@@ -53,8 +60,15 @@ def embedding_grid():
         host_adj = list(host.adjacency_masks())
         for pattern in patterns:
             for anchor in (None, (0, 0), (pattern.n - 1, host.n // 2)):
-                _, *plan = _search_plan(host, pattern, anchor)
-                yield (host_adj, *plan)
+                _, *plan, factor = _search_plan(host, pattern, anchor)
+                yield (host_adj, *plan), factor
+
+
+def plain(args):
+    """Embedding kernel arguments with above all -1: the same search
+    without the symmetry constraints."""
+    host_adj, pat_adj_o, parents, above, cands = args
+    return host_adj, pat_adj_o, parents, [-1] * len(above), cands
 
 
 def test_backends_agree(ckernels):
@@ -69,10 +83,13 @@ def test_backends_agree(ckernels):
                 assert pykernels.k_color(n, adj, k, budget) == ckernels.k_color(n, adj, k, budget)
             assert pykernels.k_color(n, adj, 1, budget, n) == ckernels.k_color(n, adj, 1, budget, n)
 
-    for plan in embedding_grid():
+    linked = 0
+    for args, _ in embedding_grid():
+        linked += any(a >= 0 for a in args[3])
         for budget in (0, 5, 50):
-            assert pykernels.find_embedding(*plan, budget) == ckernels.find_embedding(*plan, budget)
-            assert pykernels.count_embeddings(*plan, budget) == ckernels.count_embeddings(*plan, budget)
+            assert pykernels.find_embedding(*args, budget) == ckernels.find_embedding(*args, budget)
+            assert pykernels.count_embeddings(*args, budget) == ckernels.count_embeddings(*args, budget)
+    assert linked
 
 
 def tie_hosts():
@@ -106,18 +123,30 @@ def budget_outcomes(kernels):
     coloring and embedding grids at each of GRID_BUDGETS, and the number of
     calls that ran out of budget. k_color holds the single-k calls and
     k_color_sweep the sweeps from k = 1 and from k = 2 up to the vertex
-    count."""
-    out = {"find_embedding": [], "count_embeddings": [], "max_clique": [], "k_color": [], "k_color_sweep": []}
+    count. find_embedding and count_embeddings run the grid's plans with
+    above all -1, and the _sym entries the plans as _search_plan makes
+    them, with the symmetry constraints of forest patterns."""
+    out = {
+        "find_embedding": [],
+        "count_embeddings": [],
+        "find_embedding_sym": [],
+        "count_embeddings_sym": [],
+        "max_clique": [],
+        "k_color": [],
+        "k_color_sweep": [],
+    }
     for g, ks in coloring_grid():
         n, adj = g.n, list(g.adjacency_masks())
         for budget in GRID_BUDGETS:
             out["max_clique"].append(kernels.max_clique(n, adj, budget))
             out["k_color"].extend(kernels.k_color(n, adj, k, budget) for k in ks)
             out["k_color_sweep"].extend(kernels.k_color(n, adj, k, budget, n) for k in (1, 2))
-    for plan in embedding_grid():
+    for args, _ in embedding_grid():
         for budget in GRID_BUDGETS:
-            out["find_embedding"].append(kernels.find_embedding(*plan, budget))
-            out["count_embeddings"].append(kernels.count_embeddings(*plan, budget))
+            out["find_embedding"].append(kernels.find_embedding(*plain(args), budget))
+            out["count_embeddings"].append(kernels.count_embeddings(*plain(args), budget))
+            out["find_embedding_sym"].append(kernels.find_embedding(*args, budget))
+            out["count_embeddings_sym"].append(kernels.count_embeddings(*args, budget))
     return {
         name: {
             "sha256": hashlib.sha256(json.dumps(results).encode()).hexdigest(),
@@ -136,6 +165,115 @@ def test_budget_outcomes_are_pinned(request, backend):
     got = budget_outcomes(kernels)
     assert all(entry["budget_stops"] for entry in got.values())
     assert got == json.loads(BUDGET_SNAPSHOT.read_text())
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+def test_symmetry_constraints_change_only_budget_stops(request, backend):
+    """On the grid's plans, every outcome with the symmetry constraints is
+    the one with above all -1, a count scaled by the plan's factor, or
+    that call's unbudgeted answer where the unconstrained search ran out
+    of budget: the constrained search charges a subset of the nodes, so
+    a budget stop may settle, but never into another answer."""
+    kernels = pykernels if backend == "python" else request.getfixturevalue("ckernels")
+    settled = 0
+    for args, factor in embedding_grid():
+        for kernel, scale in ((kernels.find_embedding, 1), (kernels.count_embeddings, factor)):
+            answer = kernel(*plain(args), 0)
+            for budget in GRID_BUDGETS:
+                status, payload = kernel(*args, budget)
+                got = (status, payload * scale if status == 0 and scale > 1 else payload)
+                want = kernel(*plain(args), budget)
+                if got != want:
+                    assert want[0] == 2 and got == answer
+                    settled += 1
+    assert settled
+
+
+def prufer_graph(n, seq):
+    """The labelled tree on n vertices with Prüfer sequence seq, n - 2
+    entries from range(n)."""
+    if n == 1:
+        return Graph(1)
+    degree = [1] * n
+    for v in seq:
+        degree[v] += 1
+    edges = []
+    for v in seq:
+        leaf = degree.index(1)
+        edges.append((leaf, v))
+        degree[leaf] -= 1
+        degree[v] -= 1
+    edges.append(tuple(v for v in range(n) if degree[v] == 1))
+    return Graph(n, edges)
+
+
+def planted(tree):
+    """tree hung from a new root by one edge."""
+    g = tree.graph
+    return RootedTree(Graph(g.n + 1, [(u + 1, v + 1) for u, v in g.edges()] + [(0, tree.root + 1)]), root=0)
+
+
+@st.composite
+def forest_cases(draw):
+    """A forest pattern on up to 7 vertices, relabelled at random, a seeded
+    random host on up to 7 vertices and an anchor or None. The pattern is
+    a random tree from a Prüfer sequence, a rooted_sum of equal planted
+    trees, each itself a rooted_sum of equal planted trees, so that
+    isomorphic siblings sit at two depths, or a forest of two trees,
+    equal in half the cases. Half the hosts hold an induced copy of the
+    pattern on random vertices, so that most counts are not 0."""
+    rng = random.Random(draw(st.integers(0, 2 ** 32)))
+
+    def prufer(n):
+        return prufer_graph(n, [rng.randrange(n) for _ in range(n - 2)])
+
+    kind = draw(st.sampled_from(("prufer", "nested", "two")))
+    if kind == "prufer":
+        pattern = prufer(draw(st.integers(1, 7)))
+    elif kind == "nested":
+        leaf_n, inner, outer = draw(st.sampled_from(((1, 1, 2), (1, 1, 3), (1, 2, 2), (2, 1, 2))))
+        leaf = RootedTree(prufer(leaf_n), root=rng.randrange(leaf_n))
+        pattern = rooted_sum([planted(rooted_sum([planted(leaf)] * inner))] * outer).graph
+    else:
+        first = prufer(draw(st.integers(1, 3)))
+        second = first if draw(st.booleans()) else prufer(draw(st.integers(1, 3)))
+        pattern = Graph(first.n + second.n, first.edges() + [(u + first.n, v + first.n) for u, v in second.edges()])
+    perm = list(range(pattern.n))
+    rng.shuffle(perm)
+    pattern = Graph(pattern.n, [(perm[u], perm[v]) for u, v in pattern.edges()])
+    if draw(st.booleans()):
+        hn = draw(st.integers(pattern.n, 7))
+        spots = rng.sample(range(hn), pattern.n)
+        taken = set(spots)
+        density = draw(st.sampled_from((0.2, 0.5, 0.8)))
+        edges = [(spots[u], spots[v]) for u, v in pattern.edges()]
+        edges += [(u, v) for u in range(hn) for v in range(u + 1, hn) if not {u, v} <= taken and rng.random() < density]
+        host = Graph(hn, edges)
+    else:
+        host = as_graph(*draw_adjacency(draw, 1, 7))
+    anchor = None
+    if draw(st.booleans()):
+        anchor = (rng.randrange(pattern.n), rng.randrange(host.n))
+    return host, pattern, anchor
+
+
+@settings(max_examples=300, derandomize=True, database=None, deadline=None)
+@given(case=forest_cases())
+def test_symmetry_broken_search_on_random_forests(ckernels, case):
+    """With the symmetry constraints of _search_plan, both backends find
+    the witness of the same plan with above all -1, and a count times the
+    plan's factor is the brute-force count, or with an anchor the
+    unconstrained count of the anchored plan."""
+    host, pattern, anchor = case
+    _, *plan, factor = _search_plan(host, pattern, anchor)
+    args = (list(host.adjacency_masks()), *plan)
+    want = brute_count_induced(host, pattern) if anchor is None else pykernels.count_embeddings(*plain(args))[1]
+    for kernels in (pykernels, ckernels):
+        assert kernels.find_embedding(*args) == kernels.find_embedding(*plain(args))
+        status, total = kernels.count_embeddings(*args)
+        assert status == 0 and total * factor == want
+    if anchor is None:
+        assert count_induced_embeddings(host, pattern) == want
 
 
 def random_adjacency(n, density, seed):
@@ -240,7 +378,7 @@ def embedding_cases(draw):
     anchor = None
     if hn and draw(st.booleans()):
         anchor = (draw(st.integers(0, pn - 1)), draw(st.integers(0, hn - 1)))
-    _, *plan = _search_plan(as_graph(hn, host_adj), pattern, anchor)
+    _, *plan, _ = _search_plan(as_graph(hn, host_adj), pattern, anchor)
     small = hn <= 10 and pn <= 5
     budget = draw(st.sampled_from((0, 1, 5, 50, 500, 5000) if small else (1, 5, 50, 500, 5000)))
     return (host_adj, *plan), budget
@@ -258,7 +396,8 @@ def test_backends_agree_on_random_embeddings(ckernels, case):
 def reference_cases(draw):
     """Embedding kernel arguments with a symmetric host on 0 to 14
     vertices, a pattern of 0 to 6 positions, each parent an arbitrary
-    earlier position or -1 and each candidate mask arbitrary."""
+    earlier position or -1, each candidate mask arbitrary and, for half
+    the positions, above an arbitrary earlier position, else -1."""
     # sampled sizes and fill, as integers() would draw an empty host,
     # pattern or candidate mask in about a third of the cases
     hn = draw(st.sampled_from(range(15)))
@@ -269,7 +408,8 @@ def reference_cases(draw):
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
     parents = [rng.randrange(-1, t) for t in range(m)]
     cands = [sum(1 << h for h in range(hn) if rng.random() < fill) for _ in range(m)]
-    return host_adj, pat_adj_o, parents, cands
+    above = [rng.randrange(-1, t) if t and rng.random() < 0.5 else -1 for t in range(m)]
+    return host_adj, pat_adj_o, parents, above, cands
 
 
 @settings(max_examples=500, derandomize=True, database=None, deadline=None)
@@ -301,7 +441,9 @@ def large_reference_cases(draw):
     vertices, each in its position's candidate mask, so that many cases
     have embeddings; each parent is an earlier adjacent position or -1,
     as in a search plan, and a few candidates per position keep the
-    unbudgeted searches small."""
+    unbudgeted searches small. A third of the positions have above set
+    to an earlier position planted on a lower host, so the planted
+    embedding meets every constraint."""
     hn = draw(st.sampled_from(range(30, 71)))
     m = draw(st.sampled_from(range(7, 11)))
     _, host_adj = draw_adjacency(draw, hn, hn)
@@ -317,7 +459,11 @@ def large_reference_cases(draw):
         near = [s for s in range(t) if pat_adj_o[t] >> s & 1]
         parents.append(rng.choice(near) if near and rng.random() < 0.8 else -1)
     cands = [sum(1 << h for h in range(hn) if rng.random() < fill) | 1 << planted[t] for t in range(m)]
-    return host_adj, pat_adj_o, parents, cands
+    above = []
+    for t in range(m):
+        lower = [s for s in range(t) if planted[s] < planted[t]]
+        above.append(rng.choice(lower) if lower and rng.random() < 1 / 3 else -1)
+    return host_adj, pat_adj_o, parents, above, cands
 
 
 @settings(max_examples=150, derandomize=True, database=None, deadline=None)
@@ -349,18 +495,23 @@ bad_mask_calls = pytest.mark.parametrize(
         lambda m: m.greedy_clique(1, [1]),
         lambda m: m.k_color(3, [2, 1], 2),
         lambda m: m.max_clique(70, [0] * 69 + [1 << 70]),
-        lambda m: m.find_embedding([2, -1], [2, 1], [-1, 0], [3, 3]),
-        lambda m: m.find_embedding([2, 1], [2, 1], [-1, 0], [3, 4]),
-        lambda m: m.count_embeddings([2, 1], [2, 1], [-1, 1], [3, 3]),
-        lambda m: m.count_embeddings([2, 1], [2, 1], [-2, 0], [3, 3]),
+        lambda m: m.find_embedding([2, -1], [2, 1], [-1, 0], [-1, -1], [3, 3]),
+        lambda m: m.find_embedding([2, 1], [2, 1], [-1, 0], [-1, -1], [3, 4]),
+        lambda m: m.count_embeddings([2, 1], [2, 1], [-1, 1], [-1, -1], [3, 3]),
+        lambda m: m.count_embeddings([2, 1], [2, 1], [-2, 0], [-1, -1], [3, 3]),
         lambda m: m.k_color(2, [3, 1], 2),
         lambda m: m.k_color(2, [2, -2], 0),
         lambda m: m.max_clique(2, [2]),
         lambda m: m.max_clique(2, [2, -2]),
-        lambda m: m.find_embedding([3, 1], [2, 1], [-1, 0], [3, 3]),
-        lambda m: m.count_embeddings([2, 1], [2, 1], [-1, 0], [3]),
-        lambda m: m.find_embedding([2, 1], [2, 5], [-1, 0], [3, 3]),
-        lambda m: m.find_embedding([2, 1], [3, 1], [-1, 0], [3, 3]),
+        lambda m: m.find_embedding([3, 1], [2, 1], [-1, 0], [-1, -1], [3, 3]),
+        lambda m: m.count_embeddings([2, 1], [2, 1], [-1, 0], [-1, -1], [3]),
+        lambda m: m.find_embedding([2, 1], [2, 5], [-1, 0], [-1, -1], [3, 3]),
+        lambda m: m.find_embedding([2, 1], [3, 1], [-1, 0], [-1, -1], [3, 3]),
+        lambda m: m.find_embedding([2, 1], [2, 1], [-1, 0], [-1, 1], [3, 3]),
+        lambda m: m.count_embeddings([2, 1], [2, 1], [-1, 0], [-1, 2], [3, 3]),
+        lambda m: m.count_embeddings([2, 1], [2, 1], [-1, 0], [-1, -2], [3, 3]),
+        lambda m: m.find_embedding([2, 1], [2, 1], [-1, 0], [0, -1], [3, 3]),
+        lambda m: m.find_embedding([2, 1], [2, 1], [-1, 0], [-1], [3, 3]),
     ],
     ids=[
         "adjacency-bit-past-n",
@@ -380,6 +531,11 @@ bad_mask_calls = pytest.mark.parametrize(
         "short-candidate-list",
         "pattern-bit-past-pattern",
         "pattern-loop",
+        "above-not-earlier",
+        "above-past-pattern",
+        "above-below-minus-one",
+        "above-at-first-position",
+        "short-above-list",
     ],
 )
 
