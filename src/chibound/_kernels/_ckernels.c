@@ -577,9 +577,6 @@ emb_rec(ECtx *cx, int t)
         return cx->count_all ? 0 : 3;
     }
     int nw = cx->nw, p = cx->parents[t], last = cx->m - 1, h, s;
-    /* a is the host that t's host must exceed, in word aw, and the words
-       below aw keep nothing; with no such host both are -1 */
-    int a = cx->above[t] >= 0 ? cx->assign[cx->above[t]] : -1, aw = a >= 0 ? a >> 6 : -1;
     uint64_t *pool = cx->stack + (size_t)3 * t * nw, *want = pool + nw, *fit = want + nw;
     /* want is zeroed in this loop: a loop of its own compiles to a memset
        call, which measurably slows searches that rarely reach the leaf */
@@ -587,9 +584,16 @@ emb_rec(ECtx *cx, int t)
         pool[i] = cx->cands[(size_t)t * nw + i] & ~cx->used[i];
         if (p >= 0)
             pool[i] &= cx->host[(size_t)cx->assign[p] * nw + i];
-        if (i <= aw) /* shifted twice, as a shift by 64 is undefined */
-            pool[i] &= i < aw ? 0 : (~(uint64_t)0 << (a & 63)) << 1;
         want[i] = 0;
+    }
+    if (cx->above[t] >= 0) {
+        /* keep the hosts above a, the host of position above[t]: none in
+           the words below a's, and in a's word the bits above a, shifted
+           twice as a shift by 64 is undefined */
+        int a = cx->assign[cx->above[t]];
+        for (int i = 0; i < a >> 6; i++)
+            pool[i] = 0;
+        pool[a >> 6] &= (~(uint64_t)0 << (a & 63)) << 1;
     }
     if (t == last)
         return emb_leaf(cx, pool, fit);
