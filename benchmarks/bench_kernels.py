@@ -26,10 +26,11 @@ from chibound.trees import binary_star, bristle, bristled_star, broom, superstar
 
 
 def embedding_args(host, pattern, anchor=None):
-    """The kernel arguments of the search plan; a count row times the
-    constrained count, which the plan's factor scales to the full one."""
+    """The embedding kernel arguments of the search plan: host adjacency,
+    pattern rows, above and candidates. A count row times the constrained
+    count, which the plan's factor scales to the full one."""
     _, *plan, _ = _search_plan(host, pattern, anchor)
-    return (list(host.adjacency_masks()), *plan)
+    return (host.adjacency_masks(), *plan)
 
 
 def workloads():
@@ -44,40 +45,40 @@ def workloads():
     cliques = [random_graph(70, "0.5", seed) for seed in range(100)]
     yield (
         "chi(tower23) = 5",
-        lambda m: m.k_color(tower.n, list(tower.adjacency_masks()), 5),
+        lambda m: m.k_color(tower.adjacency_masks(), 5),
     )
     yield (
         "refute 4-coloring tower23",
-        lambda m: m.k_color(tower.n, list(tower.adjacency_masks()), 4),
+        lambda m: m.k_color(tower.adjacency_masks(), 4),
     )
     yield (
         f"chi(random(40, .5)) = {chi40}",
-        lambda m: m.k_color(dense40.n, list(dense40.adjacency_masks()), chi40),
+        lambda m: m.k_color(dense40.adjacency_masks(), chi40),
     )
     yield (
         f"refute {chi40 - 1}-coloring random(40, .5)",
-        lambda m: m.k_color(dense40.n, list(dense40.adjacency_masks()), chi40 - 1),
+        lambda m: m.k_color(dense40.adjacency_masks(), chi40 - 1),
     )
     # whole chi sweeps from k = 1, as chromatic_number makes them
     yield (
         "chi sweep tower23",
-        lambda m: m.k_color(tower.n, list(tower.adjacency_masks()), 1, 0, tower.n),
+        lambda m: m.k_color(tower.adjacency_masks(), 1, 0, tower.n),
     )
     yield (
         "chi sweep random(40, .5)",
-        lambda m: m.k_color(dense40.n, list(dense40.adjacency_masks()), 1, 0, dense40.n),
+        lambda m: m.k_color(dense40.adjacency_masks(), 1, 0, dense40.n),
     )
     yield (
         "refute 3-coloring random(70, .12)",
-        lambda m: m.k_color(sparse.n, list(sparse.adjacency_masks()), 3),
+        lambda m: m.k_color(sparse.adjacency_masks(), 3),
     )
     yield (
         "max clique random(42, .5)",
-        lambda m: m.max_clique(dense.n, list(dense.adjacency_masks())),
+        lambda m: m.max_clique(dense.adjacency_masks()),
     )
     yield (
         "greedy clique x100 random(70, .5)",
-        lambda m: [m.greedy_clique(g.n, list(g.adjacency_masks())) for g in cliques],
+        lambda m: [m.greedy_clique(g.adjacency_masks()) for g in cliques],
     )
     args = embedding_args(host, pat)
     yield ("count star in kneser(6,2)", lambda m: m.count_embeddings(*args))

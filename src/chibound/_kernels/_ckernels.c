@@ -9,7 +9,8 @@
    Every mask passed in is checked before a search starts: it must be
    non-negative with no bit at or past its host's vertex count, and an
    adjacency mask may not hold its own vertex's bit. A bad mask raises
-   ValueError, so no kernel reads or writes outside its arrays. */
+   ValueError, so no kernel reads or writes outside its arrays. A vertex
+   count is its mask list's length, and parents come from the pattern. */
 
 #define PY_SSIZE_T_CLEAN
 #include <Python.h>
@@ -137,17 +138,21 @@ done:
     return arr;
 }
 
-/* The n-vertex graph given by adjacency masks: the entry shared by
-   greedy_clique, k_color and max_clique. */
+/* The graph of the adjacency masks adj, one per vertex, with its vertex
+   count in n: the entry shared by greedy_clique, k_color and max_clique. */
 static uint64_t *
-load_graph(Py_ssize_t n, PyObject *adj, int *nw)
+load_graph(PyObject *adj, int *n, int *nw)
 {
-    if (n < 0 || n > INT_MAX / 2) {
-        PyErr_Format(PyExc_ValueError, "vertex count %zd out of range", n);
+    Py_ssize_t len = PyObject_Length(adj);
+    if (len < 0)
+        return NULL;
+    if (len > INT_MAX / 2) {
+        PyErr_SetString(PyExc_ValueError, "graph too large");
         return NULL;
     }
-    *nw = words_for(n);
-    return load_masks(adj, n, *nw, n, 1, "adj");
+    *n = (int)len;
+    *nw = words_for(len);
+    return load_masks(adj, len, *nw, len, 1, "adj");
 }
 
 /* ---------------------------------------------------------- greedy clique */
@@ -226,19 +231,18 @@ int_list(const int *values, Py_ssize_t len)
 static PyObject *
 greedy_clique(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "adj", NULL};
-    Py_ssize_t n;
+    static char *kwlist[] = {"adj", NULL};
     PyObject *adj_o, *result = NULL;
-    int nw, size;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nO:greedy_clique", kwlist, &n, &adj_o))
+    int n, nw, size;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O:greedy_clique", kwlist, &adj_o))
         return NULL;
-    uint64_t *adj = load_graph(n, adj_o, &nw);
+    uint64_t *adj = load_graph(adj_o, &n, &nw);
     if (adj == NULL)
         return NULL;
     if (n == 0)
         result = PyList_New(0);
     else {
-        int *clique = greedy_alloc((int)n, nw, adj, &size);
+        int *clique = greedy_alloc(n, nw, adj, &size);
         if (clique != NULL)
             result = int_list(clique, size);
         free(clique);
@@ -352,13 +356,12 @@ kc_search(int n, int nw, const uint64_t *adj, int *degs, const int *clique, int 
 static PyObject *
 k_color(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "adj", "k", "node_budget", "k_max", NULL};
-    Py_ssize_t n, k;
+    static char *kwlist[] = {"adj", "k", "node_budget", "k_max", NULL};
+    Py_ssize_t k;
     long long budget = 0;
     PyObject *adj_o, *k_max_o = Py_None, *result = NULL;
-    int nw, size = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nOn|LO:k_color", kwlist, &n, &adj_o, &k, &budget,
-                                     &k_max_o))
+    int n, nw, size = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "On|LO:k_color", kwlist, &adj_o, &k, &budget, &k_max_o))
         return NULL;
     Py_ssize_t k_max = k;
     if (k_max_o != Py_None) {
@@ -366,14 +369,14 @@ k_color(PyObject *self, PyObject *args, PyObject *kwargs)
         if (k_max == -1 && PyErr_Occurred())
             return NULL;
     }
-    uint64_t *adj = load_graph(n, adj_o, &nw);
+    uint64_t *adj = load_graph(adj_o, &n, &nw);
     if (adj == NULL)
         return NULL;
     if (n == 0) {
         free(adj);
         return Py_BuildValue("(iN)", 0, PyList_New(0));
     }
-    int *clique = greedy_alloc((int)n, nw, adj, &size);
+    int *clique = greedy_alloc(n, nw, adj, &size);
     int *degs = calloc(n, sizeof(int));
     int *colors = calloc(n, sizeof(int));
     if (clique == NULL || degs == NULL || colors == NULL) {
@@ -386,7 +389,7 @@ k_color(PyObject *self, PyObject *args, PyObject *kwargs)
         int status = 1;
         Py_ssize_t kk = k > size ? k : size;
         for (; kk <= k_max; kk++) {
-            status = kc_search((int)n, nw, adj, degs, clique, size, kk, budget, colors);
+            status = kc_search(n, nw, adj, degs, clique, size, kk, budget, colors);
             if (status != 1)
                 break;
         }
@@ -456,14 +459,13 @@ cmp_int(const void *a, const void *b)
 static PyObject *
 max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static char *kwlist[] = {"n", "adj", "node_budget", NULL};
-    Py_ssize_t n;
+    static char *kwlist[] = {"adj", "node_budget", NULL};
     long long budget = 0;
     PyObject *adj_o, *result = NULL;
-    int nw, size = 0;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "nO|L:max_clique", kwlist, &n, &adj_o, &budget))
+    int n, nw, size = 0;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "O|L:max_clique", kwlist, &adj_o, &budget))
         return NULL;
-    uint64_t *adj = load_graph(n, adj_o, &nw);
+    uint64_t *adj = load_graph(adj_o, &n, &nw);
     if (adj == NULL)
         return NULL;
     if (n == 0) {
@@ -472,7 +474,7 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
     }
     /* the greedy clique seeds the best clique in place */
     MCtx cx = {.nw = nw, .adj = adj, .budget = budget};
-    cx.best = greedy_alloc((int)n, nw, adj, &size);
+    cx.best = greedy_alloc(n, nw, adj, &size);
     cx.stack = calloc(((size_t)n + 2) * nw, sizeof(uint64_t));
     cx.cur = calloc(n, sizeof(int));
     if (cx.best == NULL || cx.stack == NULL || cx.cur == NULL) {
@@ -497,20 +499,27 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
 /* ------------------------------------------------------------- embeddings */
 
 /* Search-order space: position t is assigned t-th, pat row t has bit s
-   set iff positions t and s are adjacent, parents[t] is an earlier
-   position adjacent to t (or -1), above[t] an earlier position whose host
-   t's host must exceed (or -1) and cands[t] the host candidates of
-   position t. embed._search_plan links each isomorphic sibling subtree of
-   a forest pattern to the previous one through above, which breaks their
-   symmetry without changing the first embedding; a count is then
-   multiplied by the number of automorphisms broken. Candidates are the
-   unused hosts of cands[t] adjacent to the parent's host and above the
-   host of position above[t], taken ascending, and each one taken is a
-   node charged before it is tested. Below the last position L = m - 1, a
-   candidate h for position t passes iff (host[h] & used) == want, where
-   used holds the hosts assigned so far and want, built once per level
-   from pat row t, those of the earlier positions adjacent to t: one mask
-   comparison per candidate.
+   set iff positions t and s are adjacent, above[t] is an earlier position
+   whose host t's host must exceed (or -1) and cands[t] the host
+   candidates of position t. embed._search_plan links each isomorphic
+   sibling subtree of a forest pattern to the previous one through above,
+   which breaks their symmetry without changing the first embedding; a
+   count is then multiplied by the number of automorphisms broken.
+   Candidates are the unused hosts of cands[t] adjacent to the parent's
+   host and above the host of position above[t], taken ascending, and
+   each one taken is a node charged before it is tested. Below the last
+   position L = m - 1, a candidate h for position t passes iff (host[h] &
+   used) == want, where used holds the hosts assigned so far and want,
+   built once per level from pat row t, those of the earlier positions
+   adjacent to t: one mask comparison per candidate.
+
+   parents[t], the highest bit of pat row t below t or -1, is worked out
+   here. In a DFS preorder, as embed._search_plan makes, it is the DFS
+   parent: an undirected DFS has no cross edges, so every earlier
+   neighbour of t is an ancestor, and the deepest comes last. In any other
+   order it is still adjacent to t, so keeping t's pool to its host's
+   neighbours drops no passing candidate: finds and counts stay exact, and
+   only the node charges depend on the order.
 
    Each level also carries fit, the hosts that pass L's test against the
    positions placed so far: level 0 starts it all ones, and placing h at
@@ -668,12 +677,12 @@ load_positions(PyObject *seq_o, Py_ssize_t m, int *out, const char *name)
 static int
 emb_setup(ECtx *cx, PyObject *args, PyObject *kwargs, const char *fmt)
 {
-    static char *kwlist[] = {"host_adj", "pat_adj_o", "parents", "above", "cands", "node_budget", NULL};
-    PyObject *host_o, *pat_o, *parents_o, *above_o, *cands_o;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, fmt, kwlist, &host_o, &pat_o, &parents_o,
-                                     &above_o, &cands_o, &cx->budget))
+    static char *kwlist[] = {"host_adj", "pat_adj_o", "above", "cands", "node_budget", NULL};
+    PyObject *host_o, *pat_o, *above_o, *cands_o;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, fmt, kwlist, &host_o, &pat_o, &above_o, &cands_o,
+                                     &cx->budget))
         return -1;
-    Py_ssize_t hn = PyObject_Length(host_o), m = PyObject_Length(parents_o);
+    Py_ssize_t hn = PyObject_Length(host_o), m = PyObject_Length(pat_o);
     if (hn < 0 || m < 0)
         return -1;
     if (hn > INT_MAX / 2 || m > INT_MAX / 2) {
@@ -704,8 +713,13 @@ emb_setup(ECtx *cx, PyObject *args, PyObject *kwargs, const char *fmt)
     }
     for (int i = 0; i < nw; i++)
         cx->stack[2 * nw + i] = ~(uint64_t)0; /* level 0's fit: every host */
-    if (load_positions(parents_o, m, cx->parents, "parents") < 0)
-        return -1;
+    for (int t = 0, s; t < m; t++) {
+        cx->parents[t] = -1; /* then the highest bit of pat row t below t */
+        FOR_BITS(s, cx->pat + (size_t)t * cx->pw, cx->pw) {
+            if (s < t)
+                cx->parents[t] = s;
+        }
+    }
     return load_positions(above_o, m, cx->above, "above");
 }
 
@@ -714,7 +728,7 @@ find_embedding(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     ECtx cx = {0};
     PyObject *result = NULL;
-    if (emb_setup(&cx, args, kwargs, "OOOOO|L:find_embedding") == 0) {
+    if (emb_setup(&cx, args, kwargs, "OOOO|L:find_embedding") == 0) {
         int status = emb_rec(&cx, 0);
         if (status == 3)
             result = Py_BuildValue("(iN)", 0, int_list(cx.assign, cx.m));
@@ -730,7 +744,7 @@ count_embeddings(PyObject *self, PyObject *args, PyObject *kwargs)
 {
     ECtx cx = {.count_all = 1};
     PyObject *result = NULL;
-    if (emb_setup(&cx, args, kwargs, "OOOOO|L:count_embeddings") == 0) {
+    if (emb_setup(&cx, args, kwargs, "OOOO|L:count_embeddings") == 0) {
         if (emb_rec(&cx, 0) == 2)
             result = Py_BuildValue("(iO)", 2, Py_None);
         else

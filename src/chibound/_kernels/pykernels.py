@@ -7,11 +7,12 @@ tie-breaking and node accounting, so either backend yields identical
 results; a change to one is made to both in the same commit.
 
 Common conventions:
-  * adjacency is a list of Python ints, bit u of adj[v] set iff u ~ v;
+  * adjacency is a list of Python ints, one per vertex, bit u of adj[v]
+    set iff u ~ v;
   * every mask is checked as _ckernels.c checks it, in a pass the kernel
     makes anyway: a negative mask, a bit at or past the vertex count, an
-    adjacency mask holding its own vertex's bit or too few masks raise
-    ValueError before a search starts;
+    adjacency mask holding its own vertex's bit or fewer candidate masks
+    than pattern positions raise ValueError before a search starts;
   * a node budget of 0 means unbounded; a budgeted kernel counts a node and
     then stops once the count exceeds a nonzero budget, so it never
     expands node budget + 1 nodes;
@@ -34,6 +35,10 @@ Common conventions:
     loop of the position before it (see find_embedding); _ckernels.c
     keeps a loop over each candidate below the last position, one mask
     comparison each, over the same nodes;
+  * a position's parent in the embedding search is its latest earlier
+    neighbour: the DFS parent in a DFS preorder, such as _search_plan's,
+    and still a neighbour in any other order, so only node charges depend
+    on the order (see find_embedding);
   * the embedding kernels take above, one earlier position or -1 per
     position, and keep only hosts above the host of position above[t] in
     t's pool. embed._search_plan links each isomorphic sibling subtree of
@@ -53,8 +58,6 @@ def _popcounts(masks, count, nbits, name, loops=False):
     """Popcount of each of the first count masks, after the checks of
     _ckernels.c's load_masks: each mask is a non-negative int below
     1 << nbits and, unless loops, mask i does not hold bit i."""
-    if count < 0:
-        raise ValueError(f"vertex count {count} out of range")
     if len(masks) < count:
         raise ValueError(f"{name} has {len(masks)} masks, need {count}")
     outside = ~((1 << nbits) - 1)
@@ -69,12 +72,12 @@ def _popcounts(masks, count, nbits, name, loops=False):
     return out
 
 
-def greedy_clique(n, adj):
+def greedy_clique(adj):
     """Deterministic greedy clique, used as a chromatic lower bound and to
     precolor the coloring search. Start at the highest-degree vertex, then
     repeatedly add the candidate with the most candidate neighbors; ties go
     to the lowest id. Returns vertices in pick order."""
-    return _greedy(adj, _popcounts(adj, n, n, "adj"))
+    return _greedy(adj, _popcounts(adj, len(adj), len(adj), "adj"))
 
 
 def _greedy(adj, degs):
@@ -100,7 +103,7 @@ def _greedy(adj, degs):
     return clique
 
 
-def k_color(n, adj, k, node_budget=0, k_max=None):
+def k_color(adj, k, node_budget=0, k_max=None):
     """Sweep k' up from k to k_max for the first k'-colouring.
 
     Tries each k' from the larger of k and the greedy clique's size up to
@@ -141,6 +144,7 @@ def k_color(n, adj, k, node_budget=0, k_max=None):
     _ckernels.c keeps per-vertex colour counters and a scan for the pick
     instead, over the same nodes in the same order.
     """
+    n = len(adj)
     degs = _popcounts(adj, n, n, "adj")
     if n == 0:
         return (0, [])
@@ -216,13 +220,11 @@ def k_color(n, adj, k, node_budget=0, k_max=None):
     return (1, None)
 
 
-def max_clique(n, adj, node_budget=0):
+def max_clique(adj, node_budget=0):
     """Exact maximum clique with witness, seeded by the greedy clique.
     Candidates are consumed in ascending id order; a popcount bound prunes.
     The witness is updated only on strict improvement, so it is canonical."""
-    if n == 0:
-        return (0, [])
-    best = sorted(greedy_clique(n, adj))
+    best = sorted(greedy_clique(adj))
     cur = []
     nodes = 0
 
@@ -248,22 +250,29 @@ def max_clique(n, adj, node_budget=0):
                 return r
         return 0
 
-    status = expand((1 << n) - 1)
+    status = expand((1 << len(adj)) - 1)
     return (2 if status == 2 else 0, sorted(best))
 
 
-def find_embedding(host_adj, pat_adj_o, parents, above, cands, node_budget=0):
+def find_embedding(host_adj, pat_adj_o, above, cands, node_budget=0):
     """First induced embedding in canonical order, or absence.
 
     Everything is in search-order space: position t is assigned t-th,
     pat_adj_o[t] has bit s set iff pattern positions t and s are adjacent,
-    parents[t] is an earlier position adjacent to t (or -1), above[t] is
-    an earlier position whose host t's host must exceed (or -1), and
-    cands[t] is the statically filtered host candidate mask for position
-    t. embed._search_plan sets above[t] to the previous isomorphic sibling
-    subtree of a forest pattern, which breaks the symmetry between
-    siblings without changing the first embedding (see
+    above[t] is an earlier position whose host t's host must exceed (or
+    -1), and cands[t] is the statically filtered host candidate mask for
+    position t. embed._search_plan sets above[t] to the previous
+    isomorphic sibling subtree of a forest pattern, which breaks the
+    symmetry between siblings without changing the first embedding (see
     embed.find_induced_embedding).
+
+    The parent of position t is the highest bit of pat_adj_o[t] below t,
+    or -1. In a DFS preorder, as embed._search_plan makes, it is the DFS
+    parent: an undirected DFS has no cross edges, so every earlier
+    neighbour of t is an ancestor, and the deepest comes last. In any
+    other order it is still adjacent to t, so keeping t's pool to its
+    host's neighbours drops no passing candidate: finds and counts stay
+    exact, and only the node charges depend on the order.
 
     Candidates for position t are the unused hosts of cands[t] adjacent to
     the parent's host and above the host of position above[t], in
@@ -315,34 +324,28 @@ def find_embedding(host_adj, pat_adj_o, parents, above, cands, node_budget=0):
     costs a pass over every mask on every call, and every caller passes a
     Graph's adjacency, which is symmetric by construction.
     """
-    return _embed(host_adj, pat_adj_o, parents, above, cands, node_budget, False)
+    return _embed(host_adj, pat_adj_o, above, cands, node_budget, False)
 
 
-def count_embeddings(host_adj, pat_adj_o, parents, above, cands, node_budget=0):
+def count_embeddings(host_adj, pat_adj_o, above, cands, node_budget=0):
     """Count the induced embeddings (labeled maps) that meet the above
     constraints. Same search as find_embedding without early exit."""
-    return _embed(host_adj, pat_adj_o, parents, above, cands, node_budget, True)
+    return _embed(host_adj, pat_adj_o, above, cands, node_budget, True)
 
 
-def _embed(host_adj, pat_adj_o, parents, above, cands, node_budget, count):
-    """The search behind both entry points: the first embedding, or with
-    count the number of embeddings. Candidates for position t are the
-    unused hosts of cands[t] adjacent to the parent's host and above the
-    host of position above[t], taken ascending at one node each; the
-    packed fit mask picks out at once those that pass, and the last
-    position takes them in one step inside the loop of the position
-    before it (see find_embedding)."""
-    hn, m = len(host_adj), len(parents)
+def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
+    """The search behind both entry points (see find_embedding): the first
+    embedding, or with count the number of embeddings."""
+    hn, m = len(host_adj), len(pat_adj_o)
     _popcounts(host_adj, hn, hn, "host_adj")
     _popcounts(cands, m, hn, "cands", loops=True)
     _popcounts(pat_adj_o, m, m, "pat_adj_o")
     if len(above) < m:
         raise ValueError(f"above has {len(above)} entries, need {m}")
     for t in range(m):
-        if not -1 <= parents[t] < t:
-            raise ValueError(f"parents[{t}] is {parents[t]}, outside -1..{t - 1}")
         if not -1 <= above[t] < t:
             raise ValueError(f"above[{t}] is {above[t]}, outside -1..{t - 1}")
+    parents = [(pat_adj_o[t] & (1 << t) - 1).bit_length() - 1 for t in range(m)]
     if m == 0:
         return (0, 1) if count else (0, [])
     if m == 1:

@@ -12,7 +12,7 @@ import sys
 from .coloring import chi_local, chromatic_number, clique_number
 from .counterexamples import build_counterexample
 from .embed import find_induced_embedding, is_kd_starry
-from .errors import ConstructionRefuted, GraphParseError
+from .errors import ConstructionRefuted, GraphParseError, _check_non_negative_int
 from .generators import GENERATORS, make_graph
 from .graphio import parse_graph, write_graph
 from .harness import ExperimentConfig, run_experiment, verify_lemma
@@ -128,7 +128,7 @@ def cmd_find_tree(args):
     missing = [w for w in wanted if w not in params]
     if missing:
         raise SystemExit(f"tree {args.tree} needs --set for {missing}")
-    built = fn(**{w: params[w] for w in wanted})
+    built = fn(**{w: _check_non_negative_int(params[w], f"{w} of tree {args.tree!r}") for w in wanted})
     pattern, root = (built.graph, built.root) if rooted else (built, None)
     anchor = None
     if args.anchor_host is not None:

@@ -63,17 +63,13 @@ def is_k_colorable(g, k, node_budget=None):
     if k < 1:
         raise ValueError(f"k must be positive, got {k}")
     _check_positive_int(node_budget, "node_budget")
-    witness = _k_colorable(list(g.adjacency_masks()), k, node_budget)
-    if witness is None and node_budget is None:
-        key = ("lower", (1 << g.n) - 1)
-        g._chi_memo[key] = max(g._chi_memo.get(key, 1), k + 1)
-    return witness
-
-
-def _k_colorable(adj, k, node_budget=None):
-    status, colors = _kernels.k_color(len(adj), adj, k, node_budget or 0)
+    adj = g.adjacency_masks()
+    status, colors = _kernels.k_color(adj, k, node_budget or 0)
     if status == 2:
         raise ColoringBudgetExceeded(lower=0, upper=_greedy_upper(adj))
+    if status == 1 and node_budget is None:
+        key = ("lower", (1 << g.n) - 1)
+        g._chi_memo[key] = max(g._chi_memo.get(key, 1), k + 1)
     return None if status == 1 else _coloring(colors)
 
 
@@ -87,10 +83,9 @@ def _chromatic(adj, node_budget=None, proven=1):
     the larger of the greedy clique size and the proven lower bound. Only
     the last k, chi itself, yields a colouring, so the witness does not
     depend on where the sweep starts."""
-    n = len(adj)
-    if n == 0:
+    if not adj:
         return 0, None
-    status, payload = _kernels.k_color(n, adj, proven, node_budget or 0, k_max=n)
+    status, payload = _kernels.k_color(adj, proven, node_budget or 0, k_max=len(adj))
     if status == 2:
         raise ColoringBudgetExceeded(lower=payload, upper=_greedy_upper(adj))
     if status == 1:
@@ -131,7 +126,7 @@ def _chi_of_mask(g, smask, node_budget=None):
             return hit
     host = g.adjacency_masks()
     if smask == (1 << g.n) - 1:
-        adj = list(host)
+        adj = host
     else:
         # new_bit maps each vertex's bit in g to its bit in the subgraph;
         # the loops are bits inlined, since every cold colouring runs them
@@ -159,7 +154,7 @@ def _chi_of_mask(g, smask, node_budget=None):
 def clique_number(g, node_budget=None):
     """Exact clique number with a witness clique (empty for the null graph)."""
     _check_positive_int(node_budget, "node_budget")
-    status, clique = _kernels.max_clique(g.n, list(g.adjacency_masks()), node_budget or 0)
+    status, clique = _kernels.max_clique(g.adjacency_masks(), node_budget or 0)
     if status == 2:
         raise SearchBudgetExceeded(f"maximum clique (best found {len(clique)})")
     return len(clique), tuple(clique)

@@ -133,9 +133,11 @@ def _sibling_classes(parents, anchored):
 def _search_plan(host, pattern, anchor):
     """Order pattern vertices and build static candidate masks.
 
-    Returns (order, pat_adj_o, parents, above, cands, factor) in
-    search-order space: pat_adj_o[t] has bit s set iff the pattern
-    vertices at positions t and s are adjacent. Static filters:
+    Returns (order, pat_adj_o, above, cands, factor) in search-order
+    space: pat_adj_o[t] has bit s set iff the pattern vertices at
+    positions t and s are adjacent. The order is a DFS preorder of each
+    component, so the kernels' parent of a position, its latest earlier
+    neighbour, is its DFS parent. Static filters:
     host degree at least pattern degree everywhere, the anchor pinned to a
     single host vertex, and, within the anchor's pattern component, host
     distance from the anchor host no larger than pattern distance from the
@@ -179,13 +181,12 @@ def _search_plan(host, pattern, anchor):
         pairs.extend(_dfs_order(pattern, root))
 
     order = [v for v, _ in pairs]
-    pos_of = {v: t for t, (v, _) in enumerate(pairs)}
-    parents = [-1 if par < 0 else pos_of[par] for _, par in pairs]
+    pos_of = {v: t for t, v in enumerate(order)}
     pat_adj_o = [sum(1 << pos_of[w] for w in bits(pattern.adjacency_mask(v))) for v in order]
 
-    above = [-1] * pn
-    factor = 1
+    above, factor = [-1] * pn, 1
     if sum(pat_deg) == 2 * (pn - len(keyed)):  # a forest: one edge fewer than vertices per tree
+        parents = [-1 if par < 0 else pos_of[par] for _, par in pairs]
         above, factor = _sibling_classes(parents, anchor is not None)
 
     cands = [deg_ok[pat_deg[v]] for v in order]
@@ -199,7 +200,7 @@ def _search_plan(host, pattern, anchor):
         for t, v in enumerate(order):
             if pdist[v] >= 0:  # a vertex of another component has no constraint
                 cands[t] &= balls[min(pdist[v], len(balls) - 1)]
-    return order, pat_adj_o, parents, above, cands, factor
+    return order, pat_adj_o, above, cands, factor
 
 
 def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
@@ -234,7 +235,7 @@ def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
     if pattern.n == 0:
         return Embedding(mapping=())
     order, *plan, _ = _search_plan(host, pattern, anchor)
-    status, assign = _kernels.find_embedding(list(host.adjacency_masks()), *plan, node_budget or 0)
+    status, assign = _kernels.find_embedding(host.adjacency_masks(), *plan, node_budget or 0)
     if status == 2:
         raise SearchBudgetExceeded("induced embedding")
     if status == 1:
@@ -263,7 +264,7 @@ def count_induced_embeddings(host, pattern, node_budget=None):
     if pattern.n == 0:
         return 1
     _, *plan, factor = _search_plan(host, pattern, None)
-    status, total = _kernels.count_embeddings(list(host.adjacency_masks()), *plan, node_budget or 0)
+    status, total = _kernels.count_embeddings(host.adjacency_masks(), *plan, node_budget or 0)
     if status == 2:
         raise SearchBudgetExceeded("embedding count")
     return total * factor

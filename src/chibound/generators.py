@@ -9,6 +9,7 @@ import hashlib
 from fractions import Fraction
 from itertools import combinations
 
+from .errors import _check_non_negative_int
 from .graphs import Graph
 
 
@@ -158,14 +159,22 @@ GENERATORS = {
 
 def generator_args(name, params):
     """Keyword arguments of a named generator, taken from a parameter
-    mapping; ValueError for an unknown name or a missing parameter."""
+    mapping; ValueError for an unknown name, a missing parameter, a p that
+    is neither a string nor an integer, or another parameter that is not a
+    non-negative integer (booleans are refused)."""
     if not isinstance(name, str) or name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}; known: {', '.join(sorted(GENERATORS))}")
     wanted = GENERATORS[name][1]
     missing = [w for w in wanted if w not in params]
     if missing:
         raise ValueError(f"generator {name} needs {wanted}, missing {missing}")
-    return {w: params[w] for w in wanted}
+    args = {w: params[w] for w in wanted}
+    for param, value in args.items():
+        if param != "p":
+            _check_non_negative_int(value, f"{param} of generator {name!r}")
+        elif isinstance(value, bool) or not isinstance(value, (str, int)):
+            raise ValueError(f"p of generator {name!r} must be a string or an integer, got {value!r}")
+    return args
 
 
 def make_graph(name, params):

@@ -64,6 +64,7 @@ class ExperimentConfig:
     def from_dict(obj):
         if not isinstance(obj, dict):
             raise ValueError(f"a config must be a JSON object, got {obj!r}")
+        _check_keys(obj, ("corpus", "checks", "budgets", "workers"), "config")
         corpus = _objects(obj, "corpus")
         checks = _objects(obj, "checks")
         for entry in corpus:
@@ -74,11 +75,7 @@ class ExperimentConfig:
             name = entry.get("generator")
             if name is None:
                 raise ValueError(f"corpus entry needs a generator or graph6: {entry}")
-            for param, value in generator_args(name, entry).items():
-                if param != "p":
-                    _check_non_negative_int(value, f"{param} of generator {name!r}")
-                elif isinstance(value, bool) or not isinstance(value, (str, int)):
-                    raise ValueError(f"p of generator {name!r} must be a string or an integer, got {value!r}")
+            generator_args(name, entry)
         for chk in checks:
             name = chk.get("check")
             if not isinstance(name, str) or name not in _CHECK_FUNCS:
@@ -92,6 +89,7 @@ class ExperimentConfig:
         budgets = obj.get("budgets", {})
         if not isinstance(budgets, dict):
             raise ValueError(f"budgets must be an object, got {budgets!r}")
+        _check_keys(budgets, ("search_nodes",), "budgets")
         _check_positive_int(budgets.get("search_nodes"), "budgets.search_nodes")
         workers = obj.get("workers", 1)
         _check_positive_int(workers, "workers", null_ok=False)
@@ -101,6 +99,14 @@ class ExperimentConfig:
             budgets=dict(budgets),
             workers=workers,
         )
+
+
+def _check_keys(obj, known, where):
+    """ValueError naming the keys of obj outside known, so that a misspelt
+    key is refused rather than ignored."""
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; known: {', '.join(known)}")
 
 
 def _objects(obj, key):

@@ -57,13 +57,13 @@ def spy_k_color(monkeypatch):
     def install(record):
         k_color = _kernels.k_color
 
-        def spy(n, adj, k, node_budget=0, k_max=None):
-            status, payload = result = k_color(n, adj, k, node_budget, k_max)
+        def spy(adj, k, node_budget=0, k_max=None):
+            status, payload = result = k_color(adj, k, node_budget, k_max)
             if status == 0:
                 last = max(payload, default=0)
             else:
                 last = payload if status == 2 else k if k_max is None else k_max
-            for tried in range(max(k, len(_kernels.greedy_clique(n, adj))), last + 1):
+            for tried in range(max(k, len(_kernels.greedy_clique(adj))), last + 1):
                 record(adj, tried)
             return result
 

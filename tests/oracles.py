@@ -102,6 +102,19 @@ def brute_count_induced(host, pattern):
     return count
 
 
+def reference_parents(pat_adj_o):
+    """The parent the embedding kernels take for each position: the latest
+    earlier position adjacent to it, or -1 when there is none."""
+    parents = []
+    for t, row in enumerate(pat_adj_o):
+        parent = -1
+        for s in range(t):
+            if row >> s & 1:
+                parent = s
+        parents.append(parent)
+    return parents
+
+
 def reference_embed(host_adj, pat_adj_o, parents, above, cands, budget, count):
     """The induced-embedding kernels' search (see pykernels.find_embedding
     for the arguments), one candidate and one node at a time at every

@@ -157,6 +157,10 @@ MALFORMED_CONFIGS = [
     {"corpus": [], "checks": [{"check": "gyarfas", "starts": -1}]},
     {"corpus": [], "checks": [{"check": "spire", "d": False}]},
     {"corpus": [], "checks": [{"check": "starry", "k": "1"}]},
+    # misspelt keys, which would otherwise be ignored
+    {"corpus": [], "checks": [], "budgets": {"search_node": 5}},
+    {"corpus": [], "checks": [], "worker": 2},
+    {"corpus": [], "check": [{"check": "invariants"}]},
 ]
 
 
@@ -419,6 +423,27 @@ def test_cli_run_rejects_malformed_config(tmp_path, capsys):
     assert capsys.readouterr().err == "error: graph6 must be a string, got 5\n"
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ["gen", "--generator", "cycle", "--set", "n=abc"],
+        ["gen", "--generator", "kneser", "--set", "n=5", "--set", "k=x"],
+        ["find-tree", "--tree", "superstar", "--set", "d=abc"],
+        ["find-tree", "--tree", "superstar", "--set", "d=1,2"],
+    ],
+    ids=["gen-cycle-n", "gen-kneser-k", "find-tree-d", "find-tree-d-list"],
+)
+def test_cli_rejects_bad_parameters(tmp_path, capsys, argv):
+    """A generator or tree parameter that is not a non-negative integer is
+    bad input (exit 2), not a traceback."""
+    graph = tmp_path / "petersen.g6"
+    assert cli_main(["gen", "--generator", "petersen", "--out", str(graph)]) == 0
+    if argv[0] == "find-tree":
+        argv = [*argv, "--graph", str(graph)]
+    assert cli_main(argv) == 2
+    assert capsys.readouterr().err.startswith("error: ")
+
+
 def test_cli_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_text("D")
@@ -519,9 +544,9 @@ def test_each_instance_colours_each_vertex_set_once(monkeypatch):
     k_color, colour = _kernels.k_color, coloring._chi_of_mask
     calls, asked, graphs = [], [], []
 
-    def counted_k_color(n, adj, k, node_budget=0, k_max=None):
-        calls.append(n)
-        return k_color(n, adj, k, node_budget, k_max)
+    def counted_k_color(adj, k, node_budget=0, k_max=None):
+        calls.append(len(adj))
+        return k_color(adj, k, node_budget, k_max)
 
     def spy(g, smask, node_budget=None):
         assert node_budget is None  # the config sets no budget
