@@ -9,12 +9,10 @@ builders, and a reproducible experiment harness.
 from ._kernels import BACKEND as KERNEL_BACKEND
 from .graphs import (
     Graph,
-    LevelDecomposition,
     components,
     covers,
     distance,
     induced_subgraph,
-    level_decomposition,
     neighborhood,
 )
 from .graphio import parse_graph, write_graph
@@ -26,19 +24,16 @@ from .coloring import (
     clique_number,
     is_k_colorable,
     is_vertex_critical,
-    minimal_subset_with_chi,
 )
 
 __all__ = [
     "Graph",
-    "LevelDecomposition",
     "Coloring",
     "KERNEL_BACKEND",
     "components",
     "covers",
     "distance",
     "induced_subgraph",
-    "level_decomposition",
     "neighborhood",
     "parse_graph",
     "write_graph",
@@ -48,7 +43,6 @@ __all__ = [
     "clique_number",
     "is_k_colorable",
     "is_vertex_critical",
-    "minimal_subset_with_chi",
 ]
 
 __version__ = "0.1.0"

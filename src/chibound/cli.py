@@ -6,19 +6,21 @@ output is JSON on stdout.
 """
 
 import argparse
+import inspect
 import json
 import sys
 
 from .coloring import chi_local, chromatic_number, clique_number
 from .counterexamples import build_counterexample
 from .embed import find_induced_embedding, is_kd_starry
-from .errors import ConstructionRefuted, GraphParseError, _check_non_negative_int
+from .errors import ConstructionRefuted, GraphParseError, _check_keys, _check_non_negative_int
 from .generators import GENERATORS, make_graph
 from .graphio import parse_graph, write_graph
 from .harness import ExperimentConfig, run_experiment, verify_lemma
 from .machinery import find_spire
 from .thresholds import format_result, lemma_threshold
 from .trees import (
+    RootedTree,
     binary_star,
     bristle,
     bristled_star,
@@ -30,13 +32,13 @@ from .trees import (
 from .certificates import certificate_to_json
 
 TREES = {
-    "superstar": (superstar, ("d",), True),
-    "broom": (broom, ("k", "d"), True),
-    "bristle": (bristle, ("k", "d"), True),
-    "binary-star": (binary_star, ("k", "d"), False),
-    "bristled-star": (bristled_star, ("k", "d"), False),
-    "caterpillar": (two_legged_caterpillar, ("path_len", "p1", "p2"), False),
-    "double-broom": (double_broom, ("a", "k", "b"), False),
+    "superstar": superstar,
+    "broom": broom,
+    "bristle": bristle,
+    "binary-star": binary_star,
+    "bristled-star": bristled_star,
+    "caterpillar": two_legged_caterpillar,
+    "double-broom": double_broom,
 }
 
 
@@ -122,14 +124,14 @@ def cmd_chik(args):
 def cmd_find_tree(args):
     g = _load_graph(args.graph, args.format)
     params = _parse_sets(args.set)
-    if args.tree not in TREES:
-        raise SystemExit(f"unknown tree {args.tree!r}; known: {', '.join(sorted(TREES))}")
-    fn, wanted, rooted = TREES[args.tree]
+    fn = TREES[args.tree]
+    wanted = tuple(inspect.signature(fn).parameters)
+    _check_keys(params, wanted, f"{args.tree} tree")
     missing = [w for w in wanted if w not in params]
     if missing:
         raise SystemExit(f"tree {args.tree} needs --set for {missing}")
     built = fn(**{w: _check_non_negative_int(params[w], f"{w} of tree {args.tree!r}") for w in wanted})
-    pattern, root = (built.graph, built.root) if rooted else (built, None)
+    pattern, root = (built.graph, built.root) if isinstance(built, RootedTree) else (built, None)
     anchor = None
     if args.anchor_host is not None:
         if root is None:
@@ -246,7 +248,7 @@ def build_parser():
 
     sp = sub.add_parser("find-tree", help="anchored induced tree search")
     add_graph_arg(sp)
-    sp.add_argument("--tree", required=True)
+    sp.add_argument("--tree", required=True, choices=sorted(TREES))
     sp.add_argument("--set", action="append", metavar="NAME=VALUE")
     sp.add_argument("--anchor-host", type=int, help="host vertex carrying the tree root")
     sp.add_argument("--node-budget", type=_positive_int)

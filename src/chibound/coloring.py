@@ -22,7 +22,7 @@ from itertools import islice
 
 from . import _kernels
 from .errors import ColoringBudgetExceeded, SearchBudgetExceeded, _check_positive_int
-from .graphs import bits, layers, mask_to_set, vertex_mask
+from .graphs import bits, layers, vertex_mask
 
 
 def _greedy_upper(adj):
@@ -207,25 +207,6 @@ def chi_local(g, k, node_budget=None):
     if node_budget is None:
         memo[key] = best
     return best
-
-
-def minimal_subset_with_chi(g, s, t, node_budget=None):
-    """Vertex-minimal s' within s keeping chi(s') >= t.
-
-    One ascending deletion pass: dropping a vertex never raises chi, so
-    every survivor is necessary at exit. Requires chi(s) >= t.
-    """
-    if t < 1:
-        raise ValueError(f"threshold must be positive, got {t}")
-    _check_positive_int(node_budget, "node_budget")
-    smask = vertex_mask(g, s)
-    if _chi_of_mask(g, smask, node_budget)[0] < t:
-        raise ValueError(f"chi of the given set is below {t}")
-    for v in bits(smask):
-        trial = smask & ~(1 << v)
-        if _chi_of_mask(g, trial, node_budget)[0] >= t:
-            smask = trial
-    return mask_to_set(smask)
 
 
 def is_vertex_critical(g, node_budget=None):

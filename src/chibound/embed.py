@@ -17,7 +17,7 @@ from itertools import accumulate
 from . import _kernels
 from .errors import SearchBudgetExceeded, _check_positive_int
 from .graphs import _component_masks, bits, layers
-from .trees import binary_star, bristled_star
+from .trees import _check_kd, binary_star, bristled_star
 
 
 @dataclass(frozen=True)
@@ -276,8 +276,7 @@ def is_kd_starry(host, k, d, node_budget=None):
     Returns a StarryCertificate carrying one embedding of each pattern, or
     None when either is missing. A budget exhaustion propagates as
     SearchBudgetExceeded (indeterminate)."""
-    if k < 1 or d < 1:
-        raise ValueError(f"k and d must be positive, got k={k}, d={d}")
+    _check_kd(k, d)
     emb_binary = find_induced_embedding(host, binary_star(k, d), node_budget=node_budget)
     if emb_binary is None:
         return None

@@ -1,4 +1,5 @@
-"""Exception types, and the budget check, shared across the package."""
+"""Exception types, and the budget, count and key checks, shared across
+the package."""
 
 
 def _check_positive_int(value, where, null_ok=True):
@@ -21,6 +22,14 @@ def _check_non_negative_int(value, where):
     if isinstance(value, bool) or not isinstance(value, int) or value < 0:
         raise ValueError(f"{where} must be a non-negative integer, got {value!r}")
     return value
+
+
+def _check_keys(obj, known, where):
+    """ValueError naming the keys of obj outside known, so that a misspelt
+    key is refused rather than ignored."""
+    unknown = [key for key in obj if key not in known]
+    if unknown:
+        raise ValueError(f"unknown {where} keys {unknown}; known: {', '.join(known) or 'none'}")
 
 
 class GraphParseError(ValueError):

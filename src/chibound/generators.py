@@ -6,10 +6,11 @@ determines the graph bit for bit on every platform.
 """
 
 import hashlib
+import inspect
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import _check_non_negative_int
+from .errors import _check_keys, _check_non_negative_int
 from .graphs import Graph
 
 
@@ -143,40 +144,43 @@ def random_graph(n, p, seed):
 
 
 GENERATORS = {
-    "empty": (empty_graph, ("n",)),
-    "complete": (complete_graph, ("n",)),
-    "path": (path_graph, ("n",)),
-    "cycle": (cycle_graph, ("n",)),
-    "star": (star_graph, ("leaves",)),
-    "kneser": (kneser, ("n", "k")),
-    "petersen": (petersen, ()),
-    "shift": (shift_graph, ("n",)),
-    "grotzsch": (grotzsch, ()),
-    "mycielski_tower": (mycielski_tower, ("t",)),
-    "random": (random_graph, ("n", "p", "seed")),
+    "empty": empty_graph,
+    "complete": complete_graph,
+    "path": path_graph,
+    "cycle": cycle_graph,
+    "star": star_graph,
+    "kneser": kneser,
+    "petersen": petersen,
+    "shift": shift_graph,
+    "grotzsch": grotzsch,
+    "mycielski_tower": mycielski_tower,
+    "random": random_graph,
 }
+# generator name -> its parameter names, read once from the signature
+_PARAMS = {name: tuple(inspect.signature(fn).parameters) for name, fn in GENERATORS.items()}
 
 
 def generator_args(name, params):
     """Keyword arguments of a named generator, taken from a parameter
-    mapping; ValueError for an unknown name, a missing parameter, a p that
-    is neither a string nor an integer, or another parameter that is not a
-    non-negative integer (booleans are refused)."""
+    mapping; ValueError for an unknown name, a key that is not a parameter
+    of the generator, a missing parameter, a p that is neither a string nor
+    an integer, or another parameter that is not a non-negative integer
+    (booleans are refused)."""
     if not isinstance(name, str) or name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}; known: {', '.join(sorted(GENERATORS))}")
-    wanted = GENERATORS[name][1]
+    wanted = _PARAMS[name]
+    _check_keys(params, wanted, f"{name} generator")
     missing = [w for w in wanted if w not in params]
     if missing:
         raise ValueError(f"generator {name} needs {wanted}, missing {missing}")
-    args = {w: params[w] for w in wanted}
-    for param, value in args.items():
+    for param, value in params.items():
         if param != "p":
             _check_non_negative_int(value, f"{param} of generator {name!r}")
         elif isinstance(value, bool) or not isinstance(value, (str, int)):
             raise ValueError(f"p of generator {name!r} must be a string or an integer, got {value!r}")
-    return args
+    return params
 
 
 def make_graph(name, params):
     """Instantiate a named generator from a parameter mapping."""
-    return GENERATORS[name][0](**generator_args(name, params))
+    return GENERATORS[name](**generator_args(name, params))

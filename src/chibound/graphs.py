@@ -11,10 +11,8 @@ checked way in: it range-checks a vertex set from outside and returns its
 mask.
 
 Every traversal is one masked BFS, `layers`: neighborhoods, distances,
-components, connectivity and level decompositions are all built on it.
+components and connectivity are all built on it.
 """
-
-from dataclasses import dataclass
 
 
 class Graph:
@@ -88,15 +86,6 @@ class Graph:
 
     def __repr__(self):
         return f"Graph(n={self.n}, m={self.edge_count})"
-
-
-@dataclass(frozen=True)
-class LevelDecomposition:
-    """Distance classes from a source vertex: levels[i] holds the vertices
-    at distance exactly i. Unreachable vertices appear in no level."""
-
-    source: int
-    levels: tuple
 
 
 def bits(mask):
@@ -213,11 +202,3 @@ def covers(g, a, b):
     if amask & bmask:
         raise ValueError(f"covers() requires disjoint sets; common vertices {list(bits(amask & bmask))}")
     return all(g._adj[v] & amask for v in bits(bmask))
-
-
-def level_decomposition(g, v):
-    """BFS distance classes from v, up to the eccentricity of v within its
-    component."""
-    g._check(v)
-    levels = tuple(mask_to_set(layer) for layer in layers(g, v))
-    return LevelDecomposition(source=v, levels=levels)

@@ -14,6 +14,7 @@ wall-clock timings go to a separate non-normative file.
 
 import csv
 import hashlib
+import inspect
 import io
 import json
 import os
@@ -26,7 +27,7 @@ from .certificates import certificate_to_json, verify_certificate
 from .coloring import best_by_chi, chi_local, chromatic_number, clique_number
 from .counterexamples import build_counterexample, check_counterexample_params
 from .embed import is_kd_starry
-from .errors import BudgetExceeded, ConstructionRefuted, _check_non_negative_int, _check_positive_int
+from .errors import BudgetExceeded, ConstructionRefuted, _check_keys, _check_non_negative_int, _check_positive_int
 from .generators import generator_args, make_graph
 from .graphio import parse_graph6, write_graph6
 from .graphs import _component_masks, bits
@@ -47,8 +48,9 @@ COLUMNS = ("index", "generator", *GRAPH_COLUMNS, "check", "params", "outcome", "
 # outcomes that count against the run
 VIOLATION = "violation"
 
-# check parameters that count something; each must be a non-negative int
-_COUNT_PARAMS = ("k_max", "starts", "min_chi", "d", "k")
+# the keys a corpus entry may carry besides its graph: the invariants
+# check compares them with the computed values
+_EXPECT_KEYS = ("expect_chi", "expect_omega")
 # the files a run writes under certificates/ and corpus/, named by task index
 _OWN_FILES = {"certificates": re.compile(r"\d{4,}_.+\.json"), "corpus": re.compile(r"\d{4,}_.+\.g6")}
 
@@ -68,24 +70,31 @@ class ExperimentConfig:
         corpus = _objects(obj, "corpus")
         checks = _objects(obj, "checks")
         for entry in corpus:
+            for key in _EXPECT_KEYS:
+                if key in entry:
+                    _check_non_negative_int(entry[key], f"{key} of corpus entry")
             if "graph6" in entry:
+                _check_keys(entry, ("graph6", *_EXPECT_KEYS), "graph6 corpus entry")
                 if not isinstance(entry["graph6"], str):
                     raise ValueError(f"graph6 must be a string, got {entry['graph6']!r}")
                 continue
-            name = entry.get("generator")
-            if name is None:
+            if "generator" not in entry:
                 raise ValueError(f"corpus entry needs a generator or graph6: {entry}")
-            generator_args(name, entry)
+            generator_args(entry["generator"], _generator_params(entry))
         for chk in checks:
             name = chk.get("check")
-            if not isinstance(name, str) or name not in _CHECK_FUNCS:
+            if not isinstance(name, str) or name not in _CHECK_DEFAULTS:
                 raise ValueError(f"unknown check {name!r}")
-            _check_positive_int(chk.get("node_budget"), f"node_budget of check {name!r}")
-            for param in _COUNT_PARAMS:
-                if param in chk:
-                    _check_non_negative_int(chk[param], f"{param} of check {name!r}")
+            defaults = _CHECK_DEFAULTS[name]
+            params = {k: v for k, v in chk.items() if k != "check"}
+            _check_keys(params, defaults, f"{name} check")
+            for key, value in params.items():
+                if key == "node_budget":
+                    _check_positive_int(value, f"node_budget of check {name!r}")
+                elif isinstance(defaults[key], int):
+                    _check_non_negative_int(value, f"{key} of check {name!r}")
             if name == "counterexample":
-                check_counterexample_params(*_counterexample_args(chk))
+                check_counterexample_params(**{**defaults, **params})
         budgets = obj.get("budgets", {})
         if not isinstance(budgets, dict):
             raise ValueError(f"budgets must be an object, got {budgets!r}")
@@ -99,14 +108,6 @@ class ExperimentConfig:
             budgets=dict(budgets),
             workers=workers,
         )
-
-
-def _check_keys(obj, known, where):
-    """ValueError naming the keys of obj outside known, so that a misspelt
-    key is refused rather than ignored."""
-    unknown = [key for key in obj if key not in known]
-    if unknown:
-        raise ValueError(f"unknown {where} keys {unknown}; known: {', '.join(known)}")
 
 
 def _objects(obj, key):
@@ -132,18 +133,29 @@ class Report:
         return buf.getvalue()
 
 
+def _generator_params(entry):
+    """The generator parameters of a corpus entry."""
+    return {k: v for k, v in entry.items() if k != "generator" and k not in _EXPECT_KEYS}
+
+
 def _graph_of(entry):
     if "graph6" in entry:
         return parse_graph6(entry["graph6"]), "graph6"
-    params = {k: v for k, v in entry.items() if k != "generator"}
-    return make_graph(entry["generator"], params), entry["generator"]
+    return make_graph(entry["generator"], _generator_params(entry)), entry["generator"]
 
 
 def _compact(obj):
     return json.dumps(obj, sort_keys=True, separators=(",", ":"))
 
 
-def _check_invariants(g, base, params):
+# A check is called as fn(g, base, **params), and each key a config may
+# give it is one of its keyword parameters, with the default it runs with.
+# invariants and stable_removal_degree search nothing, yet take node_budget:
+# _process passes budgets.search_nodes to every per-graph check, and the
+# params column of the report shows it.
+
+
+def _check_invariants(g, base, node_budget=None):
     ok = base["omega"] <= base["chi"] and base["chi1"] <= base["chi2"] <= base["chi"]
     detail = []
     want_chi = base.get("_expect_chi")
@@ -157,7 +169,7 @@ def _check_invariants(g, base, params):
     return ("pass" if ok else VIOLATION), "; ".join(detail), None
 
 
-def _check_stable_removal_degree(g, base, params):
+def _check_stable_removal_degree(g, base, node_budget=None):
     """Every stable X whose removal lowers chi must contain a vertex with
     at least d outside neighbors, for every d below chi. Instances are the
     color classes of the canonical optimal coloring."""
@@ -176,15 +188,12 @@ def _check_stable_removal_degree(g, base, params):
     return "pass", f"instances={checked}", None
 
 
-def _check_gyarfas(g, base, params):
-    k_max = params.get("k_max", 3)
-    starts = params.get("starts", 3)
-    budget = params.get("node_budget")
+def _check_gyarfas(g, base, k_max=3, starts=3, node_budget=None):
     chi1 = base["chi1"]
     checked = 0
     for x0 in range(min(starts, g.n)):
         region = ((1 << g.n) - 1) & ~(1 << x0)
-        best, best_chi = best_by_chi(g, _component_masks(g, region, g.adjacency_mask(x0)), budget)
+        best, best_chi = best_by_chi(g, _component_masks(g, region, g.adjacency_mask(x0)), node_budget)
         if best is None:
             continue
         for k in range(k_max + 1):
@@ -207,34 +216,28 @@ def _found(g, found, detail, **context):
     return "found", detail, cert
 
 
-def _check_x_split(g, base, params):
-    min_chi = params.get("min_chi", 0)
+def _check_x_split(g, base, min_chi=0, node_budget=None):
     chi, witness = base["chi"], base["_coloring"]
     if chi == 0:
         return "absent", "null graph", None
     x_set = frozenset(v for v in range(g.n) if witness.colors[v] == 1)
-    cand = find_x_split(g, x_set, min_chi, node_budget=params.get("node_budget"))
+    cand = find_x_split(g, x_set, min_chi, node_budget=node_budget)
     if cand is None:
         return "absent", f"x_ground=color-class-1 size {len(x_set)}", None
     return _found(g, cand, f"chi_z>{min_chi}", x_ground=x_set)
 
 
-def _check_spire(g, base, params):
-    d = params.get("d", 1)
-    min_chi = params.get("min_chi", 0)
-    got = find_spire(g, d, min_chi, node_budget=params.get("node_budget"))
+def _check_spire(g, base, d=1, min_chi=0, node_budget=None):
+    got = find_spire(g, d, min_chi, node_budget=node_budget)
     if got is None:
         return "absent", "", None
     spire, dominated = got
     return _found(g, spire, f"dominated_size={len(dominated)}", dominated=dominated)
 
 
-def _check_starry(g, base, params):
-    k = params.get("k", 1)
-    d = params.get("d", 1)
-    budget = params.get("node_budget")
+def _check_starry(g, base, k=1, d=1, node_budget=None):
     try:
-        got = is_kd_starry(g, k, d, node_budget=budget)
+        got = is_kd_starry(g, k, d, node_budget=node_budget)
     except BudgetExceeded:
         return "indeterminate", "budget exhausted", None
     if got is None:
@@ -242,17 +245,11 @@ def _check_starry(g, base, params):
     return _found(g, got, "")
 
 
-def _counterexample_args(params):
-    """(variant, k, cross_range) of a counterexample check, with defaults."""
-    return params.get("variant", "split-pairs"), params.get("k", 2), params.get("cross_range")
-
-
-def _check_counterexample(g, base, params):
+def _check_counterexample(g, base, variant="split-pairs", k=2, cross_range=None):
     """Build a gadget construction and confirm the property it limits; g
     and base are None, since the check builds its own graph."""
-    variant, k, cross = _counterexample_args(params)
     try:
-        res = build_counterexample(variant, k, cross_range=cross)
+        res = build_counterexample(variant, k, cross_range=cross_range)
     except ConstructionRefuted as e:
         return "refuted", f"gadgets={len(e.log)}", None
     claims = {"chi": res.verification}
@@ -275,6 +272,12 @@ _CHECK_FUNCS = {
     "spire": _check_spire,
     "starry": _check_starry,
     "counterexample": _check_counterexample,
+}
+# check name -> {key: default} of every key its config may set, read once
+# from the signatures
+_CHECK_DEFAULTS = {
+    name: {p.name: p.default for p in list(inspect.signature(fn).parameters.values())[2:]}
+    for name, fn in _CHECK_FUNCS.items()
 }
 
 
@@ -305,7 +308,7 @@ def _process(task):
         }
         # keys that start with "_" feed the checks and stay out of the rows
         base = {**metrics, "_coloring": coloring}
-        for key in ("expect_chi", "expect_omega"):
+        for key in _EXPECT_KEYS:
             if key in entry:
                 base["_" + key] = entry[key]
     rows = []
@@ -317,7 +320,7 @@ def _process(task):
         if g is not None and "node_budget" not in params and budgets.get("search_nodes"):
             params["node_budget"] = budgets["search_nodes"]
         try:
-            outcome, detail, cert = _CHECK_FUNCS[name](g, base, params)
+            outcome, detail, cert = _CHECK_FUNCS[name](g, base, **params)
         except BudgetExceeded:
             outcome, detail, cert = "indeterminate", "budget exhausted", None
         cert_name = ""

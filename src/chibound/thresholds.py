@@ -187,7 +187,7 @@ class _Exact:
         n, k = s + t - 2, s - 1
         if n > 1e12 or (n > 1 and _log10_binom(n, k) > self.digits):
             raise ThresholdTooLarge(where)
-        return math.comb(n, k)
+        return ramsey_bound(s, t)
 
     def reuse(self, formula, *args):
         # no memo: an exact evaluation runs once, and hashing ints of up to

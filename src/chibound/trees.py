@@ -26,6 +26,11 @@ def _path_edges(ids):
     return list(zip(ids, ids[1:]))
 
 
+def _check_kd(k, d):
+    if k < 1 or d < 1:
+        raise ValueError(f"k and d must be positive, got k={k}, d={d}")
+
+
 def superstar_order(d):
     """Vertex count of superstar(d): 1 + d*d."""
     if d < 1:
@@ -49,8 +54,7 @@ def superstar(d):
 def broom(k, d):
     """Path of length k with d extra leaves on the far end, rooted at the
     near end. k+1+d vertices."""
-    if k < 1 or d < 1:
-        raise ValueError(f"k and d must be positive, got k={k}, d={d}")
+    _check_kd(k, d)
     edges = _path_edges(list(range(k + 1)))
     edges.extend((k, k + 1 + i) for i in range(d))
     return RootedTree(Graph(k + 1 + d, edges), root=0)
@@ -59,16 +63,10 @@ def broom(k, d):
 def bristle(k, d):
     """Path of length k+d with one extra leaf at position k, rooted at
     position 0. k+d+2 vertices."""
-    if k < 1 or d < 1:
-        raise ValueError(f"k and d must be positive, got k={k}, d={d}")
+    _check_kd(k, d)
     edges = _path_edges(list(range(k + d + 1)))
     edges.append((k, k + d + 1))
     return RootedTree(Graph(k + d + 2, edges), root=0)
-
-
-def _check_kd(k, d):
-    if k < 1 or d < 1:
-        raise ValueError(f"k and d must be positive, got k={k}, d={d}")
 
 
 def binary_star_order(k, d):

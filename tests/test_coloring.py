@@ -20,7 +20,6 @@ from chibound.coloring import (
     clique_number,
     is_k_colorable,
     is_vertex_critical,
-    minimal_subset_with_chi,
 )
 from chibound.errors import ColoringBudgetExceeded
 from chibound.generators import (
@@ -121,34 +120,6 @@ def test_chi_local_reaches_chi_at_diameter():
     for g in (cycle_graph(7), petersen(), grotzsch()):
         diam = max(distance(g, u, v) for u in range(g.n) for v in range(g.n))
         assert chi_local(g, diam) == chromatic_number(g)[0]
-
-
-def test_minimal_subset_with_chi():
-    k5 = complete_graph(5)
-    out = minimal_subset_with_chi(k5, range(5), 3)
-    assert len(out) == 3
-    c5 = cycle_graph(5)
-    assert minimal_subset_with_chi(c5, range(5), 3) == frozenset(range(5))
-    g11 = grotzsch()
-    assert minimal_subset_with_chi(g11, range(11), 4) == frozenset(range(11))
-    with pytest.raises(ValueError):
-        minimal_subset_with_chi(c5, range(5), 4)
-
-
-def test_minimal_subset_postcheck():
-    from chibound.graphs import induced_subgraph
-
-    for g in corpus(15):
-        chi = chromatic_number(g)[0]
-        if chi < 2:
-            continue
-        t = max(2, chi - 1)
-        s = minimal_subset_with_chi(g, range(g.n), t)
-        sub, _ = induced_subgraph(g, s)
-        assert chromatic_number(sub)[0] >= t
-        for v in s:
-            smaller, _ = induced_subgraph(g, s - {v})
-            assert chromatic_number(smaller)[0] < t
 
 
 def test_vertex_critical():
@@ -314,7 +285,6 @@ def test_entry_points_reject_bad_budgets(budget):
         lambda: chi_of(g, range(3), budget),
         lambda: clique_number(g, budget),
         lambda: chi_local(g, 1, budget),
-        lambda: minimal_subset_with_chi(g, range(5), 3, budget),
         lambda: is_vertex_critical(g, budget),
     ]
     for call in calls:

@@ -16,7 +16,6 @@ from chibound.graphs import (
     induced_subgraph,
     is_connected,
     layers,
-    level_decomposition,
     mask_to_set,
     neighborhood,
     vertex_mask,
@@ -200,28 +199,6 @@ def test_vertex_mask():
             covers(p5, bad, [])
 
 
-def test_level_decomposition():
-    star = star_graph(4)
-    ld = level_decomposition(star, 0)
-    assert ld.levels == (frozenset({0}), frozenset({1, 2, 3, 4}))
-    p4 = path_graph(4)
-    assert [len(l) for l in level_decomposition(p4, 0).levels] == [1, 1, 1, 1]
-    assert [len(l) for l in level_decomposition(petersen(), 3).levels] == [1, 3, 6]
-
-
-def test_levels_match_distance_classes():
-    for seed in range(10):
-        g = random_graph(11, "0.2", 40 + seed)
-        ld = level_decomposition(g, 0)
-        for i, level in enumerate(ld.levels):
-            for v in level:
-                assert distance(g, 0, v) == i
-        covered = set().union(*ld.levels)
-        for v in range(g.n):
-            if v not in covered:
-                assert distance(g, 0, v) is None
-
-
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
 @given(graphs_with_subsets())
 def test_traversals_match_brute_force(case):
@@ -235,9 +212,9 @@ def test_traversals_match_brute_force(case):
     for v in range(g.n):
         reach = {u: d for u, d in enumerate(dist[v]) if d is not None}
         ecc = max(reach.values())
-        assert level_decomposition(g, v).levels == tuple(
+        assert [mask_to_set(layer) for layer in layers(g, v)] == [
             frozenset(u for u in reach if reach[u] == i) for i in range(ecc + 1)
-        )
+        ]
         assert _bfs_dist(g, v) == [-1 if d is None else d for d in dist[v]]
         for u in range(g.n):
             assert distance(g, v, u) == dist[v][u]

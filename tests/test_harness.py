@@ -1,13 +1,14 @@
 import hashlib
 import json
 import os
+import re
 from pathlib import Path
 
 import pytest
 
 from chibound.cli import main as cli_main
 from chibound.graphio import parse_graph6
-from chibound.harness import ExperimentConfig, run_experiment, verify_lemma
+from chibound.harness import _CHECK_DEFAULTS, ExperimentConfig, run_experiment, verify_lemma
 
 SMALL_CONFIG = {
     "corpus": [
@@ -324,6 +325,47 @@ def test_config_rejects_bad_counterexample_params(bad):
         ExperimentConfig.from_dict({"corpus": [TOWER], "checks": [check]})
 
 
+PETERSEN = {"generator": "petersen"}
+# (config, the key its error must name); each key is misspelt, belongs to
+# another check or generator, or has the wrong type
+MISSPELT_KEYS = {
+    "spire-hieght": ({"corpus": [PETERSEN], "checks": [{"check": "spire", "hieght": 3, "min_chi": 1}]}, "hieght"),
+    "gyarfas-kmax": ({"corpus": [PETERSEN], "checks": [{"check": "gyarfas", "kmax": 2}]}, "kmax"),
+    "counterexample-min_chi": ({"corpus": [], "checks": [{"check": "counterexample", "min_chi": 3}]}, "min_chi"),
+    "counterexample-node_budget": (
+        {"corpus": [], "checks": [{"check": "counterexample", "node_budget": 5}]},
+        "node_budget",
+    ),
+    "corpus-expect_chii": ({"corpus": [{**PETERSEN, "expect_chii": 9}], "checks": []}, "expect_chii"),
+    "cycle-seed": ({"corpus": [{"generator": "cycle", "n": 5, "seed": 1}], "checks": []}, "seed"),
+    "graph6-generator": ({"corpus": [{"graph6": "Dhc", "generator": "cycle"}], "checks": []}, "generator"),
+    "string-expect_chi": ({"corpus": [{**PETERSEN, "expect_chi": "3"}], "checks": []}, "expect_chi"),
+}
+
+
+@pytest.mark.parametrize("config, key", MISSPELT_KEYS.values(), ids=MISSPELT_KEYS.keys())
+def test_config_refuses_keys_no_function_reads(tmp_path, capsys, config, key):
+    """Every key a config may set is a parameter of the function that reads
+    it; any other key is bad input that names the key (exit 2)."""
+    with pytest.raises(ValueError, match=re.escape(key)):
+        ExperimentConfig.from_dict(config)
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and key in err
+
+
+def test_readme_check_table_is_the_signatures():
+    """README lists each check's keys and defaults; they must stay those of
+    the check's function."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    rows = dict(re.findall(r"^\| `(\w+)` \| (.+) \|$", readme, re.M))
+    for name, defaults in _CHECK_DEFAULTS.items():
+        listed = ", ".join(f"`{key}={json.dumps(value)}`" for key, value in defaults.items())
+        assert rows[name].replace(" (unused)", "") == listed, name
+
+
 def test_config_accepts_null_and_positive_budgets():
     for check_budget, search_nodes in ((None, None), (1, None), (None, 1), (10**6, 5)):
         config = {
@@ -430,12 +472,15 @@ def test_cli_run_rejects_malformed_config(tmp_path, capsys):
         ["gen", "--generator", "kneser", "--set", "n=5", "--set", "k=x"],
         ["find-tree", "--tree", "superstar", "--set", "d=abc"],
         ["find-tree", "--tree", "superstar", "--set", "d=1,2"],
+        ["gen", "--generator", "cycle", "--set", "n=5", "--set", "seed=1"],
+        ["find-tree", "--tree", "superstar", "--set", "d=2", "--set", "k=1"],
     ],
-    ids=["gen-cycle-n", "gen-kneser-k", "find-tree-d", "find-tree-d-list"],
+    ids=["gen-cycle-n", "gen-kneser-k", "find-tree-d", "find-tree-d-list", "gen-extra-set", "find-tree-extra-set"],
 )
 def test_cli_rejects_bad_parameters(tmp_path, capsys, argv):
-    """A generator or tree parameter that is not a non-negative integer is
-    bad input (exit 2), not a traceback."""
+    """A generator or tree parameter that is not a non-negative integer, or
+    a --set that is not a parameter, is bad input (exit 2), not a
+    traceback."""
     graph = tmp_path / "petersen.g6"
     assert cli_main(["gen", "--generator", "petersen", "--out", str(graph)]) == 0
     if argv[0] == "find-tree":

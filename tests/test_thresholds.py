@@ -1,4 +1,5 @@
 import hashlib
+import inspect
 import json
 import math
 import re
@@ -14,8 +15,10 @@ from oracles import ReferenceEstimate, ReferenceMag, all_graphs, has_stable_set,
 from chibound.generators import cycle_graph
 from chibound.thresholds import (
     DEFAULT_DIGIT_LIMIT,
+    LEMMAS,
     Mag,
     _Estimate,
+    _FORMULAS,
     format_result,
     format_value,
     lemma_threshold,
@@ -37,6 +40,14 @@ def test_ramsey_bound():
             assert ramsey_bound(s, t) == ramsey_bound(t, s)
     with pytest.raises(ValueError):
         ramsey_bound(0, 3)
+
+
+def test_lemma_names_are_the_formula_parameters():
+    """LEMMAS repeats each formula's parameter names, which callers of the
+    catalog read; they must stay the formula's parameters after N."""
+    assert LEMMAS.keys() == _FORMULAS.keys()
+    for lemma_id, (names, _, _) in LEMMAS.items():
+        assert names == tuple(inspect.signature(_FORMULAS[lemma_id][0]).parameters)[1:], lemma_id
 
 
 def test_ramsey_three_three_sharp():
