@@ -6,14 +6,13 @@ output is JSON on stdout.
 """
 
 import argparse
-import inspect
 import json
 import sys
 
 from .coloring import chi_local, chromatic_number, clique_number
 from .counterexamples import build_counterexample
 from .embed import find_induced_embedding, is_kd_starry
-from .errors import ConstructionRefuted, GraphParseError, _check_keys, _check_non_negative_int
+from .errors import ConstructionRefuted, GraphParseError, _check_non_negative_int, _keyword_args
 from .generators import GENERATORS, make_graph
 from .graphio import parse_graph, write_graph
 from .harness import ExperimentConfig, run_experiment, verify_lemma
@@ -46,7 +45,7 @@ def _parse_sets(pairs):
     out = {}
     for item in pairs or []:
         if "=" not in item:
-            raise SystemExit(f"--set expects name=value, got {item!r}")
+            raise ValueError(f"--set expects name=value, got {item!r}")
         key, _, raw = item.partition("=")
         key = key.strip()
         raw = raw.strip()
@@ -125,17 +124,13 @@ def cmd_find_tree(args):
     g = _load_graph(args.graph, args.format)
     params = _parse_sets(args.set)
     fn = TREES[args.tree]
-    wanted = tuple(inspect.signature(fn).parameters)
-    _check_keys(params, wanted, f"{args.tree} tree")
-    missing = [w for w in wanted if w not in params]
-    if missing:
-        raise SystemExit(f"tree {args.tree} needs --set for {missing}")
-    built = fn(**{w: _check_non_negative_int(params[w], f"{w} of tree {args.tree!r}") for w in wanted})
+    kwargs = _keyword_args(fn, params, f"{args.tree} tree")
+    built = fn(**{w: _check_non_negative_int(v, f"{w} of tree {args.tree!r}") for w, v in kwargs.items()})
     pattern, root = (built.graph, built.root) if isinstance(built, RootedTree) else (built, None)
     anchor = None
     if args.anchor_host is not None:
         if root is None:
-            raise SystemExit(f"tree {args.tree} is unrooted; anchoring needs a rooted tree")
+            raise ValueError(f"tree {args.tree} is unrooted; anchoring needs a rooted tree")
         anchor = (root, args.anchor_host)
     emb = find_induced_embedding(g, pattern, anchor=anchor, node_budget=args.node_budget)
     if emb is None:

@@ -1,5 +1,9 @@
-"""Exception types, and the budget, count and key checks, shared across
-the package."""
+"""Exception types, the budget, count and key checks, and the one binder
+from a name-keyed parameter mapping to a function's keyword arguments,
+shared across the package."""
+
+import inspect
+from functools import cache
 
 
 def _check_positive_int(value, where, null_ok=True):
@@ -30,6 +34,35 @@ def _check_keys(obj, known, where):
     unknown = [key for key in obj if key not in known]
     if unknown:
         raise ValueError(f"unknown {where} keys {unknown}; known: {', '.join(known) or 'none'}")
+
+
+# the default of a parameter that has none
+_REQUIRED = inspect.Parameter.empty
+
+
+@cache
+def _parameters(fn, skip=0):
+    """{name: default} of fn's parameters after the first skip, in
+    signature order, _REQUIRED for a parameter without a default. Read
+    once per function; the dict is shared, so callers only read it."""
+    return {p.name: p.default for p in list(inspect.signature(fn).parameters.values())[skip:]}
+
+
+def _keyword_args(fn, params, where, skip=0):
+    """The keyword arguments fn takes after its first skip parameters, from
+    the mapping params, in signature order and with defaults filled in.
+    ValueError naming the keys of params that are not parameters of fn, or
+    the parameters without a default that params lacks. This is the one
+    binder for every name-keyed table: checks, generators, trees and
+    lemmas."""
+    defaults = _parameters(fn, skip)
+    if not params.keys() <= defaults.keys():
+        _check_keys(params, defaults, where)
+    args = {p: params.get(p, d) for p, d in defaults.items()}
+    if _REQUIRED in args.values():
+        missing = [p for p, v in args.items() if v is _REQUIRED]
+        raise ValueError(f"{where} needs {', '.join(defaults)}; missing {missing}")
+    return args
 
 
 class GraphParseError(ValueError):

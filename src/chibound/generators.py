@@ -6,11 +6,10 @@ determines the graph bit for bit on every platform.
 """
 
 import hashlib
-import inspect
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import _check_keys, _check_non_negative_int
+from .errors import _check_non_negative_int, _keyword_args
 from .graphs import Graph
 
 
@@ -156,8 +155,6 @@ GENERATORS = {
     "mycielski_tower": mycielski_tower,
     "random": random_graph,
 }
-# generator name -> its parameter names, read once from the signature
-_PARAMS = {name: tuple(inspect.signature(fn).parameters) for name, fn in GENERATORS.items()}
 
 
 def generator_args(name, params):
@@ -168,17 +165,13 @@ def generator_args(name, params):
     (booleans are refused)."""
     if not isinstance(name, str) or name not in GENERATORS:
         raise ValueError(f"unknown generator {name!r}; known: {', '.join(sorted(GENERATORS))}")
-    wanted = _PARAMS[name]
-    _check_keys(params, wanted, f"{name} generator")
-    missing = [w for w in wanted if w not in params]
-    if missing:
-        raise ValueError(f"generator {name} needs {wanted}, missing {missing}")
-    for param, value in params.items():
+    args = _keyword_args(GENERATORS[name], params, f"{name} generator")
+    for param, value in args.items():
         if param != "p":
             _check_non_negative_int(value, f"{param} of generator {name!r}")
         elif isinstance(value, bool) or not isinstance(value, (str, int)):
             raise ValueError(f"p of generator {name!r} must be a string or an integer, got {value!r}")
-    return params
+    return args
 
 
 def make_graph(name, params):

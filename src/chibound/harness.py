@@ -14,7 +14,6 @@ wall-clock timings go to a separate non-normative file.
 
 import csv
 import hashlib
-import inspect
 import io
 import json
 import os
@@ -27,7 +26,8 @@ from .certificates import certificate_to_json, verify_certificate
 from .coloring import best_by_chi, chi_local, chromatic_number, clique_number
 from .counterexamples import build_counterexample, check_counterexample_params
 from .embed import is_kd_starry
-from .errors import BudgetExceeded, ConstructionRefuted, _check_keys, _check_non_negative_int, _check_positive_int
+from .errors import BudgetExceeded, ConstructionRefuted, _check_keys, _keyword_args, _parameters
+from .errors import _check_non_negative_int, _check_positive_int
 from .generators import generator_args, make_graph
 from .graphio import parse_graph6, write_graph6
 from .graphs import _component_masks, bits
@@ -83,18 +83,19 @@ class ExperimentConfig:
             generator_args(entry["generator"], _generator_params(entry))
         for chk in checks:
             name = chk.get("check")
-            if not isinstance(name, str) or name not in _CHECK_DEFAULTS:
+            if not isinstance(name, str) or name not in _CHECK_FUNCS:
                 raise ValueError(f"unknown check {name!r}")
-            defaults = _CHECK_DEFAULTS[name]
+            fn = _CHECK_FUNCS[name]
             params = {k: v for k, v in chk.items() if k != "check"}
-            _check_keys(params, defaults, f"{name} check")
+            args = _keyword_args(fn, params, f"{name} check", skip=2)
+            defaults = _parameters(fn, 2)
             for key, value in params.items():
                 if key == "node_budget":
                     _check_positive_int(value, f"node_budget of check {name!r}")
                 elif isinstance(defaults[key], int):
                     _check_non_negative_int(value, f"{key} of check {name!r}")
             if name == "counterexample":
-                check_counterexample_params(**{**defaults, **params})
+                check_counterexample_params(**args)
         budgets = obj.get("budgets", {})
         if not isinstance(budgets, dict):
             raise ValueError(f"budgets must be an object, got {budgets!r}")
@@ -272,12 +273,6 @@ _CHECK_FUNCS = {
     "spire": _check_spire,
     "starry": _check_starry,
     "counterexample": _check_counterexample,
-}
-# check name -> {key: default} of every key its config may set, read once
-# from the signatures
-_CHECK_DEFAULTS = {
-    name: {p.name: p.default for p in list(inspect.signature(fn).parameters.values())[2:]}
-    for name, fn in _CHECK_FUNCS.items()
 }
 
 

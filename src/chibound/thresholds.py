@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .errors import ThresholdTooLarge, _check_non_negative_int
+from .errors import ThresholdTooLarge, _check_non_negative_int, _check_positive_int, _keyword_args, _parameters
 
 DEFAULT_DIGIT_LIMIT = 100_000
 _LOG10_2 = math.log10(2.0)
@@ -393,93 +393,64 @@ class ThresholdResult:
     expr: dict | None = None
 
 
-# id -> (ordered param names, formula recipe, derived flag)
-LEMMAS = {
-    "T2.2": (("c", "tau"), "single stable-set split bound: (2c + 3 tau + 3) tau", False),
-    "T2.3": (("d", "tau"), "split with a long path: T2.2(d tau, tau)", False),
-    "T2.5": (("d", "tau"), "stable-set equipment: max(ramsey(tau+1, d), T2.3(d, tau))", False),
-    "T2.6": (("a", "d", "tau"), "bounded-chromatic equipment: a * T2.5(d, tau)", False),
+# id -> (formula, recipe, derived flag, lowest allowed value of each
+# bounded parameter). A lemma's parameters are its formula's parameters
+# after N. T3.3's constraints tie r and s to ks and are checked in
+# lemma_threshold.
+_CATALOG = {
+    "T2.2": (_t22, "single stable-set split bound: (2c + 3 tau + 3) tau", False, {}),
+    "T2.3": (_t23, "split with a long path: T2.2(d tau, tau)", False, {}),
+    "T2.5": (_t25, "stable-set equipment: max(ramsey(tau+1, d), T2.3(d, tau))", False, {}),
+    "T2.6": (_t26, "bounded-chromatic equipment: a * T2.5(d, tau)", False, {}),
     "T2.7": (
-        ("a", "b", "d", "tau"),
-        "paired equipment with forbidden set: d^ = max(d, b+1); T2.6(T2.6(tau, d^, tau) + a + b, d^, tau)",
-        False,
+        _t27, "paired equipment with forbidden set: d^ = max(d, b+1); T2.6(T2.6(tau, d^, tau) + a + b, d^, tau)",
+        False, {},
     ),
     "T3.1": (
-        ("k", "d", "tau"),
-        "rooted broom and bristle: c_1 = 2 tau; c_i = max(2 d c_{i-1}, 2 T2.6(c_{i-1}, d, tau)); value c_k",
-        False,
+        _t31, "rooted broom and bristle: c_1 = 2 tau; c_i = max(2 d c_{i-1}, 2 T2.6(c_{i-1}, d, tau)); value c_k",
+        False, {"k": 1, "d": 1},
     ),
-    "T3.2": (
-        ("c", "tau", "d", "k"),
-        "tree split: ((2k + 2d + 3) tau + c + T3.1(k, d, tau)) tau",
-        False,
-    ),
+    "T3.2": (_t32, "tree split: ((2k + 2d + 3) tau + c + T3.1(k, d, tau)) tau", False, {"k": 1, "d": 1}),
     "T3.3": (
-        ("r", "s", "d", "ks", "tau"),
-        "rooted sum: r=1 -> tau; else c1 = rec(r-1), c2 = rec(s-1), value c1 + T3.2(c2, c1, d, k_s)",
-        True,  # the bracketing of the double recursion is reconstructed
+        _t33, "rooted sum: r=1 -> tau; else c1 = rec(r-1), c2 = rec(s-1), value c1 + T3.2(c2, c1, d, k_s)",
+        True, {},  # the bracketing of the double recursion is reconstructed
     ),
     "T4.1": (
-        ("k", "d", "tau"),
-        "free cathedral: m = 2 d^2, n = ramsey(tau+1, m), c0 = T2.6(tau, d, tau); "
+        _t41, "free cathedral: m = 2 d^2, n = ramsey(tau+1, m), c0 = T2.6(tau, d, tau); "
         "k>=2: T2.7((m+1) tau + c0, 0, d, tau); k=1: T2.7((m+1) tau + c0, m n, d + m n, tau)",
-        False,
+        False, {"d": 1, "k": 1},
     ),
     "T4.2": (
-        ("k", "d", "tau"),
-        "cathedral: (c0, n0) = T4.1(k, d, tau); n = d n0; c = max(2^(n^2) c0, T2.6(tau, d, tau))",
-        False,
+        _t42, "cathedral: (c0, n0) = T4.1(k, d, tau); n = d n0; c = max(2^(n^2) c0, T2.6(tau, d, tau))",
+        False, {"d": 1, "k": 1},
     ),
-    "T5.1": (("c", "d", "tau"), "single spire: 2 max(c, tau) + d tau + 1", False),
+    "T5.1": (_t51, "single spire: 2 max(c, tau) + d tau + 1", False, {}),
     "T5.2": (
-        ("n", "c", "d", "tau"),
-        "cathedral construction: c_n = c; c_i = T5.1(d tau + c_{i+1}, d, tau); value c_0",
-        True,  # iterated composition of the single-spire bound
+        _t52, "cathedral construction: c_n = c; c_i = T5.1(d tau + c_{i+1}, d, tau); value c_0",
+        True, {},  # iterated composition of the single-spire bound
     ),
     "T5.3": (
-        ("k", "d", "tau"),
-        "starriness from bounded balls of radius two: T5.2(n, c, d, tau) with (c, n) = T4.2(k, d, tau)",
-        True,
+        _t53, "starriness from bounded balls of radius two: T5.2(n, c, d, tau) with (c, n) = T4.2(k, d, tau)",
+        True, {"d": 1, "k": 1},
     ),
-    "T6.1": (
-        ("c", "d", "tau"),
-        "superstar split: d-fold composition x -> T3.2(x, tau, d, d) starting at c",
-        True,
-    ),
+    "T6.1": (_t61, "superstar split: d-fold composition x -> T3.2(x, tau, d, d) starting at c", True, {"d": 1}),
     "T6.2": (
-        ("d", "tau"),
-        "radius-one starriness: (c', n0) = T4.1(1, d, tau); n = (2d+1) n0; "
+        _t62, "radius-one starriness: (c', n0) = T4.1(1, d, tau); n = (2d+1) n0; "
         "c_n = max(c' 2^(n^2), d tau); c_i = T5.3(1, d, T6.1(c_{i+1}, d, tau)); value c_0",
-        True,
+        True, {"d": 1},
     ),
     "main": (
-        ("kappa", "k", "d"),
-        "induction on the clique bound: tau from T3.3 over the rooted-sum decompositions, "
+        _main, "induction on the clique bound: tau from T3.3 over the rooted-sum decompositions, "
         "then max(T5.3(k, d, tau), T6.2(d, tau_prev))",
-        True,
+        True, {"d": 1, "k": 1},
     ),
 }
 
-
-# id -> (formula, lowest allowed value of each bounded parameter). T3.3's
-# constraints tie r and s to ks and are checked in lemma_threshold.
-_FORMULAS = {
-    "T2.2": (_t22, {}),
-    "T2.3": (_t23, {}),
-    "T2.5": (_t25, {}),
-    "T2.6": (_t26, {}),
-    "T2.7": (_t27, {}),
-    "T3.1": (_t31, {"k": 1, "d": 1}),
-    "T3.2": (_t32, {"k": 1, "d": 1}),
-    "T3.3": (_t33, {}),
-    "T4.1": (_t41, {"d": 1, "k": 1}),
-    "T4.2": (_t42, {"d": 1, "k": 1}),
-    "T5.1": (_t51, {}),
-    "T5.2": (_t52, {}),
-    "T5.3": (_t53, {"d": 1, "k": 1}),
-    "T6.1": (_t61, {"d": 1}),
-    "T6.2": (_t62, {"d": 1}),
-    "main": (_main, {"d": 1, "k": 1}),
+# id -> (parameter names in order, formula recipe, derived flag), a view of
+# _CATALOG for callers that list the catalog
+LEMMAS = {
+    lemma_id: (tuple(_parameters(formula, 1)), recipe, derived)
+    for lemma_id, (formula, recipe, derived, _) in _CATALOG.items()
 }
 
 
@@ -493,26 +464,27 @@ def _evaluate(formula, N, args):
 def lemma_threshold(lemma_id, params, digit_limit=DEFAULT_DIGIT_LIMIT):
     """Evaluate one catalog entry exactly.
 
-    params maps parameter names to non-negative integers (T3.3 additionally
-    takes ks, a list of k values of length s). When the exact integer would
-    exceed digit_limit decimal digits the result carries value None, the
-    blocking subterm, and a tower-magnitude estimate of the whole entry
-    instead.
+    params maps each parameter of the entry's formula, and nothing else, to
+    a non-negative integer; T3.3's ks is a list of s such integers. A key
+    the formula does not take, a missing parameter, a value below its
+    minimum or a digit_limit that is not a positive integer is a
+    ValueError. result.params holds the parameters in the formula's order.
+    When the exact integer would exceed digit_limit decimal digits the
+    result carries value None, the blocking subterm, and a tower-magnitude
+    estimate of the whole entry instead.
     """
-    if lemma_id not in LEMMAS:
-        raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(sorted(LEMMAS))}")
-    names, recipe, derived = LEMMAS[lemma_id]
-    formula, minimums = _FORMULAS[lemma_id]
-    missing = [p for p in names if p not in params]
-    if missing:
-        raise ValueError(f"{lemma_id} needs parameters {', '.join(names)}; missing {missing}")
-    args = {}
-    for p in names:
-        if p == "ks":
-            ks = list(params[p])
-            args[p] = [_check_non_negative_int(v, "parameter ks entry") for v in ks]
+    if lemma_id not in _CATALOG:
+        raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(sorted(_CATALOG))}")
+    _check_positive_int(digit_limit, "digit_limit", null_ok=False)
+    formula, recipe, derived, minimums = _CATALOG[lemma_id]
+    args = _keyword_args(formula, params, f"{lemma_id} lemma", skip=1)
+    for p, v in args.items():
+        if p != "ks":
+            _check_non_negative_int(v, f"parameter {p}")
+        elif isinstance(v, (list, tuple)):
+            args[p] = [_check_non_negative_int(x, "parameter ks entry") for x in v]
         else:
-            args[p] = _check_non_negative_int(params[p], f"parameter {p}")
+            raise ValueError(f"parameter ks must be a list of non-negative integers, got {v!r}")
 
     if lemma_id == "T3.3":
         r, s, ks = args["r"], args["s"], args["ks"]
@@ -526,10 +498,10 @@ def lemma_threshold(lemma_id, params, digit_limit=DEFAULT_DIGIT_LIMIT):
 
     result = ThresholdResult(
         lemma_id=lemma_id,
-        params={k: v for k, v in args.items()},
+        params=args,
         value=None,
         derived_composition=derived,
-        expr={"lemma": lemma_id, "recipe": recipe, "params": {k: v for k, v in args.items()}},
+        expr={"lemma": lemma_id, "recipe": recipe, "params": dict(args)},
     )
     try:
         result.value, result.intermediates = _evaluate(formula, _Exact(digit_limit), args)

@@ -8,7 +8,8 @@ import pytest
 
 from chibound.cli import main as cli_main
 from chibound.graphio import parse_graph6
-from chibound.harness import _CHECK_DEFAULTS, ExperimentConfig, run_experiment, verify_lemma
+from chibound.errors import _parameters
+from chibound.harness import _CHECK_FUNCS, ExperimentConfig, run_experiment, verify_lemma
 
 SMALL_CONFIG = {
     "corpus": [
@@ -361,8 +362,8 @@ def test_readme_check_table_is_the_signatures():
     the check's function."""
     readme = (Path(__file__).parents[1] / "README.md").read_text()
     rows = dict(re.findall(r"^\| `(\w+)` \| (.+) \|$", readme, re.M))
-    for name, defaults in _CHECK_DEFAULTS.items():
-        listed = ", ".join(f"`{key}={json.dumps(value)}`" for key, value in defaults.items())
+    for name, fn in _CHECK_FUNCS.items():
+        listed = ", ".join(f"`{key}={json.dumps(value)}`" for key, value in _parameters(fn, 2).items())
         assert rows[name].replace(" (unused)", "") == listed, name
 
 
@@ -474,13 +475,23 @@ def test_cli_run_rejects_malformed_config(tmp_path, capsys):
         ["find-tree", "--tree", "superstar", "--set", "d=1,2"],
         ["gen", "--generator", "cycle", "--set", "n=5", "--set", "seed=1"],
         ["find-tree", "--tree", "superstar", "--set", "d=2", "--set", "k=1"],
+        ["gen", "--generator", "cycle", "--set", "n"],
+        ["find-tree", "--tree", "broom", "--set", "k=1"],
+        ["find-tree", "--tree", "binary-star", "--set", "k=1", "--set", "d=1", "--anchor-host", "0"],
+        ["threshold", "--lemma", "T2.2", "--set", "c=0", "--set", "tau=1", "--set", "tua=5"],
+        ["threshold", "--lemma", "T3.3", "--set", "r=1", "--set", "s=1", "--set", "d=1", "--set", "ks=1",
+         "--set", "tau=1"],
+        ["threshold", "--lemma", "T2.2", "--set", "c=0", "--set", "tau=1", "--digit-limit", "-5"],
     ],
-    ids=["gen-cycle-n", "gen-kneser-k", "find-tree-d", "find-tree-d-list", "gen-extra-set", "find-tree-extra-set"],
+    ids=["gen-cycle-n", "gen-kneser-k", "find-tree-d", "find-tree-d-list", "gen-extra-set", "find-tree-extra-set",
+         "set-without-equals", "find-tree-missing-d", "find-tree-anchor-unrooted", "threshold-extra-set",
+         "threshold-bare-ks", "threshold-digit-limit"],
 )
 def test_cli_rejects_bad_parameters(tmp_path, capsys, argv):
-    """A generator or tree parameter that is not a non-negative integer, or
-    a --set that is not a parameter, is bad input (exit 2), not a
-    traceback."""
+    """A generator, tree or lemma parameter that is not a non-negative
+    integer, a --set that is not a parameter or not name=value, a missing
+    parameter, an anchor on an unrooted tree or a digit limit below one is
+    bad input (exit 2), not a traceback or exit 1."""
     graph = tmp_path / "petersen.g6"
     assert cli_main(["gen", "--generator", "petersen", "--out", str(graph)]) == 0
     if argv[0] == "find-tree":

@@ -1,5 +1,4 @@
 import hashlib
-import inspect
 import json
 import math
 import re
@@ -18,7 +17,6 @@ from chibound.thresholds import (
     LEMMAS,
     Mag,
     _Estimate,
-    _FORMULAS,
     format_result,
     format_value,
     lemma_threshold,
@@ -40,14 +38,6 @@ def test_ramsey_bound():
             assert ramsey_bound(s, t) == ramsey_bound(t, s)
     with pytest.raises(ValueError):
         ramsey_bound(0, 3)
-
-
-def test_lemma_names_are_the_formula_parameters():
-    """LEMMAS repeats each formula's parameter names, which callers of the
-    catalog read; they must stay the formula's parameters after N."""
-    assert LEMMAS.keys() == _FORMULAS.keys()
-    for lemma_id, (names, _, _) in LEMMAS.items():
-        assert names == tuple(inspect.signature(_FORMULAS[lemma_id][0]).parameters)[1:], lemma_id
 
 
 def test_ramsey_three_three_sharp():
@@ -187,6 +177,15 @@ def test_unknown_lemma_and_missing_params():
         lemma_threshold("T2.2", {"c": 1})
     with pytest.raises(ValueError):
         lemma_threshold("T2.2", {"c": -1, "tau": 1})
+    # a key the formula does not take is refused by name, not dropped
+    with pytest.raises(ValueError, match="tua"):
+        lemma_threshold("T2.2", {"c": 0, "tau": 1, "tua": 5})
+    # T3.3's ks is a list; a bare integer is bad input, not a TypeError
+    with pytest.raises(ValueError, match="parameter ks must be a list"):
+        lemma_threshold("T3.3", {"r": 1, "s": 1, "d": 1, "ks": 1, "tau": 1})
+    for limit in (0, -5, None, 2.5):
+        with pytest.raises(ValueError, match="digit_limit must be a positive integer"):
+            lemma_threshold("T2.2", {"c": 0, "tau": 1}, digit_limit=limit)
 
 
 def test_format_helpers():
