@@ -12,7 +12,7 @@ import sys
 from .coloring import chi_local, chromatic_number, clique_number
 from .counterexamples import build_counterexample
 from .embed import find_induced_embedding, is_kd_starry
-from .errors import ConstructionRefuted, GraphParseError, _check_non_negative_int, _keyword_args
+from .errors import BudgetExceeded, ConstructionRefuted, GraphParseError, _check_non_negative_int, _keyword_args
 from .generators import GENERATORS, make_graph
 from .graphio import parse_graph, write_graph
 from .harness import ExperimentConfig, run_experiment, verify_lemma
@@ -50,7 +50,10 @@ def _parse_sets(pairs):
         key = key.strip()
         raw = raw.strip()
         if "," in raw:
-            out[key] = [int(x) for x in raw.split(",") if x.strip()]
+            try:
+                out[key] = [int(x) for x in raw.split(",") if x.strip()]
+            except ValueError:
+                raise ValueError(f"--set {key} expects comma-separated integers, got {raw!r}") from None
         else:
             try:
                 out[key] = int(raw)
@@ -184,7 +187,7 @@ def cmd_counterexample(args):
             json.dump(out, fh, sort_keys=True, indent=2)
             fh.write("\n")
     _emit(out)
-    return 0
+    return 0 if all(res.verification.values()) else 1
 
 
 def cmd_verify(args):
@@ -295,8 +298,14 @@ def build_parser():
 def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
+    # exit codes: 0 an answer; 1 a violation, a refuted construction, a
+    # rejected certificate or a false verification flag (returned by the
+    # subcommand); 2 bad input; 3 indeterminate, a node budget ran out
     try:
         return args.func(args)
+    except BudgetExceeded as e:
+        _emit({"indeterminate": True, "reason": str(e)})
+        return 3
     except GraphParseError as e:
         print(f"parse error: {e}", file=sys.stderr)
         return 2

@@ -22,7 +22,7 @@ from itertools import islice
 
 from . import _kernels
 from .errors import ColoringBudgetExceeded, SearchBudgetExceeded, _check_positive_int
-from .graphs import bits, layers, vertex_mask
+from .graphs import _induced_masks, bits, layers, vertex_mask
 
 
 def _greedy_upper(adj):
@@ -114,37 +114,18 @@ def chi_of(g, s, node_budget=None):
 def _chi_of_mask(g, smask, node_budget=None):
     """(chi, witness) of the subgraph induced on the vertex mask smask.
 
-    The compressed masks come straight from g's, numbering smask's
-    vertices in ascending order as induced_subgraph does, so answers and
-    budget bounds match. Unbudgeted answers go in g's chi memo, and
-    unbudgeted sweeps start at the lower bound is_k_colorable proved there.
+    The compressed masks come from graphs._induced_masks, the renumbering
+    induced_subgraph uses, so answers and budget bounds match; the whole
+    vertex set keeps g's own masks. Unbudgeted answers go in g's chi
+    memo, and unbudgeted sweeps start at the lower bound is_k_colorable
+    proved there.
     """
     memo = g._chi_memo
     if node_budget is None:
         hit = memo.get(smask)
         if hit is not None:
             return hit
-    host = g.adjacency_masks()
-    if smask == (1 << g.n) - 1:
-        adj = host
-    else:
-        # new_bit maps each vertex's bit in g to its bit in the subgraph;
-        # the loops are bits inlined, since every cold colouring runs them
-        new_bit = {}
-        rest = smask
-        while rest:
-            low = rest & -rest
-            new_bit[low] = 1 << len(new_bit)
-            rest ^= low
-        adj = []
-        for low in new_bit:
-            m = 0
-            rest = host[low.bit_length() - 1] & smask
-            while rest:
-                u = rest & -rest
-                m |= new_bit[u]
-                rest ^= u
-            adj.append(m)
+    adj = g.adjacency_masks() if smask == (1 << g.n) - 1 else _induced_masks(g, smask)
     if node_budget is not None:
         return _chromatic(adj, node_budget)
     memo[smask] = result = _chromatic(adj, None, memo.get(("lower", smask), 1))

@@ -184,7 +184,10 @@ def build_counterexample(variant, k, base=None, cross_range=None):
     k-1 the forcing demonstrably fails at k=2 (the last pair hangs free),
     so the wider range is the default while k-1 stays selectable. Raises
     ConstructionRefuted when every gadget is attached and the chromatic
-    number never moves.
+    number never moves, and ConstructionError when the base is unusable.
+    The stopping rule's checks are returned, not raised: verification
+    holds one flag per check, and a false flag is for the caller to
+    report.
     """
     cross_range_val = check_counterexample_params(variant, k, cross_range)
     h, i_set = critical_base(k, base)
@@ -202,8 +205,6 @@ def build_counterexample(variant, k, base=None, cross_range=None):
                 "chi_after_exact": chi_after == k + 1,
                 "chi_drops_without_special": chi_without == k,
             }
-            if not all(verification.values()):
-                raise ConstructionError("stopping-rule", f"flags {verification}")
             return CounterexampleResult(
                 graph=g,
                 special_vertex=special,

@@ -62,35 +62,16 @@ def _g6_size_prefix(n):
 
 
 def _g6_parse_size(data):
-    """Returns (n, bytes consumed). Enforces the minimal prefix."""
-    if not data:
-        raise GraphParseError("empty graph6 string", line=1, offset=0)
-    b0 = data[0]
-    if b0 != 126:
-        if not (63 <= b0 <= 125):
-            raise GraphParseError(f"invalid graph6 size byte {b0}", line=1, offset=0)
-        return b0 - 63, 1
-    if len(data) >= 2 and data[1] == 126:
-        if len(data) < 8:
-            raise GraphParseError("truncated graph6 size prefix", line=1, offset=0)
-        vals = [data[i] - 63 for i in range(2, 8)]
-        if any(not 0 <= v <= 63 for v in vals):
-            raise GraphParseError("invalid graph6 size prefix byte", line=1, offset=2)
-        n = 0
-        for v in vals:
-            n = (n << 6) | v
-        if n <= 258047:
-            raise GraphParseError("non-canonical graph6 size prefix", line=1, offset=0)
-        return n, 8
-    if len(data) < 4:
-        raise GraphParseError("truncated graph6 size prefix", line=1, offset=0)
-    vals = [data[i] - 63 for i in range(1, 4)]
-    if any(not 0 <= v <= 63 for v in vals):
-        raise GraphParseError("invalid graph6 size prefix byte", line=1, offset=1)
-    n = (vals[0] << 12) | (vals[1] << 6) | vals[2]
-    if n <= 62:
-        raise GraphParseError("non-canonical graph6 size prefix", line=1, offset=0)
-    return n, 4
+    """Returns (n, bytes consumed). The prefix must be the one
+    _g6_size_prefix writes for n, so every size has exactly one form."""
+    width = 8 if data[:2] == b"~~" else 4 if data[:1] == b"~" else 1
+    head = data[:width]
+    n = 0
+    for byte in head[width // 4:]:
+        n = n * 64 + byte - 63
+    if not (0 <= n < 1 << 36 and _g6_size_prefix(n) == head):
+        raise GraphParseError(f"invalid or non-minimal graph6 size prefix {head!r}", line=1, offset=0)
+    return n, width
 
 
 def parse_graph6(text):

@@ -177,21 +177,40 @@ def _component_masks(g, smask, meeting=-1):
         rest &= ~comp
 
 
+def _induced_masks(g, smask):
+    """Adjacency masks of the subgraph induced on the vertex mask smask,
+    its vertices renumbered in ascending order of their ids in g."""
+    host = g._adj
+    # new_bit maps each vertex's bit in g to its bit in the subgraph; the
+    # loops are bits inlined, since every cold subset colouring runs them
+    new_bit = {}
+    rest = smask
+    while rest:
+        low = rest & -rest
+        new_bit[low] = 1 << len(new_bit)
+        rest ^= low
+    adj = []
+    for low in new_bit:
+        m = 0
+        rest = host[low.bit_length() - 1] & smask
+        while rest:
+            u = rest & -rest
+            m |= new_bit[u]
+            rest ^= u
+        adj.append(m)
+    return adj
+
+
 def induced_subgraph(g, s):
     """Subgraph induced on s plus the relabeling.
 
     Returns (h, old_ids) where old_ids[i] is the original id of vertex i of
     h. Old ids are taken in ascending order, so the relabeling is canonical.
     """
-    old_ids = tuple(bits(vertex_mask(g, s)))
-    index = {v: i for i, v in enumerate(old_ids)}
-    edges = []
-    for i, v in enumerate(old_ids):
-        m = g._adj[v]
-        for u in old_ids[i + 1:]:
-            if (m >> u) & 1:
-                edges.append((i, index[u]))
-    return Graph(len(old_ids), edges), old_ids
+    smask = vertex_mask(g, s)
+    adj = _induced_masks(g, smask)
+    edges = [(i, j) for i, m in enumerate(adj) for j in bits(m) if i < j]
+    return Graph(len(adj), edges), tuple(bits(smask))
 
 
 def covers(g, a, b):

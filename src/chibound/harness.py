@@ -23,15 +23,16 @@ from collections import Counter
 from dataclasses import dataclass, field
 
 from .certificates import certificate_to_json, verify_certificate
-from .coloring import best_by_chi, chi_local, chromatic_number, clique_number
+from .coloring import chi_local, chromatic_number, clique_number
 from .counterexamples import build_counterexample, check_counterexample_params
 from .embed import is_kd_starry
 from .errors import BudgetExceeded, ConstructionRefuted, _check_keys, _keyword_args, _parameters
 from .errors import _check_non_negative_int, _check_positive_int
 from .generators import generator_args, make_graph
 from .graphio import parse_graph6, write_graph6
-from .graphs import _component_masks, bits
+from .graphs import bits
 from .machinery import (
+    _best_touching,
     _gyarfas_path_of_mask,
     d_equipment,
     find_spire,
@@ -193,17 +194,13 @@ def _check_gyarfas(g, base, k_max=3, starts=3, node_budget=None):
     chi1 = base["chi1"]
     checked = 0
     for x0 in range(min(starts, g.n)):
-        region = ((1 << g.n) - 1) & ~(1 << x0)
-        best, best_chi = best_by_chi(g, _component_masks(g, region, g.adjacency_mask(x0)), node_budget)
+        best, best_chi = _best_touching(g, x0, node_budget)
         if best is None:
             continue
         for k in range(k_max + 1):
             if best_chi <= k * chi1:
                 break
-            try:
-                _gyarfas_path_of_mask(g, best, x0, k)
-            except AssertionError as e:
-                return VIOLATION, f"x0={x0} k={k}: {e}", None
+            _gyarfas_path_of_mask(g, best, x0, k)
             checked += 1
     return "pass", f"instances={checked}", None
 
@@ -237,10 +234,7 @@ def _check_spire(g, base, d=1, min_chi=0, node_budget=None):
 
 
 def _check_starry(g, base, k=1, d=1, node_budget=None):
-    try:
-        got = is_kd_starry(g, k, d, node_budget=node_budget)
-    except BudgetExceeded:
-        return "indeterminate", "budget exhausted", None
+    got = is_kd_starry(g, k, d, node_budget=node_budget)
     if got is None:
         return "absent", "", None
     return _found(g, got, "")
@@ -283,6 +277,9 @@ def _process(task):
     certificate and no corpus file. checks holds (position in the config,
     check) pairs. A certificate is named by task index and check kind, plus
     the check's position when its kind appears more than once in the task.
+    This is where a check's outcome is decided when it raises: a spent
+    budget (BudgetExceeded) gives an indeterminate row, and a failed
+    guarantee (AssertionError) a violation row with the message as detail.
     Returns (index, generator, graph6 or None, rows, certs, elapsed)."""
     index, entry, checks, budgets = task
     t0 = time.monotonic()
@@ -298,8 +295,8 @@ def _process(task):
             "m": g.edge_count,
             "omega": clique_number(g)[0],
             "chi": chi,
-            "chi1": chi_local(g, 1) if g.n else 0,
-            "chi2": chi_local(g, 2) if g.n else 0,
+            "chi1": chi_local(g, 1),
+            "chi2": chi_local(g, 2),
         }
         # keys that start with "_" feed the checks and stay out of the rows
         base = {**metrics, "_coloring": coloring}
@@ -318,6 +315,8 @@ def _process(task):
             outcome, detail, cert = _CHECK_FUNCS[name](g, base, **params)
         except BudgetExceeded:
             outcome, detail, cert = "indeterminate", "budget exhausted", None
+        except AssertionError as e:
+            outcome, detail, cert = VIOLATION, str(e), None
         cert_name = ""
         if cert is not None:
             if g is not None:

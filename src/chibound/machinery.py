@@ -6,6 +6,11 @@ member, and each positive result is re-checked by its validator before
 being returned. Every searcher but find_spire is exhaustive at desk scale,
 so its None means that no such object exists. find_spire is a
 construction: its None means only that the construction found none.
+
+A searcher returns its result or raises: AssertionError when a guarantee
+fails, such as a result its validator refuses, and BudgetExceeded when a
+node budget runs out. harness._process and cli.main turn these into
+outcomes.
 """
 
 from .certificates import (
@@ -58,6 +63,12 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
     return None
 
 
+def _best_touching(g, x0, node_budget=None):
+    """best_by_chi over the components of g - x0 that meet N(x0)."""
+    touching = _component_masks(g, ((1 << g.n) - 1) & ~(1 << x0), g.adjacency_mask(x0))
+    return best_by_chi(g, touching, node_budget)
+
+
 def _gyarfas_core(g, cmask, x0, k):
     """Walk k steps from x0 into the vertex mask cmask: drop the endpoint's
     neighborhood, descend into the best component, step to the lowest
@@ -85,7 +96,9 @@ def gyarfas_path(g, c_set, x0, k):
     residue adjacent only to the far end.
 
     The chromatic precondition chi(C) > k * chi_1 is verified exactly
-    before the walk.
+    before the walk; a failed precondition is a ValueError. Under it the
+    lemma guarantees the walk, so a walk that stops short or a result that
+    fails validate_gyarfas raises AssertionError naming x0 and k.
     """
     return _gyarfas_path_of_mask(g, vertex_mask(g, c_set), x0, k)
 
@@ -108,12 +121,12 @@ def _gyarfas_path_of_mask(g, cmask, x0, k):
         raise ValueError("chromatic precondition fails: chi(C) must exceed k * chi_1")
     got = _gyarfas_core(g, cmask, x0, k)
     if got is None:
-        raise RuntimeError("walk ran out of room although the chromatic precondition holds")
+        raise AssertionError(f"x0={x0} k={k}: walk ran out of room although the chromatic precondition holds")
     path, residue = got
     cert = GyarfasResult(path=path, residue=mask_to_set(residue))
     ok, clause = validate_gyarfas(g, bits(cmask), cert)
     if not ok:
-        raise AssertionError(f"walk produced an invalid result: {clause}")
+        raise AssertionError(f"x0={x0} k={k}: walk produced an invalid result: {clause}")
     return cert
 
 
@@ -246,10 +259,8 @@ def find_spire(g, d, min_chi, node_budget=None):
         raise ValueError(f"height must be positive, got {d}")
     _check_positive_int(node_budget, "node_budget")
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    everything = (1 << g.n) - 1
     for x0 in order:
-        touching = _component_masks(g, everything & ~(1 << x0), g.adjacency_mask(x0))
-        best, _ = best_by_chi(g, touching, node_budget)
+        best, _ = _best_touching(g, x0, node_budget)
         if best is None:
             continue
         got = _gyarfas_core(g, best, x0, d)

@@ -533,7 +533,7 @@ def _format_param(v):
     return f"[{', '.join(map(format_value, v))}]" if isinstance(v, list) else format_value(v)
 
 
-def format_result(result, decimal_digit_cap=10_000):
+def format_result(result):
     try:
         params = ", ".join(f"{k}={v}" for k, v in result.params.items())
     except ValueError:  # str() refuses ints past CPython's 4300-digit limit
@@ -542,7 +542,7 @@ def format_result(result, decimal_digit_cap=10_000):
     if result.derived_composition:
         lines.append("  note: derived composition (assembled from referenced entries)")
     if result.value is not None:
-        lines.append(f"  value: {format_value(result.value, decimal_digit_cap)}")
+        lines.append(f"  value: {format_value(result.value)}")
     else:
         lines.append(f"  value: exact evaluation blocked at {result.blocked_at}")
         lines.append(f"  magnitude: {result.magnitude}")

@@ -21,6 +21,7 @@ from chibound.graphs import (
     vertex_mask,
 )
 from chibound.graphio import (
+    _g6_parse_size,
     parse_edge_list,
     parse_graph,
     parse_graph6,
@@ -102,6 +103,11 @@ def test_graph6_errors():
     # non-minimal size prefix for a small graph
     with pytest.raises(GraphParseError):
         parse_graph6(chr(126) + chr(63) + chr(63) + chr(65) + "_")
+    for bad in ("~??", "~~?????", chr(127), "~~" + chr(63) * 6):  # truncated, byte 127, non-minimal
+        with pytest.raises(GraphParseError):
+            parse_graph6(bad)
+    # the smallest size that needs the 8-byte prefix
+    assert _g6_parse_size(b"~~" + bytes([63, 63, 63, 63 + 63, 63, 63]) + b"xyz") == (258048, 8)
 
 
 def test_edge_list_roundtrip():

@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from chibound import counterexamples, machinery
 from chibound.cli import main as cli_main
 from chibound.graphio import parse_graph6
 from chibound.errors import _parameters
@@ -292,6 +293,47 @@ def test_gyarfas_honours_node_budget():
     assert gyarfas_row({"generator": "petersen"}, 10) == ("pass", "instances=6")
 
 
+def _refused(*args, **kwargs):
+    return False, "injected clause"
+
+
+PETERSEN = [{"generator": "petersen"}]
+# fault -> (module, attribute, stand-in, corpus, check, text the detail names)
+FAULTS = {
+    "x_split": (machinery, "validate_x_split", _refused, PETERSEN, {"check": "x_split"},
+                "searcher produced invalid split: injected clause"),
+    "spire": (machinery, "validate_spire", _refused, PETERSEN, {"check": "spire"},
+              "construction produced an invalid spire: injected clause"),
+    "gyarfas": (machinery, "validate_gyarfas", _refused, PETERSEN, {"check": "gyarfas"},
+                "x0=0 k=0: walk produced an invalid result: injected clause"),
+    "gyarfas-walk": (machinery, "_gyarfas_core", lambda *args: None, PETERSEN, {"check": "gyarfas"},
+                     "x0=0 k=0: walk ran out of room although the chromatic precondition holds"),
+    "equipment": (machinery, "validate_equipment", _refused, [],
+                  {"check": "counterexample", "variant": "single-row", "k": 2},
+                  "searcher produced invalid equipment: injected clause"),
+    "stopping-rule": (counterexamples, "chi_of", lambda *args: -1, [],
+                      {"check": "counterexample", "variant": "split-pairs", "k": 2},
+                      '"chi_drops_without_special":false'),
+}
+
+
+@pytest.mark.parametrize("fault", FAULTS)
+def test_failed_guarantee_is_a_violation_row(tmp_path, monkeypatch, capsys, fault):
+    """A searcher or builder whose result fails its own check gives a
+    violation row naming the failed clause; the run completes, and
+    chibound run exits 1."""
+    module, attr, stand_in, corpus, check, clause = FAULTS[fault]
+    monkeypatch.setattr(module, attr, stand_in)
+    config = {"corpus": corpus, "checks": [check]}
+    (row,) = run_experiment(ExperimentConfig.from_dict(config)).rows
+    assert row["outcome"] == "violation" and clause in row["detail"], row
+    path = tmp_path / "config.json"
+    path.write_text(json.dumps(config))
+    assert cli_main(["run", "--config", str(path), "--out", str(tmp_path / "out")]) == 1
+    assert json.loads(capsys.readouterr().out)["violations"] == 1
+    assert "violation" in (tmp_path / "out" / "report.csv").read_text()
+
+
 BAD_BUDGETS = [0, -3, 2.5, True, "50"]
 TOWER = {"generator": "mycielski_tower", "t": 3}
 
@@ -412,6 +454,33 @@ def test_cli_counterexample(capsys):
     assert rc == 0 and payload["chi_after"] == 3
 
 
+def test_cli_counterexample_false_flag_exits_one(monkeypatch, capsys):
+    """A false verification flag is a violation (exit 1), reported with the
+    construction, not bad input (exit 2)."""
+    monkeypatch.setattr(counterexamples, "chi_of", lambda *args: -1)
+    rc = cli_main(["counterexample", "--variant", "split-pairs", "--k", "2"])
+    payload = json.loads(capsys.readouterr().out.strip())
+    assert rc == 1 and payload["verification"]["chi_drops_without_special"] is False
+
+
+@pytest.mark.parametrize(
+    "argv",
+    [["find-tree", "--tree", "superstar", "--set", "d=3", "--node-budget", "5"],
+     ["starry", "--k", "1", "--d", "2", "--node-budget", "3"]],
+    ids=["find-tree", "starry"],
+)
+def test_cli_spent_budget_is_indeterminate(tmp_path, capsys, argv):
+    """A spent node budget is neither an answer nor a violation: one JSON
+    object on stdout, exit 3, no traceback."""
+    graph = tmp_path / "k72.g6"
+    assert cli_main(["gen", "--generator", "kneser", "--set", "n=7", "--set", "k=2", "--out", str(graph)]) == 0
+    assert cli_main([*argv, "--graph", str(graph)]) == 3
+    out, err = capsys.readouterr()
+    payload = json.loads(out)
+    assert payload["indeterminate"] is True and "budget" in payload["reason"]
+    assert err == ""
+
+
 def test_cli_counterexample_rejects_unusable_base(tmp_path, capsys):
     """A base failing a construction requirement is bad input (exit 2), not
     a refuted construction (exit 1)."""
@@ -482,10 +551,11 @@ def test_cli_run_rejects_malformed_config(tmp_path, capsys):
         ["threshold", "--lemma", "T3.3", "--set", "r=1", "--set", "s=1", "--set", "d=1", "--set", "ks=1",
          "--set", "tau=1"],
         ["threshold", "--lemma", "T2.2", "--set", "c=0", "--set", "tau=1", "--digit-limit", "-5"],
+        ["threshold", "--lemma", "T2.2", "--set", "c=1,x", "--set", "tau=1"],
     ],
     ids=["gen-cycle-n", "gen-kneser-k", "find-tree-d", "find-tree-d-list", "gen-extra-set", "find-tree-extra-set",
          "set-without-equals", "find-tree-missing-d", "find-tree-anchor-unrooted", "threshold-extra-set",
-         "threshold-bare-ks", "threshold-digit-limit"],
+         "threshold-bare-ks", "threshold-digit-limit", "threshold-bad-list"],
 )
 def test_cli_rejects_bad_parameters(tmp_path, capsys, argv):
     """A generator, tree or lemma parameter that is not a non-negative
@@ -497,7 +567,10 @@ def test_cli_rejects_bad_parameters(tmp_path, capsys, argv):
     if argv[0] == "find-tree":
         argv = [*argv, "--graph", str(graph)]
     assert cli_main(argv) == 2
-    assert capsys.readouterr().err.startswith("error: ")
+    err = capsys.readouterr().err
+    assert err.startswith("error: ")
+    if "c=1,x" in argv:  # a bad list value names its key
+        assert err == "error: --set c expects comma-separated integers, got '1,x'\n"
 
 
 def test_cli_parse_error_exit_code(tmp_path):
