@@ -12,9 +12,11 @@ budget for each k, and returns the first colouring it finds.
 
 Unbudgeted calls also use what the memo proves: a refuted k-colouring
 starts the next chi sweep of that graph above k, and a scan for the vertex
-set of largest chi stops at chi(g) and skips sets too small to win
-(best_by_chi). Budgeted calls ignore the memo, so their budget outcomes
-are those of a cold graph.
+set of largest chi stops at chi(g). Such a scan also colours only the sets
+that can win: by the Szekeres-Wilf bound chi <= degeneracy + 1, a set
+whose b-core is empty has chi <= b, so it cannot beat a best chi of b
+(best_by_chi). Budgeted calls ignore the memo and colour every set, so
+their budget outcomes are those of a cold graph.
 """
 
 from dataclasses import dataclass
@@ -141,15 +143,37 @@ def clique_number(g, node_budget=None):
     return len(clique), tuple(clique)
 
 
+def _core_is_empty(adj, smask, b):
+    """True when the b-core of the subgraph induced on smask is empty:
+    deleting every vertex with fewer than b neighbours in what is left of
+    the set, round after round, deletes the whole set. A deleted vertex
+    has fewer than b neighbours in every subset of what was left, so it is
+    in no subgraph of minimum degree b, and the order of deletion does not
+    matter."""
+    while smask:
+        left = rest = smask
+        while rest:
+            low = rest & -rest
+            rest ^= low
+            if (adj[low.bit_length() - 1] & smask).bit_count() < b:
+                smask ^= low
+        if smask == left:
+            return False
+    return True
+
+
 def best_by_chi(g, masks, node_budget=None):
     """First vertex mask of largest chromatic number in the given order,
     with that chi; (None, -1) when there are no masks. Components listed by
     graphs._component_masks thus tie-break to the smallest member.
 
     An unbudgeted scan applies two exact rules. It stops once the best chi
-    equals chi(g) from g's memo, since no subgraph has a larger chi. It
-    skips a mask with at most best-chi vertices, since such a set cannot
-    have a strictly larger chi. Neither rule changes the answer. A budgeted
+    equals chi(g) from g's memo, since no subgraph has a larger chi. Once
+    the best chi b is at least 0, it skips a mask whose b-core is empty
+    (_core_is_empty): the set then has degeneracy below b, so its chi is
+    at most b by the Szekeres-Wilf bound chi <= degeneracy + 1, and it
+    cannot beat the first mask of chi b. A set of at most b vertices is
+    the plainest such case. Neither rule changes the answer. A budgeted
     scan colours every mask, so its budget outcome is that of a cold graph.
     """
     _check_positive_int(node_budget, "node_budget")
@@ -157,8 +181,9 @@ def best_by_chi(g, masks, node_budget=None):
     if node_budget is None:
         whole = g._chi_memo.get((1 << g.n) - 1)
         cap = whole[0] if whole is not None else None
+    adj = g.adjacency_masks()
     for m in masks:
-        if node_budget is None and m.bit_count() <= best_chi:
+        if node_budget is None and best_chi >= 0 and _core_is_empty(adj, m, best_chi):
             continue
         chi = _chi_of_mask(g, m, node_budget)[0]
         if chi > best_chi:
@@ -174,7 +199,7 @@ def chi_local(g, k, node_budget=None):
 
     Unbudgeted, the balls are scanned by best_by_chi: the scan stops
     once a ball reaches chi(g), when chromatic_number(g) is memoised, and
-    skips balls with no more vertices than the best chi so far. A budgeted
+    skips balls whose b-core is empty, b the best chi so far. A budgeted
     call colours every ball."""
     if k < 1:
         raise ValueError(f"radius must be positive, got {k}")

@@ -79,7 +79,10 @@ def parse_graph6(text):
     line = text.strip()
     if "\n" in line:
         raise GraphParseError("expected a single graph6 line", line=2)
-    data = line.encode("ascii", errors="replace")
+    try:
+        data = line.encode("ascii")
+    except UnicodeEncodeError as e:
+        raise GraphParseError(f"non-ASCII character {line[e.start]!r} in graph6 text", line=1, offset=e.start) from None
     n, pos = _g6_parse_size(data)
     nbits = n * (n - 1) // 2
     nchars = (nbits + 5) // 6
@@ -110,22 +113,16 @@ def parse_graph6(text):
 
 
 def write_graph6(g):
+    """The graph6 line of g. Column j, the pairs (i, j) with i < j, is
+    the bits of j's adjacency mask below j, lowest first; the columns are
+    joined into one bit string, padded to whole 6-bit groups."""
     n = g.n
-    out = bytearray(_g6_size_prefix(n))
-    bitbuf = 0
-    nbits = 0
-    for j in range(1, n):
-        col = g.adjacency_mask(j)
-        for i in range(j):
-            bitbuf = (bitbuf << 1) | ((col >> i) & 1)
-            nbits += 1
-    pad = (-nbits) % 6
-    bitbuf <<= pad
-    nbits += pad
-    while nbits:
-        nbits -= 6
-        out.append(((bitbuf >> nbits) & 63) + 63)
-    return out.decode("ascii")
+    adj = g.adjacency_masks()
+    cols = "".join(format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
+    pad = -len(cols) % 6
+    bitbuf = int(cols or "0", 2) << pad
+    body = "".join(chr(((bitbuf >> s) & 63) + 63) for s in range(len(cols) + pad - 6, -1, -6))
+    return _g6_size_prefix(n).decode("ascii") + body
 
 
 def parse_graph(text, fmt):

@@ -8,9 +8,10 @@ embedding kernels' candidate-by-candidate search and its node accounting,
 reference_k_color, the single-k DSATUR kernel with its saturation as one
 mask per level and per colour, before the k-sweep, the renumbering and the
 packed state, ReferenceMag with ReferenceEstimate, the magnitude arithmetic of the
-threshold estimates before its fast paths, and the ref_validate_*
+threshold estimates before its fast paths, the ref_validate_*
 functions, the certificate validators as they were over frozensets, before
-they moved to vertex masks.
+they moved to vertex masks, and reference_write_graph6, the graph6 writer
+that shifts in one bit per vertex pair.
 """
 
 import math
@@ -427,6 +428,49 @@ def first_argmax(items, key):
         if value > best_key:
             best, best_key = item, value
     return best, best_key
+
+
+def reference_best_by_chi(g, masks):
+    """First mask of largest chromatic number and that chi, or (None, -1)
+    when there are no masks: every mask is coloured by reference_k_sweep
+    on its induced subgraph, vertices numbered ascending, with no memo and
+    no skipped mask."""
+
+    def chi(mask):
+        verts = [v for v in range(g.n) if mask >> v & 1]
+        adj = [0] * len(verts)
+        for i, u in enumerate(verts):
+            for j, v in enumerate(verts):
+                if g.has_edge(u, v):
+                    adj[i] |= 1 << j
+        status, colors, _ = reference_k_sweep(len(verts), adj, 1, 0, len(verts))
+        assert status == 0
+        return max(colors, default=0)
+
+    return first_argmax(masks, chi)
+
+
+def reference_write_graph6(g):
+    """graphio.write_graph6 as it was: one shift per vertex pair, in
+    column order, then 6-bit groups read off the top."""
+    from chibound.graphio import _g6_size_prefix
+
+    n = g.n
+    out = bytearray(_g6_size_prefix(n))
+    bitbuf = 0
+    nbits = 0
+    for j in range(1, n):
+        col = g.adjacency_mask(j)
+        for i in range(j):
+            bitbuf = (bitbuf << 1) | ((col >> i) & 1)
+            nbits += 1
+    pad = (-nbits) % 6
+    bitbuf <<= pad
+    nbits += pad
+    while nbits:
+        nbits -= 6
+        out.append(((bitbuf >> nbits) & 63) + 63)
+    return out.decode("ascii")
 
 
 # ------------------------------------------ reference magnitude arithmetic

@@ -6,9 +6,11 @@ from oracles import (
     brute_chi_local,
     brute_chromatic,
     brute_clique_number,
+    brute_distances,
     brute_subset_chi,
     first_argmax,
     has_triangle,
+    reference_best_by_chi,
 )
 from strategies import graphs_with_subsets
 
@@ -33,7 +35,7 @@ from chibound.generators import (
     random_graph,
     star_graph,
 )
-from chibound.graphs import Graph, distance, induced_subgraph, mask_to_set
+from chibound.graphs import Graph, _component_masks, distance, induced_subgraph, mask_to_set
 
 
 def corpus(count, sizes=(5, 6, 7, 8, 9), ps=("0.2", "0.4", "0.6", "0.8")):
@@ -222,7 +224,7 @@ def test_memo_answers_match_a_cold_graph(case):
 @given(graphs_with_subsets(max_n=10), st.sampled_from([1, 2]), st.booleans())
 def test_chi_local_is_the_largest_ball_chi(case, k, warm):
     """Warm, chromatic_number(g) is memoised first, so the scan may stop at
-    chi(g); cold, only the vertex-count skip applies."""
+    chi(g); cold, only the empty-core skip applies."""
     g, _ = case
     if warm:
         chromatic_number(g)
@@ -241,6 +243,40 @@ def test_best_by_chi_is_the_first_argmax(case, data, warm, budget):
     assert best_by_chi(g, iter(masks), budget) == expected
 
 
+@st.composite
+def scan_masks(draw):
+    """A random graph on up to 40 vertices and the masks of one scan kind:
+    radius-1 or radius-2 balls in vertex order, the components of a random
+    vertex set (all of them, or those meeting a random set), or random
+    vertex sets."""
+    n = draw(st.integers(0, 40))
+    g = random_graph(n, draw(st.sampled_from(("0.05", "0.1", "0.15", "0.25"))), draw(st.integers(0, 10**6)))
+    whole = (1 << n) - 1
+    kind = draw(st.sampled_from(("ball1", "ball2", "components", "subsets")))
+    if kind.startswith("ball"):
+        radius, dist = int(kind[-1]), brute_distances(g)
+        masks = [sum(1 << u for u in range(n) if dist[v][u] is not None and dist[v][u] <= radius) for v in range(n)]
+    elif kind == "components":
+        smask, meeting = draw(st.integers(0, whole)), draw(st.one_of(st.just(-1), st.integers(0, whole)))
+        masks = list(_component_masks(g, smask, meeting))
+    else:
+        masks = draw(st.lists(st.integers(0, whole), max_size=12))
+    return g, masks
+
+
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(scan_masks(), st.booleans())
+def test_pruned_best_by_chi_matches_the_full_scan(case, warm):
+    """The empty-core skip never changes the answer: an unbudgeted scan
+    returns the (mask, chi) of a scan that colours every mask with the
+    reference k-sweep. Warm, chi(g) is memoised first, so the scan may
+    also stop at chi(g)."""
+    g, masks = case
+    if warm:
+        chromatic_number(g)
+    assert best_by_chi(g, iter(masks)) == reference_best_by_chi(g, masks)
+
+
 @pytest.fixture
 def k_color_ks(spy_k_color):
     """Every k the test's _kernels.k_color calls try, in order."""
@@ -250,17 +286,19 @@ def k_color_ks(spy_k_color):
 
 
 def test_chi_local_stops_at_chi_and_skips_small_balls(k_color_ks):
-    """Pins the k_color calls of chi_local once chi(g) is memoised, on a
-    survey graph, random(38, 0.1). Colouring every ball took 38 calls at
-    radius 1, where skipping balls of at most 3 vertices saves 5, and 58
-    at radius 2, where the scan stops at the second ball of chi 4."""
+    """Pins the k a chi_local scan tries once chi(g) is memoised, on a
+    survey graph, random(38, 0.1). Colouring every ball tried 38 k at
+    radius 1 and 58 at radius 2. At radius 1 the first ball has chi 3 and
+    every later ball has an empty 3-core, so one k is tried; skipping only
+    balls of at most 3 vertices tried 33. At radius 2 the first ball
+    reaches chi(g) = 4 and the scan stops after trying k = 3 and 4."""
     g = random_graph(38, "0.1", 38000)
     assert chromatic_number(g)[0] == 4
     del k_color_ks[:]
     assert chi_local(g, 1) == 3
-    at_radius_1 = len(k_color_ks)
+    assert k_color_ks == [3]
     assert chi_local(g, 2) == 4
-    assert at_radius_1 <= 33 and len(k_color_ks) - at_radius_1 <= 2
+    assert k_color_ks == [3, 3, 4]
 
 
 def test_refuted_colouring_starts_the_sweep_above_k(k_color_ks):

@@ -1,7 +1,8 @@
 import pytest
 from hypothesis import given, settings
+from hypothesis import strategies as st
 
-from oracles import brute_components, brute_distances
+from oracles import brute_components, brute_distances, reference_write_graph6
 from strategies import graphs_with_subsets
 
 from chibound.embed import _bfs_dist
@@ -90,6 +91,19 @@ def test_graph6_cross_check_reference_codec():
         assert parse_graph6(theirs) == g
 
 
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(("0", "0.1", "0.5", "0.9", "1")), st.integers(0, 10**6))
+def test_graph6_writer_matches_the_reference(p, seed):
+    """The column-at-a-time writer gives the bytes of the bit-at-a-time
+    one, and they parse back, on every n up to 70: the size prefix grows
+    from one byte to four between n = 62 and 63."""
+    for n in range(71):
+        g = random_graph(n, p, seed + n)
+        line = write_graph6(g)
+        assert line == reference_write_graph6(g), n
+        assert parse_graph6(line) == g, n
+
+
 def test_graph6_errors():
     with pytest.raises(GraphParseError):
         parse_graph6("")
@@ -105,6 +119,10 @@ def test_graph6_errors():
         parse_graph6(chr(126) + chr(63) + chr(63) + chr(65) + "_")
     for bad in ("~??", "~~?????", chr(127), "~~" + chr(63) * 6):  # truncated, byte 127, non-minimal
         with pytest.raises(GraphParseError):
+            parse_graph6(bad)
+    # a non-ASCII character is refused where it stands, not read as "?"
+    for bad, offset in (("é", 0), ("Aé", 1)):
+        with pytest.raises(GraphParseError, match=f"non-ASCII character 'é' in graph6 text \\(line 1, offset {offset}\\)"):
             parse_graph6(bad)
     # the smallest size that needs the 8-byte prefix
     assert _g6_parse_size(b"~~" + bytes([63, 63, 63, 63 + 63, 63, 63]) + b"xyz") == (258048, 8)

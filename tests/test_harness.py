@@ -577,6 +577,8 @@ def test_cli_parse_error_exit_code(tmp_path):
     bad = tmp_path / "bad.g6"
     bad.write_text("D")
     assert cli_main(["chi", "--graph", str(bad)]) == 2
+    bad.write_text("Aé\n", encoding="utf-8")  # K2 with a non-ASCII data byte
+    assert cli_main(["chi", "--graph", str(bad)]) == 2
 
 
 # ------------------------------------------------------- harness snapshot
@@ -693,6 +695,35 @@ def test_each_instance_colours_each_vertex_set_once(monkeypatch):
         distinct = len(set(asked))
         assert len(asked) > distinct, entry  # repeats exist, so a dead memo shows
         assert len(calls) <= distinct, entry
+
+
+def test_scans_colour_only_sets_that_can_win(monkeypatch):
+    """The empty-core skip in best_by_chi fires on a survey instance,
+    random(50, 0.15), under all six per-graph checks: the run makes at
+    most 10 k_color calls, where colouring every set that has more
+    vertices than the best chi so far made 19."""
+    from chibound import _kernels
+
+    k_color, calls = _kernels.k_color, []
+
+    def counted_k_color(*args, **kwargs):
+        calls.append(len(args[0]))
+        return k_color(*args, **kwargs)
+
+    monkeypatch.setattr(_kernels, "k_color", counted_k_color)
+    config = {
+        "corpus": [{"generator": "random", "n": 50, "p": "0.15", "seed": 50001}],
+        "checks": [
+            {"check": "invariants"},
+            {"check": "stable_removal_degree"},
+            {"check": "gyarfas", "k_max": 2, "starts": 3},
+            {"check": "x_split", "min_chi": 0},
+            {"check": "spire", "d": 1, "min_chi": 0},
+            {"check": "starry", "k": 1, "d": 1},
+        ],
+    }
+    assert run_experiment(ExperimentConfig.from_dict(config)).summary["violations"] == 0
+    assert len(calls) <= 10
 
 
 if __name__ == "__main__":
