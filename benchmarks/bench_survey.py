@@ -4,8 +4,7 @@
 A sweep runs every survey config of e2ebench (six named graphs and 48
 sparse random graphs, each under all six per-graph checks, plus three
 counterexample checks) through harness.run_experiment with an output
-directory, or with none under --no-output, which leaves out the file
-writes, one config at a time, in this interpreter. After one untimed
+directory, one config at a time, in this interpreter. After one untimed
 warm-up sweep it times --repeat sweeps, then counts the calls one more
 sweep makes to the k_color and greedy_clique kernel entry points. A
 k_color call is one k-sweep: a chromatic number costs one call, however
@@ -13,7 +12,7 @@ many k it tries. It prints one JSON object.
 
 Usage, from the root of a checkout; PYTHONPATH picks the chibound to time:
 
-    PYTHONPATH=src python benchmarks/bench_survey.py --backend py --repeat 5 [--no-output]
+    PYTHONPATH=src python benchmarks/bench_survey.py --backend py --repeat 5
 
 --backend c builds the tracked C kernels with setup.py into a temporary
 directory, as tests/test_kernels.py does, and loads them from there.
@@ -69,7 +68,6 @@ def main():
     parser = argparse.ArgumentParser()
     parser.add_argument("--backend", choices=("py", "c"), default="py")
     parser.add_argument("--repeat", type=int, default=5)
-    parser.add_argument("--no-output", action="store_true", help="run every config without an output directory")
     args = parser.parse_args()
 
     with tempfile.TemporaryDirectory() as tmp:
@@ -88,7 +86,7 @@ def main():
         def sweep():
             start = time.perf_counter()
             for i, config in enumerate(configs):
-                harness.run_experiment(config, output_dir=None if args.no_output else str(tmp / f"op{i:02d}"))
+                harness.run_experiment(config, output_dir=str(tmp / f"op{i:02d}"))
             return time.perf_counter() - start
 
         sweep()
@@ -102,7 +100,6 @@ def main():
         "package": str(Path(chibound.__file__).parent),
         "python": platform.python_version(),
         "configs": len(configs),
-        "output": not args.no_output,
         "sweep_s": [round(t, 4) for t in times],
         "median_s": round(statistics.median(times), 4),
         "calls_per_sweep": calls,

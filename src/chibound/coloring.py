@@ -11,12 +11,14 @@ one set-up and one greedy clique for the whole sweep and a fresh node
 budget for each k, and returns the first colouring it finds.
 
 Unbudgeted calls also use what the memo proves: a refuted k-colouring
-starts the next chi sweep of that graph above k, and a scan for the vertex
-set of largest chi stops at chi(g). Such a scan also colours only the sets
-that can win: by the Szekeres-Wilf bound chi <= degeneracy + 1, a set
-whose b-core is empty has chi <= b, so it cannot beat a best chi of b
-(best_by_chi). Budgeted calls ignore the memo and colour every set, so
-their budget outcomes are those of a cold graph.
+starts the next chi sweep of that graph above k, a set that holds a set
+already coloured with chi(g) colours has chi(g) and is not coloured
+(_chi_of_mask), and a scan for the vertex set of largest chi stops at
+chi(g). Such a scan also colours only the sets that can win: by the
+Szekeres-Wilf bound chi <= degeneracy + 1, a set whose b-core is empty has
+chi <= b, so it cannot beat a best chi of b (best_by_chi). Budgeted calls
+ignore the memo and colour every set, so their budget outcomes are those
+of a cold graph.
 """
 
 from dataclasses import dataclass
@@ -121,16 +123,29 @@ def _chi_of_mask(g, smask, node_budget=None):
     vertex set keeps g's own masks. Unbudgeted answers go in g's chi
     memo, and unbudgeted sweeps start at the lower bound is_k_colorable
     proved there.
+
+    Once chi(g) is memoised, the memo also keeps under "top" the smallest
+    set coloured from then on with chi(g) colours. An unbudgeted call on
+    a set that contains it answers chi(g) without colouring, since the set
+    has at least the chi of its subset and at most that of g, and returns
+    no witness: only chromatic_number reads one, and the whole vertex set
+    it asks for is coloured before "top" is set.
     """
-    memo = g._chi_memo
+    memo, whole = g._chi_memo, (1 << g.n) - 1
     if node_budget is None:
         hit = memo.get(smask)
         if hit is not None:
             return hit
-    adj = g.adjacency_masks() if smask == (1 << g.n) - 1 else _induced_masks(g, smask)
+        top = memo.get("top")
+        if top is not None and top & ~smask == 0:
+            memo[smask] = result = (memo[whole][0], None)
+            return result
+    adj = g.adjacency_masks() if smask == whole else _induced_masks(g, smask)
     if node_budget is not None:
         return _chromatic(adj, node_budget)
     memo[smask] = result = _chromatic(adj, None, memo.get(("lower", smask), 1))
+    if result[0] == memo.get(whole, (None,))[0] and (top is None or smask.bit_count() < top.bit_count()):
+        memo["top"] = smask
     return result
 
 
@@ -173,17 +188,18 @@ def best_by_chi(g, masks, node_budget=None):
     (_core_is_empty): the set then has degeneracy below b, so its chi is
     at most b by the Szekeres-Wilf bound chi <= degeneracy + 1, and it
     cannot beat the first mask of chi b. A set of at most b vertices is
-    the plainest such case. Neither rule changes the answer. A budgeted
-    scan colours every mask, so its budget outcome is that of a cold graph.
+    the plainest such case. A mask whose chi is memoised is looked up, not
+    peeled. Neither rule changes the answer. A budgeted scan colours every
+    mask, so its budget outcome is that of a cold graph.
     """
     _check_positive_int(node_budget, "node_budget")
     best, best_chi, cap = None, -1, None
+    memo, adj = g._chi_memo, g.adjacency_masks()
     if node_budget is None:
-        whole = g._chi_memo.get((1 << g.n) - 1)
+        whole = memo.get((1 << g.n) - 1)
         cap = whole[0] if whole is not None else None
-    adj = g.adjacency_masks()
     for m in masks:
-        if node_budget is None and best_chi >= 0 and _core_is_empty(adj, m, best_chi):
+        if node_budget is None and best_chi >= 0 and m not in memo and _core_is_empty(adj, m, best_chi):
             continue
         chi = _chi_of_mask(g, m, node_budget)[0]
         if chi > best_chi:

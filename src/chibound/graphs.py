@@ -20,8 +20,10 @@ class Graph:
 
     Each graph carries a chi memo, filled and read only by coloring.py: the
     chromatic number and witness of every vertex set coloured by an
-    unbudgeted call, chi_local per radius, and under ("lower", mask) the
-    bound chi >= k + 1 that an unbudgeted refuted k-colouring proved.
+    unbudgeted call (chi(g) and no witness for a set that holds "top"),
+    chi_local per radius, under ("lower", mask) the bound chi >= k + 1
+    that an unbudgeted refuted k-colouring proved, and under "top" the
+    smallest set coloured with chi(g) colours.
     Since a graph never changes, the memo lives exactly as long as the
     graph and never goes stale. Calls with a node budget neither read nor
     write it, so budget outcomes are those of a cold graph.

@@ -431,19 +431,14 @@ def first_argmax(items, key):
 
 
 def reference_best_by_chi(g, masks):
-    """First mask of largest chromatic number and that chi, or (None, -1)
-    when there are no masks: every mask is coloured by reference_k_sweep
-    on its induced subgraph, vertices numbered ascending, with no memo and
-    no skipped mask."""
+    """first_argmax over the masks by chromatic number, each mask coloured
+    by reference_k_sweep on its induced subgraph, with no memo and no
+    skipped mask."""
+    from chibound.graphs import induced_subgraph, mask_to_set
 
     def chi(mask):
-        verts = [v for v in range(g.n) if mask >> v & 1]
-        adj = [0] * len(verts)
-        for i, u in enumerate(verts):
-            for j, v in enumerate(verts):
-                if g.has_edge(u, v):
-                    adj[i] |= 1 << j
-        status, colors, _ = reference_k_sweep(len(verts), adj, 1, 0, len(verts))
+        h, _ = induced_subgraph(g, mask_to_set(mask))
+        status, colors, _ = reference_k_sweep(h.n, h.adjacency_masks(), 1, 0, h.n)
         assert status == 0
         return max(colors, default=0)
 

@@ -178,10 +178,12 @@ def test_chi_of_budget_bounds():
 def memo_calls(draw, max_n=14):
     """A graph and a sequence of chromatic calls on it: ("set", s, budget),
     ("whole", budget) or ("local", k, budget). Vertex sets repeat, so the
-    sequence mixes memo hits with misses."""
+    sequence mixes memo hits with misses, and the pool holds the union of
+    its sets, so a set may contain one already coloured."""
     g, _ = draw(graphs_with_subsets(max_n))
     vertex_sets = st.frozensets(st.sampled_from(range(g.n))) if g.n else st.just(frozenset())
     pool = draw(st.lists(vertex_sets, min_size=1, max_size=4))
+    pool.append(frozenset().union(*pool))
     budgets = st.sampled_from([None, None, 1, 2, 4, 16])
     call = st.one_of(
         st.tuples(st.just("set"), st.sampled_from(pool), budgets),
@@ -312,6 +314,23 @@ def test_refuted_colouring_starts_the_sweep_above_k(k_color_ks):
         del k_color_ks[:]
         assert chromatic_number(g) == cold
         assert k_color_ks == sweep
+
+
+def test_a_set_holding_a_set_of_chi_g_is_not_coloured(k_color_ks):
+    """K4 on 0-3 and a path on 4-7: once chi(g) = 4 is memoised and the K4
+    has been coloured with 4 colours, a set that holds the K4 has chi 4
+    with no k tried. A set that holds only the triangle 1-3, of chi 3, is
+    coloured, and so is every set under a budget."""
+    g = Graph(8, [(u, v) for u in range(4) for v in range(u + 1, 4)] + [(4, 5), (5, 6), (6, 7)])
+    assert chromatic_number(g)[0] == 4
+    assert chi_of(g, {1, 2, 3}) == 3
+    assert chi_of(g, {0, 1, 2, 3}) == 4
+    del k_color_ks[:]
+    assert chi_of(g, {0, 1, 2, 3, 4, 5}) == 4
+    assert k_color_ks == []
+    assert chi_of(g, {1, 2, 3, 4, 5}) == 3
+    assert chi_of(g, {0, 1, 2, 3, 6}, node_budget=10**6) == 4
+    assert k_color_ks == [3, 4]
 
 
 @pytest.mark.parametrize("budget", [0, -3, 2.5, True], ids=repr)

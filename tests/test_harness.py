@@ -697,20 +697,15 @@ def test_each_instance_colours_each_vertex_set_once(monkeypatch):
         assert len(calls) <= distinct, entry
 
 
-def test_scans_colour_only_sets_that_can_win(monkeypatch):
-    """The empty-core skip in best_by_chi fires on a survey instance,
-    random(50, 0.15), under all six per-graph checks: the run makes at
-    most 10 k_color calls, where colouring every set that has more
-    vertices than the best chi so far made 19."""
-    from chibound import _kernels
-
-    k_color, calls = _kernels.k_color, []
-
-    def counted_k_color(*args, **kwargs):
-        calls.append(len(args[0]))
-        return k_color(*args, **kwargs)
-
-    monkeypatch.setattr(_kernels, "k_color", counted_k_color)
+def test_scans_colour_only_sets_that_can_win(spy_k_color):
+    """The bounds that spare colourings fire on a survey instance,
+    random(50, 0.15), under all six per-graph checks: the run tries 9 k in
+    7 k_color calls. Skipping in best_by_chi only the sets of at most b
+    vertices instead of those with an empty b-core tries 18 k; colouring
+    the sets that hold a set of chi(g) tries 12; doing both tried 21 k in
+    19 calls."""
+    tried = []
+    spy_k_color(lambda adj, k: tried.append(k))
     config = {
         "corpus": [{"generator": "random", "n": 50, "p": "0.15", "seed": 50001}],
         "checks": [
@@ -723,7 +718,7 @@ def test_scans_colour_only_sets_that_can_win(monkeypatch):
         ],
     }
     assert run_experiment(ExperimentConfig.from_dict(config)).summary["violations"] == 0
-    assert len(calls) <= 10
+    assert len(tried) <= 9
 
 
 if __name__ == "__main__":
