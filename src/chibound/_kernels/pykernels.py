@@ -28,24 +28,27 @@ Common conventions:
     with no renumbering, and runs the same search node for node;
   * the induced-embedding search carries one packed int, fit, with an
     hn-bit field per search position (hn the host's vertex count): field t
-    holds the hosts whose adjacency to the hosts placed so far matches
-    position t's adjacency to their positions, so each position takes its
-    passing candidates as one AND of its candidate pool with its field,
-    and the last position takes them all in one step, made inside the
-    loop of the position before it (see find_embedding); _ckernels.c
-    keeps a loop over each candidate below the last position, one mask
-    comparison each, over the same nodes;
+    starts as position t's candidate mask, and each placement clears from
+    it the used host, the hosts whose adjacency to the placed host does not
+    match t's adjacency to the placed position and, if that position is
+    above[t], the hosts not above its host; so each position's field is
+    its passing set, and the last position takes them all in one step,
+    made inside the loop of the position before it (see find_embedding).
+    The candidate pools, passing and failing candidates, are built only
+    by a budgeted call, to charge the failing ones; _ckernels.c keeps a
+    loop over each candidate of the pool below the last position, one
+    mask comparison each, over the same nodes;
   * a position's parent in the embedding search is its latest earlier
     neighbour: the DFS parent in a DFS preorder, such as _search_plan's,
     and still a neighbour in any other order, so only node charges depend
     on the order (see find_embedding);
   * the embedding kernels take above, one earlier position or -1 per
-    position, and keep only hosts above the host of position above[t] in
-    t's pool. embed._search_plan links each isomorphic sibling subtree of
-    a forest pattern to the previous one this way, so a search visits one
-    of each set of relabellings of those subtrees; the first embedding
-    is unchanged, and embed.count_induced_embeddings multiplies a count
-    by the number of automorphisms the constraints break;
+    position, and keep only hosts above the host of position above[t] as
+    t's candidates. embed._search_plan links each isomorphic sibling
+    subtree of a forest pattern to the previous one this way, so a search
+    visits one of each set of relabellings of those subtrees; the first
+    embedding is unchanged, and embed.count_induced_embeddings multiplies
+    a count by the number of automorphisms the constraints break;
   * every entry point returns (status, payload) with status
     0 = result found, 1 = exhausted without result, 2 = budget exceeded;
     k_color's status-2 payload is the k whose search ran out.
@@ -274,28 +277,37 @@ def find_embedding(host_adj, pat_adj_o, above, cands, node_budget=0):
     host's neighbours drops no passing candidate: finds and counts stay
     exact, and only the node charges depend on the order.
 
-    Candidates for position t are the unused hosts of cands[t] adjacent to
-    the parent's host and above the host of position above[t], in
-    ascending order, one node each. A candidate h passes when, for every
-    earlier position s placed at host assign[s], h is adjacent to
-    assign[s] exactly when t is adjacent to s. The search carries fit, one
-    int with an hn-bit field per position, field t in bits t * hn to
-    (t + 1) * hn - 1: it starts as all ones, and placing h at position s
-    ANDs in side[s][h], which holds host row h in the field of each later
-    position adjacent to s, the row's complement in the field of each
-    later position not adjacent to s, and zeros in the fields of s and the
-    positions before it, which are never read again. side[s][h] is built
-    on h's first placement at s, as row * after[s] ^ flip[s]: after[s]
-    holds a one at the bottom of the field of each later position, so the
-    product copies the row into each of those fields, and flip[s] fills
-    the fields of the later positions not adjacent to s. Building every
-    row up front would cost more than an early find spends in its whole
-    search.
+    The pool of position t holds the unused hosts of cands[t] adjacent to
+    the parent's host and above the host of position above[t], its
+    candidates, which a loop would try in ascending order, one node each.
+    A candidate h passes when, for every earlier position s placed at host
+    assign[s], h is adjacent to assign[s] exactly when t is adjacent to s.
+    The search carries fit, one int with an hn-bit field per position,
+    field t in bits t * hn to (t + 1) * hn - 1: it starts as the packed
+    cands masks, and placing h at position s ANDs in side[s][h], which
+    holds host row h in the field of each later position adjacent to s,
+    the row's complement in the field of each later position not adjacent
+    to s, and zeros in the fields of s and the positions before it, which
+    are never read again; it also clears h from every later field
+    (injectivity) and the hosts up to h from the field of every position
+    whose above is s (sibling order; several positions may share an
+    above). side[s][h] is built on h's first placement at s, as row *
+    after[s] ^ (full ^ b) * apart[s], b = 1 << h, with the sibling fields
+    ANDed with the complement of ((b << 1) - 1) * sib[s]: after[s] holds a
+    one at the bottom of the field of each later position, so the product
+    copies the row into each of those fields; apart[s] holds one only for
+    the later positions not adjacent to s, so the XOR turns the row there
+    into its complement less h (the row lacks h, as the host has no
+    loops); sib[s] holds one for each position whose above is s. Building
+    every row up front would cost more than an early find spends in its
+    whole search.
 
-    At position t the passing set is ok = pool & (fit >> t * hn), and only
-    its bits are placed and searched from. The failing candidates are
-    never visited, but a budgeted call still charges them: before placing
-    a passing bit b it charges popcount(pool & ((b << 1) - 1)) nodes, b and
+    So when the search reaches position t, its passing set ok is field t,
+    which equals pool & field in a search that ANDs in only the rows, and
+    only its bits are placed and searched from. The failing candidates are
+    never visited, and an unbudgeted call never builds a pool. A budgeted
+    call still charges them: it builds the pool, and before placing a
+    passing bit b it charges popcount(pool & ((b << 1) - 1)) nodes, b and
     the failures below it, and drops those bits from pool; after the last
     passing bit it charges what is left of pool. At the last position
     L = m - 1 the passing set is taken in one step:
@@ -308,8 +320,9 @@ def find_embedding(host_adj, pat_adj_o, above, cands, node_budget=0):
 
     That step is made in the loop of position L - 1, right after the
     charge for each of its passing candidates, from L's field of fit and
-    that candidate's host row, so no call is made per candidate there. A
-    one-position pattern takes it before any search.
+    that candidate's test, built on its first placement at L - 1 like a
+    side, so no call is made per candidate there. A one-position pattern
+    takes it before any search.
 
     A budgeted call stops, with status 2, at the first charge that takes
     nodes past node_budget, which is where a loop over each position's
@@ -358,33 +371,44 @@ def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
     last = m - 1
     pen = last - 1  # the position whose loop makes the last position's step
     # after[s] has a one at the bottom of the field of each position after
-    # s, so row * after[s] copies a host row into each of those fields, and
-    # flip[s] fills the fields of the later positions not adjacent to s, so
-    # XORing it in turns the row there into its complement
+    # s, so row * after[s] copies a host row into each of those fields;
+    # apart[s] has one there only for the later positions not adjacent to
+    # s, so XORing in full * apart[s] turns the row there into its
+    # complement; sib[s] has one for each position whose above is s
     full = (1 << hn) - 1
     after = [0] * pen
-    flip = [0] * pen
+    apart = [0] * pen
+    sib = [0] * pen
     later = 1 << last * hn
     for s in range(pen - 1, -1, -1):
         t = s + 1
         later |= 1 << t * hn
-        apart = later
+        away = later
         adj = pat_adj_o[s] >> t
         while adj:
             if adj & 1:
-                apart ^= 1 << t * hn
+                away ^= 1 << t * hn
             adj >>= 1
             t += 1
         after[s] = later
-        flip[s] = full * apart
+        apart[s] = away
+    # fit starts as the candidate masks, one per field
+    fit = 0
+    for t in range(m):
+        fit |= cands[t] << t * hn
+        if 0 <= above[t] < pen:
+            sib[above[t]] |= 1 << t * hn
     # sides[s][h], built on h's first placement at s, is what that
     # placement ANDs into fit
     sides = [[None] * hn for _ in range(pen)]
-    # the last position's test against pen's host h keeps host row h ^
-    # flip_last: the row when the two positions are adjacent, else its
-    # complement
+    # tests[h], built on h's first placement at pen, is what that placement
+    # ANDs into the last position's field: host row h ^ flip_last, the row
+    # when the two positions are adjacent (pen is then the last position's
+    # parent), else its complement, less h and, when the last position's
+    # above is pen, every host below h
     flip_last = 0 if pat_adj_o[last] >> pen & 1 else -1
     parent_last, above_last = parents[last], above[last]
+    tests = [None] * hn
     assign = [0] * m
     used = 0
     nodes = 0
@@ -392,26 +416,31 @@ def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
 
     def rec(t, fit):
         """0 = search on, 2 = budget exceeded, 3 = embedding complete.
-        Field u of fit, for u >= t, holds the hosts that pass position
-        u's test against positions 0..t - 1."""
+        Field u of fit, for u >= t, holds the hosts of cands[u] that meet
+        every constraint of positions 0..t - 1: unused, adjacent to their
+        hosts exactly as u is to them, and above the host of above[u] if
+        that is among them."""
         nonlocal used, nodes, total
-        pool = cands[t] & ~used
-        if parents[t] >= 0:
-            pool &= host_adj[assign[parents[t]]]
-        if above[t] >= 0:
-            pool &= -2 << assign[above[t]]
-        ok = pool & (fit >> t * hn)
+        ok = fit >> t * hn & full
+        if node_budget:
+            # the pool: the passing candidates and the failing ones that
+            # a budgeted call charges
+            pool = cands[t] & ~used
+            if parents[t] >= 0:
+                pool &= host_adj[assign[parents[t]]]
+            if above[t] >= 0:
+                pool &= -2 << assign[above[t]]
         if t == pen:
-            if ok:
-                # the last position's pool before pen is placed, and its
-                # passing part; a refutation mostly reaches pen with no
-                # passing candidate, so they are built only when one is
+            # the last position's passing candidates before pen is placed
+            base_ok = fit >> last * hn
+            if node_budget and ok:
+                # and its pool, built only when pen has a passing candidate,
+                # as a refutation mostly reaches pen with none
                 base = cands[last] & ~used
                 if 0 <= parent_last < pen:
                     base &= host_adj[assign[parent_last]]
                 if 0 <= above_last < pen:
                     base &= -2 << assign[above_last]
-                base_ok = base & (fit >> last * hn)
             while ok:
                 b = ok & -ok
                 ok ^= b
@@ -422,14 +451,15 @@ def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
                     if nodes > node_budget:
                         return 2
                 h = b.bit_length() - 1
-                row = host_adj[h]
-                # what placing h at pen removes from the last position's pool
-                keep = -(b << 1) if above_last == pen else ~b
-                if parent_last == pen:
-                    keep &= row
-                ok_last = base_ok & (row ^ flip_last) & keep
+                test = tests[h]
+                if test is None:
+                    tests[h] = test = (host_adj[h] ^ flip_last) & (-(b << 1) if above_last == pen else ~b)
+                ok_last = base_ok & test
                 if node_budget:
-                    pool_last = base & keep
+                    # what placing h at pen leaves of the last position's pool
+                    pool_last = base & (-(b << 1) if above_last == pen else ~b)
+                    if parent_last == pen:
+                        pool_last &= host_adj[h]
                     if ok_last and not count:
                         nodes += (pool_last & ((ok_last & -ok_last) - 1)).bit_count() + 1
                     else:
@@ -457,11 +487,22 @@ def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
                 h = b.bit_length() - 1
                 row = side[h]
                 if row is None:
-                    side[h] = row = host_adj[h] * after[t] ^ flip[t]
+                    # h's row, which lacks h, and its complement less h;
+                    # then only the hosts above h for the positions whose
+                    # above is t
+                    row = host_adj[h] * after[t] ^ (full ^ b) * apart[t]
+                    if sib[t]:
+                        row &= ~(((b << 1) - 1) * sib[t])
+                    side[h] = row
                 assign[t] = h
-                used |= b
-                r = rec(t + 1, fit & row)
-                used ^= b
+                # only a budgeted call builds pools, so only it tracks the
+                # used hosts
+                if node_budget:
+                    used |= b
+                    r = rec(t + 1, fit & row)
+                    used ^= b
+                else:
+                    r = rec(t + 1, fit & row)
                 if r:
                     return r
         if node_budget:
@@ -470,7 +511,7 @@ def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
                 return 2
         return 0
 
-    status = rec(0, -1)
+    status = rec(0, fit)
     if status == 2:
         return (2, None)
     if count:

@@ -25,7 +25,7 @@ from .certificates import (
 )
 from .coloring import _chi_of_mask, best_by_chi, chi_local
 from .embed import find_induced_embedding
-from .errors import SearchBudgetExceeded, _check_positive_int
+from .errors import SearchBudgetExceeded, _check_non_negative_int, _check_positive_int
 from .graphs import _component_masks, bits, is_connected, layers, mask_to_set, vertex_mask
 from .trees import path_tree
 
@@ -41,6 +41,7 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
     components are connected, so chi(Z) > 0 iff Z is nonempty and
     chi(Z) > 1 iff Z has at least two vertices. A budgeted call colours every
     candidate, so its budget outcomes stay those of the colouring."""
+    _check_non_negative_int(min_chi, "min_chi")
     _check_positive_int(node_budget, "node_budget")
     xmask = vertex_mask(g, x_ground)
     outside_x = ((1 << g.n) - 1) & ~xmask
@@ -257,6 +258,7 @@ def find_spire(g, d, min_chi, node_budget=None):
     no start vertex gave a spire; a spire may still exist."""
     if d < 1:
         raise ValueError(f"height must be positive, got {d}")
+    _check_non_negative_int(min_chi, "min_chi")
     _check_positive_int(node_budget, "node_budget")
     order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
     for x0 in order:

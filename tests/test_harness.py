@@ -552,19 +552,20 @@ def test_cli_run_rejects_malformed_config(tmp_path, capsys):
          "--set", "tau=1"],
         ["threshold", "--lemma", "T2.2", "--set", "c=0", "--set", "tau=1", "--digit-limit", "-5"],
         ["threshold", "--lemma", "T2.2", "--set", "c=1,x", "--set", "tau=1"],
+        ["spire", "--height", "1", "--min-chi", "-3"],
     ],
     ids=["gen-cycle-n", "gen-kneser-k", "find-tree-d", "find-tree-d-list", "gen-extra-set", "find-tree-extra-set",
          "set-without-equals", "find-tree-missing-d", "find-tree-anchor-unrooted", "threshold-extra-set",
-         "threshold-bare-ks", "threshold-digit-limit", "threshold-bad-list"],
+         "threshold-bare-ks", "threshold-digit-limit", "threshold-bad-list", "spire-negative-min-chi"],
 )
 def test_cli_rejects_bad_parameters(tmp_path, capsys, argv):
     """A generator, tree or lemma parameter that is not a non-negative
     integer, a --set that is not a parameter or not name=value, a missing
-    parameter, an anchor on an unrooted tree or a digit limit below one is
-    bad input (exit 2), not a traceback or exit 1."""
+    parameter, an anchor on an unrooted tree, a digit limit below one or a
+    negative min_chi is bad input (exit 2), not a traceback or exit 1."""
     graph = tmp_path / "petersen.g6"
     assert cli_main(["gen", "--generator", "petersen", "--out", str(graph)]) == 0
-    if argv[0] == "find-tree":
+    if argv[0] in ("find-tree", "spire"):
         argv = [*argv, "--graph", str(graph)]
     assert cli_main(argv) == 2
     err = capsys.readouterr().err

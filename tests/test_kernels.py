@@ -556,6 +556,30 @@ def test_embedding_kernels_match_reference_on_large_instances(ckernels, case):
             assert getattr(ckernels, kernel)(*case, budget) == want
 
 
+@pytest.mark.parametrize(
+    "case",
+    [
+        ([0] * 13, [0] * 5, [-1, 0, -1, 0, -1], [8, 4100, 512, 658, 17]),
+        ([0] * 7, [0] * 5, [-1, 0, 0, 0, 0], [127] * 5),
+        ([0] * 8, [0] * 4, [-1, 0, 0, 2], [255] * 4),
+        (petersen().adjacency_masks(), [0b1110, 1, 1, 1], [-1, -1, 1, 1], [1023] * 4),
+    ],
+    ids=["edgeless-alternate", "edgeless-fan", "edgeless-fan-then-last", "petersen-claw"],
+)
+def test_positions_sharing_an_above_match_reference_at_every_budget(ckernels, case):
+    """Both backends return the reference search's (status, payload) at
+    every budget when several positions name the same above. The first
+    case is a random input on which a search that keeps sibling order for
+    only one position per above misses a budget stop."""
+    for count in (False, True):
+        kernel = "count_embeddings" if count else "find_embedding"
+        nodes = reference(case, 0, count)[2]
+        for budget in range(nodes + 2):
+            want = reference(case, budget, count)[:2]
+            assert getattr(pykernels, kernel)(*case, budget) == want
+            assert getattr(ckernels, kernel)(*case, budget) == want
+
+
 WIDE = 1 << 5000
 
 # Masks that would make a search read outside its arrays, or never end:

@@ -457,6 +457,14 @@ def test_induced_paths_match_brute_force(case, start, length):
             list(_induced_paths_from(g, start, allowed_mask, length, nodes - 1))
 
 
+@pytest.mark.parametrize("min_chi", [-1, -5, 1.5, True], ids=repr)
+def test_entry_points_reject_bad_min_chi(min_chi):
+    g = petersen()
+    for call in (lambda: find_x_split(g, {0}, min_chi), lambda: find_spire(g, 1, min_chi)):
+        with pytest.raises(ValueError, match="min_chi must be a non-negative integer"):
+            call()
+
+
 @pytest.mark.parametrize("budget", [0, -3, 2.5, True], ids=repr)
 def test_entry_points_reject_bad_budgets(budget):
     g = petersen()
