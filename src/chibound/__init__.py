@@ -1,9 +1,9 @@
 """chibound: a workbench for chromatic-number experiments on small graphs.
 
 Exact coloring and clique search, induced tree containment, certificate
-validators for structured witnesses (splits, spires, cathedrals, bands,
-equipment), arbitrary-precision threshold formulas, counterexample
-builders, and a reproducible experiment harness.
+validators for structured witnesses (splits, spires, equipment),
+arbitrary-precision threshold formulas, counterexample builders, and a
+reproducible experiment harness.
 """
 
 from ._kernels import BACKEND as KERNEL_BACKEND

@@ -6,10 +6,10 @@ and reports the first failed clause by definitional order, which keeps
 test failures actionable. Searchers elsewhere must only emit certificates
 that pass these checks (the closed-loop property).
 
-JSON objects are tagged with "type" in {x_split, equipment, gyarfas,
-spire, cathedral, band} plus "starry" for the two-pattern certificate.
-Context needed for standalone validation (ground sets, the dominated set)
-travels inside the object.
+JSON objects are tagged with "type" in {equipment, gyarfas, spire,
+starry, x_split}; starry is the two-pattern certificate. Context needed
+for standalone validation (ground sets, the dominated set) travels inside
+the object.
 """
 
 from dataclasses import MISSING, dataclass, fields
@@ -18,14 +18,7 @@ from functools import cache
 from .coloring import _chi_of_mask, chi_local
 from .embed import Embedding, StarryCertificate, verify_embedding
 from .graphs import bits, is_connected, vertex_mask
-from .trees import (
-    binary_star,
-    binary_star_order,
-    bristled_star,
-    bristled_star_order,
-    superstar,
-    superstar_order,
-)
+from .trees import binary_star, binary_star_order, bristled_star, bristled_star_order
 
 
 @dataclass(frozen=True)
@@ -58,19 +51,6 @@ class GyarfasResult:
 class Spire:
     path: tuple
     a_set: frozenset
-    b_set: frozenset
-
-
-@dataclass(frozen=True)
-class Cathedral:
-    spires: tuple[Spire, ...]
-
-
-@dataclass(frozen=True)
-class Band:
-    d: int
-    embedding: Embedding
-    center: int
     b_set: frozenset
 
 
@@ -195,13 +175,6 @@ def validate_gyarfas(g, c_set, cert):
     return True, None
 
 
-def _spire_masks(g, spire):
-    """(path, path mask, A mask, B mask) of a spire; an id outside g raises
-    ValueError."""
-    path = tuple(spire.path)
-    return path, vertex_mask(g, path), vertex_mask(g, spire.a_set), vertex_mask(g, spire.b_set)
-
-
 def _spire_clause(g, path, pmask, amask, bmask, cmask):
     """First failed spire clause on masks, or None. The domination clauses
     are tested when cmask, the dominated set's mask, is not None."""
@@ -236,69 +209,12 @@ def _spire_clause(g, path, pmask, amask, bmask, cmask):
 def validate_spire(g, spire, dominated=None):
     """The five spire clauses, plus the three domination clauses when a
     dominated set is supplied."""
+    path = tuple(spire.path)
     cmask = None if dominated is None else vertex_mask(g, dominated)
-    clause = _spire_clause(g, *_spire_masks(g, spire), cmask)
+    clause = _spire_clause(
+        g, path, vertex_mask(g, path), vertex_mask(g, spire.a_set), vertex_mask(g, spire.b_set), cmask
+    )
     return clause is None, clause
-
-
-def validate_cathedral(g, cath, free=False, dominated=None):
-    """Per-spire validity, pairwise disjointness, the cross-edge rule
-    (free variant: only B-to-B allowed), and per-spire domination."""
-    spires = [_spire_masks(g, s) for s in cath.spires]
-    cmask = None if dominated is None else vertex_mask(g, dominated)
-    if not spires:
-        return False, "nonempty"
-    for i, masks in enumerate(spires):
-        clause = _spire_clause(g, *masks, cmask)
-        if clause is not None:
-            return False, f"spire_{i}_{clause}"
-    adj = g.adjacency_masks()
-    for i, (_, pi, ai, bi) in enumerate(spires):
-        vi = pi | ai | bi
-        for j in range(i + 1, len(spires)):
-            _, pj, aj, bj = spires[j]
-            vj = pj | aj | bj
-            if vi & vj:
-                return False, f"disjoint_{i}_{j}"
-            # an edge into spire j must leave B of spire i and land in allowed_j
-            allowed_j = bj if free else aj | bj
-            if any(adj[u] & vj for u in bits(vi & ~bi)) or any(adj[u] & vj & ~allowed_j for u in bits(bi)):
-                return False, f"cross_edges_{i}_{j}"
-    return True, None
-
-
-def validate_band(g, band, dominated=None):
-    """Band clauses: an induced superstar rooted at the center, B fully
-    adjacent to the center and untouched by the rest of the star."""
-    bmask = vertex_mask(g, band.b_set)
-    c = g._check(band.center)
-    cmask = None if dominated is None else vertex_mask(g, dominated)
-    # sizes first: a huge d from the certificate is rejected before any
-    # pattern of that size is built
-    emb = band.embedding
-    if len(emb.mapping) != superstar_order(band.d) or not verify_embedding(g, superstar(band.d).graph, emb):
-        return False, "superstar_embedding_valid"
-    if emb.mapping[0] != c:
-        return False, "root_maps_to_center"
-    hmask = vertex_mask(g, emb.mapping)
-    adj = g.adjacency_masks()
-    if bmask & hmask:
-        return False, "b_avoids_superstar"
-    if bmask & ~adj[c]:
-        return False, "center_adjacent_b"
-    if any(adj[v] & bmask for v in bits(hmask & ~(1 << c))):
-        return False, "superstar_detached_from_b"
-    if cmask is None:
-        return True, None
-    if cmask & hmask:
-        return False, "dominated_avoids_superstar"
-    if cmask & bmask:
-        return False, "dominated_avoids_b"
-    if any(adj[v] & cmask for v in bits(hmask)):
-        return False, "no_edges_superstar_to_dominated"
-    if any(not adj[v] & bmask for v in bits(cmask)):
-        return False, "b_covers_dominated"
-    return True, None
 
 
 def validate_starry(g, cert):
@@ -382,10 +298,6 @@ _CODECS = {
     frozenset: (sorted, lambda v: frozenset(_json_ints(v))),
     tuple: (list, lambda v: tuple(_json_ints(v))),
     Embedding: (Embedding.to_json_list, Embedding.from_json_list),
-    tuple[Spire, ...]: (
-        lambda spires: [_to_json(s) for s in spires],
-        lambda v: tuple(_from_json(Spire, s) for s in _json_list(v)),
-    ),
 }
 
 # context key -> (declared type, default)
@@ -394,7 +306,6 @@ _CONTEXT = {
     "ground": (frozenset, MISSING),
     "c_set": (frozenset, MISSING),
     "dominated": (frozenset, None),
-    "free": (bool, False),
 }
 
 # tag -> (class, context keys, validator called as validate(g, cert, **context))
@@ -403,8 +314,6 @@ _TAGS = {
     "equipment": (Equipment, ("ground",), lambda g, c, ground: validate_equipment(g, ground, c)),
     "gyarfas": (GyarfasResult, ("c_set",), lambda g, c, c_set: validate_gyarfas(g, c_set, c)),
     "spire": (Spire, ("dominated",), validate_spire),
-    "cathedral": (Cathedral, ("free", "dominated"), validate_cathedral),
-    "band": (Band, ("dominated",), validate_band),
     "starry": (StarryCertificate, (), validate_starry),
 }
 _TAG_OF = {cls: tag for tag, (cls, _, _) in _TAGS.items()}

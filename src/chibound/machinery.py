@@ -284,6 +284,8 @@ def find_spire(g, d, min_chi, node_budget=None):
         ok, clause = validate_spire(g, spire, dominated)
         if not ok:
             raise AssertionError(f"construction produced an invalid spire: {clause}")
+        if len(path) != d + 1:
+            raise AssertionError(f"construction produced a spire of height {len(path) - 1}, not {d}")
         return spire, dominated
     return None
 

@@ -751,63 +751,6 @@ def ref_validate_spire(g, spire, dominated=None):
     return True, None
 
 
-def ref_validate_cathedral(g, cath, free=False, dominated=None):
-    from chibound.graphs import bits
-
-    spires = tuple(cath.spires)
-    if not spires:
-        return False, "nonempty"
-    for i, s in enumerate(spires):
-        ok, clause = ref_validate_spire(g, s, dominated)
-        if not ok:
-            return False, f"spire_{i}_{clause}"
-    for i in range(len(spires)):
-        for j in range(i + 1, len(spires)):
-            vi, vj = _ref_spire_vertices(spires[i]), _ref_spire_vertices(spires[j])
-            if vi & vj:
-                return False, f"disjoint_{i}_{j}"
-            allowed_j = spires[j].b_set if free else (spires[j].a_set | spires[j].b_set)
-            for u in vi:
-                for v in bits(g.adjacency_mask(u) & _ref_set_to_mask(vj)):
-                    if u not in spires[i].b_set or v not in allowed_j:
-                        return False, f"cross_edges_{i}_{j}"
-    return True, None
-
-
-def ref_validate_band(g, band, dominated=None):
-    from chibound.embed import verify_embedding
-    from chibound.trees import superstar, superstar_order
-
-    b = _ref_check_vertex_set(g, band.b_set)
-    g._check(band.center)
-    emb = band.embedding
-    if len(emb.mapping) != superstar_order(band.d) or not verify_embedding(g, superstar(band.d).graph, emb):
-        return False, "superstar_embedding_valid"
-    if band.embedding.mapping[0] != band.center:
-        return False, "root_maps_to_center"
-    hverts = frozenset(band.embedding.mapping)
-    if b & hverts:
-        return False, "b_avoids_superstar"
-    bmask = _ref_set_to_mask(b)
-    if any(not g.has_edge(band.center, v) for v in b):
-        return False, "center_adjacent_b"
-    if any(g.adjacency_mask(v) & bmask for v in hverts - {band.center}):
-        return False, "superstar_detached_from_b"
-    if dominated is None:
-        return True, None
-    c = _ref_check_vertex_set(g, dominated)
-    if c & hverts:
-        return False, "dominated_avoids_superstar"
-    if c & b:
-        return False, "dominated_avoids_b"
-    cmask = _ref_set_to_mask(c)
-    if any(g.adjacency_mask(v) & cmask for v in hverts):
-        return False, "no_edges_superstar_to_dominated"
-    if any(not g.adjacency_mask(v) & bmask for v in c):
-        return False, "b_covers_dominated"
-    return True, None
-
-
 def ref_validate_starry(g, cert):
     from chibound.embed import verify_embedding
     from chibound.trees import binary_star, binary_star_order, bristled_star, bristled_star_order

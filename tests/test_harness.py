@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from chibound import counterexamples, machinery
+from chibound import certificates, counterexamples, machinery
 from chibound.cli import main as cli_main
 from chibound.graphio import parse_graph6
 from chibound.errors import _parameters
@@ -197,14 +197,14 @@ def test_malformed_certificates_are_errors(tmp_path, capsys):
     from chibound.graphio import write_graph6
 
     g = star_graph(3)
-    band = {"type": "band", "d": 1, "embedding": [[0, 0], [1, 1]], "center": 0, "b_set": [2]}
+    emb = [[0, 0], [1, 1], [2, 2], [3, 3]]
+    starry = {"type": "starry", "k": 1, "d": 1, "binary_embedding": emb, "bristled_embedding": emb}
     spire = {"type": "spire", "path": [1, 0], "a_set": [0], "b_set": [2]}
     equipment = {"type": "equipment", "center": 0, "independent_neighbors": [1], "path": [0, 1],
                  "witness": 2, "proper": False, "ground": [1, 2]}
-    cathedral = {"type": "cathedral", "spires": [{"path": [0, 1], "a_set": [1], "b_set": []}]}
     malformed = [
         {k: v for k, v in spire.items() if k != "a_set"},
-        {k: v for k, v in band.items() if k != "embedding"},
+        {k: v for k, v in starry.items() if k != "binary_embedding"},
         {"type": "x_split", "x": 0, "y": 1, "z_set": [2]},
         [spire],
         "spire",
@@ -216,14 +216,15 @@ def test_malformed_certificates_are_errors(tmp_path, capsys):
         {"type": "x_split", "x": True, "y": 1, "z_set": [2], "x_ground": [0]},
         {**equipment, "witness": "2"},
         {**equipment, "proper": 1},
-        {**cathedral, "free": "yes"},
-        {**cathedral, "spires": {"path": [0, 1]}},
+        # unknown types
+        {"type": "cathedral", "spires": [{"path": [0, 1], "a_set": [1], "b_set": []}]},
+        {"type": "band", "d": 1, "embedding": [[0, 0], [1, 1]], "center": 0, "b_set": [2]},
         {**spire, "dominated": 3},
-        {**band, "embedding": [[-1, 1], [0, 0]]},
-        {**band, "embedding": [[0, 0], [0, 1]]},
-        {**band, "embedding": [[0, 0], [2, 1]]},
-        {**band, "embedding": [[0, 0], [1]]},
-        {**band, "embedding": [[0, 0], [1, True]]},
+        {**starry, "binary_embedding": [[-1, 1], [0, 0]]},
+        {**starry, "binary_embedding": [[0, 0], [0, 1]]},
+        {**starry, "binary_embedding": [[0, 0], [2, 1]]},
+        {**starry, "binary_embedding": [[0, 0], [1]]},
+        {**starry, "binary_embedding": [[0, 0], [1, True]]},
     ]
     graph_file = tmp_path / "star.g6"
     graph_file.write_text(write_graph6(g) + "\n")
@@ -234,14 +235,13 @@ def test_malformed_certificates_are_errors(tmp_path, capsys):
         cert_file.write_text(json.dumps(obj))
         assert cli_main(["verify", "--graph", str(graph_file), "--certificate", str(cert_file)]) == 2, obj
         assert capsys.readouterr().err.startswith("error: "), obj
-    for lemma in (None, "band"):
+    for lemma in (None, "starry"):
         with pytest.raises(ValueError):
-            verify_lemma(lemma, g, [band])
+            verify_lemma(lemma, g, [starry])
     # the well-formed originals are verdicts, not errors
-    assert verify_certificate(g, band) == (True, None)
+    assert verify_certificate(g, starry) == (False, "binary_star_embedding")
     assert verify_certificate(g, spire) == (True, None)
     assert verify_certificate(g, equipment) == (True, None)
-    assert verify_certificate(g, cathedral)[0] is True
 
 
 # well-formed certificates on the path 0-1-2, each a verdict of (True, None)
@@ -297,6 +297,13 @@ def _refused(*args, **kwargs):
     return False, "injected clause"
 
 
+_GYARFAS_CORE = machinery._gyarfas_core
+
+
+def _walk_one_short(g, cmask, x0, k):
+    return _GYARFAS_CORE(g, cmask, x0, k - 1)
+
+
 PETERSEN = [{"generator": "petersen"}]
 # fault -> (module, attribute, stand-in, corpus, check, text the detail names)
 FAULTS = {
@@ -304,6 +311,8 @@ FAULTS = {
                 "searcher produced invalid split: injected clause"),
     "spire": (machinery, "validate_spire", _refused, PETERSEN, {"check": "spire"},
               "construction produced an invalid spire: injected clause"),
+    "spire-height": (machinery, "_gyarfas_core", _walk_one_short, PETERSEN, {"check": "spire"},
+                     "construction produced a spire of height 0, not 1"),
     "gyarfas": (machinery, "validate_gyarfas", _refused, PETERSEN, {"check": "gyarfas"},
                 "x0=0 k=0: walk produced an invalid result: injected clause"),
     "gyarfas-walk": (machinery, "_gyarfas_core", lambda *args: None, PETERSEN, {"check": "gyarfas"},
@@ -407,6 +416,18 @@ def test_readme_check_table_is_the_signatures():
     for name, fn in _CHECK_FUNCS.items():
         listed = ", ".join(f"`{key}={json.dumps(value)}`" for key, value in _parameters(fn, 2).items())
         assert rows[name].replace(" (unused)", "") == listed, name
+
+
+def test_readme_certificate_types_are_the_tags():
+    """README's Certificates section and the certificates module docstring
+    list the certificate types; they must stay the tags verify_certificate
+    knows, in sorted order."""
+    readme = (Path(__file__).parents[1] / "README.md").read_text()
+    section = readme.split("\n## Certificates\n", 1)[1].split("\n## ", 1)[0]
+    listed = re.search(r'tagged with `"type"`, one of (.*?);', section, re.S).group(1)
+    assert re.findall(r"`(\w+)`", listed) == sorted(certificates._TAGS)
+    listed = re.search(r'"type" in \{(.*?)\}', certificates.__doc__, re.S).group(1)
+    assert re.split(r",\s*", listed) == sorted(certificates._TAGS)
 
 
 def test_config_accepts_null_and_positive_budgets():

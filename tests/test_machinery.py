@@ -7,20 +7,15 @@ from oracles import brute_components, brute_induced_paths
 from strategies import graphs_with_subsets
 
 from chibound.certificates import (
-    Band,
-    Cathedral,
     Equipment,
     Spire,
     XSplit,
-    validate_band,
-    validate_cathedral,
     validate_equipment,
     validate_gyarfas,
     validate_spire,
     validate_x_split,
 )
 from chibound.coloring import best_by_chi, chi_local, chromatic_number
-from chibound.embed import Embedding
 from chibound.errors import SearchBudgetExceeded
 from chibound.generators import (
     complete_graph,
@@ -376,55 +371,6 @@ def test_find_spire_closed_loop_seeded():
         assert independent_spire_recheck(g, spire, dom)
         found += 1
     assert found >= 10
-
-
-# ------------------------------------------------------------ cathedrals
-
-def cathedral_fixture():
-    # two path4 towers plus one shared dominated vertex adjacent to both tips
-    edges = [(0, 1), (1, 2), (2, 3), (5, 6), (6, 7), (7, 8), (3, 4), (8, 4)]
-    g = Graph(9, edges)
-    s1 = Spire(path=(0, 1), a_set=frozenset({1, 2}), b_set=frozenset({3}))
-    s2 = Spire(path=(5, 6), a_set=frozenset({6, 7}), b_set=frozenset({8}))
-    return g, Cathedral(spires=(s1, s2))
-
-
-def test_validate_cathedral():
-    g, cath = cathedral_fixture()
-    ok, clause = validate_cathedral(g, cath, free=True, dominated=frozenset({4}))
-    assert ok, clause
-    ok, clause = validate_cathedral(g, cath, free=False, dominated=frozenset({4}))
-    assert ok, clause
-    single = Cathedral(spires=cath.spires[:1])
-    assert validate_cathedral(g, single, dominated=frozenset({4}))[0]
-    # an edge between the two A sets breaks the cross-edge rule
-    g2 = Graph(9, g.edges() + [(1, 6)])
-    ok, clause = validate_cathedral(g2, cath, free=False, dominated=frozenset({4}))
-    assert not ok and clause == "cross_edges_0_1"
-    # B1 to A2 is fine in a plain cathedral but not in a free one
-    g3 = Graph(9, g.edges() + [(3, 6)])
-    assert validate_cathedral(g3, cath, free=False, dominated=frozenset({4}))[0]
-    ok, clause = validate_cathedral(g3, cath, free=True, dominated=frozenset({4}))
-    assert not ok and clause == "cross_edges_0_1"
-
-
-# -------------------------------------------------------------- bands
-
-def test_validate_band():
-    star = star_graph(3)
-    band = Band(d=1, embedding=Embedding(mapping=(0, 1)), center=0, b_set=frozenset({2}))
-    ok, clause = validate_band(star, band)
-    assert ok, clause
-    bad = Band(d=1, embedding=Embedding(mapping=(0, 1)), center=0, b_set=frozenset({1}))
-    ok, clause = validate_band(star, bad)
-    assert not ok and clause == "b_avoids_superstar"
-    host = Graph(4, [(0, 1), (0, 2), (2, 3), (1, 3)])
-    band = Band(d=1, embedding=Embedding(mapping=(0, 1)), center=0, b_set=frozenset({2}))
-    ok, clause = validate_band(host, band, dominated=frozenset({3}))
-    assert not ok and clause == "no_edges_superstar_to_dominated"
-    host2 = Graph(4, [(0, 1), (0, 2), (2, 3)])
-    ok, clause = validate_band(host2, band, dominated=frozenset({3}))
-    assert ok, clause
 
 
 # ------------------------------------------------------- centered paths
