@@ -77,6 +77,10 @@ def workloads():
         lambda m: m.max_clique(dense.adjacency_masks()),
     )
     yield (
+        "max clique random(40, .5)",
+        lambda m: m.max_clique(dense40.adjacency_masks()),
+    )
+    yield (
         "greedy clique x100 random(70, .5)",
         lambda m: [m.greedy_clique(g.adjacency_masks()) for g in cliques],
     )

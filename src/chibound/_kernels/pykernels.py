@@ -15,7 +15,14 @@ Common conventions:
     than pattern positions raise ValueError before a search starts;
   * a node budget of 0 means unbounded; a budgeted kernel counts a node and
     then stops once the count exceeds a nonzero budget, so it never
-    expands node budget + 1 nodes;
+    expands node budget + 1 nodes. Every kernel here keeps its node count
+    only under a nonzero budget: an unbudgeted call counts nothing, as
+    nothing reads its count. _ckernels.c counts on every call, and its
+    max_clique still makes the call that tests a child's bound: in C an
+    increment and a call cost a few nanoseconds, against a bytecode
+    dispatch or a Python frame here, so the C search is left as it is and
+    stays the fixed twin that the backend parity tests hold these kernels
+    to;
   * k_color runs a whole k-sweep in one call, with one set-up (checks,
     degrees, greedy clique) for every k it tries. It renumbers the
     vertices once by DSATUR's static key, degree then lower id, so a tie
@@ -191,24 +198,26 @@ def k_color(adj, k, node_budget=0, k_max=None):
         row = rows[v]
         rest = uncol ^ 1 << v
         free = E[top if top < k else top - 1] & ~(P >> v)
+        # a colour in field top or above is a new one, top + 1
+        opened = top * n
         while free:
             fb = free & -free
             free ^= fb
-            nodes += 1
-            if node_budget and nodes > node_budget:
-                return 2
+            if node_budget:
+                nodes += 1
+                if nodes > node_budget:
+                    return 2
             shift = fb.bit_length() - 1
-            c = shift // n + 1
             t = top
-            if c > top:
-                t = c
-                if c == len(E):
-                    E.append(E[-1] | 1 << c * n)
+            if shift >= opened:
+                t = top + 1
+                if t == len(E):
+                    E.append(E[-1] | 1 << t * n)
             new = row & rest & ~(P >> shift)
             r = rec(rest, L | (L << n) & new * E[t], P | row << shift, t)
             if r != 1:
                 if r == 0:
-                    colors[order[v]] = c
+                    colors[order[v]] = shift // n + 1
                 return r
         return 1
 
@@ -225,36 +234,59 @@ def k_color(adj, k, node_budget=0, k_max=None):
 
 def max_clique(adj, node_budget=0):
     """Exact maximum clique with witness, seeded by the greedy clique.
-    Candidates are consumed in ascending id order; a popcount bound prunes.
-    The witness is updated only on strict improvement, so it is canonical."""
-    best = sorted(greedy_clique(adj))
-    cur = []
+
+    The simple popcount-bound search of Carraghan and Pardalos (1990):
+    candidates are consumed in ascending id order, one node each, and a
+    level stops once its clique plus every candidate left cannot beat the
+    best clique. The witness is updated only on strict improvement, so it
+    is the greedy clique when that clique is maximum and otherwise the
+    lexicographically smallest maximum clique.
+
+    Each level tests that bound for a child before the call, on sub = cand
+    & adj[v], as the child would first test it and return without
+    charging a node; a child with an empty sub is a leaf, handled inline.
+    The loop works out from one popcount how far the bound lets it go:
+    top = depth + popcount(cand) drops by one per vertex taken and is
+    compared with the live best size, so an improvement below the level
+    ends it exactly where a fresh popcount would. cand is never empty
+    while top > size: the first vertex taken leaves size at least depth +
+    1, either as the bound failed or as the search below it found a
+    clique that large. The cliques are carried as masks and their sizes
+    and depths as ints. The nodes are those of the search that calls
+    every child, charged in the same order.
+    """
+    clique = greedy_clique(adj)
+    size = len(clique)
+    best = sum(1 << v for v in clique)
     nodes = 0
 
-    def expand(cand):
-        nonlocal best, nodes
-        if not cand:
-            if len(cur) > len(best):
-                best = cur.copy()
-            return 0
-        while cand:
-            if len(cur) + cand.bit_count() <= len(best):
-                return 0
-            nodes += 1
-            if node_budget and nodes > node_budget:
-                return 2
+    def expand(cand, depth, cur):
+        """Search the cliques cur + a subset of cand, cur of depth vertices;
+        below the top level, called only when cand is not empty and the
+        bound passes."""
+        nonlocal best, size, nodes
+        top = depth + cand.bit_count()
+        while top > size:
+            top -= 1
+            if node_budget:
+                nodes += 1
+                if nodes > node_budget:
+                    return 2
             b = cand & -cand
-            v = b.bit_length() - 1
             cand ^= b
-            cur.append(v)
-            r = expand(cand & adj[v])
-            cur.pop()
-            if r:
-                return r
+            sub = cand & adj[b.bit_length() - 1]
+            if depth + 1 + sub.bit_count() > size:
+                if sub:
+                    r = expand(sub, depth + 1, cur | b)
+                    if r:
+                        return r
+                else:
+                    best = cur | b
+                    size = depth + 1
         return 0
 
-    status = expand((1 << len(adj)) - 1)
-    return (2 if status == 2 else 0, sorted(best))
+    status = expand((1 << len(adj)) - 1, 0, 0)
+    return (status, [v for v in range(len(adj)) if best >> v & 1])
 
 
 def find_embedding(host_adj, pat_adj_o, above, cands, node_budget=0):

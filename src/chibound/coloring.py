@@ -150,7 +150,11 @@ def _chi_of_mask(g, smask, node_budget=None):
 
 
 def clique_number(g, node_budget=None):
-    """Exact clique number with a witness clique (empty for the null graph)."""
+    """Exact clique number with a witness clique (empty for the null graph).
+
+    The witness, in ascending order, is the greedy clique
+    (_kernels.greedy_clique) when that clique is maximum, and otherwise the
+    lexicographically smallest maximum clique."""
     _check_positive_int(node_budget, "node_budget")
     status, clique = _kernels.max_clique(g.adjacency_masks(), node_budget or 0)
     if status == 2:

@@ -7,11 +7,13 @@ keep plain copies of package code so tests can pin it: reference_embed, the
 embedding kernels' candidate-by-candidate search and its node accounting,
 reference_k_color, the single-k DSATUR kernel with its saturation as one
 mask per level and per colour, before the k-sweep, the renumbering and the
-packed state, ReferenceMag with ReferenceEstimate, the magnitude arithmetic of the
-threshold estimates before its fast paths, the ref_validate_*
-functions, the certificate validators as they were over frozensets, before
-they moved to vertex masks, and reference_write_graph6, the graph6 writer
-that shifts in one bit per vertex pair.
+packed state, reference_max_clique, the maximum clique kernel with a call
+on every candidate, before the bound moved ahead of the call, ReferenceMag
+with ReferenceEstimate, the magnitude arithmetic of the threshold
+estimates before its fast paths, the ref_validate_* functions, the
+certificate validators as they were over frozensets, before they moved to
+vertex masks, and reference_write_graph6, the graph6 writer that shifts in
+one bit per vertex pair.
 """
 
 import math
@@ -77,12 +79,19 @@ def brute_is_k_colorable(g, k):
 
 
 def brute_clique_number(g):
-    n = g.n
-    for size in range(n, 0, -1):
-        for subset in combinations(range(n), size):
-            if all(g.has_edge(u, v) for u, v in combinations(subset, 2)):
-                return size
-    return 0
+    return max(map(len, brute_cliques(g)))
+
+
+def brute_cliques(g):
+    """Every clique of g, the empty one included, as a sorted tuple, found
+    by testing every vertex subset."""
+    adj = g.adjacency_masks()
+    out = []
+    for mask in range(1 << g.n):
+        members = [v for v in range(g.n) if mask >> v & 1]
+        if all((adj[v] | 1 << v) & mask == mask for v in members):
+            out.append(tuple(members))
+    return out
 
 
 def brute_count_induced(host, pattern):
@@ -207,6 +216,43 @@ def _ref_greedy(adj, degs):
 
 def reference_greedy_clique(n, adj):
     return _ref_greedy(adj, _ref_degrees(adj, n))
+
+
+def reference_max_clique(n, adj, node_budget=0):
+    """The maximum clique kernel (see pykernels.max_clique) as a plain loop:
+    the sorted greedy clique is the first best, candidates are taken in
+    ascending id order, the bound is tested at the top of the loop, one
+    node is charged per vertex taken, and every vertex taken gets a call,
+    whose first bound test charges nothing. The best clique changes only
+    on strict improvement. Returns (status, clique, nodes), the clique
+    being the best found when a budget stops the search."""
+    best = sorted(_ref_greedy(adj, _ref_degrees(adj, n)))
+    cur = []
+    nodes = 0
+
+    def expand(cand):
+        nonlocal best, nodes
+        if not cand:
+            if len(cur) > len(best):
+                best = list(cur)
+            return 0
+        while cand:
+            if len(cur) + cand.bit_count() <= len(best):
+                return 0
+            nodes += 1
+            if node_budget and nodes > node_budget:
+                return 2
+            v = (cand & -cand).bit_length() - 1
+            cand &= cand - 1
+            cur.append(v)
+            r = expand(cand & adj[v])
+            cur.pop()
+            if r:
+                return r
+        return 0
+
+    status = expand((1 << n) - 1)
+    return status, sorted(best), nodes
 
 
 def reference_k_color(n, adj, k, node_budget=0):

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -6,9 +8,11 @@ from oracles import (
     brute_chi_local,
     brute_chromatic,
     brute_clique_number,
+    brute_cliques,
     brute_distances,
     has_triangle,
     reference_best_by_chi,
+    reference_greedy_clique,
 )
 from strategies import graphs_with_subsets
 
@@ -87,6 +91,22 @@ def test_clique_number():
         omega, clique = clique_number(g)
         assert omega == brute_clique_number(g)
         assert all(g.has_edge(u, v) for i, u in enumerate(clique) for v in clique[i + 1 :])
+
+
+def test_clique_number_witness_rule():
+    """The witness is the greedy clique when that clique is maximum, and
+    otherwise the lexicographically smallest maximum clique, on random
+    labelled graphs of up to 10 vertices against every vertex subset."""
+    rng = random.Random(28)
+    for _ in range(1500):
+        n = rng.randint(0, 10)
+        p = rng.random()
+        g = Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n) if rng.random() < p])
+        cliques = brute_cliques(g)
+        omega = max(map(len, cliques))
+        greedy = tuple(sorted(reference_greedy_clique(n, g.adjacency_masks())))
+        want = greedy if len(greedy) == omega else min(c for c in cliques if len(c) == omega)
+        assert clique_number(g) == (omega, want)
 
 
 def test_chi_at_least_omega_and_perfect_cases():

@@ -12,6 +12,7 @@ from oracles import (
     reference_greedy_clique,
     reference_k_color,
     reference_k_sweep,
+    reference_max_clique,
     reference_parents,
 )
 
@@ -429,6 +430,23 @@ def test_k_color_matches_reference(ckernels, case):
         want = reference_k_sweep(n, adj, k, budget, k_max)[:2]
         assert pykernels.k_color(adj, k, budget, k_max) == want
         assert ckernels.k_color(adj, k, budget, k_max) == want
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+@settings(max_examples=150, derandomize=True, database=None, deadline=None)
+@given(case=coloring_cases())
+def test_max_clique_matches_reference(request, backend, case):
+    """Each backend returns the reference search's status and clique, the
+    best so far at a budget stop, at budget 0 (unbounded), 1, and half,
+    one below, exactly and one past the nodes an unbudgeted call charges,
+    so a kernel that charges a node the reference does not, or skips one,
+    stops at a different place. The pure-Python case needs no compiler."""
+    kernels = pykernels if backend == "python" else request.getfixturevalue("ckernels")
+    n, adj, _, _ = case
+    assume(reference_max_clique(n, adj, COLORING_CASE_NODES)[0] != 2)
+    nodes = reference_max_clique(n, adj)[2]
+    for budget in sorted({0, 1, nodes // 2, nodes - 1, nodes, nodes + 1} - {-1}):
+        assert kernels.max_clique(adj, budget) == reference_max_clique(n, adj, budget)[:2]
 
 
 @st.composite
