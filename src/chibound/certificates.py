@@ -3,8 +3,10 @@ JSON wire format.
 
 Every validator re-checks its object from scratch against the host graph
 and reports the first failed clause by definitional order, which keeps
-test failures actionable. Searchers elsewhere must only emit certificates
-that pass these checks (the closed-loop property).
+test failures actionable. Each type's clause function (_x_split_clause and
+the like) does this on vertex masks; validate_* checks ids and converts
+sets once, then calls it. Searchers call the clause functions on the masks
+they hold, so they only emit certificates that pass (the closed loop).
 
 JSON objects are tagged with "type" in {equipment, gyarfas, spire,
 starry, x_split}; starry is the two-pattern certificate. Context needed
@@ -57,40 +59,76 @@ class Spire:
 def _is_induced_path(adj, path, pmask):
     """True iff path has distinct vertices, pmask is their mask, and each
     vertex's neighbors on the path are exactly its predecessor and its
-    successor."""
-    if pmask.bit_count() != len(path):
-        return False
-    before = 0
-    for i, v in enumerate(path):
-        after = 1 << path[i + 1] if i + 1 < len(path) else 0
-        if adj[v] & pmask != before | after:
-            return False
-        before = 1 << v
-    return True
+    successor: ends[i] and ends[i + 2], with 0 past either end."""
+    ends = [0, *(1 << v for v in path), 0]
+    return pmask.bit_count() == len(path) and all(adj[v] & pmask == ends[i] | ends[i + 2] for i, v in enumerate(path))
+
+
+def _x_split_clause(g, xmask, x, y, zmask):
+    """First failed split clause on masks, or None."""
+    adj = g.adjacency_masks()
+    if not (xmask >> x) & 1:
+        return "x_in_x_ground"
+    if (xmask >> y) & 1:
+        return "y_outside_x_ground"
+    if zmask & (xmask | 1 << y):
+        return "z_avoids_x_ground_and_y"
+    if not (adj[x] >> y) & 1:
+        return "x_adjacent_y"
+    if not adj[x] & zmask:
+        return "x_has_neighbor_in_z"
+    if adj[y] & zmask:
+        return "y_no_neighbors_in_z"
+    if not is_connected(g, zmask):
+        return "z_connected"
+    return None
 
 
 def validate_x_split(g, x_ground, cand):
     """All four definitional requirements of a split relative to x_ground.
     Returns (ok, first_failed_clause)."""
-    xmask = vertex_mask(g, x_ground)
-    zmask = vertex_mask(g, cand.z_set)
-    x, y = g._check(cand.x), g._check(cand.y)
+    xmask, zmask = vertex_mask(g, x_ground), vertex_mask(g, cand.z_set)
+    clause = _x_split_clause(g, xmask, g._check(cand.x), g._check(cand.y), zmask)
+    return clause is None, clause
+
+
+def _equipment_clause(g, ymask, c, nmask, path, tail, w, proper):
+    """First failed equipment clause on masks, or None; tail is path[1:]'s."""
     adj = g.adjacency_masks()
-    if not (xmask >> x) & 1:
-        return False, "x_in_x_ground"
-    if (xmask >> y) & 1:
-        return False, "y_outside_x_ground"
-    if zmask & (xmask | 1 << y):
-        return False, "z_avoids_x_ground_and_y"
-    if not (adj[x] >> y) & 1:
-        return False, "x_adjacent_y"
-    if not adj[x] & zmask:
-        return False, "x_has_neighbor_in_z"
-    if adj[y] & zmask:
-        return False, "y_no_neighbors_in_z"
-    if not is_connected(g, zmask):
-        return False, "z_connected"
-    return True, None
+    if (ymask >> c) & 1:
+        return "center_outside_ground"
+    if len(path) != nmask.bit_count() + 1:
+        return "path_length_matches_d"
+    if nmask & ~ymask:
+        return "neighbors_in_ground"
+    if nmask & ~adj[c]:
+        return "neighbors_adjacent_center"
+    if any(adj[v] & nmask for v in bits(nmask)):
+        return "neighbors_pairwise_nonadjacent"
+    if not path or path[0] != c:
+        return "path_starts_at_center"
+    if tail & ~ymask:
+        return "path_vertices_in_ground"
+    pmask = tail | 1 << c
+    if not _is_induced_path(adj, path, pmask):
+        return "path_induced"
+    # tail lies in the ground and the center does not, so tail is the path
+    # without its center
+    if proper:
+        if nmask & pmask:
+            return "neighbors_off_path"
+        if any(adj[v] & tail for v in bits(nmask)):
+            return "neighbors_detached_from_path"
+        return None
+    if w is None or not (ymask >> w) & 1:
+        return "witness_in_ground"
+    if (pmask >> w) & 1:
+        return "witness_off_path"
+    if not (adj[c] >> w) & 1:
+        return "witness_adjacent_center"
+    if adj[w] & tail:
+        return "witness_no_other_path_neighbors"
+    return None
 
 
 def validate_equipment(g, y_ground, cert):
@@ -102,44 +140,38 @@ def validate_equipment(g, y_ground, cert):
     nmask = vertex_mask(g, cert.independent_neighbors)
     path = tuple(cert.path)
     tail = vertex_mask(g, path[1:])
-    pmask = tail | vertex_mask(g, path[:1])
-    w = cert.witness
-    if w is not None:
-        g._check(w)
+    vertex_mask(g, path[:1])  # range-checks the start
+    w = cert.witness if cert.witness is None else g._check(cert.witness)
+    clause = _equipment_clause(g, ymask, c, nmask, path, tail, w, cert.proper)
+    return clause is None, clause
+
+
+def _gyarfas_clause(g, cmask, path, tail, rmask):
+    """First failed Gyarfas clause on masks, or None; tail is path[1:]'s."""
     adj = g.adjacency_masks()
-    if (ymask >> c) & 1:
-        return False, "center_outside_ground"
-    if len(path) != nmask.bit_count() + 1:
-        return False, "path_length_matches_d"
-    if nmask & ~ymask:
-        return False, "neighbors_in_ground"
-    if nmask & ~adj[c]:
-        return False, "neighbors_adjacent_center"
-    if any(adj[v] & nmask for v in bits(nmask)):
-        return False, "neighbors_pairwise_nonadjacent"
-    if not path or path[0] != c:
-        return False, "path_starts_at_center"
-    if tail & ~ymask:
-        return False, "path_vertices_in_ground"
+    if not path:
+        return "path_nonempty"
+    k = len(path) - 1
+    if (cmask >> path[0]) & 1:
+        return "start_outside_c"
+    if tail & ~cmask:
+        return "path_inside_c"
+    pmask = tail | 1 << path[0]
     if not _is_induced_path(adj, path, pmask):
-        return False, "path_induced"
-    # tail lies in the ground and the center does not, so tail is the path
-    # without its center
-    if cert.proper:
-        if nmask & pmask:
-            return False, "neighbors_off_path"
-        if any(adj[v] & tail for v in bits(nmask)):
-            return False, "neighbors_detached_from_path"
-        return True, None
-    if w is None or not (ymask >> w) & 1:
-        return False, "witness_in_ground"
-    if (pmask >> w) & 1:
-        return False, "witness_off_path"
-    if not (adj[c] >> w) & 1:
-        return False, "witness_adjacent_center"
-    if adj[w] & tail:
-        return False, "witness_no_other_path_neighbors"
-    return True, None
+        return "path_induced"
+    if rmask & ~cmask:
+        return "residue_inside_c"
+    if rmask & pmask:
+        return "residue_avoids_path"
+    if not rmask or not is_connected(g, rmask):
+        return "residue_connected"
+    if not adj[path[-1]] & rmask:
+        return "endpoint_adjacent_residue"
+    if any(adj[v] & rmask for v in path[:-1]):
+        return "earlier_path_detached"
+    if _chi_of_mask(g, rmask)[0] < _chi_of_mask(g, cmask)[0] - k * chi_local(g, 1):
+        return "residue_chromatic_bound"
+    return None
 
 
 def validate_gyarfas(g, c_set, cert):
@@ -148,31 +180,9 @@ def validate_gyarfas(g, c_set, cert):
     cmask = vertex_mask(g, c_set)
     path = tuple(cert.path)
     tail = vertex_mask(g, path[1:])
-    pmask = tail | vertex_mask(g, path[:1])
-    rmask = vertex_mask(g, cert.residue)
-    adj = g.adjacency_masks()
-    if not path:
-        return False, "path_nonempty"
-    k = len(path) - 1
-    if (cmask >> path[0]) & 1:
-        return False, "start_outside_c"
-    if tail & ~cmask:
-        return False, "path_inside_c"
-    if not _is_induced_path(adj, path, pmask):
-        return False, "path_induced"
-    if rmask & ~cmask:
-        return False, "residue_inside_c"
-    if rmask & pmask:
-        return False, "residue_avoids_path"
-    if not rmask or not is_connected(g, rmask):
-        return False, "residue_connected"
-    if not adj[path[-1]] & rmask:
-        return False, "endpoint_adjacent_residue"
-    if any(adj[v] & rmask for v in path[:-1]):
-        return False, "earlier_path_detached"
-    if _chi_of_mask(g, rmask)[0] < _chi_of_mask(g, cmask)[0] - k * chi_local(g, 1):
-        return False, "residue_chromatic_bound"
-    return True, None
+    vertex_mask(g, path[:1])  # range-checks the start
+    clause = _gyarfas_clause(g, cmask, path, tail, vertex_mask(g, cert.residue))
+    return clause is None, clause
 
 
 def _spire_clause(g, path, pmask, amask, bmask, cmask):
@@ -211,9 +221,8 @@ def validate_spire(g, spire, dominated=None):
     dominated set is supplied."""
     path = tuple(spire.path)
     cmask = None if dominated is None else vertex_mask(g, dominated)
-    clause = _spire_clause(
-        g, path, vertex_mask(g, path), vertex_mask(g, spire.a_set), vertex_mask(g, spire.b_set), cmask
-    )
+    pmask, amask = vertex_mask(g, path), vertex_mask(g, spire.a_set)
+    clause = _spire_clause(g, path, pmask, amask, vertex_mask(g, spire.b_set), cmask)
     return clause is None, clause
 
 

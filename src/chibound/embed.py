@@ -17,7 +17,7 @@ from itertools import accumulate
 from . import _kernels
 from .errors import SearchBudgetExceeded, _check_positive_int
 from .graphs import _component_masks, bits, layers
-from .trees import _check_kd, binary_star, bristled_star
+from .trees import _check_kd, binary_star, binary_star_order, bristled_star, bristled_star_order
 
 
 @dataclass(frozen=True)
@@ -274,11 +274,14 @@ def is_kd_starry(host, k, d, node_budget=None):
     """Both star patterns with parameters (k, d) as induced subgraphs.
 
     Returns a StarryCertificate carrying one embedding of each pattern, or
-    None when either is missing. A budget exhaustion propagates as
-    SearchBudgetExceeded (indeterminate)."""
+    None when either is missing; one larger than the host is not built. A
+    budget exhaustion propagates as SearchBudgetExceeded (indeterminate)."""
     _check_kd(k, d)
+    _check_positive_int(node_budget, "node_budget")
+    if binary_star_order(k, d) > host.n:
+        return None
     emb_binary = find_induced_embedding(host, binary_star(k, d), node_budget=node_budget)
-    if emb_binary is None:
+    if emb_binary is None or bristled_star_order(k, d) > host.n:
         return None
     emb_bristled = find_induced_embedding(host, bristled_star(k, d), node_budget=node_budget)
     if emb_bristled is None:

@@ -69,12 +69,14 @@ class GraphParseError(ValueError):
     """Malformed graph text. Carries the 1-based line (and optional column)."""
 
     def __init__(self, message, line=None, offset=None):
-        loc = ""
-        if line is not None:
-            loc = f" (line {line}" + (f", offset {offset})" if offset is not None else ")")
-        super().__init__(message + loc)
+        super().__init__(message)
         self.line = line
         self.offset = offset
+
+    def __str__(self):
+        if self.line is None:
+            return self.args[0]
+        return f"{self.args[0]} (line {self.line}" + (f", offset {self.offset})" if self.offset is not None else ")")
 
 
 class BudgetExceeded(Exception):

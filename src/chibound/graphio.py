@@ -126,17 +126,22 @@ def write_graph6(g):
 
 
 def parse_graph(text, fmt):
-    """Parse one graph from text. fmt is "edge-list" or "graph6"."""
+    """Parse the one graph in text. fmt is "edge-list" or "graph6"; graph6
+    text holds one non-blank line, and an error names its line in text."""
     if fmt == "edge-list":
         return parse_edge_list(text)
     if fmt == "graph6":
-        for lineno, raw in enumerate(text.splitlines(), start=1):
-            if raw.strip():
-                try:
-                    return parse_graph6(raw)
-                except GraphParseError as e:
-                    raise GraphParseError(str(e), line=lineno) from None
-        raise GraphParseError("no graph6 line found", line=1)
+        lines = [(lineno, raw) for lineno, raw in enumerate(text.splitlines(), start=1) if raw.strip()]
+        if not lines:
+            raise GraphParseError("no graph6 line found", line=1)
+        lineno, raw = lines[0]
+        try:
+            g = parse_graph6(raw)
+        except GraphParseError as e:
+            raise GraphParseError(e.args[0], line=lineno, offset=e.offset) from None
+        if len(lines) > 1:
+            raise GraphParseError(f"expected one graph, got a second line {lines[1][1].strip()!r}", line=lines[1][0])
+        return g
     raise ValueError(f"unknown format {fmt!r}")
 
 

@@ -5,10 +5,10 @@ vertex, which the search kernels consume directly. Graphs are immutable:
 every operation returns new values.
 
 Inside the package a vertex set is a mask: bit v set iff v is a member.
-Searchers and validators work on masks throughout. Frozensets appear only
-in certificate fields and in public return values. vertex_mask is the one
-checked way in: it range-checks a vertex set from outside and returns its
-mask.
+Searchers and validator clauses work on masks throughout. Frozensets
+appear only in certificate fields and in public arguments and return
+values. vertex_mask is the one checked way in, used at public entry points
+such as the validators: it range-checks a set and returns its mask.
 
 Every traversal is one masked BFS, `layers`: neighborhoods, distances,
 components and connectivity are all built on it.

@@ -2,14 +2,17 @@
 
 Every searcher is deterministic: iteration is ascending by vertex id,
 components are ranked by exact chromatic number with ties to the smallest
-member, and each positive result is re-checked by its validator before
-being returned. Every searcher but find_spire is exhaustive at desk scale,
-so its None means that no such object exists. find_spire is a
-construction: its None means only that the construction found none.
+member, and each positive result is re-checked before being returned: the
+searcher passes the masks it holds to its certificate type's clause
+function, the core of that type's validator in certificates.py, and builds
+the frozenset certificate only when no clause fails. Every searcher but
+find_spire is exhaustive at desk scale, so its None means that no such
+object exists. find_spire is a construction: its None means only that the
+construction found none.
 
 A searcher returns its result or raises: AssertionError when a guarantee
-fails, such as a result its validator refuses, and BudgetExceeded when a
-node budget runs out. harness._process and cli.main turn these into
+fails, such as a result its clause function refuses, and BudgetExceeded
+when a node budget runs out. harness._process and cli.main turn these into
 outcomes.
 """
 
@@ -18,10 +21,10 @@ from .certificates import (
     GyarfasResult,
     Spire,
     XSplit,
-    validate_equipment,
-    validate_gyarfas,
-    validate_spire,
-    validate_x_split,
+    _equipment_clause,
+    _gyarfas_clause,
+    _spire_clause,
+    _x_split_clause,
 )
 from .coloring import _chi_of_mask, best_by_chi, chi_local
 from .embed import find_induced_embedding
@@ -56,11 +59,10 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
                 else:
                     above = _chi_of_mask(g, comp, node_budget)[0] > min_chi
                 if above:
-                    cand = XSplit(x=x, y=y, z_set=mask_to_set(comp))
-                    ok, clause = validate_x_split(g, bits(xmask), cand)
-                    if not ok:
+                    clause = _x_split_clause(g, xmask, x, y, comp)
+                    if clause is not None:
                         raise AssertionError(f"searcher produced invalid split: {clause}")
-                    return cand
+                    return XSplit(x=x, y=y, z_set=mask_to_set(comp))
     return None
 
 
@@ -99,7 +101,7 @@ def gyarfas_path(g, c_set, x0, k):
     The chromatic precondition chi(C) > k * chi_1 is verified exactly
     before the walk; a failed precondition is a ValueError. Under it the
     lemma guarantees the walk, so a walk that stops short or a result that
-    fails validate_gyarfas raises AssertionError naming x0 and k.
+    fails its clause check raises AssertionError naming x0 and k.
     """
     return _gyarfas_path_of_mask(g, vertex_mask(g, c_set), x0, k)
 
@@ -124,11 +126,10 @@ def _gyarfas_path_of_mask(g, cmask, x0, k):
     if got is None:
         raise AssertionError(f"x0={x0} k={k}: walk ran out of room although the chromatic precondition holds")
     path, residue = got
-    cert = GyarfasResult(path=path, residue=mask_to_set(residue))
-    ok, clause = validate_gyarfas(g, bits(cmask), cert)
-    if not ok:
+    clause = _gyarfas_clause(g, cmask, path, vertex_mask(g, path[1:]), residue)
+    if clause is not None:
         raise AssertionError(f"x0={x0} k={k}: walk produced an invalid result: {clause}")
-    return cert
+    return GyarfasResult(path=path, residue=mask_to_set(residue))
 
 
 def _lex_independent_subset(g, cand_mask, d):
@@ -209,16 +210,10 @@ def d_equipment(g, center, y_ground, d, node_budget=None):
         for w in bits(nbrs & ~interior):
             if g.adjacency_mask(w) & interior:
                 continue
-            cert = Equipment(
-                center=center,
-                independent_neighbors=mask_to_set(indep),
-                path=path,
-                witness=w,
-            )
-            ok, clause = validate_equipment(g, bits(ymask), cert)
-            if not ok:
+            clause = _equipment_clause(g, ymask, center, indep, path, interior, w, False)
+            if clause is not None:
                 raise AssertionError(f"searcher produced invalid equipment: {clause}")
-            return cert
+            return Equipment(center=center, independent_neighbors=mask_to_set(indep), path=path, witness=w)
     return None
 
 
@@ -233,17 +228,10 @@ def properly_d_equipped(g, center, y_ground, d, node_budget=None):
         indep = _lex_independent_subset(g, allowed, d)
         if indep is None:
             continue
-        cert = Equipment(
-            center=center,
-            independent_neighbors=mask_to_set(indep),
-            path=path,
-            witness=None,
-            proper=True,
-        )
-        ok, clause = validate_equipment(g, bits(ymask), cert)
-        if not ok:
+        clause = _equipment_clause(g, ymask, center, indep, path, interior, None, True)
+        if clause is not None:
             raise AssertionError(f"searcher produced invalid proper equipment: {clause}")
-        return cert
+        return Equipment(center=center, independent_neighbors=mask_to_set(indep), path=path, proper=True)
     return None
 
 
@@ -277,16 +265,13 @@ def find_spire(g, d, min_chi, node_budget=None):
         if best_level_chi <= min_chi:
             continue
         best_i = levels.index(best_level)
-        a_set = mask_to_set(sum(levels[: best_i - 1]))
-        b_set = mask_to_set(levels[best_i - 1])
-        dominated = mask_to_set(levels[best_i])
-        spire = Spire(path=path, a_set=a_set, b_set=b_set)
-        ok, clause = validate_spire(g, spire, dominated)
-        if not ok:
+        amask, bmask = sum(levels[: best_i - 1]), levels[best_i - 1]
+        clause = _spire_clause(g, path, vertex_mask(g, path), amask, bmask, best_level)
+        if clause is not None:
             raise AssertionError(f"construction produced an invalid spire: {clause}")
         if len(path) != d + 1:
             raise AssertionError(f"construction produced a spire of height {len(path) - 1}, not {d}")
-        return spire, dominated
+        return Spire(path=path, a_set=mask_to_set(amask), b_set=mask_to_set(bmask)), mask_to_set(best_level)
     return None
 
 

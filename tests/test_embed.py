@@ -1,3 +1,5 @@
+import time
+
 import pytest
 
 from oracles import brute_count_induced
@@ -98,6 +100,20 @@ def test_starry_examples():
     assert is_kd_starry(petersen(), 1, 1) is not None
     with pytest.raises(ValueError):
         is_kd_starry(petersen(), 0, 1)
+
+
+def test_starry_patterns_larger_than_the_host_are_not_built():
+    start = time.perf_counter()
+    assert is_kd_starry(petersen(), 1, 10**4) is None
+    assert time.perf_counter() - start < 0.2
+    # binary_star(1, 1) fits itself and bristled_star(1, 1) does not; the
+    # binary search still runs first, so its budget still counts
+    host = binary_star(1, 1)
+    assert is_kd_starry(host, 1, 1) is None
+    with pytest.raises(SearchBudgetExceeded):
+        is_kd_starry(host, 1, 1, node_budget=1)
+    with pytest.raises(ValueError, match="node_budget must be a positive integer or null"):
+        is_kd_starry(petersen(), 1, 10**4, node_budget=0)
 
 
 def test_budget_is_indeterminate_not_absent():

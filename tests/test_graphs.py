@@ -128,6 +128,18 @@ def test_graph6_errors():
     assert _g6_parse_size(b"~~" + bytes([63, 63, 63, 63 + 63, 63, 63]) + b"xyz") == (258048, 8)
 
 
+def test_parse_graph_graph6_errors_name_the_file_line():
+    with pytest.raises(GraphParseError) as e:
+        parse_graph("\n\n~?", "graph6")
+    assert (e.value.line, e.value.offset) == (3, 0)
+    assert str(e.value) == "invalid or non-minimal graph6 size prefix b'~?' (line 3, offset 0)"
+    # a graph file holds one graph: a second non-blank line is refused
+    with pytest.raises(GraphParseError, match="got a second line 'zzz' \\(line 2\\)$") as e:
+        parse_graph("Cb\nzzz\n", "graph6")
+    assert e.value.line == 2
+    assert parse_graph("\nCb\n\n", "graph6") == parse_graph6("Cb")
+
+
 def test_edge_list_roundtrip():
     for seed in range(20):
         g = random_graph(1 + seed % 9, "0.5", 77 + seed)

@@ -293,8 +293,8 @@ def test_gyarfas_honours_node_budget():
     assert gyarfas_row({"generator": "petersen"}, 10) == ("pass", "instances=6")
 
 
-def _refused(*args, **kwargs):
-    return False, "injected clause"
+def _injected(*args):
+    return "injected clause"
 
 
 _GYARFAS_CORE = machinery._gyarfas_core
@@ -307,17 +307,17 @@ def _walk_one_short(g, cmask, x0, k):
 PETERSEN = [{"generator": "petersen"}]
 # fault -> (module, attribute, stand-in, corpus, check, text the detail names)
 FAULTS = {
-    "x_split": (machinery, "validate_x_split", _refused, PETERSEN, {"check": "x_split"},
+    "x_split": (machinery, "_x_split_clause", _injected, PETERSEN, {"check": "x_split"},
                 "searcher produced invalid split: injected clause"),
-    "spire": (machinery, "validate_spire", _refused, PETERSEN, {"check": "spire"},
+    "spire": (machinery, "_spire_clause", _injected, PETERSEN, {"check": "spire"},
               "construction produced an invalid spire: injected clause"),
     "spire-height": (machinery, "_gyarfas_core", _walk_one_short, PETERSEN, {"check": "spire"},
                      "construction produced a spire of height 0, not 1"),
-    "gyarfas": (machinery, "validate_gyarfas", _refused, PETERSEN, {"check": "gyarfas"},
+    "gyarfas": (machinery, "_gyarfas_clause", _injected, PETERSEN, {"check": "gyarfas"},
                 "x0=0 k=0: walk produced an invalid result: injected clause"),
     "gyarfas-walk": (machinery, "_gyarfas_core", lambda *args: None, PETERSEN, {"check": "gyarfas"},
                      "x0=0 k=0: walk ran out of room although the chromatic precondition holds"),
-    "equipment": (machinery, "validate_equipment", _refused, [],
+    "equipment": (machinery, "_equipment_clause", _injected, [],
                   {"check": "counterexample", "variant": "single-row", "k": 2},
                   "searcher produced invalid equipment: injected clause"),
     "stopping-rule": (counterexamples, "chi_of", lambda *args: -1, [],

@@ -6,6 +6,7 @@ from hypothesis import strategies as st
 from oracles import brute_components, brute_induced_paths
 from strategies import graphs_with_subsets
 
+from chibound import machinery
 from chibound.certificates import (
     Equipment,
     Spire,
@@ -30,7 +31,7 @@ from chibound.generators import (
     star_graph,
 )
 from chibound.graphio import parse_graph6
-from chibound.graphs import Graph, induced_subgraph, is_connected, vertex_mask
+from chibound.graphs import Graph, _component_masks, induced_subgraph, is_connected, mask_to_set, vertex_mask
 from chibound.machinery import (
     d_equipment,
     find_spire,
@@ -371,6 +372,56 @@ def test_find_spire_closed_loop_seeded():
         assert independent_spire_recheck(g, spire, dom)
         found += 1
     assert found >= 10
+
+
+# ------------------------------------------------------ in-search checks
+
+def test_searchers_check_the_masks_of_what_they_return(monkeypatch):
+    """Each searcher hands its clause function exactly the masks of the
+    certificate it returns and of its ground set, so the check inside the
+    search is as strict as the public validator on that certificate."""
+    seen = []
+    for name in ("_x_split_clause", "_gyarfas_clause", "_equipment_clause", "_spire_clause"):
+        real = getattr(machinery, name)
+        monkeypatch.setattr(machinery, name, lambda g, *args, real=real: seen.append(args) or real(g, *args))
+    found = set()
+
+    def expect(kind, result, want):
+        assert seen == ([] if result is None else [want(result)]), kind
+        seen.clear()
+        if result is not None:
+            found.add(kind)
+
+    hosts = [petersen(), grotzsch(), equipment_host(), path_graph(5)]
+    hosts += [random_graph(9 + i % 4, "0.3", 80_000 + i) for i in range(8)]
+    for g in hosts:
+        def m(s):
+            return vertex_mask(g, s)
+
+        x_ground = frozenset({0})
+        expect("x_split", find_x_split(g, x_ground, 0), lambda c: (m(x_ground), c.x, c.y, m(c.z_set)))
+        ground = frozenset(range(1, g.n))
+        for d in (1, 2):
+            expect("equipment", d_equipment(g, 0, ground, d),
+                   lambda c: (m(ground), 0, m(c.independent_neighbors), c.path, m(c.path[1:]), c.witness, False))
+            expect("proper", properly_d_equipped(g, 0, ground, d),
+                   lambda c: (m(ground), 0, m(c.independent_neighbors), c.path, m(c.path[1:]), None, True))
+        best, best_chi = best_by_chi(g, _component_masks(g, m(ground), g.adjacency_mask(0)))
+        for k in range(3):
+            if best is not None and best_chi > k * chi_local(g, 1):
+                c_set = mask_to_set(best)
+                expect("gyarfas", gyarfas_path(g, c_set, 0, k),
+                       lambda c: (m(c_set), c.path, m(c.path[1:]), m(c.residue)))
+        for d in (1, 2):
+            expect("spire", find_spire(g, d, 0),
+                   lambda c: (c[0].path, m(c[0].path), m(c[0].a_set), m(c[0].b_set), m(c[1])))
+    assert found == {"x_split", "equipment", "proper", "gyarfas", "spire"}
+
+
+def test_proper_equipment_that_fails_its_check_raises(monkeypatch):
+    monkeypatch.setattr(machinery, "_equipment_clause", lambda *args: "injected clause")
+    with pytest.raises(AssertionError, match="searcher produced invalid proper equipment: injected clause"):
+        properly_d_equipped(equipment_host(), 0, {1, 2, 3, 4, 5}, 2)
 
 
 # ------------------------------------------------------- centered paths
