@@ -22,14 +22,16 @@ from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
 from chibound.embed import _search_plan
 from chibound.generators import complete_graph, kneser, mycielski_tower, random_graph, shift_graph
-from chibound.trees import binary_star, bristle, bristled_star, broom, superstar
+from chibound.trees import binary_star, bristle, bristled_star, broom, double_broom, path_tree, superstar
 
 
-def embedding_args(host, pattern, anchor=None):
-    """The embedding kernel arguments of the search plan: host adjacency,
-    pattern rows, above and candidates. A count row times the constrained
-    count, which the plan's factor scales to the full one."""
-    _, *plan, _ = _search_plan(host, pattern, anchor)
+def embedding_args(host, pattern, anchor=None, count=False):
+    """The embedding kernel arguments of a search plan: host adjacency,
+    pattern rows, above and candidates. count=True gives the plan that
+    count_induced_embeddings runs, else find_induced_embedding's. A count
+    row times the constrained count, which the plan's factor scales to the
+    full one."""
+    _, *plan, _ = _search_plan(host, pattern, anchor, count)
     return (host.adjacency_masks(), *plan)
 
 
@@ -84,19 +86,22 @@ def workloads():
         "greedy clique x100 random(70, .5)",
         lambda m: [m.greedy_clique(g.adjacency_masks()) for g in cliques],
     )
-    args = embedding_args(host, pat)
+    args = embedding_args(host, pat, count=True)
     yield ("count star in kneser(6,2)", lambda m: m.count_embeddings(*args))
     wide_args = embedding_args(wide, complete_graph(7))
     yield ("refute K7 in random(80, .3)", lambda m: m.find_embedding(*wide_args))
-    # the heaviest ops of the e2ebench patterns menu
-    k72, s7 = kneser(7, 2), shift_graph(7)
+    # the heaviest ops of the e2ebench patterns menu; random(30, .15) is
+    # the first host of its random pool
+    k72, s7, r30 = kneser(7, 2), shift_graph(7), random_graph(30, "0.15", 4099)
     for name, pattern, host, host_name in [
-        ("bristle(1,2)", bristle(1, 2), k72, "kneser(7,2)"),
-        ("broom(2,2)", broom(2, 2), k72, "kneser(7,2)"),
-        ("superstar(2)", superstar(2), k72, "kneser(7,2)"),
-        ("superstar(3)", superstar(3), s7, "shift(7)"),
+        ("bristle(1,2)", bristle(1, 2).graph, k72, "kneser(7,2)"),
+        ("broom(2,2)", broom(2, 2).graph, k72, "kneser(7,2)"),
+        ("superstar(2)", superstar(2).graph, k72, "kneser(7,2)"),
+        ("superstar(3)", superstar(3).graph, s7, "shift(7)"),
+        ("path(5)", path_tree(5).graph, r30, "random(30, .15)"),
+        ("double_broom(2,2,2)", double_broom(2, 2, 2), r30, "random(30, .15)"),
     ]:
-        menu_args = embedding_args(host, pattern.graph)
+        menu_args = embedding_args(host, pattern, count=True)
         yield (f"count {name} in {host_name}", lambda m, a=menu_args: m.count_embeddings(*a))
     absent_args = embedding_args(k72, superstar(3).graph)
     yield ("refute superstar(3) in kneser(7,2)", lambda m: m.find_embedding(*absent_args))

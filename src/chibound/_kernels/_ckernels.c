@@ -503,8 +503,10 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
    whose host t's host must exceed (or -1) and cands[t] the host
    candidates of position t. embed._search_plan links each isomorphic
    sibling subtree of a forest pattern to the previous one through above,
-   which breaks their symmetry without changing the first embedding; a
-   count is then multiplied by the number of automorphisms broken.
+   which breaks their symmetry without changing the first embedding, and
+   its count plan links the second centre of a tree with isomorphic
+   halves to the first; a count is then multiplied by the number of
+   automorphisms broken.
    Candidates are the unused hosts of cands[t] adjacent to the parent's
    host and above the host of position above[t], taken ascending, and
    each one taken is a node charged before it is tested. Below the last
@@ -514,12 +516,14 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
    adjacent to t: one mask comparison per candidate.
 
    parents[t], the highest bit of pat row t below t or -1, is worked out
-   here. In a DFS preorder, as embed._search_plan makes, it is the DFS
-   parent: an undirected DFS has no cross edges, so every earlier
-   neighbour of t is an ancestor, and the deepest comes last. In any other
-   order it is still adjacent to t, so keeping t's pool to its host's
-   neighbours drops no passing candidate: finds and counts stay exact, and
-   only the node charges depend on the order.
+   here. In a DFS preorder, as embed._search_plan's find plan makes, it is
+   the DFS parent: an undirected DFS has no cross edges, so every earlier
+   neighbour of t is an ancestor, and the deepest comes last. In the BFS
+   order of a forest, as its count plan makes, the BFS parent is t's only
+   earlier neighbour. In any other order it is still adjacent to t, so
+   keeping t's pool to its host's neighbours drops no passing candidate:
+   finds and counts stay exact, and only the node charges depend on the
+   order.
 
    Each level also carries fit, the hosts that pass L's test against the
    positions placed so far: level 0 starts it all ones, and placing h at

@@ -46,16 +46,19 @@ Common conventions:
     loop over each candidate of the pool below the last position, one
     mask comparison each, over the same nodes;
   * a position's parent in the embedding search is its latest earlier
-    neighbour: the DFS parent in a DFS preorder, such as _search_plan's,
-    and still a neighbour in any other order, so only node charges depend
-    on the order (see find_embedding);
+    neighbour: the tree parent in the DFS preorder of _search_plan's find
+    plan or the BFS order of a forest in its count plan, and still a
+    neighbour in any other order, so only node charges depend on the
+    order (see find_embedding);
   * the embedding kernels take above, one earlier position or -1 per
     position, and keep only hosts above the host of position above[t] as
     t's candidates. embed._search_plan links each isomorphic sibling
     subtree of a forest pattern to the previous one this way, so a search
     visits one of each set of relabellings of those subtrees; the first
-    embedding is unchanged, and embed.count_induced_embeddings multiplies
-    a count by the number of automorphisms the constraints break;
+    embedding is unchanged. The count plan also links the second centre
+    of a tree with isomorphic halves to the first, and
+    embed.count_induced_embeddings multiplies a count by the number of
+    automorphisms the constraints break;
   * every entry point returns (status, payload) with status
     0 = result found, 1 = exhausted without result, 2 = budget exceeded;
     k_color's status-2 payload is the k whose search ran out.
@@ -299,15 +302,18 @@ def find_embedding(host_adj, pat_adj_o, above, cands, node_budget=0):
     position t. embed._search_plan sets above[t] to the previous
     isomorphic sibling subtree of a forest pattern, which breaks the
     symmetry between siblings without changing the first embedding (see
-    embed.find_induced_embedding).
+    embed.find_induced_embedding), and in its count plan the second
+    centre of a tree with isomorphic halves to the first.
 
     The parent of position t is the highest bit of pat_adj_o[t] below t,
-    or -1. In a DFS preorder, as embed._search_plan makes, it is the DFS
-    parent: an undirected DFS has no cross edges, so every earlier
-    neighbour of t is an ancestor, and the deepest comes last. In any
-    other order it is still adjacent to t, so keeping t's pool to its
-    host's neighbours drops no passing candidate: finds and counts stay
-    exact, and only the node charges depend on the order.
+    or -1. In a DFS preorder, as embed._search_plan's find plan makes, it
+    is the DFS parent: an undirected DFS has no cross edges, so every
+    earlier neighbour of t is an ancestor, and the deepest comes last. In
+    the BFS order of a forest, as its count plan makes, the BFS parent is
+    t's only earlier neighbour. In any other order it is still adjacent to
+    t, so keeping t's pool to its host's neighbours drops no passing
+    candidate: finds and counts stay exact, and only the node charges
+    depend on the order.
 
     The pool of position t holds the unused hosts of cands[t] adjacent to
     the parent's host and above the host of position above[t], its

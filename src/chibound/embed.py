@@ -2,13 +2,15 @@
 two-pattern starriness test.
 
 Embeddings are labeled injective maps preserving both adjacency and
-non-adjacency. The backtracking order is canonical (DFS from the anchor or
-from a highest-degree pattern vertex, host candidates ascending), so the
-first witness is deterministic across runs and kernel backends. For a
-forest pattern the search places isomorphic sibling subtrees in
-ascending host order (the symmetry breaking of Grochow and Kellis, RECOMB
-2007), which keeps the first witness and makes a count one orbit
-representative per relabelling of those subtrees, multiplied back.
+non-adjacency. The backtracking order is canonical, with host candidates
+ascending. A find runs a DFS from the anchor or from a highest-degree
+pattern vertex, so the first witness is deterministic across runs and
+kernel backends. A count of a forest pattern runs breadth-first from the
+centre of each tree. For a forest pattern the search places isomorphic
+sibling subtrees in ascending host order (the symmetry breaking of
+Grochow and Kellis, RECOMB 2007). That keeps a find's first witness. In a
+count, rooted at the centre, it leaves one representative per orbit of
+the pattern's whole automorphism group, and the count is multiplied back.
 """
 
 from dataclasses import dataclass
@@ -66,9 +68,12 @@ def verify_embedding(host, pattern, emb):
         return False
     if any(not 0 <= h < host.n for h in m):
         return False
+    # every id is in range now, so the masks are read unchecked
+    pat, adj = pattern.adjacency_masks(), host.adjacency_masks()
     for u in range(pattern.n):
+        row = adj[m[u]]
         for v in range(u + 1, pattern.n):
-            if pattern.has_edge(u, v) != host.has_edge(m[u], m[v]):
+            if pat[u] >> v & 1 != row >> m[v] & 1:
                 return False
     return True
 
@@ -81,9 +86,9 @@ def _bfs_dist(g, start):
     return dist
 
 
-def _dfs_order(pattern, root):
-    """Preorder (vertex, parent) pairs over root's component, neighbors
-    ascending."""
+def _dfs_order(adj, root):
+    """Preorder (vertex, parent) pairs over root's component of the graph
+    with adjacency masks adj, neighbors ascending."""
     out = []
     visited = 0
 
@@ -91,7 +96,7 @@ def _dfs_order(pattern, root):
         nonlocal visited
         visited |= 1 << v
         out.append((v, par))
-        for w in bits(pattern.adjacency_mask(v)):
+        for w in bits(adj[v]):
             if not (visited >> w) & 1:
                 visit(w, v)
 
@@ -99,13 +104,65 @@ def _dfs_order(pattern, root):
     return out
 
 
+def _bfs_order(adj, root):
+    """Breadth-first (vertex, parent) pairs over root's component of the
+    graph with adjacency masks adj, each vertex's unvisited neighbours
+    ascending, so the children of a vertex sit side by side."""
+    out = [(root, -1)]
+    seen = 1 << root
+    i = 0
+    while i < len(out):
+        v = out[i][0]
+        i += 1
+        out.extend((w, v) for w in bits(adj[v] & ~seen))
+        seen |= adj[v]
+    return out
+
+
+def _centre(adj, comp):
+    """The centre of the tree on the vertex mask comp: the one vertex or
+    the two adjacent ones left when its leaves are peeled off round by
+    round (Jordan 1869)."""
+    while comp.bit_count() > 2:
+        comp &= ~sum(1 << v for v in bits(comp) if (adj[v] & comp).bit_count() < 2)
+    return list(bits(comp))
+
+
+def _rooted_code(adj, v, away, codes):
+    """AHU code of the subtree at v of a tree, cut off from its neighbour
+    away: one small int per distinct sorted tuple of child codes, kept in
+    codes."""
+    kids = sorted(_rooted_code(adj, w, v, codes) for w in bits(adj[v] & ~(1 << away)))
+    return codes.setdefault(tuple(kids), len(codes))
+
+
+def _count_roots(adj, comps):
+    """(root, twin) for each tree of a forest, the vertex masks comps.
+    root is the tree's centre. Of the two centres of a bicentral tree it is
+    the one whose half, its side of the central edge, has the smaller AHU
+    code, so isomorphic trees get isomorphic rooted trees; twin is the
+    other centre when the two halves are isomorphic, else -1."""
+    codes = {}
+    out = []
+    for comp in comps:
+        centre = _centre(adj, comp)
+        if len(centre) == 1:
+            out.append((centre[0], -1))
+            continue
+        c1, c2 = centre
+        h1, h2 = _rooted_code(adj, c1, c2, codes), _rooted_code(adj, c2, c1, codes)
+        out.append((c2, -1) if h2 < h1 else (c1, c2 if h1 == h2 else -1))
+    return out
+
+
 def _sibling_classes(parents, anchored):
-    """above and factor of _search_plan for a forest's DFS parents, in one
+    """above and factor of _search_plan for a forest's tree parents, in one
     pass from the last position back. A position's children come after it
-    in preorder, so its AHU code, one small int per distinct sorted tuple
-    of child codes, is complete when the pass reaches it, and the sibling
-    of its class met just before it in the pass is the next one in order.
-    anchored keeps position 0, the anchored root, out of every class."""
+    in the plan's order, DFS or BFS, so its AHU code, one small int per
+    distinct sorted tuple of child codes, is complete when the pass reaches
+    it, and the sibling of its class met just before it in the pass is the
+    next one in order. anchored keeps position 0, the anchored root, out of
+    every class."""
     m = len(parents)
     codes = {}
     kids = [[] for _ in range(m)]
@@ -130,31 +187,46 @@ def _sibling_classes(parents, anchored):
     return above, factor
 
 
-def _search_plan(host, pattern, anchor):
+def _search_plan(host, pattern, anchor, count=False):
     """Order pattern vertices and build static candidate masks.
 
     Returns (order, pat_adj_o, above, cands, factor) in search-order
     space: pat_adj_o[t] has bit s set iff the pattern vertices at
-    positions t and s are adjacent. The order is a DFS preorder of each
-    component, so the kernels' parent of a position, its latest earlier
-    neighbour, is its DFS parent. Static filters:
+    positions t and s are adjacent. Static filters:
     host degree at least pattern degree everywhere, the anchor pinned to a
     single host vertex, and, within the anchor's pattern component, host
     distance from the anchor host no larger than pattern distance from the
     anchor vertex.
 
+    The find plan, the default, orders each component by a DFS preorder
+    from the anchor or from a highest-degree vertex, lowest id first, so
+    the kernels' parent of a position, its latest earlier neighbour, is
+    its DFS parent. count=True asks for the count plan, which takes no
+    anchor: it roots each tree of a forest pattern at its centre (see
+    _count_roots) and orders it breadth-first from there, so each class of
+    isomorphic siblings sits near the root, where its order prunes first,
+    and the leaves come last, where the kernels take the last position's
+    hosts in one step; a tree's only earlier neighbour is then its BFS
+    parent. A pattern that is not a forest gets the find plan's order.
+
     When the pattern is a forest, above[t] is the position of the previous
-    sibling subtree isomorphic to position t's: the same parent in the DFS
-    tree, or both the roots of unanchored components, and the same rooted
-    (AHU) code. The kernels place t's host above that sibling's. Otherwise,
-    and for a first sibling, above[t] is -1. factor is the number of
-    automorphisms those constraints break, the product of (class size)!
-    over the classes of isomorphic siblings; it is 1 when above is all -1.
+    sibling subtree isomorphic to position t's: the same parent in the
+    plan's tree, or both the roots of unanchored components, and the same
+    rooted (AHU) code. The kernels place t's host above that sibling's.
+    In the count plan, the second centre of a tree whose two halves are
+    isomorphic also has the first centre as above. Otherwise, and for a
+    first sibling, above[t] is -1. factor is the number of automorphisms
+    those constraints break, the product of (class size)! over the classes
+    of isomorphic siblings, times 2 per linked centre; it is 1 when above
+    is all -1. In the count plan it is the order of the pattern's
+    automorphism group: the automorphisms of a tree fix its centre, and
+    those of a rooted tree are the relabellings of isomorphic siblings.
     The anchored component's root sits apart from the other roots, as its
     host is pinned.
     """
     pn = pattern.n
-    pat_deg = [row.bit_count() for row in pattern.adjacency_masks()]
+    pat = pattern.adjacency_masks()
+    pat_deg = [row.bit_count() for row in pat]
     # deg_ok[d]: the hosts of degree at least d, for d up to the largest
     # pattern degree, from one pass over the hosts
     top = max(pat_deg)
@@ -166,28 +238,40 @@ def _search_plan(host, pattern, anchor):
     for d in range(top - 1, -1, -1):
         deg_ok[d] |= deg_ok[d + 1]
 
-    anchor_p = anchor[0] if anchor is not None else None
-
-    keyed = []
-    for comp in _component_masks(pattern, (1 << pn) - 1):
-        if anchor_p is not None and (comp >> anchor_p) & 1:
-            keyed.append((0, anchor_p))
-        else:
-            keyed.append((1, max(bits(comp), key=lambda v: (pat_deg[v], -v))))
-    keyed.sort()
-
+    comps = list(_component_masks(pattern, (1 << pn) - 1))
+    forest = sum(pat_deg) == 2 * (pn - len(comps))  # one edge fewer than vertices per tree
     pairs = []
-    for _, root in keyed:
-        pairs.extend(_dfs_order(pattern, root))
+    twins = []
+    if count and forest:
+        for root, twin in sorted(_count_roots(pat, comps)):
+            pairs += _bfs_order(pat, root)
+            if twin >= 0:
+                twins.append((root, twin))
+    else:
+        anchor_p = anchor[0] if anchor is not None else None
+        keyed = []
+        for comp in comps:
+            if anchor_p is not None and (comp >> anchor_p) & 1:
+                keyed.append((0, anchor_p))
+            else:
+                keyed.append((1, max(bits(comp), key=lambda v: (pat_deg[v], -v))))
+        keyed.sort()
+        for _, root in keyed:
+            pairs += _dfs_order(pat, root)
 
     order = [v for v, _ in pairs]
     pos_of = {v: t for t, v in enumerate(order)}
-    pat_adj_o = [sum(1 << pos_of[w] for w in bits(pattern.adjacency_mask(v))) for v in order]
+    pat_adj_o = [sum(1 << pos_of[w] for w in bits(pat[v])) for v in order]
 
     above, factor = [-1] * pn, 1
-    if sum(pat_deg) == 2 * (pn - len(keyed)):  # a forest: one edge fewer than vertices per tree
+    if forest:
         parents = [-1 if par < 0 else pos_of[par] for _, par in pairs]
         above, factor = _sibling_classes(parents, anchor is not None)
+        # a centre's half never matches another child of the root, being
+        # the only one as tall as the other half, so its above is still -1
+        for c1, c2 in twins:
+            above[pos_of[c2]] = pos_of[c1]
+        factor <<= len(twins)
 
     cands = [deg_ok[pat_deg[v]] for v in order]
     if anchor is not None:
@@ -250,20 +334,24 @@ def count_induced_embeddings(host, pattern, node_budget=None):
     """Exact number of labeled induced embeddings. Automorphic images
     count separately.
 
-    For a forest the kernel counts only the embeddings that place each
-    sibling subtree above its earlier isomorphic siblings (see
-    _search_plan), and the total is that count times the plan's factor,
-    the size of the group G that permutes isomorphic sibling subtrees. G
-    acts freely on embeddings, as they are injective, and each orbit holds
-    exactly one constrained embedding: sorting the siblings of each class
-    by host, from the DFS roots down, picks it. A budget is charged only
-    for the constrained search."""
+    For a forest the count plan (see _search_plan) roots each tree at its
+    centre, and the kernel counts only the embeddings that place each
+    sibling subtree above its earlier isomorphic siblings and, in a tree
+    with isomorphic halves, the second centre above the first. The total
+    is that count times the plan's factor, the size of the group G those
+    constraints break, every automorphism of the forest. G acts freely on
+    embeddings, as they are injective, and each orbit holds exactly one
+    constrained embedding: swapping the halves of each such tree so that
+    its first centre has the lower host, then sorting the siblings of each
+    class by host, from the roots down, picks it. A budget is charged only
+    for the constrained search, so it counts the nodes of the count plan,
+    not those of find_induced_embedding's plan."""
     _check_positive_int(node_budget, "node_budget")
     if pattern.n > host.n:
         return 0
     if pattern.n == 0:
         return 1
-    _, *plan, factor = _search_plan(host, pattern, None)
+    _, *plan, factor = _search_plan(host, pattern, None, count=True)
     status, total = _kernels.count_embeddings(host.adjacency_masks(), *plan, node_budget or 0)
     if status == 2:
         raise SearchBudgetExceeded("embedding count")

@@ -248,8 +248,8 @@ def find_spire(g, d, min_chi, node_budget=None):
         raise ValueError(f"height must be positive, got {d}")
     _check_non_negative_int(min_chi, "min_chi")
     _check_positive_int(node_budget, "node_budget")
-    order = sorted(range(g.n), key=lambda v: (-g.degree(v), v))
-    for x0 in order:
+    adj = g.adjacency_masks()
+    for x0 in sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v)):
         best, _ = _best_touching(g, x0, node_budget)
         if best is None:
             continue

@@ -18,7 +18,7 @@ from oracles import (
 
 from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
-from chibound.embed import Embedding, _dfs_order, _search_plan, count_induced_embeddings, verify_embedding
+from chibound.embed import Embedding, _bfs_order, _dfs_order, _search_plan, count_induced_embeddings, verify_embedding
 from chibound.generators import (
     complete_graph,
     cycle_graph,
@@ -30,8 +30,8 @@ from chibound.generators import (
     shift_graph,
     star_graph,
 )
-from chibound.graphs import Graph, bits
-from chibound.trees import RootedTree, binary_star, broom, rooted_sum, superstar
+from chibound.graphs import Graph, bits, components
+from chibound.trees import RootedTree, binary_star, broom, double_broom, rooted_sum, superstar
 
 def coloring_grid():
     """(graph, ks) pairs: small random graphs at k = 1..4, then dense hosts,
@@ -99,25 +99,32 @@ def test_backends_agree(ckernels):
     assert linked
 
 
-def dfs_parents(pattern, order):
-    """The DFS parent of each position, as a position, in the DFS trees
-    whose preorders make up order, run afresh from the first vertex of
-    order that no earlier tree reached; -1 at a root."""
+def tree_parents(pattern, order, walk=_dfs_order):
+    """The tree parent of each position, as a position, in the trees of
+    walk, _dfs_order or _bfs_order, whose orders make up order, each run
+    afresh from the first vertex of order that no earlier tree reached;
+    -1 at a root."""
     pairs = []
     while len(pairs) < len(order):
-        pairs += _dfs_order(pattern, order[len(pairs)])
+        pairs += walk(pattern.adjacency_masks(), order[len(pairs)])
     assert [v for v, _ in pairs] == order
     pos = {v: t for t, v in enumerate(order)}
     return [-1 if par < 0 else pos[par] for _, par in pairs]
 
 
 def test_search_plan_dfs_parents_are_the_latest_earlier_neighbours():
-    """On every plan of the grid, forests and other patterns, anchored or
-    not, the DFS parent of each position is the parent the kernels work
-    out, so a search's nodes are those of the DFS tree."""
+    """On every find plan of the grid, forests and other patterns,
+    anchored or not, the DFS parent of each position is the parent the
+    kernels work out, so a search's nodes are those of the DFS tree; so is
+    the BFS parent in the count plan of a forest."""
     for host, pattern, anchor in embedding_triples():
         order, pat_adj_o, *_ = _search_plan(host, pattern, anchor)
-        assert dfs_parents(pattern, order) == reference_parents(pat_adj_o)
+        assert tree_parents(pattern, order) == reference_parents(pat_adj_o)
+        if anchor is None:
+            order, pat_adj_o, *_ = _search_plan(host, pattern, None, count=True)
+            forest = pattern.edge_count == pattern.n - len(components(pattern))
+            walk = _bfs_order if forest else _dfs_order
+            assert tree_parents(pattern, order, walk) == reference_parents(pat_adj_o)
 
 
 def tie_hosts():
@@ -235,6 +242,15 @@ def prufer_graph(n, seq):
     return Graph(n, edges)
 
 
+def disjoint(graphs):
+    """The disjoint union of graphs, each relabelled past the ones before."""
+    edges, n = [], 0
+    for g in graphs:
+        edges += [(u + n, v + n) for u, v in g.edges()]
+        n += g.n
+    return Graph(n, edges)
+
+
 def planted(tree):
     """tree hung from a new root by one edge."""
     g = tree.graph
@@ -262,24 +278,51 @@ def forest_cases(draw):
     random host on up to 7 vertices and an anchor or None. The pattern is
     a random tree from a Prüfer sequence, a rooted_sum of equal planted
     trees, each itself a rooted_sum of equal planted trees, so that
-    isomorphic siblings sit at two depths, or a forest of two trees,
-    equal in half the cases, and a host from draw_host."""
+    isomorphic siblings sit at two depths, a forest of two trees, equal in
+    half the cases, a bicentral tree, two rooted trees of one height with
+    their roots joined, equal in half the cases, or a forest of two or
+    three single edges, isomorphic bicentral trees, and in half the cases
+    one more tree; and a host from draw_host."""
     rng = random.Random(draw(st.integers(0, 2 ** 32)))
 
     def prufer(n):
         return prufer_graph(n, [rng.randrange(n) for _ in range(n - 2)])
 
-    kind = draw(st.sampled_from(("prufer", "nested", "two")))
+    def tall(h, extra):
+        """A random tree of height h from root 0: a path down from the
+        root, then extra more vertices, each hung from a random vertex
+        above depth h."""
+        depth = list(range(h + 1))
+        edges = [(v, v + 1) for v in range(h)]
+        for v in range(h + 1, h + 1 + extra):
+            u = rng.choice([w for w in range(v) if depth[w] < h])
+            edges.append((u, v))
+            depth.append(depth[u] + 1)
+        return Graph(h + 1 + extra, edges)
+
+    kind = draw(st.sampled_from(("prufer", "nested", "two", "bicentral", "edges")))
     if kind == "prufer":
         pattern = prufer(draw(st.integers(1, 7)))
     elif kind == "nested":
         leaf_n, inner, outer = draw(st.sampled_from(((1, 1, 2), (1, 1, 3), (1, 2, 2), (2, 1, 2))))
         leaf = RootedTree(prufer(leaf_n), root=rng.randrange(leaf_n))
         pattern = rooted_sum([planted(rooted_sum([planted(leaf)] * inner))] * outer).graph
-    else:
+    elif kind == "two":
         first = prufer(draw(st.integers(1, 3)))
         second = first if draw(st.booleans()) else prufer(draw(st.integers(1, 3)))
-        pattern = Graph(first.n + second.n, first.edges() + [(u + first.n, v + first.n) for u, v in second.edges()])
+        pattern = disjoint([first, second])
+    elif kind == "bicentral":
+        h = draw(st.integers(0, 2))
+        if draw(st.booleans()):
+            first = second = tall(h, draw(st.integers(0, 2 - h)) if h else 0)
+        else:
+            first = tall(h, draw(st.integers(0, 5 - 2 * h)) if h else 0)
+            second = tall(h, draw(st.integers(0, 5 - 2 * h - (first.n - h - 1))) if h else 0)
+        pattern = Graph(first.n + second.n, disjoint([first, second]).edges() + [(0, first.n)])
+    else:
+        copies = draw(st.integers(2, 3))
+        rest = [prufer(draw(st.integers(1, 7 - 2 * copies)))] if draw(st.booleans()) else []
+        pattern = disjoint([Graph(2, [(0, 1)])] * copies + rest)
     perm = list(range(pattern.n))
     rng.shuffle(perm)
     pattern = Graph(pattern.n, [(perm[u], perm[v]) for u, v in pattern.edges()])
@@ -296,11 +339,14 @@ def test_symmetry_broken_search_on_random_forests(ckernels, case):
     """With the symmetry constraints of _search_plan, both backends find
     the witness of the same plan with above all -1, and a count times the
     plan's factor is the brute-force count, or with an anchor the
-    unconstrained count of the anchored plan. The DFS parents of the plan
-    are the ones the kernels work out."""
+    unconstrained count of the anchored plan. Without an anchor the count
+    plan, rooted at the centres, gives the brute-force count too, and both
+    backends agree on it under small budgets. The DFS parents of the find
+    plan and the BFS parents of the count plan are the ones the kernels
+    work out."""
     host, pattern, anchor = case
     order, *plan, factor = _search_plan(host, pattern, anchor)
-    assert dfs_parents(pattern, order) == reference_parents(plan[0])
+    assert tree_parents(pattern, order) == reference_parents(plan[0])
     args = (host.adjacency_masks(), *plan)
     want = brute_count_induced(host, pattern) if anchor is None else pykernels.count_embeddings(*plain(args))[1]
     for kernels in (pykernels, ckernels):
@@ -308,7 +354,76 @@ def test_symmetry_broken_search_on_random_forests(ckernels, case):
         status, total = kernels.count_embeddings(*args)
         assert status == 0 and total * factor == want
     if anchor is None:
+        order, *plan, factor = _search_plan(host, pattern, None, count=True)
+        assert tree_parents(pattern, order, _bfs_order) == reference_parents(plan[0])
+        args = (host.adjacency_masks(), *plan)
+        for budget in (5, 50):
+            assert pykernels.count_embeddings(*args, budget) == ckernels.count_embeddings(*args, budget)
+        for kernels in (pykernels, ckernels):
+            status, total = kernels.count_embeddings(*args)
+            assert status == 0 and total * factor == want
         assert count_induced_embeddings(host, pattern) == want
+
+
+def all_trees(n_max):
+    """One tree per isomorphism class on 1 to n_max vertices: each tree on
+    n - 1 vertices with a leaf hung from each vertex in turn, kept when its
+    form, the least of its rooted forms over every root, is new."""
+
+    def rooted(adj, v, away):
+        return tuple(sorted(rooted(adj, w, v) for w in bits(adj[v]) if w != away))
+
+    def form(g):
+        return min(rooted(g.adjacency_masks(), r, -1) for r in range(g.n))
+
+    out = level = [Graph(1)]
+    for n in range(2, n_max + 1):
+        forms = {}
+        for g in level:
+            for v in range(n - 1):
+                tree = Graph(n, g.edges() + [(v, n - 1)])
+                forms.setdefault(form(tree), tree)
+        level = list(forms.values())
+        out = out + level
+    return out
+
+
+def test_count_plan_breaks_every_automorphism(ckernels):
+    """For every tree on up to 7 vertices, under its labels and reversed,
+    the count plan's factor is the number of automorphisms, counted by
+    brute force, so its constraints break the whole group. Forests of
+    isomorphic bicentral trees, too large for a brute-force count, have
+    (copies)! times that per tree, and in hosts that hold a copy both
+    backends count on the count plan what the find plan counts with above
+    all -1."""
+    def flipped(g):
+        return Graph(g.n, [(g.n - 1 - u, g.n - 1 - v) for u, v in g.edges()])
+
+    trees = all_trees(7)
+    assert len(trees) == 25
+    for tree in trees:
+        aut = brute_count_induced(tree, tree)
+        for g in (tree, flipped(tree)):
+            assert _search_plan(g, g, None, count=True)[-1] == aut
+    # lopsided has two centres with halves that differ, and its two copies
+    # order their centres differently
+    p4, db, k2, lopsided = path_graph(4), double_broom(2, 1, 2), path_graph(2), double_broom(2, 1, 1)
+    for pattern, want_factor in [
+        (disjoint([p4, p4]), 2 * 2 * 2),
+        (disjoint([db, db]), 2 * 8 * 8),
+        (disjoint([k2, p4, k2, k2]), 6 * 2 ** 3 * 2),
+        (disjoint([lopsided, flipped(lopsided)]), 2 * 2 * 2),
+    ]:
+        for seed in range(3):
+            host = disjoint([pattern, random_graph(10, "0.2", 6200 + seed)])
+            _, *plan, _ = _search_plan(host, pattern, None)
+            want = pykernels.count_embeddings(*plain((host.adjacency_masks(), *plan)))[1]
+            _, *plan, factor = _search_plan(host, pattern, None, count=True)
+            assert factor == want_factor
+            args = (host.adjacency_masks(), *plan)
+            for kernels in (pykernels, ckernels):
+                status, total = kernels.count_embeddings(*args)
+                assert status == 0 and total * factor == want
 
 
 @st.composite
