@@ -45,6 +45,11 @@ Common conventions:
     by a budgeted call, to charge the failing ones; _ckernels.c keeps a
     loop over each candidate of the pool below the last position, one
     mask comparison each, over the same nodes;
+  * the part of that search's set-up that depends only on the plan and
+    hn, the layout (the parents and the after, apart and sib field masks,
+    see _layout), is cached per (pat_adj_o, above, hn) in a bounded
+    lru_cache; every mask check still runs on every call, before the
+    cache is read. The fields are hn bits wide, so hn is in the key;
   * a position's parent in the embedding search is its latest earlier
     neighbour: the tree parent in the DFS preorder of _search_plan's find
     plan or the BFS order of a forest in its count plan, and still a
@@ -63,6 +68,8 @@ Common conventions:
     0 = result found, 1 = exhausted without result, 2 = budget exceeded;
     k_color's status-2 payload is the k whose search ran out.
 """
+
+from functools import lru_cache
 
 BACKEND_NAME = "python"
 
@@ -384,36 +391,21 @@ def count_embeddings(host_adj, pat_adj_o, above, cands, node_budget=0):
     return _embed(host_adj, pat_adj_o, above, cands, node_budget, True)
 
 
-def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
-    """The search behind both entry points (see find_embedding): the first
-    embedding, or with count the number of embeddings."""
-    hn, m = len(host_adj), len(pat_adj_o)
-    _popcounts(host_adj, hn, hn, "host_adj")
-    _popcounts(cands, m, hn, "cands", loops=True)
-    _popcounts(pat_adj_o, m, m, "pat_adj_o")
-    if len(above) < m:
-        raise ValueError(f"above has {len(above)} entries, need {m}")
-    for t in range(m):
-        if not -1 <= above[t] < t:
-            raise ValueError(f"above[{t}] is {above[t]}, outside -1..{t - 1}")
-    parents = [(pat_adj_o[t] & (1 << t) - 1).bit_length() - 1 for t in range(m)]
-    if m == 0:
-        return (0, 1) if count else (0, [])
-    if m == 1:
-        # the last position's step, before any search: with no earlier
-        # position its pool is cands[0] and every candidate passes
-        pool = cands[0]
-        if count:
-            return (2, None) if 0 < node_budget < pool.bit_count() else (0, pool.bit_count())
-        return (0, [(pool & -pool).bit_length() - 1]) if pool else (1, None)
+@lru_cache(maxsize=128)
+def _layout(pat_adj_o, above, hn):
+    """The part of _embed's set-up that depends on the plan and the host's
+    vertex count alone, for a plan of at least two positions, checked by
+    the caller: (parents, after, apart, sib), the parent of each position
+    and, for each position s before the penultimate, after[s] with a one
+    at the bottom of the field of each position after s, so row * after[s]
+    copies a host row into each of those fields; apart[s] with one there
+    only for the later positions not adjacent to s, so XORing in full *
+    apart[s] turns the row there into its complement; sib[s] with one for
+    each position whose above is s."""
+    m = len(pat_adj_o)
+    parents = tuple((pat_adj_o[t] & (1 << t) - 1).bit_length() - 1 for t in range(m))
     last = m - 1
-    pen = last - 1  # the position whose loop makes the last position's step
-    # after[s] has a one at the bottom of the field of each position after
-    # s, so row * after[s] copies a host row into each of those fields;
-    # apart[s] has one there only for the later positions not adjacent to
-    # s, so XORing in full * apart[s] turns the row there into its
-    # complement; sib[s] has one for each position whose above is s
-    full = (1 << hn) - 1
+    pen = last - 1
     after = [0] * pen
     apart = [0] * pen
     sib = [0] * pen
@@ -430,12 +422,41 @@ def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
             t += 1
         after[s] = later
         apart[s] = away
+    for t in range(m):
+        if 0 <= above[t] < pen:
+            sib[above[t]] |= 1 << t * hn
+    return parents, tuple(after), tuple(apart), tuple(sib)
+
+
+def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
+    """The search behind both entry points (see find_embedding): the first
+    embedding, or with count the number of embeddings."""
+    hn, m = len(host_adj), len(pat_adj_o)
+    _popcounts(host_adj, hn, hn, "host_adj")
+    _popcounts(cands, m, hn, "cands", loops=True)
+    _popcounts(pat_adj_o, m, m, "pat_adj_o")
+    if len(above) < m:
+        raise ValueError(f"above has {len(above)} entries, need {m}")
+    for t in range(m):
+        if not -1 <= above[t] < t:
+            raise ValueError(f"above[{t}] is {above[t]}, outside -1..{t - 1}")
+    if m == 0:
+        return (0, 1) if count else (0, [])
+    if m == 1:
+        # the last position's step, before any search: with no earlier
+        # position its pool is cands[0] and every candidate passes
+        pool = cands[0]
+        if count:
+            return (2, None) if 0 < node_budget < pool.bit_count() else (0, pool.bit_count())
+        return (0, [(pool & -pool).bit_length() - 1]) if pool else (1, None)
+    last = m - 1
+    pen = last - 1  # the position whose loop makes the last position's step
+    parents, after, apart, sib = _layout(tuple(pat_adj_o), tuple(above[:m]), hn)
+    full = (1 << hn) - 1
     # fit starts as the candidate masks, one per field
     fit = 0
     for t in range(m):
         fit |= cands[t] << t * hn
-        if 0 <= above[t] < pen:
-            sib[above[t]] |= 1 << t * hn
     # sides[s][h], built on h's first placement at s, is what that
     # placement ANDs into fit
     sides = [[None] * hn for _ in range(pen)]

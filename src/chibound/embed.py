@@ -11,9 +11,16 @@ sibling subtrees in ascending host order (the symmetry breaking of
 Grochow and Kellis, RECOMB 2007). That keeps a find's first witness. In a
 count, rooted at the centre, it leaves one representative per orbit of
 the pattern's whole automorphism group, and the count is multiplied back.
+
+Only the candidate masks of a search plan depend on the host. The rest,
+the order, the pattern rows in order, the sibling links and the factor,
+is built once per (pattern, anchor pattern vertex, count) by
+_pattern_plan, a bounded lru_cache keyed on the pattern's content, and
+handed out as tuples, so no caller can change a cached plan.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 from itertools import accumulate
 
 from . import _kernels
@@ -192,11 +199,51 @@ def _search_plan(host, pattern, anchor, count=False):
 
     Returns (order, pat_adj_o, above, cands, factor) in search-order
     space: pat_adj_o[t] has bit s set iff the pattern vertices at
-    positions t and s are adjacent. Static filters:
-    host degree at least pattern degree everywhere, the anchor pinned to a
+    positions t and s are adjacent. order, pat_adj_o, above and factor
+    depend on the pattern alone and come from _pattern_plan, built once
+    per (pattern, anchor pattern vertex, count) and shared as tuples.
+    cands, a fresh list, holds the static filters of the host: host
+    degree at least pattern degree everywhere, the anchor pinned to a
     single host vertex, and, within the anchor's pattern component, host
-    distance from the anchor host no larger than pattern distance from the
-    anchor vertex.
+    distance from the anchor host no larger than pattern distance from
+    the anchor vertex.
+    """
+    order, pat_adj_o, above, factor, deg_o, dist_o = _pattern_plan(
+        pattern, None if anchor is None else anchor[0], count
+    )
+    # deg_ok[d]: the hosts of degree at least d, for d up to the largest
+    # pattern degree, from one pass over the hosts
+    top = max(deg_o)
+    deg_ok = [0] * (top + 1)
+    b = 1
+    for d in map(int.bit_count, host.adjacency_masks()):
+        deg_ok[d if d < top else top] |= b
+        b <<= 1
+    for d in range(top - 1, -1, -1):
+        deg_ok[d] |= deg_ok[d + 1]
+
+    cands = [deg_ok[d] for d in deg_o]
+    if anchor is not None:
+        # balls[r]: host vertices within distance r of the anchor host;
+        # the frontiers are disjoint, so a ball is their sum. balls[0]
+        # pins the anchor vertex, the one at pattern distance 0
+        balls = list(accumulate(layers(host, anchor[1])))
+        last = len(balls) - 1
+        for t, r in enumerate(dist_o):
+            if r >= 0:  # a vertex of another component has no constraint
+                cands[t] &= balls[r if r < last else last]
+    return order, pat_adj_o, above, cands, factor
+
+
+@lru_cache(maxsize=256)
+def _pattern_plan(pattern, anchor_p, count):
+    """The half of _search_plan that depends on the pattern alone: (order,
+    pat_adj_o, above, factor, deg_o, dist_o), all tuples but factor, so no
+    caller can change a cached plan. anchor_p is the anchor's pattern
+    vertex or None. deg_o[t] is the degree of the pattern vertex at
+    position t and dist_o[t] its distance from anchor_p, -1 in another
+    component; dist_o is empty without an anchor. The cache is keyed on
+    the pattern's content (Graph hashes by it) and holds 256 plans.
 
     The find plan, the default, orders each component by a DFS preorder
     from the anchor or from a highest-degree vertex, lowest id first, so
@@ -227,17 +274,6 @@ def _search_plan(host, pattern, anchor, count=False):
     pn = pattern.n
     pat = pattern.adjacency_masks()
     pat_deg = [row.bit_count() for row in pat]
-    # deg_ok[d]: the hosts of degree at least d, for d up to the largest
-    # pattern degree, from one pass over the hosts
-    top = max(pat_deg)
-    deg_ok = [0] * (top + 1)
-    b = 1
-    for d in map(int.bit_count, host.adjacency_masks()):
-        deg_ok[d if d < top else top] |= b
-        b <<= 1
-    for d in range(top - 1, -1, -1):
-        deg_ok[d] |= deg_ok[d + 1]
-
     comps = list(_component_masks(pattern, (1 << pn) - 1))
     forest = sum(pat_deg) == 2 * (pn - len(comps))  # one edge fewer than vertices per tree
     pairs = []
@@ -248,7 +284,6 @@ def _search_plan(host, pattern, anchor, count=False):
             if twin >= 0:
                 twins.append((root, twin))
     else:
-        anchor_p = anchor[0] if anchor is not None else None
         keyed = []
         for comp in comps:
             if anchor_p is not None and (comp >> anchor_p) & 1:
@@ -259,32 +294,25 @@ def _search_plan(host, pattern, anchor, count=False):
         for _, root in keyed:
             pairs += _dfs_order(pat, root)
 
-    order = [v for v, _ in pairs]
+    order = tuple(v for v, _ in pairs)
     pos_of = {v: t for t, v in enumerate(order)}
-    pat_adj_o = [sum(1 << pos_of[w] for w in bits(pat[v])) for v in order]
+    pat_adj_o = tuple(sum(1 << pos_of[w] for w in bits(pat[v])) for v in order)
 
     above, factor = [-1] * pn, 1
     if forest:
         parents = [-1 if par < 0 else pos_of[par] for _, par in pairs]
-        above, factor = _sibling_classes(parents, anchor is not None)
+        above, factor = _sibling_classes(parents, anchor_p is not None)
         # a centre's half never matches another child of the root, being
         # the only one as tall as the other half, so its above is still -1
         for c1, c2 in twins:
             above[pos_of[c2]] = pos_of[c1]
         factor <<= len(twins)
 
-    cands = [deg_ok[pat_deg[v]] for v in order]
-    if anchor is not None:
-        ap, ah = anchor
-        cands[pos_of[ap]] &= 1 << ah
-        # balls[r]: host vertices within distance r of ah; the frontiers
-        # are disjoint, so a ball is their sum
-        balls = list(accumulate(layers(host, ah)))
-        pdist = _bfs_dist(pattern, ap)
-        for t, v in enumerate(order):
-            if pdist[v] >= 0:  # a vertex of another component has no constraint
-                cands[t] &= balls[min(pdist[v], len(balls) - 1)]
-    return order, pat_adj_o, above, cands, factor
+    dist_o = ()
+    if anchor_p is not None:
+        pdist = _bfs_dist(pattern, anchor_p)
+        dist_o = tuple(pdist[v] for v in order)
+    return order, pat_adj_o, tuple(above), factor, tuple(pat_deg[v] for v in order), dist_o
 
 
 def find_induced_embedding(host, pattern, anchor=None, node_budget=None):

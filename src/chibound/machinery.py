@@ -47,12 +47,13 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
     _check_non_negative_int(min_chi, "min_chi")
     _check_positive_int(node_budget, "node_budget")
     xmask = vertex_mask(g, x_ground)
+    adj = g.adjacency_masks()
     outside_x = ((1 << g.n) - 1) & ~xmask
     by_size = node_budget is None and min_chi <= 1
     for x in bits(xmask):
-        x_nbrs = g.adjacency_mask(x)
+        x_nbrs = adj[x]
         for y in bits(x_nbrs & ~xmask):
-            region = outside_x & ~(1 << y) & ~g.adjacency_mask(y)
+            region = outside_x & ~(1 << y) & ~adj[y]
             for comp in _component_masks(g, region, x_nbrs):
                 if by_size:
                     above = comp.bit_count() > min_chi
@@ -68,7 +69,7 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
 
 def _best_touching(g, x0, node_budget=None):
     """best_by_chi over the components of g - x0 that meet N(x0)."""
-    touching = _component_masks(g, ((1 << g.n) - 1) & ~(1 << x0), g.adjacency_mask(x0))
+    touching = _component_masks(g, ((1 << g.n) - 1) & ~(1 << x0), g.adjacency_masks()[x0])
     return best_by_chi(g, touching, node_budget)
 
 
@@ -77,16 +78,17 @@ def _gyarfas_core(g, cmask, x0, k):
     neighborhood, descend into the best component, step to the lowest
     neighbor touching it. Returns (path, residue mask) or None when some
     step has nowhere to go."""
+    adj = g.adjacency_masks()
     working = cmask
     path = [x0]
     for _ in range(k):
-        nbrs = working & g.adjacency_mask(path[-1])
+        nbrs = working & adj[path[-1]]
         if not nbrs:
             return None
         comp, _ = best_by_chi(g, _component_masks(g, working & ~nbrs))
         if comp is None:
             return None
-        steps = [v for v in bits(nbrs) if g.adjacency_mask(v) & comp]
+        steps = [v for v in bits(nbrs) if adj[v] & comp]
         if not steps:
             return None
         path.append(steps[0])
@@ -118,7 +120,7 @@ def _gyarfas_path_of_mask(g, cmask, x0, k):
         raise ValueError("the set must be nonempty")
     if not is_connected(g, cmask):
         raise ValueError("the set must induce a connected subgraph")
-    if not g.adjacency_mask(x0) & cmask:
+    if not g.adjacency_masks()[x0] & cmask:
         raise ValueError("the start vertex needs a neighbor in the set")
     if _chi_of_mask(g, cmask)[0] <= k * chi_local(g, 1):
         raise ValueError("chromatic precondition fails: chi(C) must exceed k * chi_1")

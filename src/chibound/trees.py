@@ -5,6 +5,7 @@ path vertices in order) so fixtures and anchors are reproducible.
 """
 
 from dataclasses import dataclass
+from functools import lru_cache
 
 from .graphs import Graph, components
 
@@ -87,7 +88,15 @@ def binary_star(k, d):
 
     Layout: superstar occupies 0..d*d (center 0), star center is d*d+1
     with leaves d*d+2..d*d+d+1, then the k-1 interior path vertices.
+    Built once per (k, d), like bristled_star: the starriness test and
+    its validator share the one immutable Graph.
     """
+    _check_kd(k, d)
+    return _binary_star(k, d)
+
+
+@lru_cache(maxsize=64)
+def _binary_star(k, d):
     n = binary_star_order(k, d)
     ss = superstar(d).graph
     edges = ss.edges()
@@ -102,11 +111,17 @@ def binary_star(k, d):
 def bristled_star(k, d):
     """A d-superstar and a path of length d+1, with the superstar center
     joined to the second path vertex by a path of length k. Unrooted;
-    d*d + d + k + 2 vertices.
+    d*d + d + k + 2 vertices, built once per (k, d).
 
     Layout: superstar occupies 0..d*d (center 0), the long path is
     d*d+1..d*d+d+2 in order, then the k-1 interior join vertices.
     """
+    _check_kd(k, d)
+    return _bristled_star(k, d)
+
+
+@lru_cache(maxsize=64)
+def _bristled_star(k, d):
     n = bristled_star_order(k, d)
     ss = superstar(d).graph
     edges = ss.edges()

@@ -523,6 +523,12 @@ def test_cli_find_tree_and_starry(tmp_path, capsys):
     assert cli_main(["starry", "--graph", str(out), "--k", "1", "--d", "1"]) == 0
     payload = json.loads(capsys.readouterr().out.strip())
     assert payload["starry"] is True
+    # the star builders are cached; their keys still come from their signatures
+    for _ in range(2):
+        assert cli_main(["find-tree", "--graph", str(out), "--tree", "binary-star", "--set", "k=1", "--set", "d=1"]) == 0
+        payload = json.loads(capsys.readouterr().out.strip())
+        assert payload == {"tree": "binary-star", "params": {"k": 1, "d": 1}, "found": True,
+                           "embedding": [[0, 0], [1, 7], [2, 8], [3, 2]]}
 
 
 @pytest.mark.parametrize("budget", ["0", "-3", "2.5", "fifty"])

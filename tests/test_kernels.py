@@ -1,7 +1,9 @@
 import hashlib
 import json
 import random
+from itertools import permutations
 from pathlib import Path
+from unittest import mock
 
 import pytest
 from hypothesis import assume, given, settings
@@ -18,7 +20,16 @@ from oracles import (
 
 from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
-from chibound.embed import Embedding, _bfs_order, _dfs_order, _search_plan, count_induced_embeddings, verify_embedding
+from chibound import embed, trees
+from chibound.embed import (
+    Embedding,
+    _bfs_order,
+    _dfs_order,
+    _search_plan,
+    count_induced_embeddings,
+    find_induced_embedding,
+    verify_embedding,
+)
 from chibound.generators import (
     complete_graph,
     cycle_graph,
@@ -31,7 +42,18 @@ from chibound.generators import (
     star_graph,
 )
 from chibound.graphs import Graph, bits, components
-from chibound.trees import RootedTree, binary_star, broom, double_broom, rooted_sum, superstar
+from chibound.trees import (
+    RootedTree,
+    binary_star,
+    bristle,
+    bristled_star,
+    broom,
+    double_broom,
+    path_tree,
+    rooted_sum,
+    superstar,
+    two_legged_caterpillar,
+)
 
 def coloring_grid():
     """(graph, ks) pairs: small random graphs at k = 1..4, then dense hosts,
@@ -107,7 +129,7 @@ def tree_parents(pattern, order, walk=_dfs_order):
     pairs = []
     while len(pairs) < len(order):
         pairs += walk(pattern.adjacency_masks(), order[len(pairs)])
-    assert [v for v, _ in pairs] == order
+    assert tuple(v for v, _ in pairs) == order
     pos = {v: t for t, v in enumerate(order)}
     return [-1 if par < 0 else pos[par] for _, par in pairs]
 
@@ -424,6 +446,172 @@ def test_count_plan_breaks_every_automorphism(ckernels):
             for kernels in (pykernels, ckernels):
                 status, total = kernels.count_embeddings(*args)
                 assert status == 0 and total * factor == want
+
+
+def uncached(host, pattern, anchor, count=False):
+    """_search_plan with its pattern half built afresh, not read from the
+    plan cache."""
+    with mock.patch.object(embed, "_pattern_plan", embed._pattern_plan.__wrapped__):
+        return _search_plan(host, pattern, anchor, count)
+
+
+def fresh_layout_kernel(fn, *args):
+    """A pure-Python embedding kernel call whose plan-only layout is built
+    afresh, not read from the layout cache."""
+    with mock.patch.object(pykernels, "_layout", pykernels._layout.__wrapped__):
+        return fn(*args)
+
+
+def check_cached_plans(ckernels, host, pattern, anchors):
+    """For each anchor, and for the count plan, the plan _search_plan gives
+    for a copy of pattern, equal to it but another object, so the pattern
+    half is read from the cache, equals the plan built afresh, and both
+    backends give the same finds and counts on it, unbudgeted and under a
+    budget, as the pure-Python kernels with a fresh layout. Returns the
+    witness find_induced_embedding gives on the copy for each anchor,
+    checked to hold its anchor."""
+    copy = Graph(pattern.n, pattern.edges())
+    plans = [(anchor, False) for anchor in anchors] + [(None, True)]
+    for anchor, count in plans:
+        _search_plan(host, pattern, anchor, count)
+        warm = _search_plan(host, copy, anchor, count)
+        assert warm == uncached(host, pattern, anchor, count)
+        args = (host.adjacency_masks(), *warm[1:4])
+        for budget in (0, 50):
+            for fn in ("find_embedding", "count_embeddings"):
+                want = fresh_layout_kernel(getattr(pykernels, fn), *args, budget)
+                assert getattr(pykernels, fn)(*args, budget) == want
+                assert getattr(ckernels, fn)(*args, budget) == want
+    found = []
+    for anchor in anchors:
+        emb = find_induced_embedding(host, copy, anchor)
+        if emb is not None:
+            assert verify_embedding(host, pattern, emb)
+            assert anchor is None or emb.mapping[anchor[0]] == anchor[1]
+        found.append(emb)
+    return found
+
+
+def brute_anchored(host, pattern, anchor):
+    """Whether some induced embedding of pattern in host maps anchor[0] to
+    anchor[1], by enumerating the injections of the other vertices."""
+    ap, ah = anchor
+    rest = [v for v in range(host.n) if v != ah]
+    for image in permutations(rest, pattern.n - 1):
+        image = (*image[:ap], ah, *image[ap:])
+        if verify_embedding(host, pattern, Embedding(mapping=image)):
+            return True
+    return False
+
+
+def family_patterns():
+    """Members of every tree family of trees.py, with their roots as
+    anchors where they have one."""
+    return [
+        broom(2, 2),
+        broom(1, 3),
+        bristle(1, 2),
+        superstar(2),
+        superstar(3),
+        binary_star(1, 1),
+        binary_star(2, 2),
+        bristled_star(1, 1),
+        bristled_star(1, 2),
+        double_broom(2, 2, 2),
+        double_broom(1, 2, 3),
+        two_legged_caterpillar(3, 1, 1),
+        rooted_sum([path_tree(2), path_tree(2), broom(1, 1)]),
+        path_tree(0),
+        path_tree(5),
+    ]
+
+
+def test_cached_plans_equal_fresh_plans_on_every_tree_family(ckernels):
+    hosts = [petersen(), shift_graph(7), random_graph(20, "0.2", 6300)]
+    for tree in family_patterns():
+        pattern = tree.graph if isinstance(tree, RootedTree) else tree
+        for host in hosts:
+            anchors = [None, (0, 0), (pattern.n - 1, host.n // 2), (pattern.n // 2, host.n - 1)]
+            if isinstance(tree, RootedTree):
+                anchors.append((tree.root, 3))
+            check_cached_plans(ckernels, host, pattern, anchors)
+
+
+@settings(max_examples=100, derandomize=True, database=None, deadline=None)
+@given(case=forest_cases())
+def test_cached_plans_equal_fresh_plans_on_random_forests(ckernels, case):
+    """The cached plans agree with fresh ones, every anchored find answers
+    as a brute-force search does, and a count on the copy of the pattern
+    is the brute-force count."""
+    host, pattern, anchor = case
+    anchors = [(p, (3 * p + 1) % host.n) for p in range(pattern.n)] + ([anchor] if anchor else [])
+    found = check_cached_plans(ckernels, host, pattern, [None, *anchors])
+    assert [emb is not None for emb in found[1:]] == [brute_anchored(host, pattern, a) for a in anchors]
+    assert count_induced_embeddings(host, Graph(pattern.n, pattern.edges())) == brute_count_induced(host, pattern)
+
+
+def test_plan_caches_are_bounded_and_hold_tuples():
+    """Every piece a cache hands out is a tuple, so no caller can change a
+    cached plan; cands, built per call from the host, is a list; every
+    cache has a finite size; and the star patterns are built once per
+    (k, d)."""
+    host, pattern = kneser(6, 2), double_broom(2, 1, 2)
+    for anchor, count in ((None, False), (None, True), ((2, 5), False)):
+        plan = embed._pattern_plan(pattern, None if anchor is None else anchor[0], count)
+        assert [type(piece) for piece in plan] == [tuple, tuple, tuple, int, tuple, tuple]
+        order, pat_adj_o, above, cands, _ = _search_plan(host, pattern, anchor, count)
+        assert (type(order), type(pat_adj_o), type(above), type(cands)) == (tuple, tuple, tuple, list)
+        layout = pykernels._layout(pat_adj_o, above, host.n)
+        assert all(type(piece) is tuple for piece in layout)
+    for cached in (embed._pattern_plan, pykernels._layout, trees._binary_star, trees._bristled_star):
+        assert 0 < cached.cache_info().maxsize <= 256
+    assert binary_star(1, 2) is binary_star(1, 2)
+    assert bristled_star(2, 1) is bristled_star(2, 1)
+
+
+def test_one_plan_on_hosts_of_two_sizes_back_to_back():
+    """The plan-only layout packs one field of the host's vertex count per
+    position, so the same plan on a smaller and then a larger host, and
+    the other way round, must not share a layout."""
+    pattern = broom(2, 2).graph
+    small = disjoint([pattern, random_graph(3, "0.5", 6400)])
+    large = disjoint([pattern, random_graph(6, "0.3", 6401)])
+    _, pat_adj_o, above, _, factor = _search_plan(large, pattern, None, count=True)
+    for hosts in ((small, large), (large, small)):
+        pykernels._layout.cache_clear()
+        for host in hosts:
+            full = (1 << host.n) - 1
+            args = (host.adjacency_masks(), pat_adj_o, above, [full] * pattern.n)
+            assert pykernels.count_embeddings(*args)[1] * factor == brute_count_induced(host, pattern)
+            for budget in (0, 5, 50):
+                for fn in (pykernels.find_embedding, pykernels.count_embeddings):
+                    assert fn(*args, budget) == fresh_layout_kernel(fn, *args, budget)
+
+
+def test_checks_run_ahead_of_the_caches():
+    """Every argument check of the star builders, find_induced_embedding
+    and the pure-Python kernels still runs when the cache behind it holds
+    the answer."""
+    binary_star(1, 1)
+    with pytest.raises(TypeError, match="not supported"):  # the comparison's error, not unhashable
+        binary_star([1], 1)
+    with pytest.raises(ValueError, match="must be positive"):
+        bristled_star(1, 0)
+    host, pattern = petersen(), broom(1, 2).graph
+    assert find_induced_embedding(host, pattern, anchor=(0, 0)) is not None
+    with pytest.raises(ValueError, match="anchor pattern vertex 4 out of range"):
+        find_induced_embedding(host, pattern, anchor=(4, 0))
+    _, pat_adj_o, above, cands, _ = _search_plan(host, pattern, None)
+    adj = list(host.adjacency_masks())
+    pykernels.find_embedding(adj, pat_adj_o, above, cands)
+    bad_cands = [cands[0] | 1 << host.n, *cands[1:]]
+    bad_above = (*above[:-1], len(above) - 1)
+    bad_adj = [adj[0] | 1, *adj[1:]]
+    for args in ((adj, pat_adj_o, above, bad_cands), (adj, pat_adj_o, bad_above, cands),
+                 (bad_adj, pat_adj_o, above, cands)):
+        for fn in (pykernels.find_embedding, pykernels.count_embeddings):
+            with pytest.raises(ValueError):
+                fn(*args)
 
 
 @st.composite

@@ -354,7 +354,7 @@ def test_d_o_has_a_spire():
     assert independent_spire_recheck(D_O, D_O_SPIRE, frozenset({4}))
 
 
-@pytest.mark.xfail(strict=True, reason="find_spire is a construction, not an exhaustive search (ROADMAP item 4)")
+@pytest.mark.xfail(strict=True, reason="find_spire is a construction, not an exhaustive search (ROADMAP item 3)")
 def test_find_spire_finds_an_existing_spire():
     assert find_spire(D_O, 1, 0) is not None
 
