@@ -22,17 +22,24 @@ from chibound._kernels import pykernels
 from chibound.coloring import chromatic_number
 from chibound.embed import _search_plan
 from chibound.generators import complete_graph, kneser, mycielski_tower, random_graph, shift_graph
-from chibound.trees import binary_star, bristle, bristled_star, broom, double_broom, path_tree, superstar
+from chibound.trees import _spider, binary_star, bristle, bristled_star, broom, double_broom, path_tree, superstar
 
 
-def embedding_args(host, pattern, anchor=None, count=False):
+def embedding_args(host, pattern, anchor=None, count=False, within=-1):
     """The embedding kernel arguments of a search plan: host adjacency,
     pattern rows, above and candidates. count=True gives the plan that
-    count_induced_embeddings runs, else find_induced_embedding's. A count
-    row times the constrained count, which the plan's factor scales to the
-    full one."""
-    _, *plan, _ = _search_plan(host, pattern, anchor, count)
+    count_induced_embeddings runs, else find_induced_embedding's; within
+    is the mask of host vertices the candidates may use. A count row times
+    the constrained count, which the plan's factor scales to the full
+    one."""
+    _, *plan, _ = _search_plan(host, pattern, anchor, count, within)
     return (host.adjacency_masks(), *plan)
+
+
+def equipment_args(host, legs, center=0):
+    """embedding_args of an equipment find: _spider(legs) anchored at the
+    center, inside the ground set of every other vertex."""
+    return embedding_args(host, _spider(legs), (0, center), within=(1 << host.n) - 1)
 
 
 def workloads():
@@ -119,6 +126,14 @@ def workloads():
     ]:
         early_args = embedding_args(early_host, pattern, anchor)
         yield (f"find {name} in {host_name}", lambda m, a=early_args: m.find_embedding(*a))
+    # the equipment searchers' finds, at vertex 0 with every other vertex
+    # as the ground set: properly_d_equipped's one find, and d_equipment's
+    # independent set then path and witness
+    proper_args = equipment_args(k72, (3, 1, 1, 1))
+    yield ("proper 3-equipment absent at 0 of kneser(7,2)", lambda m: m.find_embedding(*proper_args))
+    tower4 = mycielski_tower(4)
+    plain_args = [equipment_args(tower4, (1, 1)), equipment_args(tower4, (2, 1))]
+    yield ("plain 2-equipment at 0 of tower24", lambda m: [m.find_embedding(*a) for a in plain_args])
 
 
 def compiled_module(build_dir):

@@ -5,12 +5,14 @@ Embeddings are labeled injective maps preserving both adjacency and
 non-adjacency. The backtracking order is canonical, with host candidates
 ascending. A find runs a DFS from the anchor or from a highest-degree
 pattern vertex, so the first witness is deterministic across runs and
-kernel backends. A count of a forest pattern runs breadth-first from the
-centre of each tree. For a forest pattern the search places isomorphic
-sibling subtrees in ascending host order (the symmetry breaking of
-Grochow and Kellis, RECOMB 2007). That keeps a find's first witness. In a
-count, rooted at the centre, it leaves one representative per orbit of
-the pattern's whole automorphism group, and the count is multiplied back.
+kernel backends. A find may be kept inside a host vertex mask, within,
+as the equipment searchers keep their spiders inside the ground set. A
+count of a forest pattern runs breadth-first from the centre of each
+tree. For a forest pattern the search places isomorphic sibling subtrees
+in ascending host order (the symmetry breaking of Grochow and Kellis,
+RECOMB 2007). That keeps a find's first witness. In a count, rooted at
+the centre, it leaves one representative per orbit of the pattern's
+whole automorphism group, and the count is multiplied back.
 
 Only the candidate masks of a search plan depend on the host. The rest,
 the order, the pattern rows in order, the sibling links and the factor,
@@ -194,7 +196,7 @@ def _sibling_classes(parents, anchored):
     return above, factor
 
 
-def _search_plan(host, pattern, anchor, count=False):
+def _search_plan(host, pattern, anchor, count=False, within=-1):
     """Order pattern vertices and build static candidate masks.
 
     Returns (order, pat_adj_o, above, cands, factor) in search-order
@@ -202,11 +204,11 @@ def _search_plan(host, pattern, anchor, count=False):
     positions t and s are adjacent. order, pat_adj_o, above and factor
     depend on the pattern alone and come from _pattern_plan, built once
     per (pattern, anchor pattern vertex, count) and shared as tuples.
-    cands, a fresh list, holds the static filters of the host: host
-    degree at least pattern degree everywhere, the anchor pinned to a
-    single host vertex, and, within the anchor's pattern component, host
-    distance from the anchor host no larger than pattern distance from
-    the anchor vertex.
+    cands, a fresh list, holds the static filters of the host: hosts in
+    within (-1 is all) of at least the pattern degree, the anchor pinned
+    to a single host vertex, and, within the anchor's pattern component,
+    host distance from the anchor host no larger than pattern distance
+    from the anchor vertex.
     """
     order, pat_adj_o, above, factor, deg_o, dist_o = _pattern_plan(
         pattern, None if anchor is None else anchor[0], count
@@ -222,7 +224,7 @@ def _search_plan(host, pattern, anchor, count=False):
     for d in range(top - 1, -1, -1):
         deg_ok[d] |= deg_ok[d + 1]
 
-    cands = [deg_ok[d] for d in deg_o]
+    cands = [deg_ok[d] & within for d in deg_o]
     if anchor is not None:
         # balls[r]: host vertices within distance r of the anchor host;
         # the frontiers are disjoint, so a ball is their sum. balls[0]
@@ -315,12 +317,13 @@ def _pattern_plan(pattern, anchor_p, count):
     return order, pat_adj_o, tuple(above), factor, tuple(pat_deg[v] for v in order), dist_o
 
 
-def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
+def find_induced_embedding(host, pattern, anchor=None, node_budget=None, within=-1):
     """First induced embedding of pattern in host, or None.
 
     anchor, when given, is a (pattern_vertex, host_vertex) pair that the
-    embedding must respect. Raises SearchBudgetExceeded when a node budget
-    is given and exhausted; that outcome is indeterminate, not absence.
+    embedding must respect, and within a mask of the hosts it may use, all
+    by default. Raises SearchBudgetExceeded when a node budget is given
+    and exhausted; that outcome is indeterminate, not absence.
 
     The witness is the first embedding in the search's lexicographic order
     (hosts compared position by position in search order), and the
@@ -330,7 +333,8 @@ def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
     by an isomorphism is an automorphism of the pattern that fixes every
     other vertex, the anchor and the DFS root included, so f composed with
     it is an embedding with the same degrees and anchor distances at every
-    position, hence in every candidate pool. It agrees with f before A's
+    position and the same host set, hence in every candidate pool, as
+    within cuts every pool alike. It agrees with f before A's
     root, whose host it lowers to f(root of B): an earlier embedding, which
     contradicts the choice of f. So f meets every constraint, and as the
     constrained search visits a subset of the same order, it finds f.
@@ -346,7 +350,7 @@ def find_induced_embedding(host, pattern, anchor=None, node_budget=None):
         return None
     if pattern.n == 0:
         return Embedding(mapping=())
-    order, *plan, _ = _search_plan(host, pattern, anchor)
+    order, *plan, _ = _search_plan(host, pattern, anchor, within=within)
     status, assign = _kernels.find_embedding(host.adjacency_masks(), *plan, node_budget or 0)
     if status == 2:
         raise SearchBudgetExceeded("induced embedding")

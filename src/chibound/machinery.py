@@ -10,6 +10,10 @@ find_spire is exhaustive at desk scale, so its None means that no such
 object exists. find_spire is a construction: its None means only that the
 construction found none.
 
+The equipment searchers and induced_path_centered are anchored finds of
+embed.py: equipment is an induced spider (trees._spider) hung from the
+center inside the ground set, and a node budget is charged to each find.
+
 A searcher returns its result or raises: AssertionError when a guarantee
 fails, such as a result its clause function refuses, and BudgetExceeded
 when a node budget runs out. harness._process and cli.main turn these into
@@ -28,9 +32,9 @@ from .certificates import (
 )
 from .coloring import _chi_of_mask, best_by_chi, chi_local
 from .embed import find_induced_embedding
-from .errors import SearchBudgetExceeded, _check_non_negative_int, _check_positive_int
+from .errors import _check_non_negative_int, _check_positive_int
 from .graphs import _component_masks, bits, is_connected, layers, mask_to_set, vertex_mask
-from .trees import path_tree
+from .trees import _spider, path_tree
 
 
 def find_x_split(g, x_ground, min_chi, node_budget=None):
@@ -134,107 +138,61 @@ def _gyarfas_path_of_mask(g, cmask, x0, k):
     return GyarfasResult(path=path, residue=mask_to_set(residue))
 
 
-def _lex_independent_subset(g, cand_mask, d):
-    """Mask of the lexicographically first pairwise-nonadjacent d-subset of
-    the candidate mask, by backtracking, or None."""
-    adj = g.adjacency_masks()
-    cands = list(bits(cand_mask))
-
-    def rec(start, chosen, blocked):
-        if chosen.bit_count() == d:
-            return chosen
-        for i in range(start, len(cands)):
-            v = cands[i]
-            if not (blocked >> v) & 1:
-                got = rec(i + 1, chosen | 1 << v, blocked | adj[v])
-                if got is not None:
-                    return got
-        return None
-
-    return rec(0, 0, 0)
-
-
-def _induced_paths_from(g, start, allowed_mask, length, node_budget=0):
-    """Yield induced paths (as tuples) of exactly the given length starting
-    at start, every later vertex drawn from allowed_mask, in lexicographic
-    order. Each vertex added to a path is one node; a nonzero node_budget
-    raises SearchBudgetExceeded on the node past it.
-
-    A vertex w extends the path iff it is a neighbour of the last vertex in
-    allowed_mask, off the path and adjacent to no earlier path vertex: one
-    mask per step holds exactly those."""
-    adj = g.adjacency_masks()
-    path = [start]
-    nodes = 0
-
-    def extend(path_mask, earlier_nbrs):
-        nonlocal nodes
-        if len(path) == length + 1:
-            yield tuple(path)
-            return
-        last = path[-1]
-        for w in bits(adj[last] & allowed_mask & ~path_mask & ~earlier_nbrs):
-            nodes += 1
-            if node_budget and nodes > node_budget:
-                raise SearchBudgetExceeded("equipment path enumeration")
-            path.append(w)
-            yield from extend(path_mask | 1 << w, earlier_nbrs | adj[last])
-            path.pop()
-
-    yield from extend(1 << start, 0)
-
-
 def _equipment_ground(g, center, y_ground, d, node_budget):
-    """Mask of the checked ground set and of the center's neighbors in it,
-    after checking d and the node budget."""
+    """The ground set's mask, after checking it, d, the center and the budget."""
     _check_positive_int(node_budget, "node_budget")
     ymask = vertex_mask(g, y_ground)
     g._check(center)
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+    _check_positive_int(d, "d", null_ok=False)
     if (ymask >> center) & 1:
         raise ValueError("center must lie outside the ground set")
-    return ymask, g.adjacency_mask(center) & ymask
+    return ymask
+
+
+def _spider_at(g, center, ymask, legs, node_budget):
+    """Host ids of the first induced _spider(legs) centred at center inside
+    the ground mask ymask, the center and then each leg outward, or None."""
+    within = ymask | 1 << center
+    emb = find_induced_embedding(g, _spider(legs), (0, center), node_budget, within)
+    return None if emb is None else emb.mapping
 
 
 def d_equipment(g, center, y_ground, d, node_budget=None):
     """Equipment of the center within the ground set, or None.
 
     The independent neighbor set does not depend on the path, so it is
-    found once; then paths are enumerated lexicographically until one
-    admits a witness neighbor."""
-    ymask, nbrs = _equipment_ground(g, center, y_ground, d, node_budget)
-    indep = _lex_independent_subset(g, nbrs, d)
-    if indep is None:
+    found on its own, as a star of d leaves. Then a spider with legs of
+    length d and 1 gives the lexicographically first path that admits a
+    witness, and its lowest witness."""
+    ymask = _equipment_ground(g, center, y_ground, d, node_budget)
+    star = _spider_at(g, center, ymask, (1,) * d, node_budget)
+    if star is None:
         return None
-    for path in _induced_paths_from(g, center, ymask, d, node_budget or 0):
-        interior = vertex_mask(g, path[1:])
-        for w in bits(nbrs & ~interior):
-            if g.adjacency_mask(w) & interior:
-                continue
-            clause = _equipment_clause(g, ymask, center, indep, path, interior, w, False)
-            if clause is not None:
-                raise AssertionError(f"searcher produced invalid equipment: {clause}")
-            return Equipment(center=center, independent_neighbors=mask_to_set(indep), path=path, witness=w)
-    return None
+    found = _spider_at(g, center, ymask, (d, 1), node_budget)
+    if found is None:
+        return None
+    path, w = found[: d + 1], found[d + 1]
+    indep = vertex_mask(g, star[1:])
+    clause = _equipment_clause(g, ymask, center, indep, path, vertex_mask(g, path[1:]), w, False)
+    if clause is not None:
+        raise AssertionError(f"searcher produced invalid equipment: {clause}")
+    return Equipment(center=center, independent_neighbors=mask_to_set(indep), path=path, witness=w)
 
 
 def properly_d_equipped(g, center, y_ground, d, node_budget=None):
     """Strengthened equipment: the d pairwise-nonadjacent neighbors must
-    avoid the path and have no neighbors on it beyond the center. The
-    neighbor set now depends on the path, so both are searched together."""
-    ymask, nbrs = _equipment_ground(g, center, y_ground, d, node_budget)
-    for path in _induced_paths_from(g, center, ymask, d, node_budget or 0):
-        interior = vertex_mask(g, path[1:])
-        allowed = sum(1 << v for v in bits(nbrs & ~interior) if not g.adjacency_mask(v) & interior)
-        indep = _lex_independent_subset(g, allowed, d)
-        if indep is None:
-            continue
-        clause = _equipment_clause(g, ymask, center, indep, path, interior, None, True)
-        if clause is not None:
-            raise AssertionError(f"searcher produced invalid proper equipment: {clause}")
-        return Equipment(center=center, independent_neighbors=mask_to_set(indep), path=path, proper=True)
-    return None
+    avoid the path and have no neighbors on it beyond the center. That is
+    one induced spider, the path as its first leg and d legs of length 1:
+    the first path that admits such neighbors, with their first set."""
+    ymask = _equipment_ground(g, center, y_ground, d, node_budget)
+    found = _spider_at(g, center, ymask, (d,) + (1,) * d, node_budget)
+    if found is None:
+        return None
+    path, indep = found[: d + 1], vertex_mask(g, found[d + 1 :])
+    clause = _equipment_clause(g, ymask, center, indep, path, vertex_mask(g, path[1:]), None, True)
+    if clause is not None:
+        raise AssertionError(f"searcher produced invalid proper equipment: {clause}")
+    return Equipment(center=center, independent_neighbors=mask_to_set(indep), path=path, proper=True)
 
 
 def find_spire(g, d, min_chi, node_budget=None):
@@ -280,11 +238,7 @@ def find_spire(g, d, min_chi, node_budget=None):
 def induced_path_centered(g, v, r, node_budget=None):
     """Induced path on 2r+1 vertices with v exactly in the middle, or None.
     Exhaustive via anchored embedding search."""
-    if r < 1:
-        raise ValueError(f"radius must be positive, got {r}")
+    _check_positive_int(r, "r", null_ok=False)
     g._check(v)
-    pattern = path_tree(2 * r).graph
-    emb = find_induced_embedding(g, pattern, anchor=(r, v), node_budget=node_budget)
-    if emb is None:
-        return None
-    return tuple(emb.mapping)
+    emb = find_induced_embedding(g, path_tree(2 * r).graph, (r, v), node_budget)
+    return None if emb is None else emb.mapping

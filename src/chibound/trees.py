@@ -42,14 +42,20 @@ def superstar_order(d):
 def superstar(d):
     """Star with d legs, every leg a path of length d. Rooted at the center.
     1 + d*d vertices."""
-    n = superstar_order(d)
+    superstar_order(d)
+    return RootedTree(_spider((d,) * d), 0)
+
+
+@lru_cache(maxsize=64)
+def _spider(legs):
+    """Subdivided star: center 0 with a path of each length in legs hung from
+    it, each numbered outward, one leg after another."""
     edges = []
     nxt = 1
-    for _ in range(d):
-        leg = [0] + list(range(nxt, nxt + d))
-        edges.extend(_path_edges(leg))
-        nxt += d
-    return RootedTree(Graph(n, edges), root=0)
+    for length in legs:
+        edges.extend(_path_edges([0, *range(nxt, nxt + length)]))
+        nxt += length
+    return Graph(nxt, edges)
 
 
 def broom(k, d):
@@ -187,4 +193,4 @@ def path_tree(length):
     """Plain path of the given length, rooted at one end."""
     if length < 0:
         raise ValueError(f"length must be non-negative, got {length}")
-    return RootedTree(Graph(length + 1, _path_edges(list(range(length + 1)))), root=0)
+    return RootedTree(_spider((length,)), 0)

@@ -384,6 +384,36 @@ def brute_induced_paths(g, start, allowed, length):
     return sorted(out)
 
 
+def brute_equipment(g, center, ground, d, proper):
+    """(independent neighbours, path, witness) of the first equipment of
+    center within ground, witness None when proper, or None: the first path
+    of brute_induced_paths that admits a witness, or d leaves when proper,
+    with the lowest witness and the first independent set in
+    itertools.combinations order. Plain equipment takes its set from all
+    the centre's neighbours in ground; proper equipment only from those
+    off the path and with no neighbour on it."""
+    nbrs = sorted(v for v in ground if g.has_edge(center, v))
+
+    def first_independent(vs):
+        return next(
+            (s for s in combinations(vs, d) if not any(g.has_edge(u, v) for u, v in combinations(s, 2))),
+            None,
+        )
+
+    indep = None if proper else first_independent(nbrs)
+    if not proper and indep is None:
+        return None
+    for path in brute_induced_paths(g, center, ground, d):
+        free = [v for v in nbrs if v not in path and not any(g.has_edge(v, u) for u in path[1:])]
+        if proper:
+            indep = first_independent(free)
+            if indep is not None:
+                return indep, path, None
+        elif free:
+            return indep, path, free[0]
+    return None
+
+
 def has_triangle(g):
     return any(
         g.has_edge(a, b) and g.has_edge(b, c) and g.has_edge(a, c)

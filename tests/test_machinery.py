@@ -3,10 +3,11 @@ from itertools import combinations
 import pytest
 from hypothesis import assume, given, settings
 from hypothesis import strategies as st
-from oracles import brute_components, brute_induced_paths
+from oracles import brute_components, brute_equipment
 from strategies import graphs_with_subsets
 
-from chibound import machinery
+from chibound import _kernels, machinery
+from chibound._kernels import pykernels
 from chibound.certificates import (
     Equipment,
     Spire,
@@ -37,7 +38,6 @@ from chibound.machinery import (
     find_spire,
     find_x_split,
     gyarfas_path,
-    _induced_paths_from,
     induced_path_centered,
     properly_d_equipped,
 )
@@ -436,22 +436,60 @@ def test_induced_path_centered():
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)
-@given(case=graphs_with_subsets(max_n=9), start=st.integers(0, 8), length=st.integers(0, 4))
-def test_induced_paths_match_brute_force(case, start, length):
-    """The equipment path enumerator yields exactly the induced paths, in
-    lexicographic order, and charges one node per vertex added: a budget of
-    the number of induced path prefixes suffices and one less runs out."""
-    g, allowed = case
-    assume(start < g.n)
-    allowed_mask = vertex_mask(g, allowed)
-    want = brute_induced_paths(g, start, allowed, length)
-    assert list(_induced_paths_from(g, start, allowed_mask, length)) == want
-    nodes = sum(len(brute_induced_paths(g, start, allowed, k)) for k in range(1, length + 1))
-    if nodes:
-        assert list(_induced_paths_from(g, start, allowed_mask, length, nodes)) == want
-    if nodes > 1:
-        with pytest.raises(SearchBudgetExceeded):
-            list(_induced_paths_from(g, start, allowed_mask, length, nodes - 1))
+@given(case=graphs_with_subsets(max_n=9), center=st.integers(0, 8), d=st.integers(1, 3))
+def test_equipment_is_the_first_spider_on_both_backends(ckernels, case, center, d):
+    """Both equipment searchers return exactly the brute-force oracle's
+    witness, the first path that admits a witness or leaves, on either
+    kernel backend."""
+    g, ground = case
+    assume(center < g.n)
+    ground -= {center}
+    for kernels in (pykernels, ckernels):
+        with pytest.MonkeyPatch.context() as mp:
+            mp.setattr(_kernels, "find_embedding", kernels.find_embedding)
+            for proper, search in ((False, d_equipment), (True, properly_d_equipped)):
+                eq = search(g, center, ground, d)
+                got = None if eq is None else (tuple(sorted(eq.independent_neighbors)), eq.path, eq.witness)
+                assert got == brute_equipment(g, center, ground, d, proper), (kernels.BACKEND_NAME, proper)
+
+
+def test_budgeted_equipment_is_the_witness_or_a_budget_stop():
+    """Every budget up to the first that suffices either stops the search or
+    gives the unbudgeted answer; a centre whose neighbourhood is a K4 has
+    no independent 2-set, and a budget of 1 stops before saying so."""
+    ran = 0
+    for g in (petersen(), grotzsch(), equipment_host(), mycielski_tower(3), complete_graph(5)):
+        ground = frozenset(range(1, g.n))
+        for d in (1, 2, 3):
+            for search in (d_equipment, properly_d_equipped):
+                want = search(g, 0, ground, d)
+                for budget in range(1, 10_000):
+                    try:
+                        got = search(g, 0, ground, d, node_budget=budget)
+                    except SearchBudgetExceeded:
+                        ran += 1
+                        continue
+                    assert got == want, (g, d, search.__name__, budget)
+                    break
+                else:
+                    raise AssertionError("no budget below 10,000 suffices")
+    assert ran > 0
+    assert d_equipment(complete_graph(5), 0, {1, 2, 3, 4}, 2) is None
+    with pytest.raises(SearchBudgetExceeded):
+        d_equipment(complete_graph(5), 0, {1, 2, 3, 4}, 2, node_budget=1)
+
+
+@pytest.mark.parametrize("value", [1.5, 2.0, True, 0, -1], ids=repr)
+def test_entry_points_reject_bad_d_and_r(value):
+    g = petersen()
+    calls = [
+        ("d", lambda: d_equipment(g, 0, range(1, 10), value)),
+        ("d", lambda: properly_d_equipped(g, 0, range(1, 10), value)),
+        ("r", lambda: induced_path_centered(g, 0, value)),
+    ]
+    for name, call in calls:
+        with pytest.raises(ValueError, match=f"{name} must be a positive integer, got"):
+            call()
 
 
 @pytest.mark.parametrize("min_chi", [-1, -5, 1.5, True], ids=repr)
