@@ -4,9 +4,9 @@
 Each run calls counterexamples.build_counterexample("split-pairs", 4) from
 scratch (the chi memo lives on each Graph, so runs share nothing) and
 checks the sha256 of the resulting graph's graph6 text against GRAPH_SHA256.
-It prints one JSON object: the times, their median, the k_color and
-greedy_clique calls per build and the graph size. A k_color call is one
-k-sweep: a chromatic number costs one call, however many k it tries.
+It prints one JSON object: the times, their median, the k_color calls
+per build and the graph size. A k_color call is one k-sweep: a chromatic
+number costs one call, however many k it tries.
 
 Usage, from the root of a checkout; PYTHONPATH picks the chibound to time:
 
@@ -46,7 +46,7 @@ def main():
         from chibound.counterexamples import build_counterexample
         from chibound.graphio import write_graph6
 
-        calls = count_kernel_calls(_kernels, ("k_color", "greedy_clique"))
+        calls = count_kernel_calls(_kernels, ("k_color",))
         times = []
         for _ in range(args.repeat):
             start = time.perf_counter()

@@ -6,7 +6,7 @@ sparse random graphs, each under all six per-graph checks, plus three
 counterexample checks) through harness.run_experiment with an output
 directory, one config at a time, in this interpreter. After one untimed
 warm-up sweep it times --repeat sweeps, then counts the calls one more
-sweep makes to the k_color and greedy_clique kernel entry points. A
+sweep makes to the k_color kernel entry point. A
 k_color call is one k-sweep: a chromatic number costs one call, however
 many k it tries. It prints one JSON object.
 
@@ -92,7 +92,7 @@ def main():
         sweep()
         times = [sweep() for _ in range(args.repeat)]
 
-        calls = count_kernel_calls(_kernels, ("k_color", "greedy_clique"))
+        calls = count_kernel_calls(_kernels, ("k_color",))
         sweep()
 
     print(json.dumps({

@@ -12,7 +12,7 @@ import sys
 from .coloring import chi_local, chromatic_number, clique_number
 from .counterexamples import build_counterexample
 from .embed import find_induced_embedding, is_kd_starry
-from .errors import BudgetExceeded, ConstructionRefuted, GraphParseError, _check_non_negative_int, _keyword_args
+from .errors import BudgetExceeded, ConstructionRefuted, GraphParseError, _keyword_args
 from .generators import GENERATORS, make_graph
 from .graphio import parse_graph, write_graph
 from .harness import ExperimentConfig, run_experiment, verify_lemma
@@ -127,8 +127,7 @@ def cmd_find_tree(args):
     g = _load_graph(args.graph, args.format)
     params = _parse_sets(args.set)
     fn = TREES[args.tree]
-    kwargs = _keyword_args(fn, params, f"{args.tree} tree")
-    built = fn(**{w: _check_non_negative_int(v, f"{w} of tree {args.tree!r}") for w, v in kwargs.items()})
+    built = fn(**_keyword_args(fn, params, f"{args.tree} tree"))
     pattern, root = (built.graph, built.root) if isinstance(built, RootedTree) else (built, None)
     anchor = None
     if args.anchor_host is not None:

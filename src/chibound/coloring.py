@@ -25,7 +25,7 @@ from dataclasses import dataclass
 from itertools import islice
 
 from . import _kernels
-from .errors import ColoringBudgetExceeded, SearchBudgetExceeded, _check_positive_int
+from .errors import ColoringBudgetExceeded, SearchBudgetExceeded, _check_int
 from .graphs import _induced_masks, bits, layers, vertex_mask
 
 
@@ -64,9 +64,8 @@ def is_k_colorable(g, k, node_budget=None):
 
     An unbudgeted None is kept in g's chi memo as the proof chi >= k + 1,
     where chromatic_number starts its sweep."""
-    if k < 1:
-        raise ValueError(f"k must be positive, got {k}")
-    _check_positive_int(node_budget, "node_budget")
+    _check_int(k, "k", 1)
+    _check_int(node_budget, "node_budget", 1, null_ok=True)
     adj = g.adjacency_masks()
     status, colors = _kernels.k_color(adj, k, node_budget or 0)
     if status == 2:
@@ -105,13 +104,13 @@ def chromatic_number(g, node_budget=None):
     witness. On budget exhaustion raises ColoringBudgetExceeded with the
     best bounds proved so far.
     """
-    _check_positive_int(node_budget, "node_budget")
+    _check_int(node_budget, "node_budget", 1, null_ok=True)
     return _chi_of_mask(g, (1 << g.n) - 1, node_budget)
 
 
 def chi_of(g, s, node_budget=None):
     """Chromatic number of the subgraph induced on the vertex set s."""
-    _check_positive_int(node_budget, "node_budget")
+    _check_int(node_budget, "node_budget", 1, null_ok=True)
     return _chi_of_mask(g, vertex_mask(g, s), node_budget)[0]
 
 
@@ -155,7 +154,7 @@ def clique_number(g, node_budget=None):
     The witness, in ascending order, is the greedy clique
     (_kernels.greedy_clique) when that clique is maximum, and otherwise the
     lexicographically smallest maximum clique."""
-    _check_positive_int(node_budget, "node_budget")
+    _check_int(node_budget, "node_budget", 1, null_ok=True)
     status, clique = _kernels.max_clique(g.adjacency_masks(), node_budget or 0)
     if status == 2:
         raise SearchBudgetExceeded(f"maximum clique (best found {len(clique)})")
@@ -196,7 +195,7 @@ def best_by_chi(g, masks, node_budget=None):
     peeled. Neither rule changes the answer. A budgeted scan colours every
     mask, so its budget outcome is that of a cold graph.
     """
-    _check_positive_int(node_budget, "node_budget")
+    _check_int(node_budget, "node_budget", 1, null_ok=True)
     best, best_chi, cap = None, -1, None
     memo, adj = g._chi_memo, g.adjacency_masks()
     if node_budget is None:
@@ -221,9 +220,8 @@ def chi_local(g, k, node_budget=None):
     once a ball reaches chi(g), when chromatic_number(g) is memoised, and
     skips balls whose b-core is empty, b the best chi so far. A budgeted
     call colours every ball."""
-    if k < 1:
-        raise ValueError(f"radius must be positive, got {k}")
-    _check_positive_int(node_budget, "node_budget")
+    _check_int(k, "radius", 1)
+    _check_int(node_budget, "node_budget", 1, null_ok=True)
     memo, key = g._chi_memo, ("local", k)
     if node_budget is None and key in memo:
         return memo[key]

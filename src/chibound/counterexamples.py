@@ -11,7 +11,7 @@ from dataclasses import dataclass
 from itertools import combinations
 
 from .coloring import chi_of, chromatic_number, clique_number, is_k_colorable, is_vertex_critical
-from .errors import ConstructionError, ConstructionRefuted
+from .errors import ConstructionError, ConstructionRefuted, _check_int
 from .generators import cycle_graph, grotzsch, mycielski
 from .graphio import write_graph6
 from .graphs import Graph, bits, induced_subgraph
@@ -89,8 +89,7 @@ def check_counterexample_params(variant, k, cross_range=None):
     split-pairs. Returns the cross_range to build with."""
     if variant not in VARIANTS:
         raise ValueError(f"variant must be one of {VARIANTS}, got {variant!r}")
-    if isinstance(k, bool) or not isinstance(k, int) or k < 2:
-        raise ValueError(f"k must be an integer of at least 2, got {k!r}")
+    _check_int(k, "k", 2)
     if variant == "single-row":
         if cross_range is not None:
             raise ValueError("cross_range only applies to split-pairs")
@@ -115,8 +114,7 @@ def critical_base(k, base=None):
     color would extend to u and k-color g), so i_set has at least k
     vertices.
     """
-    if k < 2:
-        raise ValueError(f"k must be at least 2, got {k}")
+    _check_int(k, "k", 2)
     g = base if base is not None else _default_base(k)
     omega, _ = clique_number(g)
     if omega > 2:

@@ -26,9 +26,9 @@ from functools import lru_cache
 from itertools import accumulate
 
 from . import _kernels
-from .errors import SearchBudgetExceeded, _check_positive_int
+from .errors import SearchBudgetExceeded, _check_int
 from .graphs import _component_masks, bits, layers
-from .trees import _check_kd, binary_star, binary_star_order, bristled_star, bristled_star_order
+from .trees import binary_star, binary_star_order, bristled_star, bristled_star_order
 
 
 @dataclass(frozen=True)
@@ -340,7 +340,7 @@ def find_induced_embedding(host, pattern, anchor=None, node_budget=None, within=
     constrained search visits a subset of the same order, it finds f.
     A budget stop may therefore turn into this answer, never into another.
     """
-    _check_positive_int(node_budget, "node_budget")
+    _check_int(node_budget, "node_budget", 1, null_ok=True)
     if anchor is not None:
         ap, ah = anchor
         if not (0 <= ap < pattern.n):
@@ -378,7 +378,7 @@ def count_induced_embeddings(host, pattern, node_budget=None):
     class by host, from the roots down, picks it. A budget is charged only
     for the constrained search, so it counts the nodes of the count plan,
     not those of find_induced_embedding's plan."""
-    _check_positive_int(node_budget, "node_budget")
+    _check_int(node_budget, "node_budget", 1, null_ok=True)
     if pattern.n > host.n:
         return 0
     if pattern.n == 0:
@@ -396,9 +396,8 @@ def is_kd_starry(host, k, d, node_budget=None):
     Returns a StarryCertificate carrying one embedding of each pattern, or
     None when either is missing; one larger than the host is not built. A
     budget exhaustion propagates as SearchBudgetExceeded (indeterminate)."""
-    _check_kd(k, d)
-    _check_positive_int(node_budget, "node_budget")
-    if binary_star_order(k, d) > host.n:
+    _check_int(node_budget, "node_budget", 1, null_ok=True)
+    if binary_star_order(k, d) > host.n:  # checks k and d
         return None
     emb_binary = find_induced_embedding(host, binary_star(k, d), node_budget=node_budget)
     if emb_binary is None or bristled_star_order(k, d) > host.n:

@@ -1,4 +1,4 @@
-"""Exception types, the budget, count and key checks, and the one binder
+"""Exception types, the integer and key checks, and the one binder
 from a name-keyed parameter mapping to a function's keyword arguments,
 shared across the package."""
 
@@ -6,25 +6,20 @@ import inspect
 from functools import cache
 
 
-def _check_positive_int(value, where, null_ok=True):
-    """Raise ValueError unless value is a positive int, or None when null_ok.
+def _check_int(value, where, low=0, null_ok=False):
+    """Return value if it is an int of at least low, or None when null_ok;
+    else raise ValueError naming where.
 
-    This is the rule for every node budget (None means unbounded) and for
-    worker counts: 0, a negative, a float, a bool or a string is refused
-    rather than read as unbounded or as an immediate budget stop.
+    The one rule for integer arguments: a bool, a float or a string is
+    refused rather than read as a number, before any cache sees it. A
+    node budget passes null_ok, since None there means unbounded.
     """
     if value is None and null_ok:
-        return
-    if isinstance(value, bool) or not isinstance(value, int) or value < 1:
+        return value
+    if isinstance(value, bool) or not isinstance(value, int) or value < low:
+        what = {0: "a non-negative integer", 1: "a positive integer"}.get(low, f"an integer of at least {low}")
         null = " or null" if null_ok else ""
-        raise ValueError(f"{where} must be a positive integer{null}, got {value!r}")
-
-
-def _check_non_negative_int(value, where):
-    """Return value if it is an int of at least 0; else raise ValueError (a
-    bool, a float or a string is refused)."""
-    if isinstance(value, bool) or not isinstance(value, int) or value < 0:
-        raise ValueError(f"{where} must be a non-negative integer, got {value!r}")
+        raise ValueError(f"{where} must be {what}{null}, got {value!r}")
     return value
 
 

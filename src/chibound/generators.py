@@ -9,7 +9,7 @@ import hashlib
 from fractions import Fraction
 from itertools import combinations
 
-from .errors import _check_non_negative_int, _keyword_args
+from .errors import _check_int, _keyword_args
 from .graphs import Graph
 
 
@@ -18,23 +18,23 @@ def empty_graph(n):
 
 
 def complete_graph(n):
+    _check_int(n, "n")
     return Graph(n, [(u, v) for u in range(n) for v in range(u + 1, n)])
 
 
 def path_graph(n):
     """Path on n vertices."""
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
+    _check_int(n, "n")
     return Graph(n, [(i, i + 1) for i in range(n - 1)])
 
 
 def cycle_graph(n):
-    if n < 3:
-        raise ValueError(f"cycles need at least 3 vertices, got {n}")
+    _check_int(n, "n", 3)
     return Graph(n, [(i, (i + 1) % n) for i in range(n)])
 
 
 def star_graph(leaves):
+    _check_int(leaves, "leaves")
     return Graph(leaves + 1, [(0, i) for i in range(1, leaves + 1)])
 
 
@@ -54,8 +54,7 @@ def mycielski(g):
 
 def mycielski_tower(t):
     """t Mycielski steps on a single edge. Chromatic number t + 2."""
-    if t < 0:
-        raise ValueError(f"t must be non-negative, got {t}")
+    _check_int(t, "t")
     g = complete_graph(2)
     for _ in range(t):
         g = mycielski(g)
@@ -71,7 +70,7 @@ def grotzsch():
 def kneser(n, k):
     """Vertices are the k-subsets of an n-set in lexicographic order,
     adjacent when disjoint. kneser(5, 2) is the Petersen graph."""
-    if k < 1 or n < 2 * k:
+    if _check_int(n, "n") < 2 * _check_int(k, "k", 1):
         raise ValueError(f"kneser needs n >= 2k >= 2, got n={n}, k={k}")
     subsets = list(combinations(range(n), k))
     index = {s: i for i, s in enumerate(subsets)}
@@ -92,8 +91,7 @@ def shift_graph(n):
     """Vertices are pairs (i, j) with 1 <= i < j <= n in lexicographic
     order; (i, j) is adjacent to (j, l). Chromatic number grows like the
     base-2 logarithm of n while every clique has size at most 2."""
-    if n < 2:
-        raise ValueError(f"shift graphs need n >= 2, got {n}")
+    _check_int(n, "n", 2)
     pairs = list(combinations(range(1, n + 1), 2))
     index = {p: i for i, p in enumerate(pairs)}
     edges = []
@@ -119,9 +117,8 @@ def random_graph(n, p, seed):
     The prefix f"{seed}:{u}:" is hashed once per row, and each pair
     continues a copy of that state with the bytes of v.
     """
-    if n < 0:
-        raise ValueError(f"n must be non-negative, got {n}")
-    if not (0 <= seed < 2 ** 64):
+    _check_int(n, "n")
+    if _check_int(seed, "seed") >= 2 ** 64:
         raise ValueError(f"seed must fit in 64 bits, got {seed}")
     frac = Fraction(p)
     if not (0 <= frac <= 1):
@@ -168,7 +165,7 @@ def generator_args(name, params):
     args = _keyword_args(GENERATORS[name], params, f"{name} generator")
     for param, value in args.items():
         if param != "p":
-            _check_non_negative_int(value, f"{param} of generator {name!r}")
+            _check_int(value, f"{param} of generator {name!r}")
         elif isinstance(value, bool) or not isinstance(value, (str, int)):
             raise ValueError(f"p of generator {name!r} must be a string or an integer, got {value!r}")
     return args

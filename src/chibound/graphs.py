@@ -14,6 +14,8 @@ Every traversal is one masked BFS, `layers`: neighborhoods, distances,
 components and connectivity are all built on it.
 """
 
+from .errors import _check_int
+
 
 class Graph:
     """Finite simple graph. No loops, no multi-edges, symmetric adjacency.
@@ -32,8 +34,7 @@ class Graph:
     __slots__ = ("n", "_adj", "_chi_memo")
 
     def __init__(self, n, edges=()):
-        if n < 0:
-            raise ValueError(f"vertex count must be non-negative, got {n}")
+        _check_int(n, "vertex count")
         adj = [0] * n
         for e in edges:
             u, v = e
@@ -134,8 +135,7 @@ def layers(g, v, within=-1):
 def neighborhood(g, v, r, mode="exact"):
     """N^r(v) when mode is "exact", N^r[v] when mode is "ball"."""
     g._check(v)
-    if r < 0:
-        raise ValueError(f"radius must be non-negative, got {r}")
+    _check_int(r, "radius")
     if mode not in ("exact", "ball"):
         raise ValueError(f"unknown mode {mode!r}")
     ball = 0

@@ -26,8 +26,7 @@ from .certificates import certificate_to_json, verify_certificate
 from .coloring import chi_local, chromatic_number, clique_number
 from .counterexamples import build_counterexample, check_counterexample_params
 from .embed import is_kd_starry
-from .errors import BudgetExceeded, ConstructionRefuted, _check_keys, _keyword_args, _parameters
-from .errors import _check_non_negative_int, _check_positive_int
+from .errors import BudgetExceeded, ConstructionRefuted, _check_int, _check_keys, _keyword_args, _parameters
 from .generators import generator_args, make_graph
 from .graphio import parse_graph6, write_graph6
 from .graphs import bits
@@ -40,6 +39,7 @@ from .machinery import (
     induced_path_centered,
     properly_d_equipped,
 )
+from .trees import _check_kd
 
 REPORT_VERSION = "chibound report v1"
 # the columns a counterexample row leaves empty
@@ -73,7 +73,7 @@ class ExperimentConfig:
         for entry in corpus:
             for key in _EXPECT_KEYS:
                 if key in entry:
-                    _check_non_negative_int(entry[key], f"{key} of corpus entry")
+                    _check_int(entry[key], f"{key} of corpus entry")
             if "graph6" in entry:
                 _check_keys(entry, ("graph6", *_EXPECT_KEYS), "graph6 corpus entry")
                 if not isinstance(entry["graph6"], str):
@@ -92,18 +92,23 @@ class ExperimentConfig:
             defaults = _parameters(fn, 2)
             for key, value in params.items():
                 if key == "node_budget":
-                    _check_positive_int(value, f"node_budget of check {name!r}")
+                    _check_int(value, f"node_budget of check {name!r}", 1, null_ok=True)
                 elif isinstance(defaults[key], int):
-                    _check_non_negative_int(value, f"{key} of check {name!r}")
+                    _check_int(value, f"{key} of check {name!r}")
+            # the searchers' own rules, so that no instance runs into them
             if name == "counterexample":
                 check_counterexample_params(**args)
+            elif name == "starry":
+                _check_kd(args["k"], args["d"])
+            elif name == "spire":
+                _check_int(args["d"], "d of check 'spire'", 1)
         budgets = obj.get("budgets", {})
         if not isinstance(budgets, dict):
             raise ValueError(f"budgets must be an object, got {budgets!r}")
         _check_keys(budgets, ("search_nodes",), "budgets")
-        _check_positive_int(budgets.get("search_nodes"), "budgets.search_nodes")
+        _check_int(budgets.get("search_nodes"), "budgets.search_nodes", 1, null_ok=True)
         workers = obj.get("workers", 1)
-        _check_positive_int(workers, "workers", null_ok=False)
+        _check_int(workers, "workers", 1)
         return ExperimentConfig(
             corpus=list(corpus),
             checks=list(checks),

@@ -32,7 +32,7 @@ from .certificates import (
 )
 from .coloring import _chi_of_mask, best_by_chi, chi_local
 from .embed import find_induced_embedding
-from .errors import _check_non_negative_int, _check_positive_int
+from .errors import _check_int
 from .graphs import _component_masks, bits, is_connected, layers, mask_to_set, vertex_mask
 from .trees import _spider, path_tree
 
@@ -48,8 +48,8 @@ def find_x_split(g, x_ground, min_chi, node_budget=None):
     components are connected, so chi(Z) > 0 iff Z is nonempty and
     chi(Z) > 1 iff Z has at least two vertices. A budgeted call colours every
     candidate, so its budget outcomes stay those of the colouring."""
-    _check_non_negative_int(min_chi, "min_chi")
-    _check_positive_int(node_budget, "node_budget")
+    _check_int(min_chi, "min_chi")
+    _check_int(node_budget, "node_budget", 1, null_ok=True)
     xmask = vertex_mask(g, x_ground)
     adj = g.adjacency_masks()
     outside_x = ((1 << g.n) - 1) & ~xmask
@@ -116,8 +116,7 @@ def _gyarfas_path_of_mask(g, cmask, x0, k):
     """gyarfas_path on the set given as a mask of g's vertices, checked by
     the caller; every other precondition is checked here."""
     g._check(x0)
-    if k < 0:
-        raise ValueError(f"k must be non-negative, got {k}")
+    _check_int(k, "k")
     if (cmask >> x0) & 1:
         raise ValueError("the start vertex must lie outside the set")
     if not cmask:
@@ -140,10 +139,10 @@ def _gyarfas_path_of_mask(g, cmask, x0, k):
 
 def _equipment_ground(g, center, y_ground, d, node_budget):
     """The ground set's mask, after checking it, d, the center and the budget."""
-    _check_positive_int(node_budget, "node_budget")
+    _check_int(node_budget, "node_budget", 1, null_ok=True)
     ymask = vertex_mask(g, y_ground)
     g._check(center)
-    _check_positive_int(d, "d", null_ok=False)
+    _check_int(d, "d", 1)
     if (ymask >> center) & 1:
         raise ValueError("center must lie outside the ground set")
     return ymask
@@ -204,10 +203,9 @@ def find_spire(g, d, min_chi, node_budget=None):
     the far end, and cut the levels at the best deep level. Start vertices
     are tried by descending degree, then ascending id. None means only that
     no start vertex gave a spire; a spire may still exist."""
-    if d < 1:
-        raise ValueError(f"height must be positive, got {d}")
-    _check_non_negative_int(min_chi, "min_chi")
-    _check_positive_int(node_budget, "node_budget")
+    _check_int(d, "d", 1)
+    _check_int(min_chi, "min_chi")
+    _check_int(node_budget, "node_budget", 1, null_ok=True)
     adj = g.adjacency_masks()
     for x0 in sorted(range(g.n), key=lambda v: (-adj[v].bit_count(), v)):
         best, _ = _best_touching(g, x0, node_budget)
@@ -238,7 +236,7 @@ def find_spire(g, d, min_chi, node_budget=None):
 def induced_path_centered(g, v, r, node_budget=None):
     """Induced path on 2r+1 vertices with v exactly in the middle, or None.
     Exhaustive via anchored embedding search."""
-    _check_positive_int(r, "r", null_ok=False)
+    _check_int(r, "r", 1)
     g._check(v)
     emb = find_induced_embedding(g, path_tree(2 * r).graph, (r, v), node_budget)
     return None if emb is None else emb.mapping

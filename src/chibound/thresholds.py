@@ -20,7 +20,7 @@ import math
 from dataclasses import dataclass, field
 from decimal import Decimal
 
-from .errors import ThresholdTooLarge, _check_non_negative_int, _check_positive_int, _keyword_args, _parameters
+from .errors import ThresholdTooLarge, _check_int, _keyword_args, _parameters
 
 DEFAULT_DIGIT_LIMIT = 100_000
 _LOG10_2 = math.log10(2.0)
@@ -31,8 +31,8 @@ _ESTIMATE_STEPS = 2000
 def ramsey_bound(s, t):
     """An order forcing a clique of size s or a stable set of size t:
     the binomial bound C(s+t-2, s-1). Sufficient, not claimed minimal."""
-    if s < 1 or t < 1:
-        raise ValueError(f"arguments must be positive, got s={s}, t={t}")
+    _check_int(s, "s", 1)
+    _check_int(t, "t", 1)
     return math.comb(s + t - 2, s - 1)
 
 
@@ -475,14 +475,14 @@ def lemma_threshold(lemma_id, params, digit_limit=DEFAULT_DIGIT_LIMIT):
     """
     if lemma_id not in _CATALOG:
         raise ValueError(f"unknown lemma id {lemma_id!r}; known: {', '.join(sorted(_CATALOG))}")
-    _check_positive_int(digit_limit, "digit_limit", null_ok=False)
+    _check_int(digit_limit, "digit_limit", 1)
     formula, recipe, derived, minimums = _CATALOG[lemma_id]
     args = _keyword_args(formula, params, f"{lemma_id} lemma", skip=1)
     for p, v in args.items():
         if p != "ks":
-            _check_non_negative_int(v, f"parameter {p}")
+            _check_int(v, f"parameter {p}", minimums.get(p, 0))
         elif isinstance(v, (list, tuple)):
-            args[p] = [_check_non_negative_int(x, "parameter ks entry") for x in v]
+            args[p] = [_check_int(x, "parameter ks entry") for x in v]
         else:
             raise ValueError(f"parameter ks must be a list of non-negative integers, got {v!r}")
 
@@ -492,9 +492,6 @@ def lemma_threshold(lemma_id, params, digit_limit=DEFAULT_DIGIT_LIMIT):
             raise ValueError(f"T3.3 needs s >= 1 and len(ks) == s, got s={s}, ks={ks}")
         if r < 1 or (ks and r > min(ks)):
             raise ValueError(f"T3.3 needs 1 <= r <= min(ks), got r={r}, ks={ks}")
-    for p, low in minimums.items():
-        if args[p] < low:
-            raise ValueError(f"{p} must be at least {low}")
 
     result = ThresholdResult(
         lemma_id=lemma_id,

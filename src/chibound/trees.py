@@ -7,6 +7,7 @@ path vertices in order) so fixtures and anchors are reproducible.
 from dataclasses import dataclass
 from functools import lru_cache
 
+from .errors import _check_int
 from .graphs import Graph, components
 
 
@@ -28,14 +29,13 @@ def _path_edges(ids):
 
 
 def _check_kd(k, d):
-    if k < 1 or d < 1:
-        raise ValueError(f"k and d must be positive, got k={k}, d={d}")
+    _check_int(k, "k", 1)
+    _check_int(d, "d", 1)
 
 
 def superstar_order(d):
     """Vertex count of superstar(d): 1 + d*d."""
-    if d < 1:
-        raise ValueError(f"d must be positive, got {d}")
+    _check_int(d, "d", 1)
     return 1 + d * d
 
 
@@ -142,9 +142,8 @@ def _bristled_star(k, d):
 def two_legged_caterpillar(path_len, p1, p2):
     """Path on path_len+1 vertices plus two extra leaves attached at
     positions p1 and p2 (equal positions allowed)."""
-    if path_len < 1:
-        raise ValueError(f"path_len must be positive, got {path_len}")
-    if not (0 <= p1 <= path_len and 0 <= p2 <= path_len):
+    _check_int(path_len, "path_len", 1)
+    if max(_check_int(p1, "p1"), _check_int(p2, "p2")) > path_len:
         raise ValueError(f"leg positions {p1},{p2} out of range 0..{path_len}")
     edges = _path_edges(list(range(path_len + 1)))
     edges.append((p1, path_len + 1))
@@ -155,8 +154,8 @@ def two_legged_caterpillar(path_len, p1, p2):
 def double_broom(a, k, b):
     """Two stars with a and b leaves, centers joined by a path of length k.
     a+b+k+1 vertices."""
-    if a < 1 or b < 1 or k < 1:
-        raise ValueError(f"arguments must be positive, got a={a}, k={k}, b={b}")
+    for name, value in (("a", a), ("k", k), ("b", b)):
+        _check_int(value, name, 1)
     c1 = 0
     leaves1 = list(range(1, 1 + a))
     c2 = 1 + a
@@ -191,6 +190,5 @@ def rooted_sum(trees):
 
 def path_tree(length):
     """Plain path of the given length, rooted at one end."""
-    if length < 0:
-        raise ValueError(f"length must be non-negative, got {length}")
+    _check_int(length, "length")
     return RootedTree(_spider((length,)), 0)

@@ -377,6 +377,17 @@ def test_config_rejects_bad_counterexample_params(bad):
         ExperimentConfig.from_dict({"corpus": [TOWER], "checks": [check]})
 
 
+@pytest.mark.parametrize(
+    "check, name", [({"check": "starry", "k": 0}, "k"), ({"check": "starry", "d": 0}, "d"),
+                    ({"check": "spire", "d": 0}, "d")], ids=repr
+)
+def test_config_runs_the_searchers_own_parameter_rules(check, name):
+    """A starry k or d of 0 and a spire d of 0 are refused when the config
+    loads, not at the first instance, after the ones before it have run."""
+    with pytest.raises(ValueError, match=f"{name}( of check 'spire')? must be a positive integer, got 0"):
+        ExperimentConfig.from_dict({"corpus": [TOWER], "checks": [check]})
+
+
 PETERSEN = {"generator": "petersen"}
 # (config, the key its error must name); each key is misspelt, belongs to
 # another check or generator, or has the wrong type

@@ -17,7 +17,8 @@ from chibound.certificates import (
     validate_spire,
     validate_x_split,
 )
-from chibound.coloring import best_by_chi, chi_local, chromatic_number
+from chibound.coloring import best_by_chi, chi_local, chromatic_number, is_k_colorable
+from chibound.counterexamples import check_counterexample_params, critical_base
 from chibound.errors import SearchBudgetExceeded
 from chibound.generators import (
     complete_graph,
@@ -32,7 +33,15 @@ from chibound.generators import (
     star_graph,
 )
 from chibound.graphio import parse_graph6
-from chibound.graphs import Graph, _component_masks, induced_subgraph, is_connected, mask_to_set, vertex_mask
+from chibound.graphs import (
+    Graph,
+    _component_masks,
+    induced_subgraph,
+    is_connected,
+    mask_to_set,
+    neighborhood,
+    vertex_mask,
+)
 from chibound.machinery import (
     d_equipment,
     find_spire,
@@ -40,6 +49,15 @@ from chibound.machinery import (
     gyarfas_path,
     induced_path_centered,
     properly_d_equipped,
+)
+from chibound.thresholds import lemma_threshold, ramsey_bound
+from chibound.trees import (
+    bristle,
+    broom,
+    double_broom,
+    path_tree,
+    superstar_order,
+    two_legged_caterpillar,
 )
 
 
@@ -490,6 +508,57 @@ def test_entry_points_reject_bad_d_and_r(value):
     for name, call in calls:
         with pytest.raises(ValueError, match=f"{name} must be a positive integer, got"):
             call()
+
+
+_PETERSEN = petersen()
+# (parameter name, lowest accepted value, a call with that parameter set)
+# for every entry that takes an integer argument through errors._check_int
+INTEGER_ARGUMENTS = [
+    ("k", 1, lambda v: is_k_colorable(_PETERSEN, v)),
+    ("radius", 1, lambda v: chi_local(_PETERSEN, v)),
+    ("k", 0, lambda v: gyarfas_path(_PETERSEN, range(1, 10), 0, v)),
+    ("d", 1, lambda v: find_spire(_PETERSEN, v, 0)),
+    ("k", 1, lambda v: broom(v, 1)),
+    ("d", 1, lambda v: bristle(1, v)),
+    ("d", 1, superstar_order),
+    ("path_len", 1, lambda v: two_legged_caterpillar(v, 0, 0)),
+    ("p1", 0, lambda v: two_legged_caterpillar(2, v, 0)),
+    ("p2", 0, lambda v: two_legged_caterpillar(2, 0, v)),
+    ("a", 1, lambda v: double_broom(v, 1, 1)),
+    ("k", 1, lambda v: double_broom(1, v, 1)),
+    ("b", 1, lambda v: double_broom(1, 1, v)),
+    ("length", 0, path_tree),
+    ("n", 0, complete_graph),
+    ("n", 0, path_graph),
+    ("n", 3, cycle_graph),
+    ("leaves", 0, star_graph),
+    ("t", 0, mycielski_tower),
+    ("k", 1, lambda v: kneser(5, v)),
+    ("n", 2, shift_graph),
+    ("n", 0, lambda v: random_graph(v, "0.5", 1)),
+    ("seed", 0, lambda v: random_graph(3, "0.5", v)),
+    ("vertex count", 0, Graph),
+    ("radius", 0, lambda v: neighborhood(_PETERSEN, 0, v)),
+    ("k", 2, lambda v: check_counterexample_params("split-pairs", v)),
+    ("k", 2, critical_base),
+    ("s", 1, lambda v: ramsey_bound(v, 2)),
+    ("t", 1, lambda v: ramsey_bound(2, v)),
+    ("parameter k", 1, lambda v: lemma_threshold("T3.1", {"k": v, "d": 1, "tau": 1})),
+]
+
+
+@pytest.mark.parametrize(
+    "name, low, call", INTEGER_ARGUMENTS, ids=[f"{i:02d}-{name}" for i, (name, _, _) in enumerate(INTEGER_ARGUMENTS)]
+)
+def test_integer_arguments_refuse_floats_bools_and_low_values(name, low, call):
+    """One rule for every integer argument: a float, a bool or a value
+    below the entry's lowest is a ValueError naming the parameter, never a
+    silent answer such as an empty neighborhood of radius 1.5, a Graph
+    whose n is True or a null star graph with -1 leaves."""
+    call(low)
+    for value in (1.5, True, low - 1):
+        with pytest.raises(ValueError, match=f"^{name} must be "):
+            call(value)
 
 
 @pytest.mark.parametrize("min_chi", [-1, -5, 1.5, True], ids=repr)

@@ -1,7 +1,8 @@
 import pytest
 
-from chibound.embed import find_induced_embedding
-from chibound.generators import path_graph, star_graph
+from chibound import trees
+from chibound.embed import find_induced_embedding, is_kd_starry
+from chibound.generators import path_graph, petersen, star_graph
 from chibound.graphs import components
 from chibound.trees import (
     RootedTree,
@@ -164,3 +165,29 @@ def test_double_brooms_embed_in_binary_stars():
         cat = double_broom(a, k, b)
         host = binary_star(k, max(a, b))
         assert find_induced_embedding(host, cat) is not None
+
+
+@pytest.mark.parametrize("bad", [1.0, True], ids=repr)
+def test_star_patterns_refuse_non_ints_on_cold_and_warm_caches(bad):
+    """1, 1.0 and True are one lru_cache key, so each builder must refuse
+    a float or a bool before its cache, or the cached pattern of 1 comes
+    back (and a starriness certificate carries k = true)."""
+    host = petersen()
+    calls = [
+        lambda v: binary_star(v, 2),
+        lambda v: binary_star(2, v),
+        lambda v: bristled_star(v, 2),
+        lambda v: bristled_star(2, v),
+        superstar,
+        path_tree,
+        lambda v: is_kd_starry(host, v, 1),
+        lambda v: is_kd_starry(host, 1, v),
+    ]
+    for call in calls:
+        for cache in (trees._spider, trees._binary_star, trees._bristled_star):
+            cache.cache_clear()
+        with pytest.raises(ValueError, match="must be a"):
+            call(bad)
+        call(1)
+        with pytest.raises(ValueError, match="must be a"):
+            call(bad)
