@@ -28,7 +28,7 @@ from itertools import accumulate
 from . import _kernels
 from .errors import SearchBudgetExceeded, _check_int
 from .graphs import _component_masks, bits, layers
-from .trees import binary_star, binary_star_order, bristled_star, bristled_star_order
+from .trees import _binary_star, _bristled_star, binary_star_order
 
 
 @dataclass(frozen=True)
@@ -73,11 +73,11 @@ def verify_embedding(host, pattern, emb):
     m = emb.mapping
     if len(m) != pattern.n:
         return False
+    if any(type(h) is not int or not 0 <= h < host.n for h in m):
+        return False
     if len(set(m)) != len(m):
         return False
-    if any(not 0 <= h < host.n for h in m):
-        return False
-    # every id is in range now, so the masks are read unchecked
+    # every id is an int in range now, so the masks are read unchecked
     pat, adj = pattern.adjacency_masks(), host.adjacency_masks()
     for u in range(pattern.n):
         row = adj[m[u]]
@@ -343,8 +343,7 @@ def find_induced_embedding(host, pattern, anchor=None, node_budget=None, within=
     _check_int(node_budget, "node_budget", 1, null_ok=True)
     if anchor is not None:
         ap, ah = anchor
-        if not (0 <= ap < pattern.n):
-            raise ValueError(f"anchor pattern vertex {ap} out of range")
+        pattern._check(ap)
         host._check(ah)
     if pattern.n > host.n:
         return None
@@ -394,15 +393,17 @@ def is_kd_starry(host, k, d, node_budget=None):
     """Both star patterns with parameters (k, d) as induced subgraphs.
 
     Returns a StarryCertificate carrying one embedding of each pattern, or
-    None when either is missing; one larger than the host is not built. A
-    budget exhaustion propagates as SearchBudgetExceeded (indeterminate)."""
+    None when either is missing; a binary star larger than the host is not
+    built. A budget exhaustion propagates as SearchBudgetExceeded
+    (indeterminate)."""
     _check_int(node_budget, "node_budget", 1, null_ok=True)
-    if binary_star_order(k, d) > host.n:  # checks k and d
+    if binary_star_order(k, d) > host.n:  # the one check of k and d
         return None
-    emb_binary = find_induced_embedding(host, binary_star(k, d), node_budget=node_budget)
-    if emb_binary is None or bristled_star_order(k, d) > host.n:
+    emb_binary = find_induced_embedding(host, _binary_star(k, d), node_budget=node_budget)
+    if emb_binary is None:
         return None
-    emb_bristled = find_induced_embedding(host, bristled_star(k, d), node_budget=node_budget)
+    # one vertex more than the binary star: None when larger than the host
+    emb_bristled = find_induced_embedding(host, _bristled_star(k, d), node_budget=node_budget)
     if emb_bristled is None:
         return None
     return StarryCertificate(

@@ -4,8 +4,9 @@ Edge list: first line is the vertex count, then one "u v" pair per line.
 The writer emits u < v in lexicographic order so fixtures diff cleanly.
 
 graph6 is the usual 6-bit packing of the upper adjacency triangle in
-column order, with the minimal size prefix. Non-minimal prefixes, wrong
-data length, and nonzero padding are all rejected so that every graph has
+column order, with the minimal size prefix; the reader and the writer
+share one layout (see write_graph6). Non-minimal prefixes, wrong data
+length, and nonzero padding are all rejected so that every graph has
 exactly one encoding.
 """
 
@@ -51,6 +52,12 @@ def write_edge_list(g):
     return "\n".join(lines) + "\n"
 
 
+# the one pair of 6-bit tables: a graph6 data byte's six bits, highest
+# first, and back; a byte outside 63..126 has no entry
+_G6_BITS = {byte: format(byte - 63, "06b") for byte in range(63, 127)}
+_G6_BYTE = {six: chr(byte) for byte, six in _G6_BITS.items()}
+
+
 def _g6_size_prefix(n):
     if n <= 62:
         return bytes([n + 63])
@@ -75,7 +82,7 @@ def _g6_parse_size(data):
 
 
 def parse_graph6(text):
-    """Decode a single headerless graph6 line."""
+    """Decode a single headerless graph6 line: the inverse of write_graph6."""
     line = text.strip()
     if "\n" in line:
         raise GraphParseError("expected a single graph6 line", line=2)
@@ -93,22 +100,16 @@ def parse_graph6(text):
             line=1,
             offset=pos,
         )
-    bitbuf = 0
-    edges = []
-    for idx, byte in enumerate(body):
-        val = byte - 63
-        if not 0 <= val <= 63:
-            raise GraphParseError(f"invalid graph6 data byte {byte}", line=1, offset=pos + idx)
-        bitbuf = (bitbuf << 6) | val
-    pad = nchars * 6 - nbits
-    if pad and bitbuf & ((1 << pad) - 1):
+    groups = [_G6_BITS.get(byte) for byte in body]
+    if None in groups:
+        idx = groups.index(None)
+        raise GraphParseError(f"invalid graph6 data byte {body[idx]}", line=1, offset=pos + idx)
+    cols = "".join(groups)
+    if "1" in cols[nbits:]:
         raise GraphParseError("nonzero graph6 padding bits", line=1, offset=pos)
-    bitbuf >>= pad
-    # bits come out highest-first: walk pairs in reverse column order
-    pairs = [(i, j) for j in range(1, n) for i in range(j)]
-    for k, (i, j) in enumerate(reversed(pairs)):
-        if (bitbuf >> k) & 1:
-            edges.append((i, j))
+    edges = [
+        (i, j) for j in range(1, n) for i, bit in enumerate(cols[j * (j - 1) // 2 : j * (j + 1) // 2]) if bit == "1"
+    ]
     return Graph(n, edges)
 
 
@@ -119,9 +120,8 @@ def write_graph6(g):
     n = g.n
     adj = g.adjacency_masks()
     cols = "".join(format(adj[j] & ((1 << j) - 1), f"0{j}b")[::-1] for j in range(1, n))
-    pad = -len(cols) % 6
-    bitbuf = int(cols or "0", 2) << pad
-    body = "".join(chr(((bitbuf >> s) & 63) + 63) for s in range(len(cols) + pad - 6, -1, -6))
+    cols += "0" * (-len(cols) % 6)
+    body = "".join([_G6_BYTE[cols[s : s + 6]] for s in range(0, len(cols), 6)])
     return _g6_size_prefix(n).decode("ascii") + body
 
 

@@ -8,7 +8,8 @@ Inside the package a vertex set is a mask: bit v set iff v is a member.
 Searchers and validator clauses work on masks throughout. Frozensets
 appear only in certificate fields and in public arguments and return
 values. vertex_mask is the one checked way in, used at public entry points
-such as the validators: it range-checks a set and returns its mask.
+such as the validators: it checks each member with Graph._check, the one
+vertex rule, and returns the set's mask.
 
 Every traversal is one masked BFS, `layers`: neighborhoods, distances,
 components and connectivity are all built on it.
@@ -38,6 +39,9 @@ class Graph:
         adj = [0] * n
         for e in edges:
             u, v = e
+            # Graph._check's test, inline: every graph is built through here
+            if type(u) is not int or type(v) is not int:
+                raise ValueError(f"edge endpoint must be an integer: {(u, v)!r}")
             if not (0 <= u < n and 0 <= v < n):
                 raise ValueError(f"edge endpoint out of range: {(u, v)} with n={n}")
             if u == v:
@@ -77,6 +81,12 @@ class Graph:
         return sum(m.bit_count() for m in self._adj) // 2
 
     def _check(self, v):
+        """v if it is a vertex of this graph: the one vertex rule. A bool, a
+        float or anything else but a plain int is refused rather than read
+        as a vertex, as _check_int refuses a bool or a float for an integer
+        argument."""
+        if type(v) is not int:
+            raise ValueError(f"vertex must be an integer, got {v!r}")
         if not (0 <= v < self.n):
             raise ValueError(f"vertex {v} out of range for n={self.n}")
         return v
@@ -104,8 +114,8 @@ def mask_to_set(mask):
 
 
 def vertex_mask(g, s):
-    """The mask of the vertex set s; a member outside 0..n-1 of g raises
-    ValueError."""
+    """The mask of the vertex set s; a member that is not an int in
+    0..n-1 of g raises ValueError."""
     m = 0
     for v in s:
         m |= 1 << g._check(v)

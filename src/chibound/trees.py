@@ -18,8 +18,7 @@ class RootedTree:
 
     def __post_init__(self):
         g = self.graph
-        if not (0 <= self.root < g.n):
-            raise ValueError(f"root {self.root} out of range")
+        g._check(self.root)
         if g.edge_count != g.n - 1 or len(components(g)) != 1:
             raise ValueError("not a tree: need connected with n-1 edges")
 

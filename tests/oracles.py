@@ -12,8 +12,8 @@ on every candidate, before the bound moved ahead of the call, ReferenceMag
 with ReferenceEstimate, the magnitude arithmetic of the threshold
 estimates before its fast paths, the ref_validate_* functions, the
 certificate validators as they were over frozensets, before they moved to
-vertex masks, and reference_write_graph6, the graph6 writer that shifts in
-one bit per vertex pair.
+vertex masks, and reference_write_graph6 and reference_parse_graph6, the
+graph6 writer and reader that shift one bit per vertex pair.
 """
 
 import math
@@ -542,6 +542,49 @@ def reference_write_graph6(g):
         nbits -= 6
         out.append(((bitbuf >> nbits) & 63) + 63)
     return out.decode("ascii")
+
+
+def reference_parse_graph6(text):
+    """graphio.parse_graph6 as it was: the list of every vertex pair, then
+    one big-int shift per pair."""
+    from chibound.errors import GraphParseError
+    from chibound.graphio import _g6_parse_size
+    from chibound.graphs import Graph
+
+    line = text.strip()
+    if "\n" in line:
+        raise GraphParseError("expected a single graph6 line", line=2)
+    try:
+        data = line.encode("ascii")
+    except UnicodeEncodeError as e:
+        raise GraphParseError(f"non-ASCII character {line[e.start]!r} in graph6 text", line=1, offset=e.start) from None
+    n, pos = _g6_parse_size(data)
+    nbits = n * (n - 1) // 2
+    nchars = (nbits + 5) // 6
+    body = data[pos:]
+    if len(body) != nchars:
+        raise GraphParseError(
+            f"non-canonical graph6 length: expected {nchars} data bytes for n={n}, got {len(body)}",
+            line=1,
+            offset=pos,
+        )
+    bitbuf = 0
+    edges = []
+    for idx, byte in enumerate(body):
+        val = byte - 63
+        if not 0 <= val <= 63:
+            raise GraphParseError(f"invalid graph6 data byte {byte}", line=1, offset=pos + idx)
+        bitbuf = (bitbuf << 6) | val
+    pad = nchars * 6 - nbits
+    if pad and bitbuf & ((1 << pad) - 1):
+        raise GraphParseError("nonzero graph6 padding bits", line=1, offset=pos)
+    bitbuf >>= pad
+    # bits come out highest-first: walk pairs in reverse column order
+    pairs = [(i, j) for j in range(1, n) for i in range(j)]
+    for k, (i, j) in enumerate(reversed(pairs)):
+        if (bitbuf >> k) & 1:
+            edges.append((i, j))
+    return Graph(n, edges)
 
 
 # ------------------------------------------ reference magnitude arithmetic

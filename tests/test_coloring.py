@@ -25,7 +25,7 @@ from chibound.coloring import (
     is_k_colorable,
     is_vertex_critical,
 )
-from chibound.errors import ColoringBudgetExceeded
+from chibound.errors import ColoringBudgetExceeded, SearchBudgetExceeded
 from chibound.generators import (
     complete_graph,
     cycle_graph,
@@ -158,6 +158,13 @@ def test_budget_raises_with_bounds():
     g = mycielski_tower(3)
     with pytest.raises(ColoringBudgetExceeded):
         chromatic_number(g, node_budget=3)
+    # a single-k test proves no lower bound; its upper bound is greedy's
+    g = mycielski_tower(4)
+    with pytest.raises(ColoringBudgetExceeded) as e:
+        is_k_colorable(g, 3, node_budget=1)
+    assert (e.value.lower, e.value.upper) == (0, 6)
+    with pytest.raises(SearchBudgetExceeded, match=r"maximum clique \(best found 2\)"):
+        clique_number(g, node_budget=1)
 
 
 # ------------------------------------------------------------ chi of a subset

@@ -1,11 +1,13 @@
+import random
+
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from oracles import brute_components, brute_distances, reference_write_graph6
+from oracles import brute_components, brute_distances, reference_parse_graph6, reference_write_graph6
 from strategies import graphs_with_subsets
 
-from chibound.embed import _bfs_dist
+from chibound.embed import Embedding, _bfs_dist, find_induced_embedding, verify_embedding
 from chibound.errors import GraphParseError
 from chibound.generators import complete_graph, cycle_graph, path_graph, petersen, random_graph, star_graph
 from chibound.graphs import (
@@ -30,6 +32,8 @@ from chibound.graphio import (
     write_graph,
     write_graph6,
 )
+from chibound.machinery import d_equipment, gyarfas_path, induced_path_centered
+from chibound.trees import RootedTree
 
 
 def test_graph_invariants():
@@ -102,6 +106,43 @@ def test_graph6_writer_matches_the_reference(p, seed):
         line = write_graph6(g)
         assert line == reference_write_graph6(g), n
         assert parse_graph6(line) == g, n
+
+
+def _parse_outcome(parse, text):
+    """The graph parse reads from text, or its GraphParseError as (message,
+    line, offset)."""
+    try:
+        return parse(text)
+    except GraphParseError as e:
+        return e.args[0], e.line, e.offset
+
+
+# hand-picked malformed graph6: empty, short and long bodies, bad data
+# bytes, stray padding, non-minimal and truncated prefixes, non-ASCII text
+G6_MALFORMED = (
+    "", "D", "A_~", "A~", "A" + chr(127), "A" + chr(62), "D?" + chr(127), "D" + chr(127) + chr(62),
+    "B~", "Bo", "C~~", "~??", "~~?????", chr(127), "~~" + "?" * 6, "~?@", "~??~" + "?" * 3,
+    "é", "Aé", "A_\nA_", "\n", "  A_  ",
+)
+
+
+@settings(max_examples=15, derandomize=True, database=None, deadline=None)
+@given(st.sampled_from(("0", "0.1", "0.5", "0.9", "1")), st.integers(0, 10**6))
+def test_graph6_reader_matches_the_reference(p, seed):
+    """The column-slicing reader gives what the pair-by-pair one gave, on
+    the lines of every n up to 70, their truncations and one-byte
+    corruptions, the hand-picked malformed strings and random short
+    strings of bytes 60..129: the same graph, or a GraphParseError with
+    the same message, line and offset."""
+    rng = random.Random(seed)
+    texts = list(G6_MALFORMED)
+    for n in range(71):
+        line = write_graph6(random_graph(n, p, seed + n))
+        at = rng.randrange(len(line))
+        texts += [line, line[:-1], line + "?", line[:at] + chr(rng.randrange(60, 130)) + line[at + 1:]]
+    texts += ["".join(chr(rng.randrange(60, 130)) for _ in range(rng.randrange(8))) for _ in range(200)]
+    for text in texts:
+        assert _parse_outcome(parse_graph6, text) == _parse_outcome(reference_parse_graph6, text), repr(text)
 
 
 def test_graph6_errors():
@@ -233,6 +274,44 @@ def test_vertex_mask():
             vertex_mask(p5, bad)
         with pytest.raises(ValueError, match="out of range"):
             covers(p5, bad, [])
+
+
+# every entry that takes a vertex id, called on the Petersen graph (n = 10)
+# with the id v in the position it checks
+VERTEX_ENTRIES = {
+    "degree": lambda g, v: g.degree(v),
+    "adjacency_mask": lambda g, v: g.adjacency_mask(v),
+    "has_edge": lambda g, v: g.has_edge(0, v),
+    "edge": lambda g, v: Graph(g.n, [(0, v)]),
+    "vertex_mask": lambda g, v: vertex_mask(g, [v]),
+    "covers": lambda g, v: covers(g, [v], []),
+    "neighborhood": lambda g, v: neighborhood(g, v, 1),
+    "distance": lambda g, v: distance(g, 0, v),
+    "root": lambda g, v: RootedTree(path_graph(g.n), v),
+    "anchor_pattern_vertex": lambda g, v: find_induced_embedding(g, g, anchor=(v, 0)),
+    "anchor_host": lambda g, v: find_induced_embedding(g, g, anchor=(0, v)),
+    "path_center": lambda g, v: induced_path_centered(g, v, 1),
+    "equipment_center": lambda g, v: d_equipment(g, v, [], 1),
+    "gyarfas_start": lambda g, v: gyarfas_path(g, [], v, 0),
+}
+
+
+@pytest.mark.parametrize("v, message", [(True, "integer"), (1.5, "integer"), (-1, "out of range"), (10, "out of range")])
+@pytest.mark.parametrize("entry", VERTEX_ENTRIES)
+def test_vertex_rule(entry, v, message):
+    """One rule for a vertex id: a bool is not read as vertex 0 or 1, a
+    float is refused as bad input rather than failing later, and an int
+    outside 0..n-1 is out of range."""
+    with pytest.raises(ValueError, match=message):
+        VERTEX_ENTRIES[entry](petersen(), v)
+
+
+def test_verify_embedding_fails_a_host_id_that_is_not_an_int():
+    g, edge = petersen(), path_graph(2)
+    u = min(neighborhood(g, 1, 1))
+    assert verify_embedding(g, edge, Embedding((u, 1)))
+    for bad in ((u, True), (u, 1.0), (u, 10), (u, -9)):
+        assert not verify_embedding(g, edge, Embedding(bad)), bad
 
 
 @settings(max_examples=300, derandomize=True, database=None, deadline=None)

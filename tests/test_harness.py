@@ -6,7 +6,7 @@ from pathlib import Path
 
 import pytest
 
-from chibound import certificates, counterexamples, machinery
+from chibound import certificates, counterexamples, harness, machinery
 from chibound.cli import main as cli_main
 from chibound.graphio import parse_graph6
 from chibound.errors import _parameters
@@ -293,6 +293,28 @@ def test_gyarfas_honours_node_budget():
     assert gyarfas_row({"generator": "petersen"}, 10) == ("pass", "instances=6")
 
 
+def test_verdict_rows_of_the_edge_cases():
+    """The null graph, a missed expectation and an x_split ground that
+    leaves nothing to split each give their own row."""
+    config = {
+        "corpus": [{"graph6": "?"}, {"generator": "petersen", "expect_chi": 4, "expect_omega": 3},
+                   {"generator": "complete", "n": 3}],
+        "checks": [{"check": "invariants"}, {"check": "stable_removal_degree"}, {"check": "x_split"}],
+    }
+    rows = run_experiment(ExperimentConfig.from_dict(config)).rows
+    assert [(row["check"], row["outcome"], row["detail"]) for row in rows] == [
+        ("invariants", "pass", ""),
+        ("stable_removal_degree", "pass", "instances=0"),
+        ("x_split", "absent", "null graph"),
+        ("invariants", "violation", "chi=3 expected 4; omega=2 expected 3"),
+        ("stable_removal_degree", "pass", "instances=9"),
+        ("x_split", "found", "chi_z>0"),
+        ("invariants", "pass", ""),
+        ("stable_removal_degree", "pass", "instances=9"),
+        ("x_split", "absent", "x_ground=color-class-1 size 1"),
+    ]
+
+
 def _injected(*args):
     return "injected clause"
 
@@ -323,6 +345,10 @@ FAULTS = {
     "stopping-rule": (counterexamples, "chi_of", lambda *args: -1, [],
                       {"check": "counterexample", "variant": "split-pairs", "k": 2},
                       '"chi_drops_without_special":false'),
+    # a certificate that passed its searcher's check but fails re-validation
+    # from its JSON form, as a codec fault would make it
+    "revalidation": (harness, "verify_certificate", lambda g, obj: (False, "injected clause"), PETERSEN,
+                     {"check": "starry"}, "revalidation failed: injected clause"),
 }
 
 
@@ -540,6 +566,62 @@ def test_cli_find_tree_and_starry(tmp_path, capsys):
         payload = json.loads(capsys.readouterr().out.strip())
         assert payload == {"tree": "binary-star", "params": {"k": 1, "d": 1}, "found": True,
                            "embedding": [[0, 0], [1, 7], [2, 8], [3, 2]]}
+
+
+def test_cli_omega_and_chik(tmp_path, capsys):
+    graph = tmp_path / "pg.g6"
+    assert cli_main(["gen", "--generator", "petersen", "--out", str(graph)]) == 0
+    assert cli_main(["omega", "--graph", str(graph)]) == 0
+    assert json.loads(capsys.readouterr().out) == {"n": 10, "omega": 2}
+    assert cli_main(["omega", "--graph", str(graph), "--witness"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == ["clique", "n", "omega"] and len(payload["clique"]) == 2
+    assert cli_main(["chik", "--graph", str(graph), "--radius", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"chi_local": 2, "n": 10, "radius": 1}
+
+
+def test_cli_spire_found_and_absent(tmp_path, capsys):
+    pg, p3 = tmp_path / "pg.g6", tmp_path / "p3.g6"
+    assert cli_main(["gen", "--generator", "petersen", "--out", str(pg)]) == 0
+    assert cli_main(["gen", "--generator", "path", "--set", "n=3", "--out", str(p3)]) == 0
+    assert cli_main(["spire", "--graph", str(pg), "--height", "1"]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert sorted(payload) == ["a_set", "b_set", "dominated", "found", "path", "type"]
+    assert payload["found"] is True and payload["type"] == "spire"
+    assert cli_main(["spire", "--graph", str(p3), "--height", "1"]) == 0
+    assert json.loads(capsys.readouterr().out) == {"found": False, "height": 1, "min_chi": 0}
+
+
+def test_cli_counterexample_writes_out(tmp_path, capsys):
+    out = tmp_path / "ce.json"
+    assert cli_main(["counterexample", "--variant", "single-row", "--k", "2", "--out", str(out)]) == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert json.loads(out.read_text()) == payload
+    assert sorted(payload) == ["base_vertex_count", "chi_after", "chi_before", "gadgets_added", "graph6",
+                               "special_vertex", "verification"]
+    assert all(payload["verification"].values())
+
+
+def test_cli_run_workers_overrides_the_config(tmp_path, monkeypatch, capsys):
+    """--workers replaces the config's worker count, and the report is the
+    one a serial run writes."""
+    from chibound import cli
+
+    seen = []
+
+    def spy(config, output_dir=None):
+        seen.append(config.workers)
+        return run_experiment(config, output_dir)
+
+    monkeypatch.setattr(cli, "run_experiment", spy)
+    config = tmp_path / "config.json"
+    config.write_text(json.dumps({"corpus": SMALL_CONFIG["corpus"][:2], "checks": [{"check": "invariants"}]}))
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "serial")]) == 0
+    assert cli_main(["run", "--config", str(config), "--out", str(tmp_path / "pool"), "--workers", "2"]) == 0
+    assert seen == [1, 2]
+    serial, pool = capsys.readouterr().out.splitlines()
+    assert serial == pool and sorted(json.loads(pool)) == ["indeterminate", "instances", "rows", "violations"]
+    assert read_tree(tmp_path / "serial") == read_tree(tmp_path / "pool")
 
 
 @pytest.mark.parametrize("budget", ["0", "-3", "2.5", "fifty"])

@@ -197,6 +197,17 @@ def test_format_helpers():
     assert str(Mag.of(10 ** 40)).startswith("about 10^40")
 
 
+def test_format_result_blocked_and_list_intermediates():
+    r = lemma_threshold("T6.2", {"d": 1, "tau": 1})
+    assert format_result(r).splitlines()[1:4] == [
+        "  note: derived composition (assembled from referenced entries)",
+        f"  value: exact evaluation blocked at {r.blocked_at}",
+        f"  magnitude: {r.magnitude}",
+    ]
+    text = format_result(lemma_threshold("T3.1", {"k": 3, "d": 1, "tau": 1}))
+    assert text.splitlines()[1:3] == ["  value: 512", "  c_sequence: [2, 32, 512]"]
+
+
 def test_format_past_int_str_limit():
     # str() refuses ints beyond 4300 digits by default; this value has 17357
     r = lemma_threshold("T4.2", {"k": 1, "d": 2, "tau": 3})
