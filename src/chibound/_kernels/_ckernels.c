@@ -507,13 +507,15 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
    its count plan links the second centre of a tree with isomorphic
    halves to the first; a count is then multiplied by the number of
    automorphisms broken.
-   Candidates are the unused hosts of cands[t] adjacent to the parent's
-   host and above the host of position above[t], taken ascending, and
-   each one taken is a node charged before it is tested. Below the last
+   A node is one placement, as in every kernel here: a host placed at a
+   position, charged before it is placed. The pool of position t holds
+   the unused hosts of cands[t] adjacent to the parent's host and above
+   the host of position above[t], taken ascending. Below the last
    position L = m - 1, a candidate h for position t passes iff (host[h] &
    used) == want, where used holds the hosts assigned so far and want,
    built once per level from pat row t, those of the earlier positions
-   adjacent to t: one mask comparison per candidate.
+   adjacent to t: one mask comparison per candidate, and a node only for
+   a candidate that passes.
 
    parents[t], the highest bit of pat row t below t or -1, is worked out
    here. In a DFS preorder, as embed._search_plan's find plan makes, it is
@@ -521,9 +523,9 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
    neighbour of t is an ancestor, and the deepest comes last. In the BFS
    order of a forest, as its count plan makes, the BFS parent is t's only
    earlier neighbour. In any other order it is still adjacent to t, so
-   keeping t's pool to its host's neighbours drops no passing candidate:
-   finds and counts stay exact, and only the node charges depend on the
-   order.
+   keeping t's pool to its host's neighbours drops no passing candidate,
+   and as a failing candidate costs no node, no result or charge depends
+   on the choice.
 
    Each level also carries fit, the hosts that pass L's test against the
    positions placed so far: level 0 starts it all ones, and placing h at
@@ -531,13 +533,9 @@ max_clique(PyObject *self, PyObject *args, PyObject *kwargs)
    otherwise. That reads host row h as a column, which is sound because
    host adjacency is symmetric by contract (bit u of row v iff u ~ v);
    the contract is not checked, as pykernels.find_embedding explains.
-   At L, ok = pool & fit is the passing set, found in one step:
-   count_embeddings adds popcount(ok) and charges popcount(pool) nodes;
-   find_embedding takes the lowest bit of ok and charges the pool
-   candidates up to and including it, or all of pool when ok is empty.
-   A leaf candidate recurses into nothing, so a budgeted call stops
-   exactly where a candidate-by-candidate loop would: every status,
-   witness, count and budget outcome is the same. */
+   At L, ok = pool & fit is the passing set, taken in one step:
+   count_embeddings adds popcount(ok) and charges as many nodes, and
+   find_embedding takes the lowest bit of ok and charges one node. */
 typedef struct {
     int m, nw, pw, count_all;
     uint64_t *host, *pat, *cands, *stack, *used; /* stack: pool, want and fit rows per level */
@@ -545,39 +543,28 @@ typedef struct {
     long long nodes, budget, total;
 } ECtx;
 
-/* The last position's step, over its pool and fit rows: 0 = search on,
-   2 = budget exceeded, 3 = embedding complete. Only a nonzero budget
-   reads the node count, so an unbudgeted call skips the charge. */
+/* The last position's step, over its pool and fit rows: a count takes
+   every host of pool & fit and a find the lowest, one node each. 0 =
+   search on, 2 = budget exceeded, 3 = embedding complete. */
 static int
 emb_leaf(ECtx *cx, const uint64_t *pool, const uint64_t *fit)
 {
-    int nw = cx->nw;
-    if (cx->budget) {
-        long long charge = 0;
-        for (int i = 0; i < nw; i++) {
-            uint64_t ok = pool[i] & fit[i];
-            if (ok && !cx->count_all) {
-                charge += __builtin_popcountll(pool[i] & ((ok & -ok) - 1)) + 1;
-                break;
-            }
-            charge += __builtin_popcountll(pool[i]);
-        }
-        cx->nodes += charge;
-        if (cx->nodes > cx->budget)
-            return 2;
-    }
-    if (cx->count_all) {
-        for (int i = 0; i < nw; i++)
-            cx->total += __builtin_popcountll(pool[i] & fit[i]);
-        return 0;
-    }
-    for (int i = 0; i < nw; i++) {
+    long long taken = 0;
+    for (int i = 0; i < cx->nw; i++) {
         uint64_t ok = pool[i] & fit[i];
-        if (ok) {
+        if (!ok)
+            continue;
+        if (!cx->count_all) {
             cx->assign[cx->m - 1] = i * 64 + __builtin_ctzll(ok);
-            return 3;
+            cx->nodes++;
+            return cx->budget && cx->nodes > cx->budget ? 2 : 3;
         }
+        taken += __builtin_popcountll(ok);
     }
+    cx->nodes += taken;
+    if (cx->budget && cx->nodes > cx->budget)
+        return 2;
+    cx->total += taken;
     return 0;
 }
 
@@ -618,15 +605,15 @@ emb_rec(ECtx *cx, int t)
        complement when t is not adjacent to the last position */
     uint64_t flip = TEST(cx->pat + (size_t)last * cx->pw, t) ? 0 : ~(uint64_t)0;
     FOR_BITS(h, pool, nw) {
-        cx->nodes++;
-        if (cx->budget && cx->nodes > cx->budget)
-            return 2;
         const uint64_t *ham = cx->host + (size_t)h * nw;
         int i = 0;
         while (i < nw && (ham[i] & cx->used[i]) == want[i])
             i++;
         if (i < nw)
             continue;
+        cx->nodes++;
+        if (cx->budget && cx->nodes > cx->budget)
+            return 2;
         for (i = 0; i < nw; i++)
             fit[3 * nw + i] = fit[i] & (ham[i] ^ flip);
         cx->assign[t] = h;

@@ -13,16 +13,20 @@ Common conventions:
     makes anyway: a negative mask, a bit at or past the vertex count, an
     adjacency mask holding its own vertex's bit or fewer candidate masks
     than pattern positions raise ValueError before a search starts;
-  * a node budget of 0 means unbounded; a budgeted kernel counts a node and
-    then stops once the count exceeds a nonzero budget, so it never
-    expands node budget + 1 nodes. Every kernel here keeps its node count
-    only under a nonzero budget: an unbudgeted call counts nothing, as
-    nothing reads its count. _ckernels.c counts on every call, and its
-    max_clique still makes the call that tests a child's bound: in C an
-    increment and a call cost a few nanoseconds, against a bytecode
-    dispatch or a Python frame here, so the C search is left as it is and
-    stays the fixed twin that the backend parity tests hold these kernels
-    to;
+  * a node is one placement: k_color charges a colour given to a vertex,
+    max_clique a vertex added to the clique it grows, and the embedding
+    kernels a host placed at a pattern position, before placing it (at
+    the last position a count charges every passing host and a find the
+    one host it takes). A node budget of 0 means unbounded; a budgeted
+    kernel counts a node and then stops once the count exceeds a nonzero
+    budget, so it never makes node budget + 1 placements. Every kernel
+    here keeps its node count only under a nonzero budget: an unbudgeted
+    call counts nothing, as nothing reads its count. _ckernels.c counts
+    on every call, and its max_clique still makes the call that tests a
+    child's bound: in C an increment and a call cost a few nanoseconds,
+    against a bytecode dispatch or a Python frame here, so the C search
+    is left as it is and stays the fixed twin that the backend parity
+    tests hold these kernels to;
   * k_color runs a whole k-sweep in one call, with one set-up (checks,
     degrees, greedy clique) for every k it tries. It renumbers the
     vertices once by DSATUR's static key, degree then lower id, so a tie
@@ -41,20 +45,14 @@ Common conventions:
     above[t], the hosts not above its host; so each position's field is
     its passing set, and the last position takes them all in one step,
     made inside the loop of the position before it (see find_embedding).
-    The candidate pools, passing and failing candidates, are built only
-    by a budgeted call, to charge the failing ones; _ckernels.c keeps a
-    loop over each candidate of the pool below the last position, one
-    mask comparison each, over the same nodes;
+    No failing host is ever visited; _ckernels.c keeps a loop over each
+    candidate of a pool below the last position, one mask comparison
+    each, and charges only the ones that pass;
   * the part of that search's set-up that depends only on the plan and
-    hn, the layout (the parents and the after, apart and sib field masks,
-    see _layout), is cached per (pat_adj_o, above, hn) in a bounded
-    lru_cache; every mask check still runs on every call, before the
-    cache is read. The fields are hn bits wide, so hn is in the key;
-  * a position's parent in the embedding search is its latest earlier
-    neighbour: the tree parent in the DFS preorder of _search_plan's find
-    plan or the BFS order of a forest in its count plan, and still a
-    neighbour in any other order, so only node charges depend on the
-    order (see find_embedding);
+    hn, the layout (the after, apart and sib field masks, see _layout), is
+    cached per (pat_adj_o, above, hn) in a bounded lru_cache; every mask
+    check still runs on every call, before the cache is read. The fields
+    are hn bits wide, so hn is in the key;
   * the embedding kernels take above, one earlier position or -1 per
     position, and keep only hosts above the host of position above[t] as
     t's candidates. embed._search_plan links each isomorphic sibling
@@ -312,21 +310,20 @@ def find_embedding(host_adj, pat_adj_o, above, cands, node_budget=0):
     embed.find_induced_embedding), and in its count plan the second
     centre of a tree with isomorphic halves to the first.
 
-    The parent of position t is the highest bit of pat_adj_o[t] below t,
-    or -1. In a DFS preorder, as embed._search_plan's find plan makes, it
-    is the DFS parent: an undirected DFS has no cross edges, so every
-    earlier neighbour of t is an ancestor, and the deepest comes last. In
-    the BFS order of a forest, as its count plan makes, the BFS parent is
-    t's only earlier neighbour. In any other order it is still adjacent to
-    t, so keeping t's pool to its host's neighbours drops no passing
-    candidate: finds and counts stay exact, and only the node charges
-    depend on the order.
+    A host h passes at position t when it is in cands[t], unused, above
+    the host of position above[t] if that is not -1 and, for every earlier
+    position s placed at host assign[s], adjacent to assign[s] exactly
+    when t is adjacent to s. The search places the passing hosts of each
+    position in ascending order. A node is one placement: a host placed
+    at a position before the last is charged before it is placed, and at
+    the last position a count charges every passing host and a find the
+    one host it takes. A budgeted call stops, with status 2, at the first
+    charge that takes nodes past node_budget. A failing host costs no
+    node, so the nodes, and with them every status, witness, count and
+    budget outcome, do not depend on how a backend finds the passing
+    hosts: _ckernels.c tests each candidate with one mask comparison,
+    this kernel never visits a failing one.
 
-    The pool of position t holds the unused hosts of cands[t] adjacent to
-    the parent's host and above the host of position above[t], its
-    candidates, which a loop would try in ascending order, one node each.
-    A candidate h passes when, for every earlier position s placed at host
-    assign[s], h is adjacent to assign[s] exactly when t is adjacent to s.
     The search carries fit, one int with an hn-bit field per position,
     field t in bits t * hn to (t + 1) * hn - 1: it starts as the packed
     cands masks, and placing h at position s ANDs in side[s][h], which
@@ -348,33 +345,13 @@ def find_embedding(host_adj, pat_adj_o, above, cands, node_budget=0):
     whole search.
 
     So when the search reaches position t, its passing set ok is field t,
-    which equals pool & field in a search that ANDs in only the rows, and
-    only its bits are placed and searched from. The failing candidates are
-    never visited, and an unbudgeted call never builds a pool. A budgeted
-    call still charges them: it builds the pool, and before placing a
-    passing bit b it charges popcount(pool & ((b << 1) - 1)) nodes, b and
-    the failures below it, and drops those bits from pool; after the last
-    passing bit it charges what is left of pool. At the last position
-    L = m - 1 the passing set is taken in one step:
-
-      * count_embeddings adds popcount(ok) and charges popcount(pool)
-        nodes;
-      * find_embedding takes the lowest bit of ok and charges
-        popcount(pool & (first - 1)) + 1 nodes, first being that bit, or
-        popcount(pool) when ok is 0.
-
-    That step is made in the loop of position L - 1, right after the
-    charge for each of its passing candidates, from L's field of fit and
-    that candidate's test, built on its first placement at L - 1 like a
-    side, so no call is made per candidate there. A one-position pattern
-    takes it before any search.
-
-    A budgeted call stops, with status 2, at the first charge that takes
-    nodes past node_budget, which is where a loop over each position's
-    candidates one at a time would stop: every status, witness, count and
-    budget outcome is that loop's. _ckernels.c runs that loop below L,
-    testing each candidate with one mask comparison, over the same nodes
-    in the same order.
+    and only its bits are placed and searched from. At the last position
+    L = m - 1 the passing set is taken in one step: count_embeddings adds
+    popcount(ok), and find_embedding takes its lowest bit. That step is
+    made in the loop of position L - 1, right after the charge for each
+    of its passing hosts, from L's field of fit and that host's test,
+    built on its first placement at L - 1 like a side, so no call is made
+    per host there. A one-position pattern takes it before any search.
 
     fit reads host_adj[h] as a column (bit u set iff h ~ u), which holds
     because host adjacency is symmetric by the module's convention. The
@@ -395,15 +372,13 @@ def count_embeddings(host_adj, pat_adj_o, above, cands, node_budget=0):
 def _layout(pat_adj_o, above, hn):
     """The part of _embed's set-up that depends on the plan and the host's
     vertex count alone, for a plan of at least two positions, checked by
-    the caller: (parents, after, apart, sib), the parent of each position
-    and, for each position s before the penultimate, after[s] with a one
-    at the bottom of the field of each position after s, so row * after[s]
-    copies a host row into each of those fields; apart[s] with one there
-    only for the later positions not adjacent to s, so XORing in full *
-    apart[s] turns the row there into its complement; sib[s] with one for
-    each position whose above is s."""
+    the caller: (after, apart, sib), for each position s before the
+    penultimate, after[s] with a one at the bottom of the field of each
+    position after s, so row * after[s] copies a host row into each of
+    those fields; apart[s] with one there only for the later positions not
+    adjacent to s, so XORing in full * apart[s] turns the row there into
+    its complement; sib[s] with one for each position whose above is s."""
     m = len(pat_adj_o)
-    parents = tuple((pat_adj_o[t] & (1 << t) - 1).bit_length() - 1 for t in range(m))
     last = m - 1
     pen = last - 1
     after = [0] * pen
@@ -425,7 +400,7 @@ def _layout(pat_adj_o, above, hn):
     for t in range(m):
         if 0 <= above[t] < pen:
             sib[above[t]] |= 1 << t * hn
-    return parents, tuple(after), tuple(apart), tuple(sib)
+    return tuple(after), tuple(apart), tuple(sib)
 
 
 def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
@@ -451,7 +426,7 @@ def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
         return (0, [(pool & -pool).bit_length() - 1]) if pool else (1, None)
     last = m - 1
     pen = last - 1  # the position whose loop makes the last position's step
-    parents, after, apart, sib = _layout(tuple(pat_adj_o), tuple(above[:m]), hn)
+    after, apart, sib = _layout(tuple(pat_adj_o), tuple(above[:m]), hn)
     full = (1 << hn) - 1
     # fit starts as the candidate masks, one per field
     fit = 0
@@ -462,14 +437,12 @@ def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
     sides = [[None] * hn for _ in range(pen)]
     # tests[h], built on h's first placement at pen, is what that placement
     # ANDs into the last position's field: host row h ^ flip_last, the row
-    # when the two positions are adjacent (pen is then the last position's
-    # parent), else its complement, less h and, when the last position's
-    # above is pen, every host below h
+    # when the two positions are adjacent, else its complement, less h and,
+    # when the last position's above is pen, every host below h
     flip_last = 0 if pat_adj_o[last] >> pen & 1 else -1
-    parent_last, above_last = parents[last], above[last]
+    above_last = above[last]
     tests = [None] * hn
     assign = [0] * m
-    used = 0
     nodes = 0
     total = 0
 
@@ -479,50 +452,23 @@ def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
         every constraint of positions 0..t - 1: unused, adjacent to their
         hosts exactly as u is to them, and above the host of above[u] if
         that is among them."""
-        nonlocal used, nodes, total
+        nonlocal nodes, total
         ok = fit >> t * hn & full
-        if node_budget:
-            # the pool: the passing candidates and the failing ones that
-            # a budgeted call charges
-            pool = cands[t] & ~used
-            if parents[t] >= 0:
-                pool &= host_adj[assign[parents[t]]]
-            if above[t] >= 0:
-                pool &= -2 << assign[above[t]]
         if t == pen:
-            # the last position's passing candidates before pen is placed
+            # the last position's passing hosts before pen is placed
             base_ok = fit >> last * hn
-            if node_budget and ok:
-                # and its pool, built only when pen has a passing candidate,
-                # as a refutation mostly reaches pen with none
-                base = cands[last] & ~used
-                if 0 <= parent_last < pen:
-                    base &= host_adj[assign[parent_last]]
-                if 0 <= above_last < pen:
-                    base &= -2 << assign[above_last]
             while ok:
                 b = ok & -ok
                 ok ^= b
-                if node_budget:
-                    taken = pool & ((b << 1) - 1)
-                    pool ^= taken
-                    nodes += taken.bit_count()
-                    if nodes > node_budget:
-                        return 2
                 h = b.bit_length() - 1
                 test = tests[h]
                 if test is None:
                     tests[h] = test = (host_adj[h] ^ flip_last) & (-(b << 1) if above_last == pen else ~b)
                 ok_last = base_ok & test
                 if node_budget:
-                    # what placing h at pen leaves of the last position's pool
-                    pool_last = base & (-(b << 1) if above_last == pen else ~b)
-                    if parent_last == pen:
-                        pool_last &= host_adj[h]
-                    if ok_last and not count:
-                        nodes += (pool_last & ((ok_last & -ok_last) - 1)).bit_count() + 1
-                    else:
-                        nodes += pool_last.bit_count()
+                    # h at pen, then every passing host at the last position
+                    # for a count, or the one a find takes
+                    nodes += 1 + (ok_last.bit_count() if count else ok_last != 0)
                     if nodes > node_budget:
                         return 2
                 if count:
@@ -537,10 +483,7 @@ def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
                 b = ok & -ok
                 ok ^= b
                 if node_budget:
-                    # the failing candidates below b, then b itself
-                    taken = pool & ((b << 1) - 1)
-                    pool ^= taken
-                    nodes += taken.bit_count()
+                    nodes += 1
                     if nodes > node_budget:
                         return 2
                 h = b.bit_length() - 1
@@ -554,20 +497,9 @@ def _embed(host_adj, pat_adj_o, above, cands, node_budget, count):
                         row &= ~(((b << 1) - 1) * sib[t])
                     side[h] = row
                 assign[t] = h
-                # only a budgeted call builds pools, so only it tracks the
-                # used hosts
-                if node_budget:
-                    used |= b
-                    r = rec(t + 1, fit & row)
-                    used ^= b
-                else:
-                    r = rec(t + 1, fit & row)
+                r = rec(t + 1, fit & row)
                 if r:
                     return r
-        if node_budget:
-            nodes += pool.bit_count()
-            if nodes > node_budget:
-                return 2
         return 0
 
     status = rec(0, fit)

@@ -97,19 +97,21 @@ def _bfs_dist(g, start):
 
 def _dfs_order(adj, root):
     """Preorder (vertex, parent) pairs over root's component of the graph
-    with adjacency masks adj, neighbors ascending."""
-    out = []
-    visited = 0
-
-    def visit(v, par):
-        nonlocal visited
-        visited |= 1 << v
-        out.append((v, par))
-        for w in bits(adj[v]):
-            if not (visited >> w) & 1:
-                visit(w, v)
-
-    visit(root, -1)
+    with adjacency masks adj, neighbors ascending. The walk keeps a stack
+    of (vertex, its unread neighbours), so no recursion limit caps it."""
+    out = [(root, -1)]
+    visited = 1 << root
+    stack = [(root, bits(adj[root]))]
+    while stack:
+        v, rest = stack[-1]
+        for w in rest:
+            if not visited >> w & 1:
+                visited |= 1 << w
+                out.append((w, v))
+                stack.append((w, bits(adj[w])))
+                break
+        else:
+            stack.pop()
     return out
 
 
@@ -140,9 +142,21 @@ def _centre(adj, comp):
 def _rooted_code(adj, v, away, codes):
     """AHU code of the subtree at v of a tree, cut off from its neighbour
     away: one small int per distinct sorted tuple of child codes, kept in
-    codes."""
-    kids = sorted(_rooted_code(adj, w, v, codes) for w in bits(adj[v] & ~(1 << away)))
-    return codes.setdefault(tuple(kids), len(codes))
+    codes. Codes are numbered in postorder, children ascending, from a
+    stack of (vertex, its unread children, its children's codes), so no
+    recursion limit caps it."""
+    stack = [(v, bits(adj[v] & ~(1 << away)), [])]
+    while True:
+        u, rest, kids = stack[-1]
+        w = next(rest, -1)
+        if w >= 0:
+            stack.append((w, bits(adj[w] & ~(1 << u)), []))
+            continue
+        stack.pop()
+        code = codes.setdefault(tuple(sorted(kids)), len(codes))
+        if not stack:
+            return code
+        stack[-1][2].append(code)
 
 
 def _count_roots(adj, comps):

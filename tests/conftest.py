@@ -1,6 +1,7 @@
 """Fixtures shared across test modules."""
 
 import importlib.util
+import os
 import shutil
 import subprocess
 import sys
@@ -25,10 +26,13 @@ def compiled_kernels(tmp_path):
     cc = (sysconfig.get_config_var("CC") or "cc").split()[0]
     if shutil.which(cc) is None:
         pytest.skip(f"compiled kernels unavailable and no C compiler ({cc})")
+    # the compiler needs no preloaded runtime, such as the sanitizers that
+    # test_sanitizers.py preloads, and runs twice as slow with one
+    env = {k: v for k, v in os.environ.items() if k != "LD_PRELOAD"}
     build = subprocess.run(
         [sys.executable, "setup.py", "build_ext", "--build-lib", str(tmp_path),
          "--build-temp", str(tmp_path / "temp")],
-        cwd=ROOT, capture_output=True, text=True,
+        cwd=ROOT, env=env, capture_output=True, text=True,
     )
     built = tmp_path / "chibound" / "_kernels" / ("_ckernels" + sysconfig.get_config_var("EXT_SUFFIX"))
     assert built.exists(), build.stdout + build.stderr

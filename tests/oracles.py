@@ -127,10 +127,11 @@ def reference_parents(pat_adj_o):
 
 def reference_embed(host_adj, pat_adj_o, parents, above, cands, budget, count):
     """The induced-embedding kernels' search (see pykernels.find_embedding
-    for the arguments), one candidate and one node at a time at every
-    position, the last included. Returns (status, payload, nodes): the
-    kernels' (status, payload) for find_embedding, or with count for
-    count_embeddings, and the nodes charged before the search ended."""
+    for the arguments), one candidate at a time at every position, the
+    last included, with one node per host placed, charged before it is
+    placed. Returns (status, payload, nodes): the kernels' (status,
+    payload) for find_embedding, or with count for count_embeddings, and
+    the nodes charged before the search ended."""
     m = len(parents)
     assign = [0] * m
     earlier = [[s for s in range(t) if (pat_adj_o[t] >> s) & 1] for t in range(m)]
@@ -154,12 +155,12 @@ def reference_embed(host_adj, pat_adj_o, parents, above, cands, budget, count):
         while pool:
             b = pool & -pool
             pool ^= b
-            nodes += 1
-            if budget and nodes > budget:
-                return 2
             h = b.bit_length() - 1
             if host_adj[h] & used != want:
                 continue
+            nodes += 1
+            if budget and nodes > budget:
+                return 2
             assign[t] = h
             used |= b
             r = rec(t + 1)

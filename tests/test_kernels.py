@@ -149,6 +149,24 @@ def test_search_plan_dfs_parents_are_the_latest_earlier_neighbours():
             assert tree_parents(pattern, order, walk) == reference_parents(pat_adj_o)
 
 
+def test_long_path_plans_build_and_embed(ckernels):
+    """Plan building walks the pattern with explicit stacks, so neither
+    the find plan of a 1,100-vertex path nor the count plan of a
+    2,400-vertex one reaches the recursion limit, and the compiled kernel
+    finds the path in a longer one on the find plan."""
+    pattern = path_graph(1100)
+    assert len(embed._pattern_plan.__wrapped__(pattern, None, False)[0]) == 1100
+    assert len(embed._pattern_plan.__wrapped__(path_graph(2400), None, True)[0]) == 2400
+    host = path_graph(1200)
+    order, *plan, _ = _search_plan(host, pattern, None)
+    status, assign = ckernels.find_embedding(host.adjacency_masks(), *plan)
+    assert status == 0
+    mapping = [-1] * pattern.n
+    for t, v in enumerate(order):
+        mapping[v] = assign[t]
+    assert verify_embedding(host, pattern, Embedding(tuple(mapping)))
+
+
 def tie_hosts():
     """Hosts on which DSATUR's degree and id tie-breaks decide most picks:
     the regular Petersen, kneser(7,2), cycle(9), K_{3,3,3} and the circulant
@@ -814,14 +832,20 @@ EVERY_BUDGET_NODES = 1000
 def test_embedding_kernels_match_reference_at_every_budget(ckernels, case):
     """Both backends return the (status, payload) of the candidate-by-
     candidate reference search at every budget up to one past the nodes an
-    unbudgeted call charges, so every stop point is hit."""
+    unbudgeted call charges, so every stop point is hit. The reference
+    charges the same nodes in the same order under any budget, so it stops
+    at exactly the budgets below those nodes, as it is checked to do at
+    the boundary, and otherwise answers as unbudgeted."""
     # a count charges at least every node a find does
     assume(reference(case, EVERY_BUDGET_NODES, True)[0] != 2)
     for count in (False, True):
         kernel = "count_embeddings" if count else "find_embedding"
-        nodes = reference(case, 0, count)[2]
+        status, payload, nodes = reference(case, 0, count)
+        assert reference(case, nodes, count) == (status, payload, nodes)
+        if nodes > 1:
+            assert reference(case, nodes - 1, count)[0] == 2
         for budget in range(nodes + 2):
-            want = reference(case, budget, count)[:2]
+            want = (2, None) if 0 < budget < nodes else (status, payload)
             assert getattr(pykernels, kernel)(*case, budget) == want
             assert getattr(ckernels, kernel)(*case, budget) == want
 
@@ -899,6 +923,45 @@ def test_positions_sharing_an_above_match_reference_at_every_budget(ckernels, ca
             want = reference(case, budget, count)[:2]
             assert getattr(pykernels, kernel)(*case, budget) == want
             assert getattr(ckernels, kernel)(*case, budget) == want
+
+
+@st.composite
+def budget_pair_cases(draw):
+    """Embedding kernel arguments for a forest pattern of forest_cases, or
+    a seeded random pattern on 1 to 5 vertices, in its host, on the find
+    plan or, unanchored, the count plan, and two budgets b < b' from 1 to
+    two past the nodes an unbudgeted count charges."""
+    if draw(st.booleans()):
+        host, pattern, anchor = draw(forest_cases())
+    else:
+        pattern = as_graph(*draw_adjacency(draw, 1, 5))
+        host = draw_host(draw, random.Random(draw(st.integers(0, 2 ** 32))), pattern)
+        anchor = None
+    count = anchor is None and draw(st.booleans())
+    _, *plan, _ = _search_plan(host, pattern, anchor, count)
+    args = (host.adjacency_masks(), *plan)
+    nodes = reference(args, 0, True)[2]
+    b = draw(st.integers(1, nodes + 1))
+    return args, b, draw(st.integers(b + 1, nodes + 2))
+
+
+@pytest.mark.parametrize("backend", ["python", "c"])
+@settings(max_examples=200, derandomize=True, database=None, deadline=None)
+@given(case=budget_pair_cases())
+def test_a_larger_budget_only_settles_a_budget_stop(request, backend, case):
+    """For budgets b < b', each embedding kernel returns at b either a
+    budget stop or its unbudgeted answer, and what it decides at b it
+    decides at b' too: a search charges the same nodes in the same order
+    under any budget, so more budget can only settle a stop, and only
+    into the answer."""
+    kernels = pykernels if backend == "python" else request.getfixturevalue("ckernels")
+    args, b, b2 = case
+    for kernel in (kernels.find_embedding, kernels.count_embeddings):
+        answer = kernel(*args)
+        low, high = kernel(*args, b), kernel(*args, b2)
+        assert low[0] == 2 or low == answer
+        assert high[0] == 2 or high == answer
+        assert low[0] == 2 or high[0] != 2
 
 
 WIDE = 1 << 5000
